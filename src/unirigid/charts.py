@@ -28,10 +28,14 @@ from .geom3 import (
     GIMBAL_EPS,
     EulerAngles,
     Pose,
+    Rotation,
     _as_vec3,
     _readonly,
+    check_rotation,
+    cross3,
     euler_to_rotation,
     exp_so3,
+    exp_so3_matrix,
     hat,
     log_so3,
     pose_compose,
@@ -43,6 +47,9 @@ from .geom3 import (
 COND_LIMIT = 1e8
 # Step for the finite-difference commutators behind hamel_coefficients.
 HAMEL_FD_STEP = 1e-5
+
+_ZERO3 = np.zeros(3)
+_ZERO3.flags.writeable = False
 
 
 class Frame(Enum):
@@ -90,13 +97,24 @@ class ChartState:
     u: np.ndarray
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=float)
-        if u.shape != (6,):
-            raise ValueError(f"chart velocity must have shape (6,), got {u.shape}")
-        for i in range(6):
-            if not math.isfinite(u[i]):
-                raise ValueError("chart velocity must be finite")
+        u = _as_u6(self.u)
+        if not np.isfinite(u).all():
+            raise ValueError("chart velocity must be finite")
         object.__setattr__(self, "u", _readonly(u))
+
+
+def stage_state(chart: ChartId, state: ChartState) -> tuple:
+    """The raw ``(g, x, u)`` the integration kernel and chart right-hand sides work on.
+
+    ``g`` is the rotation matrix on the twist charts and the Z-X-Z angles
+    (phi, theta, psi) on the Euler chart; ``x`` is the position, ``u`` the
+    chart velocities.
+    """
+    pose = state.pose
+    if chart is ChartId.EULER_COM:
+        e = rotation_to_euler(pose.rotation)
+        return np.array([e.phi, e.theta, e.psi]), pose.position, state.u
+    return pose.rotation.m, pose.position, state.u
 
 
 def _as_u6(u) -> np.ndarray:
@@ -116,16 +134,46 @@ def euler_rate_matrix(theta: float, psi: float) -> np.ndarray:
 def _euler_rate_matrix_dot(theta, psi, theta_dot, psi_dot) -> np.ndarray:
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
-    d_theta = np.array([[ct * sp, 0.0, 0.0], [ct * cp, 0.0, 0.0], [-st, 0.0, 0.0]])
-    d_psi = np.array([[st * cp, -sp, 0.0], [-st * sp, -cp, 0.0], [0.0, 0.0, 0.0]])
-    return d_theta * theta_dot + d_psi * psi_dot
+    return np.array(
+        [
+            [ct * sp * theta_dot + st * cp * psi_dot, -sp * psi_dot, 0.0],
+            [ct * cp * theta_dot - st * sp * psi_dot, -cp * psi_dot, 0.0],
+            [-st * theta_dot, 0.0, 0.0],
+        ]
+    )
+
+
+def euler_rates(theta: float, psi: float, a: np.ndarray) -> np.ndarray:
+    """E(theta, psi)^-1 @ a in closed form; theta must have passed euler_chart_guard."""
+    st, ct = math.sin(theta), math.cos(theta)
+    sp, cp = math.sin(psi), math.cos(psi)
+    a1, a2, a3 = a
+    phi_rate = (sp * a1 + cp * a2) / st
+    return np.array([phi_rate, cp * a1 - sp * a2, a3 - ct * phi_rate])
+
+
+def euler_chart_guard(theta: float, psi: float) -> None:
+    """The Euler chart's validity checks at raw angles (theta, psi).
+
+    GimbalLockError below the single gimbal threshold sin(theta) >= GIMBAL_EPS,
+    which theta outside (0, pi) fails too.  IllConditionedError when cond(Phi)
+    exceeds COND_LIMIT; since cond(Phi) <= 3 sqrt(3) / sin(theta), the exact
+    condition number is computed only where that bound is inconclusive.
+    """
+    st = math.sin(theta)
+    if st < GIMBAL_EPS:
+        raise GimbalLockError(f"sin(theta) = {st:.3e} below {GIMBAL_EPS:g}")
+    if 3.0 * math.sqrt(3.0) > COND_LIMIT * st:
+        phi = np.eye(6)
+        phi[:3, :3] = euler_rate_matrix(theta, psi)
+        if not np.linalg.cond(phi) <= COND_LIMIT:
+            raise IllConditionedError(f"chart matrix condition number exceeds {COND_LIMIT:g}")
 
 
 def _require_euler_valid(pose: Pose) -> "tuple[float, float, float]":
-    """Z-X-Z angles of the pose, guarded by the single gimbal threshold."""
+    """Z-X-Z angles of the pose, after euler_chart_guard."""
     e = rotation_to_euler(pose.rotation)
-    if math.sin(e.theta) < GIMBAL_EPS:
-        raise GimbalLockError(f"sin(theta) = {math.sin(e.theta):.3e} below {GIMBAL_EPS:g}")
+    euler_chart_guard(e.theta, e.psi)
     return e.phi, e.theta, e.psi
 
 
@@ -140,7 +188,7 @@ def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
         out[3:, 3:] = rt
         out[3:, :3] = -rt @ hat(pose.position)
         return out
-    phi_a, theta, psi = _require_euler_valid(pose)
+    _, theta, psi = _require_euler_valid(pose)
     out = np.zeros((6, 6))
     out[:3, :3] = euler_rate_matrix(theta, psi)
     out[3:, 3:] = pose.rotation.m.T
@@ -165,38 +213,8 @@ def _phi_dot(chart: ChartId, pose: Pose, u: np.ndarray, phi: np.ndarray) -> np.n
 def chart_eval(chart: ChartId, pose: Pose, u) -> ChartEval:
     """Kinematic matrix and its time derivative at (pose, u)."""
     u = _as_u6(u)
-    if chart is ChartId.EULER_COM:
-        # One angle extraction serves both matrices.
-        _, theta, psi = _require_euler_valid(pose)
-        rt = pose.rotation.m.T
-        e = euler_rate_matrix(theta, psi)
-        phi = np.zeros((6, 6))
-        phi[:3, :3] = e
-        phi[3:, 3:] = rt
-        omega = e @ u[:3]
-        phi_dot = np.zeros((6, 6))
-        phi_dot[:3, :3] = _euler_rate_matrix_dot(theta, psi, u[1], u[2])
-        phi_dot[3:, 3:] = -hat(omega) @ rt
-        return ChartEval(phi=phi, phi_dot=phi_dot)
     phi = _phi(chart, pose)
     return ChartEval(phi=phi, phi_dot=_phi_dot(chart, pose, u, phi))
-
-
-def chart_condition_ok(chart: ChartId, pose: Pose, phi: np.ndarray) -> bool:
-    """True when cond(Phi) is certifiably within COND_LIMIT.
-
-    The Euler chart admits an analytic bound: sigma_min of the rate matrix is
-    at least sin(theta)/3 while no singular value exceeds sqrt(3), so
-    cond(Phi) <= 3 sqrt(3) / sin(theta).  Only near the singularity (or for
-    other charts) is the exact condition number computed.
-    """
-    if chart is ChartId.BODY_TWIST:
-        return True
-    if chart is ChartId.EULER_COM:
-        sin_theta = math.sqrt(max(0.0, 1.0 - pose.rotation.m[2, 2] ** 2))
-        if 3.0 * math.sqrt(3.0) <= COND_LIMIT * sin_theta:
-            return True
-    return bool(np.linalg.cond(phi) <= COND_LIMIT)
 
 
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
@@ -209,31 +227,59 @@ def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
     if nu.frame is not Frame.BODY:
         raise ValueError("chart_from_body_twist requires a body-frame twist")
-    phi = _phi(chart, pose)
-    if not chart_condition_ok(chart, pose, phi):
-        raise IllConditionedError(
-            f"chart matrix condition number exceeds {COND_LIMIT:g}"
-        )
+    phi = _phi(chart, pose)  # the Euler chart is guarded inside
+    if chart is ChartId.SPATIAL_TWIST and not np.linalg.cond(phi) <= COND_LIMIT:
+        raise IllConditionedError(f"chart matrix condition number exceeds {COND_LIMIT:g}")
     return np.linalg.solve(phi, nu.as_array())
 
 
-def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:
-    """Exact-kinematics pose update used inside the integrators.
+def chart_rates(chart: ChartId, g, x: np.ndarray, u: np.ndarray, sigma: np.ndarray):
+    """Configuration velocity (sigma_dot, x_dot) of a raw stage state in increment coordinates.
 
-    Twist charts move the pose by the exponential of the rotation increment
-    (left-invariant update for the body chart, right-invariant for the spatial
-    chart); the Euler chart advances its coordinates directly.
+    ``sigma`` is the stage's rotation increment from the step's base.  On the
+    twist charts sigma_dot is the inverse exponential differential of omega
+    truncated after its double-commutator Bernoulli term,
+
+        dexpinv(sigma, w) = w +/- sigma x w / 2 + sigma x (sigma x w) / 12
+
+    (plus on the body chart, minus on the spatial chart), which is what
+    fourth-order Lie-RK4 requires; on the Euler chart it is the angle rates.
     """
-    pose, u = state.pose, state.u
+    if chart is ChartId.EULER_COM:
+        return u[:3], u[3:]
+    omega = u[:3]
+    c1 = cross3(sigma, omega)
     if chart is ChartId.BODY_TWIST:
-        r = pose.rotation.compose(exp_so3(u[:3] * dt))
-        return Pose(r, pose.position + pose.rotation.m @ u[3:] * dt)
-    if chart is ChartId.SPATIAL_TWIST:
-        step = Pose(exp_so3(u[:3] * dt), u[3:] * dt)
-        return pose_compose(step, pose)
-    phi_a, theta, psi = _require_euler_valid(pose)
-    angles = EulerAngles(phi_a + u[0] * dt, theta + u[1] * dt, psi + u[2] * dt)
-    return Pose(euler_to_rotation(angles), pose.position + u[3:] * dt)
+        return omega + 0.5 * c1 + (1.0 / 12.0) * cross3(sigma, c1), g @ u[3:]
+    return omega - 0.5 * c1 + (1.0 / 12.0) * cross3(sigma, c1), u[3:] + cross3(omega, x)
+
+
+def chart_retract(chart: ChartId, g0, x0: np.ndarray, d_sigma: np.ndarray, d_x: np.ndarray):
+    """Raw configuration reached from (g0, x0) by the increment (d_sigma, d_x).
+
+    Twist charts multiply by exp(d_sigma), on the right (body) or left
+    (spatial), and check the product; the Euler chart adds to its angles.
+    """
+    if chart is ChartId.EULER_COM:
+        return g0 + d_sigma, x0 + d_x
+    e = exp_so3_matrix(d_sigma)
+    r = g0 @ e if chart is ChartId.BODY_TWIST else e @ g0
+    check_rotation(r)
+    return r, x0 + d_x
+
+
+def stage_pose(chart: ChartId, g, x: np.ndarray) -> Pose:
+    """Validated Pose of a raw configuration (inverse of stage_state's pose part)."""
+    if chart is ChartId.EULER_COM:
+        return Pose(euler_to_rotation(EulerAngles(*g.tolist())), x)
+    return Pose(Rotation(g), x)
+
+
+def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:
+    """Pose reached by holding the chart velocities fixed for dt (one Lie-Euler step)."""
+    g, x, u = stage_state(chart, state)
+    sigma_dot, x_dot = chart_rates(chart, g, x, u, _ZERO3)
+    return stage_pose(chart, *chart_retract(chart, g, x, dt * sigma_dot, dt * x_dot))
 
 
 def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:

@@ -21,7 +21,7 @@ from .errors import (
     UniRigidError,
 )
 from .geom3 import geodesic_distance, rotation_to_quaternion
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, simulate
+from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, run_steps, simulate
 from .scenario import Scenario, load_scenario
 
 CSV_HEADER = "t,qw,qx,qy,qz,x,y,z,wx,wy,wz,vx,vy,vz,energy,Lx,Ly,Lz"
@@ -85,6 +85,7 @@ def cmd_simulate(args) -> int:
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
+        run_steps(dt, t_end, sample_every)
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -115,6 +116,7 @@ def cmd_compare(args) -> int:
         formulations = [Formulation(f) for f in args.formulation]
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
+        run_steps(dt, t_end, args.sample_every)
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg
 
 from .charts import (
     ChartId,
@@ -34,17 +33,16 @@ from .charts import (
     Frame,
     Twist,
     _euler_rate_matrix_dot,
-    _require_euler_valid,
-    chart_condition_ok,
-    chart_eval,
+    euler_chart_guard,
     euler_rate_matrix,
+    euler_rates,
+    stage_state,
 )
-from .errors import FrameNotAtCoMError, IllConditionedError, NotPositiveDefiniteError
-from .geom3 import Pose, _as_vec3, _readonly, cross3, hat
+from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
+from .geom3 import Pose, Rotation, _as_vec3, _readonly, check_rotation, cross3, euler_matrix, hat
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
-COND_LIMIT = 1e8
 
 STANDARD_GRAVITY = np.array([0.0, 0.0, -9.81])
 
@@ -142,23 +140,17 @@ class ForceModel:
         object.__setattr__(self, "gravity", _readonly(_as_vec3(self.gravity, "gravity")))
 
 
-def spd_factor(a: np.ndarray, what: str):
-    """Cholesky factorization of a symmetric positive definite matrix."""
+def spd_factor(a: np.ndarray, what: str) -> np.ndarray:
+    """Factor a symmetric positive definite matrix once, for repeated solves.
+
+    Returns the inverse, built from the Cholesky factor L as L^-T L^-1, so
+    that every later solve is one matrix-vector product.
+    """
     try:
-        return scipy.linalg.cho_factor(0.5 * (a + a.T), lower=True, check_finite=False)
+        l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (a + a.T)))
     except np.linalg.LinAlgError:
         raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
-
-
-def _spd_solve(a: np.ndarray, rhs: np.ndarray, what: str, factor=None) -> np.ndarray:
-    """Cholesky solve of a symmetric positive definite system.
-
-    ``factor`` short-circuits with a precomputed spd_factor(a, ...) result;
-    the solve is bitwise identical either way.
-    """
-    if factor is None:
-        factor = spd_factor(a, what)
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+    return l_inv.T @ l_inv
 
 
 def assemble_inertia(si: SpatialInertia) -> np.ndarray:
@@ -191,39 +183,60 @@ def energy(si: SpatialInertia, nu: Twist) -> float:
 
 def momentum_bias(nu6: np.ndarray, mom6: np.ndarray) -> np.ndarray:
     """Gyroscopic term (omega x pi + v x p, omega x p) of the momentum balance."""
-    omega, v = nu6[:3], nu6[3:]
-    pi, p = mom6[:3], mom6[3:]
-    out = np.empty(6)
-    out[:3] = cross3(omega, pi) + cross3(v, p)
-    out[3:] = cross3(omega, p)
-    return out
+    w1, w2, w3, v1, v2, v3 = nu6.tolist()
+    a1, a2, a3, p1, p2, p3 = mom6.tolist()
+    return np.array(
+        [
+            (w2 * a3 - w3 * a2) + (v2 * p3 - v3 * p2),
+            (w3 * a1 - w1 * a3) + (v3 * p1 - v1 * p3),
+            (w1 * a2 - w2 * a1) + (v1 * p2 - v2 * p1),
+            w2 * p3 - w3 * p2,
+            w3 * p1 - w1 * p3,
+            w1 * p2 - w2 * p1,
+        ]
+    )
 
 
-def kirchhoff_rhs6(
-    nu6: np.ndarray, w6: np.ndarray, m6: np.ndarray, m6_factor=None
-) -> np.ndarray:
-    """Raw-array core of kirchhoff_rhs."""
-    rhs = w6 - momentum_bias(nu6, m6 @ nu6)
-    return _spd_solve(m6, rhs, "generalized inertia", factor=m6_factor)
+def kirchhoff_rhs6(nu6: np.ndarray, w6: np.ndarray, m6: np.ndarray, m6_inv: np.ndarray) -> np.ndarray:
+    """Raw-array core of kirchhoff_rhs; m6_inv = spd_factor(m6, ...)."""
+    return m6_inv @ (w6 - momentum_bias(nu6, m6 @ nu6))
 
 
-def kirchhoff_rhs(
-    si: SpatialInertia,
-    nu: Twist,
-    w: Wrench,
-    m6: np.ndarray | None = None,
-    m6_factor=None,
-) -> np.ndarray:
-    """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p).
-
-    ``m6`` / ``m6_factor`` let callers in integration loops reuse the
-    assembled inertia and its factorization; results are unchanged.
-    """
+def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
+    """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p)."""
     if nu.frame is not Frame.BODY or w.frame is not Frame.BODY:
         raise ValueError("kirchhoff_rhs requires body-frame twist and wrench")
-    if m6 is None:
-        m6 = assemble_inertia(si)
-    return kirchhoff_rhs6(nu.as_array(), w.as_array(), m6, m6_factor)
+    m6 = assemble_inertia(si)
+    return kirchhoff_rhs6(nu.as_array(), w.as_array(), m6, spd_factor(m6, "generalized inertia"))
+
+
+def kirchhoff_accel_fn(si: SpatialInertia, wrench) -> "tuple[Callable, np.ndarray]":
+    """Raw Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``wrench``, and M^-1 (factored once)."""
+    m6 = assemble_inertia(si)
+    m6_inv = spd_factor(m6, "generalized inertia")
+
+    def accel(t, r, x, nu6):
+        return kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), m6, m6_inv)
+
+    return accel, m6_inv
+
+
+def require_com_frame(si: SpatialInertia) -> None:
+    """The Newton-Euler equations need the body origin at the center of mass."""
+    if np.linalg.norm(si.c) > 1e-12:
+        raise FrameNotAtCoMError(
+            f"body frame origin is {np.linalg.norm(si.c)!r} m from the CoM; "
+            "newton_euler_rhs requires c = 0"
+        )
+
+
+def newton_euler_rhs6(
+    nu6: np.ndarray, w6: np.ndarray, j: np.ndarray, j_inv: np.ndarray, mass: float
+) -> np.ndarray:
+    """Raw-array core of newton_euler_rhs; j_inv = spd_factor(j, ...)."""
+    omega = nu6[:3]
+    omega_dot = j_inv @ (w6[:3] - cross3(omega, j @ omega))
+    return np.concatenate((omega_dot, w6[3:] / mass - cross3(omega, nu6[3:])))
 
 
 def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
@@ -231,60 +244,104 @@ def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
 
     omega_dot = J^-1 (tau - omega x J omega),  v_dot = f/m - omega x v.
     """
-    if np.linalg.norm(si.c) > 1e-12:
-        raise FrameNotAtCoMError(
-            f"body frame origin is {np.linalg.norm(si.c)!r} m from the CoM; "
-            "newton_euler_rhs requires c = 0"
-        )
+    require_com_frame(si)
     if nu.frame is not Frame.BODY or w.frame is not Frame.BODY:
         raise ValueError("newton_euler_rhs requires body-frame twist and wrench")
-    omega, v = nu.omega, nu.vel
-    omega_dot = np.linalg.solve(si.j, w.torque - cross3(omega, si.j @ omega))
-    v_dot = w.force / si.mass - cross3(omega, v)
-    return np.concatenate([omega_dot, v_dot])
+    j_inv = spd_factor(si.j, "inertia tensor")
+    return newton_euler_rhs6(nu.as_array(), w.as_array(), si.j, j_inv, si.mass)
+
+
+def _spatial_to_body6(w: Wrench, r: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Spatial wrench (about the space origin) to body axes, by the transposed pose adjoint."""
+    rt = r.T
+    return np.concatenate((rt @ (w.torque - cross3(x, w.force)), rt @ w.force))
 
 
 def wrench_to_body(w: Wrench, pose: Pose) -> Wrench:
-    """Transport a wrench to body axes about the body origin.
-
-    Spatial wrenches are torque/force pairs about the space origin; the
-    conversion is the transpose of the pose adjoint.
-    """
+    """Transport a wrench to body axes about the body origin."""
     if w.frame is Frame.BODY:
         return w
-    rt = pose.rotation.m.T
-    torque = rt @ (w.torque - cross3(pose.position, w.force))
-    return Wrench(torque, rt @ w.force, Frame.BODY)
+    w6 = _spatial_to_body6(w, pose.rotation.m, pose.position)
+    return Wrench(w6[:3], w6[3:], Frame.BODY)
 
 
-def body_wrench6(
-    forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu6: np.ndarray
-) -> np.ndarray:
-    """Raw-array core of body_wrench: total (torque, force) about the body origin."""
-    g_body = pose.rotation.m.T @ forces.gravity
-    out = np.empty(6)
-    out[:3] = si.mass * cross3(si.c, g_body)
-    out[3:] = si.mass * g_body
+def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
+    """Raw total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
+
+    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).  Pose and
+    Twist objects are built only for a force callback.
+    """
+    mass, c, gravity, callback = si.mass, si.c, forces.gravity, forces.callback
     cw = forces.constant_wrench
-    if cw.frame is not Frame.BODY:
-        cw = wrench_to_body(cw, pose)
-    out[:3] += cw.torque
-    out[3:] += cw.force
-    if forces.callback is not None:
-        nu = Twist(nu6[:3], nu6[3:], Frame.BODY)
-        extra = wrench_to_body(forces.callback(t, pose, nu), pose)
-        out[:3] += extra.torque
-        out[3:] += extra.force
-    return out
+    body_cw = cw.as_array() if cw.frame is Frame.BODY else None
+
+    def wrench(t, r, x, nu6):
+        g_body = r.T @ gravity
+        w = mass * np.concatenate((cross3(c, g_body), g_body))
+        w += body_cw if body_cw is not None else _spatial_to_body6(cw, r, x)
+        if callback is not None:
+            if not (np.isfinite(nu6).all() and np.isfinite(x).all()):
+                raise NonFiniteStateError("state passed to the force callback is not finite")
+            pose = Pose(Rotation(r), x)
+            extra = callback(t, pose, Twist(nu6[:3], nu6[3:], Frame.BODY))
+            w += wrench_to_body(extra, pose).as_array()
+        return w
+
+    return wrench
 
 
 def body_wrench(forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu: Twist) -> Wrench:
-    """Total applied wrench in body axes about the body origin.
-
-    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
-    """
-    w6 = body_wrench6(forces, si, t, pose, nu.as_array())
+    """Total applied wrench in body axes about the body origin; see body_wrench_fn."""
+    w6 = body_wrench_fn(forces, si)(t, pose.rotation.m, pose.position, nu.as_array())
     return Wrench(w6[:3], w6[3:], Frame.BODY)
+
+
+def chart_rhs_fn(chart: ChartId, accel):
+    """Chart-velocity right-hand side ``rhs(t, (g, x, u)) -> u_dot`` on raw stage states.
+
+    ``accel(t, r, x, nu)`` is the body-twist acceleration nu_dot at rotation
+    matrix r and position x.  With Phi invertible, the unified equation times
+    Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the body solve, read
+    through the chart as u_dot = Phi^-1 (nu_dot - Phi_dot u), which each chart
+    supplies in closed form.
+    """
+    if chart is ChartId.BODY_TWIST:
+
+        def rhs(t, s):
+            r, x, u = s
+            return accel(t, r, x, u)
+
+    elif chart is ChartId.SPATIAL_TWIST:
+
+        def rhs(t, s):
+            # Phi = Ad(q)^-1 and Phi_dot u = -ad_nu nu = 0, so u_dot = Ad(q) nu_dot.
+            r, x, u = s
+            rt = r.T
+            nu = np.concatenate((rt @ u[:3], rt @ (u[3:] - cross3(x, u[:3]))))
+            nu_dot = accel(t, r, x, nu)
+            omega_dot = r @ nu_dot[:3]
+            return np.concatenate((omega_dot, cross3(x, omega_dot) + r @ nu_dot[3:]))
+
+    else:
+
+        def rhs(t, s):
+            # Phi = diag(E, R^T) and Phi_dot u = (E_dot u_ang, -omega x v).
+            angles, x, u = s
+            phi, theta, psi = angles.tolist()
+            if not math.isfinite(phi + theta + psi):
+                raise NonFiniteStateError("Euler angles are not finite")
+            euler_chart_guard(theta, psi)
+            r = euler_matrix(phi, theta, psi)
+            check_rotation(r)
+            u_ang = u[:3]
+            omega = euler_rate_matrix(theta, psi) @ u_ang
+            v = r.T @ u[3:]
+            nu_dot = accel(t, r, x, np.concatenate((omega, v)))
+            a_ang = nu_dot[:3] - _euler_rate_matrix_dot(theta, psi, u[1], u[2]) @ u_ang
+            a_lin = nu_dot[3:] + cross3(omega, v)
+            return np.concatenate((euler_rates(theta, psi, a_ang), r @ a_lin))
+
+    return rhs
 
 
 def chart_rhs(
@@ -293,84 +350,15 @@ def chart_rhs(
     state: ChartState,
     forces: ForceModel,
     t: float = 0.0,
-    m6: np.ndarray | None = None,
-    m6_factor=None,
 ) -> np.ndarray:
     """Chart-velocity acceleration u_dot from the unified quasi-velocity equations.
 
     Solves (Phi^T M Phi) u_dot = Phi^T F - Phi^T (M Phi_dot u + bias(nu)) with
-    nu = Phi u.  For the body-twist chart Phi is the identity and Phi_dot
-    vanishes, so the system reduces to the Kirchhoff solve verbatim.  ``m6``
-    and ``m6_factor`` reuse the assembled inertia and its factorization.
+    nu = Phi u, through the body solve of chart_rhs_fn.  For the body-twist
+    chart this is the Kirchhoff solve verbatim.
     """
-    if m6 is None:
-        m6 = assemble_inertia(si)
-    if chart is ChartId.BODY_TWIST:
-        nu6 = state.u
-        w6 = body_wrench6(forces, si, t, state.pose, nu6)
-        return kirchhoff_rhs6(nu6, w6, m6, m6_factor)
-    if chart is ChartId.EULER_COM:
-        out = _chart_rhs_euler(si, state, forces, t, m6)
-        if out is not None:
-            return out
-    ev = chart_eval(chart, state.pose, state.u)
-    phi, phi_dot = ev.phi, ev.phi_dot
-    if not chart_condition_ok(chart, state.pose, phi):
-        raise IllConditionedError(
-            f"chart matrix condition number exceeds {COND_LIMIT:g}"
-        )
-    nu6 = phi @ state.u
-    f6 = body_wrench6(forces, si, t, state.pose, nu6)
-    rhs = phi.T @ (f6 - m6 @ (phi_dot @ state.u) - momentum_bias(nu6, m6 @ nu6))
-    a = phi.T @ m6 @ phi
-    return _spd_solve(a, rhs, "chart mass matrix Phi^T M Phi")
-
-
-def _chart_rhs_euler(
-    si: SpatialInertia, state: ChartState, forces: ForceModel, t: float, m6: np.ndarray
-) -> np.ndarray:
-    """Euler-chart specialization of chart_rhs exploiting the block structure.
-
-    Phi = [[E, 0], [0, R^T]] and Phi_dot = [[E_dot, 0], [0, -hat(omega) R^T]],
-    so Phi^T M Phi assembles from 3x3 blocks and Phi_dot u collapses to
-    (E_dot u_ang, -omega x v).  Same equations as the generic branch; within
-    the razor-thin band where the analytic conditioning bound is inconclusive
-    it returns None and the generic branch takes over with the exact check.
-    """
-    pose, u = state.pose, state.u
-    _, theta, psi = _require_euler_valid(pose)
-    if 3.0 * math.sqrt(3.0) > COND_LIMIT * math.sin(theta):
-        return None
-    r = pose.rotation.m
-    e = euler_rate_matrix(theta, psi)
-    e_dot = _euler_rate_matrix_dot(theta, psi, u[1], u[2])
-    omega = e @ u[:3]
-    v = r.T @ u[3:]
-    nu6 = np.empty(6)
-    nu6[:3] = omega
-    nu6[3:] = v
-    f6 = body_wrench6(forces, si, t, pose, nu6)
-    pdu = np.empty(6)
-    pdu[:3] = e_dot @ u[:3]
-    pdu[3:] = -cross3(omega, v)
-    body_rhs = f6 - m6 @ pdu - momentum_bias(nu6, m6 @ nu6)
-    rhs = np.empty(6)
-    rhs[:3] = e.T @ body_rhs[:3]
-    rhs[3:] = r @ body_rhs[3:]
-    a = np.empty((6, 6))
-    a[:3, :3] = e.T @ si.j @ e
-    if si.c[0] == 0.0 and si.c[1] == 0.0 and si.c[2] == 0.0:
-        a[:3, 3:] = 0.0
-        a[3:, :3] = 0.0
-    else:
-        coupling = si.mass * (e.T @ hat(si.c) @ r.T)
-        a[:3, 3:] = coupling
-        a[3:, :3] = coupling.T
-    a[3:, 3:] = si.mass * _EYE3_D
-    return _spd_solve(a, rhs, "chart mass matrix Phi^T M Phi")
-
-
-_EYE3_D = np.eye(3)
+    accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(forces, si))
+    return chart_rhs_fn(chart, accel)(t, stage_state(chart, state))
 
 
 def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:

@@ -36,7 +36,7 @@ class RankDeficientConstraintError(UniRigidError):
 class NonFiniteStateError(UniRigidError):
     """Integration produced NaN or Inf; carries the abort context."""
 
-    def __init__(self, message: str, time: float, last_sample_index: int, samples=None):
+    def __init__(self, message: str, time=None, last_sample_index: int = -1, samples=None):
         super().__init__(message)
         self.time = time
         self.last_sample_index = last_sample_index

@@ -5,11 +5,16 @@ squared deviation from the unconstrained acceleration,
 
     G(nu_dot) = 1/2 (nu_dot - nu_dot_free)^T M (nu_dot - nu_dot_free),
 
-over the affine set A nu_dot = b.  The minimizer comes from one bordered
-(KKT) solve, which also exposes the constraint reaction.  Constraints are
-expressed in the body-twist chart only; with no constraint rows the solver
-reproduces the free Kirchhoff acceleration exactly, which is what makes it
-usable as an independent oracle for the chart engine.
+over the affine set A nu_dot = b.  The minimizer has the explicit form of
+Udwadia and Kalaba (Proc. R. Soc. A 439, 1992): with the Schur complement
+S = A M^-1 A^T of the bordered (KKT) system,
+
+    lambda = S^-1 (b - A nu_dot_free),   nu_dot = nu_dot_free + M^-1 A^T lambda,
+
+where lambda is the constraint reaction.  Constraints are expressed in the
+body-twist chart only; with no constraint rows the solver reproduces the free
+Kirchhoff acceleration exactly, which is what makes it usable as an
+independent oracle for the chart engine.
 """
 
 from __future__ import annotations
@@ -18,11 +23,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .charts import Frame, Twist
-from .dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6
-from .errors import NotPositiveDefiniteError, RankDeficientConstraintError
+from .dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6, spd_factor
+from .errors import RankDeficientConstraintError
 from .geom3 import _as_vec3, _readonly, cross3, hat
 
 # Relative singular-value threshold below which constraint rows count as dependent.
@@ -92,29 +96,22 @@ def gauss_functional(
     return 0.5 * float(d @ m6 @ d)
 
 
+def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
+    """(M^-1 A^T, S^-1) with S = A M^-1 A^T; computed once for constant rows A."""
+    m_inv_at = m6_inv @ a.T
+    return m_inv_at, spd_factor(a @ m_inv_at, "constraint Schur complement A M^-1 A^T")
+
+
 def constrained_accel6(
-    nu6: np.ndarray,
-    w6: np.ndarray,
-    m6: np.ndarray,
+    nu_dot_free: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
-    m6_factor=None,
+    m_inv_at: np.ndarray,
+    s_inv: np.ndarray,
 ) -> "tuple[np.ndarray, np.ndarray]":
-    """Raw-array core of constrained_accel; (a, b) must already be validated."""
-    nu_dot_free = kirchhoff_rhs6(nu6, w6, m6, m6_factor)
-    k = a.shape[0]
-    if k == 0:
-        return nu_dot_free, np.zeros(0)
-    kkt = np.zeros((6 + k, 6 + k))
-    kkt[:6, :6] = 0.5 * (m6 + m6.T)
-    kkt[:6, 6:] = a.T
-    kkt[6:, :6] = a
-    rhs = np.concatenate([m6 @ nu_dot_free, b])
-    try:
-        sol = scipy.linalg.solve(kkt, rhs, assume_a="sym", check_finite=False)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError):
-        raise NotPositiveDefiniteError("KKT system is singular") from None
-    return sol[:6], -sol[6:]
+    """Raw-array core of constrained_accel; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
+    lam = s_inv @ (b - a @ nu_dot_free)
+    return nu_dot_free + m_inv_at @ lam, lam
 
 
 def constrained_accel(
@@ -122,14 +119,10 @@ def constrained_accel(
     nu: Twist,
     wrench: Wrench,
     con: AccelConstraint,
-    m6: np.ndarray | None = None,
-    m6_factor=None,
 ) -> "tuple[np.ndarray, np.ndarray]":
     """Acceleration minimizing the constraint functional over A nu_dot = b.
 
-    Solves the bordered system [[M, A^T], [A, 0]] (nu_dot, mu) = (M nu_dot_free, b)
-    by a symmetric indefinite factorization and returns (nu_dot, lambda) with
-    lambda = -mu, so that lambda is the physical reaction:
+    Returns (nu_dot, lambda) with lambda the physical reaction, so that
 
         M nu_dot + bias(nu) = F + A^T lambda.
 
@@ -137,9 +130,12 @@ def constrained_accel(
     """
     if nu.frame is not Frame.BODY or wrench.frame is not Frame.BODY:
         raise ValueError("constrained_accel requires body-frame twist and wrench")
-    if m6 is None:
-        m6 = assemble_inertia(si)
-    return constrained_accel6(nu.as_array(), wrench.as_array(), m6, con.a, con.b, m6_factor)
+    m6 = assemble_inertia(si)
+    m6_inv = spd_factor(m6, "generalized inertia")
+    free = kirchhoff_rhs6(nu.as_array(), wrench.as_array(), m6, m6_inv)
+    if con.k == 0:
+        return free, np.zeros(0)
+    return constrained_accel6(free, con.a, con.b, *schur_factor(m6_inv, con.a))
 
 
 def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:

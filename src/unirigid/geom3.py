@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AngleNearPiError, GimbalLockError
+from .errors import AngleNearPiError, GimbalLockError, NonFiniteStateError
 
-# Orthogonality / determinant tolerance re-checked on every Rotation construction.
+# Orthogonality / determinant tolerance of check_rotation.
 ORTHO_TOL = 1e-9
 # Below this angle exp/log switch to 4th-order Taylor coefficients.
 SMALL_ANGLE = 1e-6
@@ -36,13 +36,9 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross product of two 3-vectors; avoids the generic np.cross dispatch."""
-    return np.array(
-        [
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        ]
-    )
+    a1, a2, a3 = a.tolist()
+    b1, b2, b3 = b.tolist()
+    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -66,6 +62,28 @@ def vee(s: np.ndarray) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
+def check_rotation(m: np.ndarray) -> None:
+    """Raise ValueError unless the array m is a 3x3 orthogonal matrix with det 1 to ORTHO_TOL.
+
+    The one orthogonality check: ``Rotation`` runs it on construction and the
+    integration kernel on every rotation it forms.
+    """
+    if m.shape != (3, 3):
+        raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
+    d = m.T @ m
+    d -= _EYE3
+    defect_sq = float(np.vdot(d, d))
+    # Written so NaN/Inf entries fail the comparison too.
+    if not defect_sq <= ORTHO_TOL * ORTHO_TOL:
+        raise ValueError(
+            f"matrix is not orthogonal (or not finite): ||R^T R - I||_F^2 = {defect_sq!r}"
+        )
+    (a, b, c), (e, f, g), (h, i, j) = m.tolist()
+    det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
+    if not abs(det - 1.0) <= ORTHO_TOL:
+        raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
+
+
 @dataclass(frozen=True)
 class Rotation:
     """Proper rotation; orthogonality and det(m)=1 re-checked on construction."""
@@ -74,20 +92,7 @@ class Rotation:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        d = m.T @ m
-        d -= _EYE3
-        defect_sq = float((d * d).sum())
-        # Written so NaN/Inf entries fail the comparison too.
-        if not defect_sq <= ORTHO_TOL * ORTHO_TOL:
-            raise ValueError(
-                f"matrix is not orthogonal (or not finite): ||R^T R - I||_F^2 = {defect_sq!r}"
-            )
-        (a, b, c), (e, f, g), (h, i, j) = m.tolist()
-        det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
-        if not abs(det - 1.0) <= ORTHO_TOL:
-            raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
+        check_rotation(m)
         object.__setattr__(self, "m", _readonly(m))
 
     @staticmethod
@@ -133,13 +138,12 @@ class EulerAngles:
                 raise ValueError(f"{name} must be finite")
 
 
-def exp_so3(w) -> Rotation:
-    """Rodrigues formula with a 4th-order Taylor branch below SMALL_ANGLE."""
-    w = _as_vec3(w, "w")
-    x, y, z = w
+def exp_so3_matrix(w: np.ndarray) -> np.ndarray:
+    """Rodrigues formula on a raw 3-vector, with a 4th-order Taylor branch below SMALL_ANGLE."""
+    x, y, z = w.tolist()
     theta2 = x * x + y * y + z * z
     if not math.isfinite(theta2):
-        raise ValueError(f"rotation vector norm is not finite: |w|^2 = {theta2!r}")
+        raise NonFiniteStateError(f"rotation vector norm is not finite: |w|^2 = {theta2!r}")
     theta = math.sqrt(theta2)
     if theta < SMALL_ANGLE:
         a = 1.0 - theta2 / 6.0 + theta2 * theta2 / 120.0
@@ -148,15 +152,18 @@ def exp_so3(w) -> Rotation:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     # I + a hat(w) + b hat(w)^2 with hat(w)^2 = w w^T - theta^2 I, written out.
-    return Rotation(
-        np.array(
-            [
-                [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
-                [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
-                [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
-            ]
-        )
+    return np.array(
+        [
+            [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
+            [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
+            [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
+        ]
     )
+
+
+def exp_so3(w) -> Rotation:
+    """Rotation exp(hat(w)); see exp_so3_matrix."""
+    return Rotation(exp_so3_matrix(_as_vec3(w, "w")))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
@@ -181,34 +188,34 @@ def log_so3(r: Rotation) -> np.ndarray:
 
 
 def geodesic_distance(a: Rotation, b: Rotation) -> float:
-    """Rotation angle of a^T b; the natural metric for comparing orientations."""
-    return float(np.linalg.norm(log_so3(Rotation(a.m.T @ b.m))))
+    """Rotation angle of a^T b in [0, pi]; the natural metric for comparing orientations.
+
+    atan2(|vee(C - C^T)| / 2, (tr C - 1) / 2) with C = a^T b has no cut at pi,
+    unlike the logarithm.
+    """
+    c = a.m.T @ b.m
+    s = c - c.T
+    sin_theta = 0.5 * math.sqrt(s[2, 1] ** 2 + s[0, 2] ** 2 + s[1, 0] ** 2)
+    return math.atan2(sin_theta, 0.5 * (c[0, 0] + c[1, 1] + c[2, 2] - 1.0))
 
 
-def rot_z(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+def euler_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
+    """Raw R = Rz(phi) Rx(theta) Rz(psi), assembled entrywise."""
+    cf, sf = math.cos(phi), math.sin(phi)
+    ct, st = math.cos(theta), math.sin(theta)
+    cp, sp = math.cos(psi), math.sin(psi)
+    return np.array(
+        [
+            [cf * cp - sf * ct * sp, -cf * sp - sf * ct * cp, sf * st],
+            [sf * cp + cf * ct * sp, -sf * sp + cf * ct * cp, -cf * st],
+            [st * sp, st * cp, ct],
+        ]
+    )
 
 
 def euler_to_rotation(e: EulerAngles) -> Rotation:
-    """R = Rz(phi) Rx(theta) Rz(psi), assembled entrywise."""
-    cf, sf = math.cos(e.phi), math.sin(e.phi)
-    ct, st = math.cos(e.theta), math.sin(e.theta)
-    cp, sp = math.cos(e.psi), math.sin(e.psi)
-    return Rotation(
-        np.array(
-            [
-                [cf * cp - sf * ct * sp, -cf * sp - sf * ct * cp, sf * st],
-                [sf * cp + cf * ct * sp, -sf * sp + cf * ct * cp, -cf * st],
-                [st * sp, st * cp, ct],
-            ]
-        )
-    )
+    """R = Rz(phi) Rx(theta) Rz(psi)."""
+    return Rotation(euler_matrix(e.phi, e.theta, e.psi))
 
 
 def rotation_to_euler(r: Rotation) -> EulerAngles:

@@ -1,27 +1,29 @@
 """Fixed-step time integration respecting each chart's geometry.
 
-Twist charts update the rotation through the exponential map, so orthogonality
-holds by construction and is never repaired.  The Euler coordinate chart is
-integrated as an ordinary ODE in its coordinates.
+One kernel, ``_rk_step``, advances every integrator on every chart over the
+raw ``(g, x, u)`` stage states of ``charts.stage_state``: a rotation matrix on
+the twist charts, Z-X-Z angles on the Euler chart.  Stage configurations are
+reached from the step's base by increments (``charts.chart_retract``); on the
+twist charts that is an exponential, so orthogonality holds by construction,
+is checked on every rotation formed and is never repaired.  ``step`` is the
+validated boundary: one ChartState in, one out.
 
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
-in the rotation algebra and the pose is updated by a single exponential of the
-assembled increment.  The inverse exponential differential applied to the
-stage velocities is truncated after its double-commutator Bernoulli term,
+in the rotation algebra (``charts.chart_rates``) and the pose is updated by a
+single exponential of the assembled increment.  On the Euler chart it is
+classical RK4 in the coordinates, and ``RK4`` coincides with it there.
 
-    dexpinv(sigma, w) = w -/+ sigma x w / 2 + sigma x (sigma x w) / 12,
-
-which is what fourth-order behavior requires; dropping the double commutator
-demotes the scheme to third order.
-
-``RK4`` on a twist chart advances the chart velocities classically and
-reconstructs the pose from the RK4-averaged twist; that reconstruction is
+``RK4`` on a twist chart advances the chart velocities classically and moves
+the pose from the base with each stage velocity held fixed, reconstructing
+the final pose from the RK4-averaged twist; that reconstruction is
 second-order accurate in the orientation, so order studies for RK4 belong on
-the coordinate chart.
+the coordinate chart.  ``LIE_EULER`` is the one-stage member of the family.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, List
@@ -29,22 +31,25 @@ from typing import Callable, List
 import numpy as np
 
 from .charts import (
+    _ZERO3,
     ChartId,
     ChartState,
     Frame,
     Twist,
-    advance_pose,
     body_twist,
     chart_from_body_twist,
+    chart_rates,
+    chart_retract,
+    stage_pose,
+    stage_state,
 )
 from .dynamics import (
-    ForceModel,
-    SpatialInertia,
-    Wrench,
     assemble_inertia,
-    body_wrench6,
-    chart_rhs,
-    newton_euler_rhs,
+    body_wrench_fn,
+    chart_rhs_fn,
+    kirchhoff_accel_fn,
+    newton_euler_rhs6,
+    require_com_frame,
     spd_factor,
 )
 from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
@@ -53,10 +58,16 @@ from .gauss import (
     constrained_accel6,
     fixed_point_offset6,
     fixed_point_rows,
+    schur_factor,
 )
-from .geom3 import EulerAngles, Pose, cross3, euler_to_rotation, exp_so3, rotation_to_euler
+# perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
+from .geom3 import Pose, cross3, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
 
-RhsFn = Callable[[float, ChartState], np.ndarray]
+# rhs(t, (g, x, u)) -> u_dot on the raw stage state of charts.stage_state.
+RhsFn = Callable[[float, tuple], np.ndarray]
+
+# Longest run simulate accepts; about a quarter of an hour at 100 us per step.
+MAX_STEPS = 10_000_000
 
 
 class IntegratorId(Enum):
@@ -106,83 +117,39 @@ class TrajectorySample:
     l_spatial: np.ndarray
 
 
-def _dexpinv_trunc(sigma: np.ndarray, omega: np.ndarray, sign: float) -> np.ndarray:
-    """Bernoulli series of the inverse exponential differential through ad^2."""
-    c1 = cross3(sigma, omega)
-    return omega + sign * 0.5 * c1 + (1.0 / 12.0) * cross3(sigma, c1)
+_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
 
-def _euler_coordinates(state: ChartState) -> np.ndarray:
-    e = rotation_to_euler(state.pose.rotation)
-    return np.concatenate([[e.phi, e.theta, e.psi], state.pose.position, state.u])
+def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
+    """One step of every integrator on raw arrays; returns the new (g, x, u)."""
+    frozen = integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM
+    nodes = (0.0,) if integrator is IntegratorId.LIE_EULER else _RK4_NODES
+    slopes = []
+    g, x, u, sigma = g0, x0, u0, _ZERO3
+    for c in nodes:
+        h = c * dt
+        if slopes:
+            sigma_dot, x_dot, u_dot = slopes[-1]
+            u = u0 + h * u_dot
+            if frozen:
+                sigma_dot, x_dot = chart_rates(chart, g0, x0, u, _ZERO3)
+            sigma = h * sigma_dot
+            g, x = chart_retract(chart, g0, x0, sigma, h * x_dot)
+        u_dot = rhs(t + h, (g, x, u))
+        slopes.append((*chart_rates(chart, g, x, u, sigma), u_dot))
 
-
-def _state_from_coordinates(y: np.ndarray) -> ChartState:
-    pose = Pose(euler_to_rotation(EulerAngles(y[0], y[1], y[2])), y[3:6])
-    return ChartState(pose, y[6:])
-
-
-def _step_rk4_coordinates(rhs: RhsFn, state: ChartState, t: float, dt: float) -> ChartState:
-    y0 = _euler_coordinates(state)
-
-    def f(ti, y):
-        s = _state_from_coordinates(y)
-        return np.concatenate([s.u, rhs(ti, s)])
-
-    k1 = f(t, y0)
-    k2 = f(t + 0.5 * dt, y0 + 0.5 * dt * k1)
-    k3 = f(t + 0.5 * dt, y0 + 0.5 * dt * k2)
-    k4 = f(t + dt, y0 + dt * k3)
-    return _state_from_coordinates(y0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _step_rk4_twist(chart: ChartId, rhs: RhsFn, state: ChartState, t: float, dt: float) -> ChartState:
-    pose0, u0 = state.pose, state.u
-
-    def stage(c, u_stage):
-        pose = pose0 if c == 0.0 else advance_pose(chart, ChartState(pose0, u_stage), c * dt)
-        return rhs(t + c * dt, ChartState(pose, u_stage))
-
-    k1 = stage(0.0, u0)
-    k2 = stage(0.5, u0 + 0.5 * dt * k1)
-    k3 = stage(0.5, u0 + 0.5 * dt * k2)
-    k4 = stage(1.0, u0 + dt * k3)
-    u_avg = u0 + (dt / 6.0) * (k1 + k2 + k3)
-    new_pose = advance_pose(chart, ChartState(pose0, u_avg), dt)
-    return ChartState(new_pose, u0 + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
-
-
-def _step_lie_rk4_twist(chart: ChartId, rhs: RhsFn, state: ChartState, t: float, dt: float) -> ChartState:
-    pose0, u0 = state.pose, state.u
-    r0, x0 = pose0.rotation, pose0.position
-    body = chart is ChartId.BODY_TWIST
-    sign = 1.0 if body else -1.0
-
-    def stage(c, prev):
-        if prev is None:
-            sigma, x, u, r = np.zeros(3), x0, u0, r0
-        else:
-            k_sigma, k_x, k_u = prev
-            sigma = c * dt * k_sigma
-            x = x0 + c * dt * k_x
-            u = u0 + c * dt * k_u
-            r = r0.compose(exp_so3(sigma)) if body else exp_so3(sigma).compose(r0)
-        k_u = rhs(t + c * dt, ChartState(Pose(r, x), u))
-        omega = u[:3]
-        xdot = r.m @ u[3:] if body else u[3:] + cross3(u[:3], x)
-        return _dexpinv_trunc(sigma, omega, sign), xdot, k_u
-
-    s1 = stage(0.0, None)
-    s2 = stage(0.5, s1)
-    s3 = stage(0.5, s2)
-    s4 = stage(1.0, s3)
-    sigma, x1, u1 = (
-        (dt / 6.0) * (s1[i] + 2.0 * s2[i] + 2.0 * s3[i] + s4[i]) for i in range(3)
-    )
-    x1 = x0 + x1
-    u1 = u0 + u1
-    r1 = r0.compose(exp_so3(sigma)) if body else exp_so3(sigma).compose(r0)
-    return ChartState(Pose(r1, x1), u1)
+    if integrator is IntegratorId.LIE_EULER:
+        d_sigma, d_x, d_u = (dt * k for k in slopes[0])
+    else:
+        k1, k2, k3, k4 = slopes
+        d_sigma, d_x, d_u = ((dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*slopes))
+        if frozen:
+            # The pose follows the RK4-averaged velocity u0 + dt/6 (k1 + k2 + k3).
+            u_avg = u0 + (dt / 6.0) * (k1[2] + k2[2] + k3[2])
+            sigma_dot, x_dot = chart_rates(chart, g0, x0, u_avg, _ZERO3)
+            d_sigma, d_x = dt * sigma_dot, dt * x_dot
+    g1, x1 = chart_retract(chart, g0, x0, d_sigma, d_x)
+    return g1, x1, u0 + d_u
 
 
 def step(
@@ -193,80 +160,92 @@ def step(
     t: float,
     dt: float,
 ) -> ChartState:
-    """Advance one fixed step; pure function of its arguments."""
+    """Advance one fixed step; pure function of its arguments.
+
+    ``rhs(t, (g, x, u))`` is the chart acceleration on the raw stage state of
+    ``charts.stage_state``, as returned by make_rhs.
+    """
     if not dt > 0.0:
         raise ValueError(f"dt must be positive, got {dt!r}")
-    if integrator is IntegratorId.LIE_EULER:
-        u1 = state.u + dt * rhs(t, state)
-        return ChartState(advance_pose(chart, state, dt), u1)
-    if chart is ChartId.EULER_COM:
-        # Coordinates carry no group structure; both RK4 variants coincide.
-        return _step_rk4_coordinates(rhs, state, t, dt)
-    if integrator is IntegratorId.RK4:
-        return _step_rk4_twist(chart, rhs, state, t, dt)
-    if integrator is IntegratorId.LIE_RK4:
-        return _step_lie_rk4_twist(chart, rhs, state, t, dt)
-    raise ValueError(f"unknown integrator {integrator!r}")
+    if not isinstance(integrator, IntegratorId):
+        raise ValueError(f"unknown integrator {integrator!r}")
+    g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
+    if not (np.isfinite(g).all() and np.isfinite(x).all() and np.isfinite(u).all()):
+        raise NonFiniteStateError(f"non-finite state after the step from t={t:.6g}", time=t + dt)
+    return ChartState(stage_pose(chart, g, x), u)
 
 
 def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
-    """Chart and right-hand side for one formulation of a scenario.
+    """Chart and raw-state right-hand side for one formulation of a scenario.
 
-    The gauss route feeds the pinned-point constraint (when present) through
-    the least-constraint solver, tracking the pin anchor for drift
-    stabilization; the other routes are unconstrained.
+    The constant inertia is factored here, once per run.  The gauss route
+    feeds the pinned-point constraint (when present) through the
+    least-constraint solver with its Schur complement precomputed, tracking
+    the pin anchor for drift stabilization; the other routes are
+    unconstrained.
     """
-    si: SpatialInertia = scenario.inertia
-    forces: ForceModel = scenario.forces
-    m6 = assemble_inertia(si)
-    m6_factor = spd_factor(m6, "generalized inertia")
+    si = scenario.inertia
+    wrench = body_wrench_fn(scenario.forces, si)
     chart = FORMULATION_CHART[formulation]
 
     if formulation is Formulation.NEWTON_EULER:
+        require_com_frame(si)
+        j, mass = si.j, si.mass
+        j_inv = spd_factor(j, "inertia tensor")
 
-        def rhs(t, state):
-            nu = Twist(state.u[:3], state.u[3:], Frame.BODY)
-            w6 = body_wrench6(forces, si, t, state.pose, state.u)
-            return newton_euler_rhs(si, nu, Wrench(w6[:3], w6[3:], Frame.BODY))
+        def accel(t, r, x, nu6):
+            return newton_euler_rhs6(nu6, wrench(t, r, x, nu6), j, j_inv, mass)
 
-        return chart, rhs
+        return chart, chart_rhs_fn(chart, accel)
 
-    if formulation is Formulation.GAUSS:
-        pin = scenario.constraint
-        if pin is None:
-            a_rows = np.zeros((0, 6))
-            anchor = None
-        else:
-            a_rows = fixed_point_rows(pin)
-            AccelConstraint(a_rows, np.zeros(3))  # one-time rank validation
-            anchor = scenario.initial_pose.position + scenario.initial_pose.rotation.m @ pin.r_b
+    accel, m6_inv = kirchhoff_accel_fn(si, wrench)
+    pin = scenario.constraint
+    if formulation is Formulation.GAUSS and pin is not None:
+        a_rows = fixed_point_rows(pin)
+        AccelConstraint(a_rows, np.zeros(3))  # one-time rank validation
+        m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
+        anchor = scenario.initial_pose.position + scenario.initial_pose.rotation.m @ pin.r_b
+        free_accel = accel
 
-        def rhs(t, state):
-            nu6 = state.u
-            w6 = body_wrench6(forces, si, t, state.pose, nu6)
-            if pin is None:
-                b = np.zeros(0)
-            else:
-                r, x = state.pose.rotation.m, state.pose.position
-                drift = r.T @ (x + r @ pin.r_b - anchor)
-                b = fixed_point_offset6(pin, nu6, drift)
-            nu_dot, _ = constrained_accel6(nu6, w6, m6, a_rows, b, m6_factor)
+        def accel(t, r, x, nu6):
+            drift = r.T @ (x + r @ pin.r_b - anchor)
+            b = fixed_point_offset6(pin, nu6, drift)
+            nu_dot, _ = constrained_accel6(free_accel(t, r, x, nu6), a_rows, b, m_inv_at, s_inv)
             return nu_dot
 
-        return chart, rhs
-
-    def rhs(t, state):
-        return chart_rhs(chart, si, state, forces, t, m6=m6, m6_factor=m6_factor)
-
-    return chart, rhs
+    return chart, chart_rhs_fn(chart, accel)
 
 
-def _state_is_finite(state: ChartState) -> bool:
-    return bool(
-        np.all(np.isfinite(state.u))
-        and np.all(np.isfinite(state.pose.position))
-        and np.all(np.isfinite(state.pose.rotation.m))
-    )
+def run_steps(dt, t_end, sample_every, where: str = "") -> int:
+    """Validate run parameters and return the number of steps of dt that reach t_end.
+
+    The one validation path for a scenario's run block, command-line
+    overrides and simulate().  A t_end that whole steps miss, and runs
+    longer than MAX_STEPS, are rejected.  Errors name the field as
+    ``where + name``.
+    """
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ScenarioValidationError(f"{where}dt", f"must be a positive finite number, got {dt!r}")
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ScenarioValidationError(
+            f"{where}t_end", f"must be a nonnegative finite number, got {t_end!r}"
+        )
+    if isinstance(sample_every, bool) or not isinstance(sample_every, numbers.Integral) or sample_every < 1:
+        raise ScenarioValidationError(
+            f"{where}sample_every", f"must be a positive integer, got {sample_every!r}"
+        )
+    steps = t_end / dt
+    if steps > MAX_STEPS:
+        raise ScenarioValidationError(
+            f"{where}t_end", f"t_end / dt = {steps:.6g} steps exceeds the limit of {MAX_STEPS}"
+        )
+    n = round(steps)
+    if abs(n * dt - t_end) > 1e-9 * t_end:
+        raise ScenarioValidationError(
+            f"{where}t_end",
+            f"{t_end!r} is not a whole number of steps of dt = {dt!r} (nearest {n * dt!r})",
+        )
+    return n
 
 
 def simulate(
@@ -279,15 +258,12 @@ def simulate(
 ) -> List[TrajectorySample]:
     """Run one scenario with fixed steps; samples include t = 0 and the final step.
 
-    Gimbal-lock and non-finite failures abort with time-stamped exceptions;
-    partial samples ride along on the exception object.
+    Run parameters go through run_steps.  Gimbal-lock and non-finite
+    failures abort with time-stamped exceptions; partial samples ride along
+    on the exception object.  Floating-point overflow or invalid operations
+    while stepping or sampling count as non-finite state.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    if t_end < 0.0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end!r}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every!r}")
+    n_steps = run_steps(dt, t_end, sample_every)
     if scenario.constraint is not None and formulation is not Formulation.GAUSS:
         raise ScenarioValidationError(
             "constraint", "pinned scenarios integrate through the gauss formulation only"
@@ -320,33 +296,23 @@ def simulate(
             l_spatial=r @ mom6[:3] + cross3(x, r @ mom6[3:]),
         )
 
-    n_steps = int(round(t_end / dt))
-    samples = [sample(0.0, state)]
-    for k in range(n_steps):
-        t = k * dt
-        try:
-            state = step(integrator, chart, rhs, state, t, dt)
-        except GimbalLockError as err:
-            raise GimbalLockError(f"gimbal lock at t={t + dt:.6g}: {err}", time=t + dt) from None
-        except ValueError as err:
-            # Overflow inside the dynamics trips the finite-value validators
-            # before the state itself goes non-finite; classify it as a blowup.
-            if "finite" not in str(err):
-                raise
-            raise NonFiniteStateError(
-                f"dynamics became non-finite at t={t + dt:.6g}: {err}",
-                time=t + dt,
-                last_sample_index=len(samples) - 1,
-                samples=samples,
-            ) from None
-        t_next = (k + 1) * dt
-        if not _state_is_finite(state):
-            raise NonFiniteStateError(
-                f"state became non-finite at t={t_next:.6g}",
-                time=t_next,
-                last_sample_index=len(samples) - 1,
-                samples=samples,
-            )
-        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-            samples.append(sample(t_next, state))
+    samples = []
+    t_next = 0.0
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            samples.append(sample(0.0, state))
+            for k in range(n_steps):
+                t_next = (k + 1) * dt
+                state = step(integrator, chart, rhs, state, k * dt, dt)
+                if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+                    samples.append(sample(t_next, state))
+    except GimbalLockError as err:
+        raise GimbalLockError(f"gimbal lock at t={t_next:.6g}: {err}", time=t_next) from None
+    except (FloatingPointError, NonFiniteStateError) as err:
+        raise NonFiniteStateError(
+            f"state became non-finite at t={t_next:.6g}: {err}",
+            time=t_next,
+            last_sample_index=len(samples) - 1,
+            samples=samples,
+        ) from None
     return samples

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .gauss import FixedPointConstraint
 from .geom3 import EulerAngles, Pose, euler_to_rotation, quaternion_to_rotation
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId
+from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, run_steps
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,9 @@ def _parse_run(block: dict) -> RunConfig:
             f"unknown integrator {integrator_name!r}; choices: {[i.value for i in IntegratorId]}",
         ) from None
     dt = _number(block.get("dt", 1e-3), "run.dt")
-    if dt <= 0.0:
-        raise ScenarioValidationError("run.dt", f"must be positive, got {dt!r}")
     t_end = _number(block.get("t_end", 1.0), "run.t_end")
-    if t_end < 0.0:
-        raise ScenarioValidationError("run.t_end", f"must be nonnegative, got {t_end!r}")
     sample_every = block.get("sample_every", 1)
-    if not isinstance(sample_every, int) or isinstance(sample_every, bool) or sample_every < 1:
-        raise ScenarioValidationError(
-            "run.sample_every", f"must be a positive integer, got {sample_every!r}"
-        )
+    run_steps(dt, t_end, sample_every, where="run.")
     return RunConfig(formulation, integrator, dt, t_end, sample_every)
 
 

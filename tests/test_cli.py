@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,9 +78,35 @@ class TestSimulateCommand:
 
     def test_blowup_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BLOWUP_SCENARIO)
-        code = main(["simulate", "--scenario", path, "--output", str(tmp_path / "b.csv")])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["simulate", "--scenario", path, "--output", str(tmp_path / "b.csv")])
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "override",
+        [
+            ["--dt", "0"],
+            ["--sample-every", "0"],
+            ["--t-end", "inf"],
+            ["--dt", "0.3", "--t-end", "1.0"],  # whole steps stop at 0.9
+            ["--dt", "1e-300", "--t-end", "1"],  # past the step cap; rejected before stepping
+        ],
+    )
+    def test_bad_run_override_is_one_error_line(self, tmp_path, capsys, command, override):
+        out = tmp_path / "o.csv"
+        argv = [command, "--scenario", "euler-top"] + override
+        if command == "simulate":
+            argv += ["--output", str(out)]
+        else:
+            argv += ["--formulation", "kirchhoff", "--formulation", "lagrange"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not out.exists()
 
     def test_missing_scenario_flag_usage_error(self, capsys):
         assert main(["simulate"]) == 1

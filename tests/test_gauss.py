@@ -1,6 +1,6 @@
 """Least-constraint solver tests.
 
-The KKT route is checked three independent ways: it must collapse to the free
+The solver is checked three independent ways: it must collapse to the free
 Kirchhoff acceleration without constraints, it must never be beaten by any
 admissible perturbation of the returned minimizer, and its multiplier must
 close the momentum balance as a physical reaction.

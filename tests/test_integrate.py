@@ -8,6 +8,7 @@ roundoff floor.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -189,11 +190,27 @@ class TestSimulateContract:
 
     def test_sampling_includes_final_step(self):
         sc = make_scenario("sampling", 1.0, np.eye(3), [0.1, 0.0, 0.0])
-        samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.0105)
-        # 10 steps (rounding 0.0105/1e-3), sample_every 1 -> 11 samples
-        assert len(samples) == 11 or len(samples) == 12
         samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.01, sample_every=3)
         assert math.isclose(samples[-1].t, 0.01)
+        assert len(samples) == 5  # steps 0, 3, 6, 9 and the final 10th
+
+    @pytest.mark.parametrize(
+        "dt, t_end, sample_every, field",
+        [
+            (0.0, 1.0, 1, "dt"),
+            (math.nan, 1.0, 1, "dt"),
+            (1e-3, math.inf, 1, "t_end"),
+            (1e-3, -1.0, 1, "t_end"),
+            (1e-3, 1.0, 0, "sample_every"),
+            (1e-3, 0.0105, 1, "t_end"),  # 10.5 steps: whole steps miss t_end
+            (1e-12, 1.0, 1, "t_end"),  # 1e12 steps, past MAX_STEPS; rejected before stepping
+        ],
+    )
+    def test_run_parameters_rejected(self, dt, t_end, sample_every, field):
+        sc = make_scenario("bad-run", 1.0, np.eye(3), [0.1, 0.0, 0.0])
+        with pytest.raises(ScenarioValidationError) as exc:
+            simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, t_end, sample_every)
+        assert exc.value.field == field
 
     def test_determinism(self):
         sc = make_scenario("det", 1.0, ORDER_J, ORDER_OMEGA)
@@ -233,10 +250,13 @@ class TestSimulateContract:
             constraint=None,
             run=base.run,
         )
-        with pytest.raises(NonFiniteStateError) as exc:
-            simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 1.0)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteStateError) as exc:
+                simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 1.0)
         assert exc.value.last_sample_index >= 0
         assert len(exc.value.samples) >= 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_constraint_requires_gauss(self):
         sc = make_scenario(

@@ -150,6 +150,19 @@ class TestGeodesicDistance:
             geodesic_distance(Rotation.identity(), exp_so3([0.5, 0.0, 0.0])), 0.5, rel_tol=1e-12
         )
 
+    @pytest.mark.parametrize("angle", [math.pi - 1e-6, math.pi])
+    def test_no_cut_at_pi(self, angle):
+        # log_so3 refuses this neighbourhood; the distance has no cut there.
+        assert math.isclose(
+            geodesic_distance(Rotation.identity(), exp_so3([angle, 0.0, 0.0])), angle, abs_tol=1e-9
+        )
+        rng = np.random.default_rng(27182818)
+        for _ in range(100):
+            a = random_rotation(rng)
+            axis = rng.normal(size=3)
+            b = a.compose(exp_so3(angle * axis / np.linalg.norm(axis)))
+            assert math.isclose(geodesic_distance(a, b), angle, abs_tol=1e-9)
+
     def test_symmetry(self):
         a, b = random_rotation(RNG), random_rotation(RNG)
         assert math.isclose(geodesic_distance(a, b), geodesic_distance(b, a), rel_tol=1e-12)

@@ -89,6 +89,11 @@ class TestValidation:
             parse_scenario({**MINIMAL, "run": {"dt": 0.0}})
         assert exc.value.field == "run.dt"
 
+    def test_t_end_off_step_grid(self):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, "run": {"dt": 0.3, "t_end": 1.0}})
+        assert exc.value.field == "run.t_end"
+
     def test_quaternion_warning_and_renormalization(self):
         data = {
             **MINIMAL,
