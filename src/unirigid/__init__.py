@@ -38,7 +38,6 @@ from .errors import (
     AngleNearPiError,
     FrameNotAtCoMError,
     GimbalLockError,
-    IllConditionedError,
     NonFiniteStateError,
     NotPositiveDefiniteError,
     RankDeficientConstraintError,

@@ -3,7 +3,9 @@
 A chart assigns to every pose q a 6x6 kinematic matrix Phi(q) such that the
 body twist is nu = Phi(q) u, where u are the chart velocities.  The dynamics
 engine is written once against (Phi, dPhi/dt); picking a chart picks a
-formulation:
+formulation.  Each chart states its two maps nu = Phi u and u = Phi^-1 nu
+once, in closed form (``CHART_MAPS``); the matrices themselves (``chart_eval``)
+serve as the reference for the Hamel coefficients and the tests.
 
 * ``BODY_TWIST``    u is the body twist itself (Phi = I).  Kirchhoff /
                     Newton-Euler route.
@@ -23,14 +25,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import GimbalLockError, IllConditionedError
 from .geom3 import (
-    GIMBAL_EPS,
     EulerAngles,
     Pose,
     Rotation,
     _as_vec3,
     _readonly,
+    adjoint,
     check_rotation,
     cross3,
     euler_to_rotation,
@@ -39,12 +40,11 @@ from .geom3 import (
     hat,
     log_so3,
     pose_compose,
+    pose_inverse,
     rotation_to_euler,
     se3_ad,
 )
 
-# Charts refuse to solve through kinematic matrices worse conditioned than this.
-COND_LIMIT = 1e8
 # Step for the finite-difference commutators behind hamel_coefficients.
 HAMEL_FD_STEP = 1e-5
 
@@ -111,10 +111,15 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
     chart velocities.
     """
     pose = state.pose
+    return _configuration(chart, pose), pose.position, state.u
+
+
+def _configuration(chart: ChartId, pose: Pose):
+    """The ``g`` of stage_state; on the Euler chart rotation_to_euler applies the gimbal rule."""
     if chart is ChartId.EULER_COM:
         e = rotation_to_euler(pose.rotation)
-        return np.array([e.phi, e.theta, e.psi]), pose.position, state.u
-    return pose.rotation.m, pose.position, state.u
+        return np.array([e.phi, e.theta, e.psi])
+    return pose.rotation.m
 
 
 def _as_u6(u) -> np.ndarray:
@@ -144,7 +149,7 @@ def _euler_rate_matrix_dot(theta, psi, theta_dot, psi_dot) -> np.ndarray:
 
 
 def euler_rates(theta: float, psi: float, a: np.ndarray) -> np.ndarray:
-    """E(theta, psi)^-1 @ a in closed form; theta must have passed euler_chart_guard."""
+    """E(theta, psi)^-1 @ a in closed form; theta must pass geom3.gimbal_guard."""
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
     a1, a2, a3 = a
@@ -152,45 +157,14 @@ def euler_rates(theta: float, psi: float, a: np.ndarray) -> np.ndarray:
     return np.array([phi_rate, cp * a1 - sp * a2, a3 - ct * phi_rate])
 
 
-def euler_chart_guard(theta: float, psi: float) -> None:
-    """The Euler chart's validity checks at raw angles (theta, psi).
-
-    GimbalLockError below the single gimbal threshold sin(theta) >= GIMBAL_EPS,
-    which theta outside (0, pi) fails too.  IllConditionedError when cond(Phi)
-    exceeds COND_LIMIT; since cond(Phi) <= 3 sqrt(3) / sin(theta), the exact
-    condition number is computed only where that bound is inconclusive.
-    """
-    st = math.sin(theta)
-    if st < GIMBAL_EPS:
-        raise GimbalLockError(f"sin(theta) = {st:.3e} below {GIMBAL_EPS:g}")
-    if 3.0 * math.sqrt(3.0) > COND_LIMIT * st:
-        phi = np.eye(6)
-        phi[:3, :3] = euler_rate_matrix(theta, psi)
-        if not np.linalg.cond(phi) <= COND_LIMIT:
-            raise IllConditionedError(f"chart matrix condition number exceeds {COND_LIMIT:g}")
-
-
-def _require_euler_valid(pose: Pose) -> "tuple[float, float, float]":
-    """Z-X-Z angles of the pose, after euler_chart_guard."""
-    e = rotation_to_euler(pose.rotation)
-    euler_chart_guard(e.theta, e.psi)
-    return e.phi, e.theta, e.psi
-
-
 def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
     if chart is ChartId.BODY_TWIST:
         return np.eye(6)
     if chart is ChartId.SPATIAL_TWIST:
-        # Ad(q)^-1: spatial twist mapped to the body twist.
-        rt = pose.rotation.m.T
-        out = np.zeros((6, 6))
-        out[:3, :3] = rt
-        out[3:, 3:] = rt
-        out[3:, :3] = -rt @ hat(pose.position)
-        return out
-    _, theta, psi = _require_euler_valid(pose)
+        return adjoint(pose_inverse(pose))  # Ad(q)^-1: spatial twist mapped to the body twist
+    e = rotation_to_euler(pose.rotation)
     out = np.zeros((6, 6))
-    out[:3, :3] = euler_rate_matrix(theta, psi)
+    out[:3, :3] = euler_rate_matrix(e.theta, e.psi)
     out[3:, 3:] = pose.rotation.m.T
     return out
 
@@ -202,10 +176,10 @@ def _phi_dot(chart: ChartId, pose: Pose, u: np.ndarray, phi: np.ndarray) -> np.n
         # d/dt Ad(q)^-1 = -ad_nu Ad(q)^-1 with nu the body twist.
         nu = phi @ u
         return -se3_ad(nu[:3], nu[3:]) @ phi
-    _, theta, psi = _require_euler_valid(pose)
+    e = rotation_to_euler(pose.rotation)
     omega = phi[:3, :3] @ u[:3]
     out = np.zeros((6, 6))
-    out[:3, :3] = _euler_rate_matrix_dot(theta, psi, u[1], u[2])
+    out[:3, :3] = _euler_rate_matrix_dot(e.theta, e.psi, u[1], u[2])
     out[3:, 3:] = -hat(omega) @ pose.rotation.m.T
     return out
 
@@ -217,20 +191,56 @@ def chart_eval(chart: ChartId, pose: Pose, u) -> ChartEval:
     return ChartEval(phi=phi, phi_dot=_phi_dot(chart, pose, u, phi))
 
 
+def _body_to_body(g, r, x, u):
+    return u[:3], u[3:]
+
+
+def _body_from_body(g, r, x, omega, v):
+    return np.concatenate((omega, v))
+
+
+def _spatial_to_body(g, r, x, u):
+    # Ad(q)^-1 (omega_s, v_s) = (R^T omega_s, R^T (v_s - x cross omega_s)).
+    rt = r.T
+    return rt @ u[:3], rt @ (u[3:] - cross3(x, u[:3]))
+
+
+def _spatial_from_body(g, r, x, omega, v):
+    # Ad(q) (omega, v) = (R omega, x cross R omega + R v).
+    omega_s = r @ omega
+    return np.concatenate((omega_s, cross3(x, omega_s) + r @ v))
+
+
+def _euler_to_body(g, r, x, u):
+    return euler_rate_matrix(g[1], g[2]) @ u[:3], r.T @ u[3:]
+
+
+def _euler_from_body(g, r, x, omega, v):
+    return np.concatenate((euler_rates(g[1], g[2], omega), r @ v))
+
+
+# Per chart, nu = Phi u and u = Phi^-1 nu in closed form on the blocks of Phi:
+# to_body(g, r, x, u) -> (omega, v) and from_body(g, r, x, omega, v) -> u, with g the
+# stage configuration of stage_state (or its list), r the rotation and x the position.
+CHART_MAPS = {
+    ChartId.BODY_TWIST: (_body_to_body, _body_from_body),
+    ChartId.SPATIAL_TWIST: (_spatial_to_body, _spatial_from_body),
+    ChartId.EULER_COM: (_euler_to_body, _euler_from_body),
+}
+
+
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
     """nu = Phi(q) u, tagged as a body-frame twist."""
-    nu = _phi(chart, state.pose) @ state.u
-    return Twist(nu[:3], nu[3:], Frame.BODY)
+    g, x, u = stage_state(chart, state)
+    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.m, x, u), Frame.BODY)
 
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
     if nu.frame is not Frame.BODY:
         raise ValueError("chart_from_body_twist requires a body-frame twist")
-    phi = _phi(chart, pose)  # the Euler chart is guarded inside
-    if chart is ChartId.SPATIAL_TWIST and not np.linalg.cond(phi) <= COND_LIMIT:
-        raise IllConditionedError(f"chart matrix condition number exceeds {COND_LIMIT:g}")
-    return np.linalg.solve(phi, nu.as_array())
+    g = _configuration(chart, pose)
+    return CHART_MAPS[chart][1](g, pose.rotation.m, pose.position, nu.omega, nu.vel)
 
 
 def chart_rates(chart: ChartId, g, x: np.ndarray, u: np.ndarray, sigma: np.ndarray):

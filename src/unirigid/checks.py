@@ -6,6 +6,7 @@ always reports the same table.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Dict, Tuple
 
@@ -145,15 +146,8 @@ def check_steady_precession() -> Tuple[bool, str]:
     for label, rate in zip(("slow", "fast"), steady_precession_rates(i1_pivot, 0.3, sc.inertia.mass, l, theta0, spin)):
         omega = np.array([0.0, rate * math.sin(theta0), spin])
         vel = np.array([l * omega[1], 0.0, 0.0])
-        scenario = type(sc)(
-            name=sc.name,
-            inertia=sc.inertia,
-            initial_pose=sc.initial_pose,
-            initial_twist=Twist(omega, vel, Frame.BODY),
-            forces=sc.forces,
-            constraint=FixedPointConstraint(np.array([0.0, 0.0, -l])),
-            run=sc.run,
-        )
+        pin = FixedPointConstraint(np.array([0.0, 0.0, -l]))
+        scenario = dataclasses.replace(sc, initial_twist=Twist(omega, vel, Frame.BODY), constraint=pin)
         samples = simulate(scenario, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 5.0, sample_every=10)
         theta = np.array([math.acos(max(-1.0, min(1.0, s.pose.rotation.m[2, 2]))) for s in samples])
         dev = float(np.max(np.abs(theta - theta0)))

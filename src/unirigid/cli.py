@@ -20,8 +20,9 @@ from .errors import (
     ScenarioValidationError,
     UniRigidError,
 )
+from .dynamics import assemble_inertia
 from .geom3 import geodesic_distance, rotation_to_quaternion
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, run_steps, simulate
+from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, check_route, pin_anchor, run_steps, simulate
 from .scenario import Scenario, load_scenario
 
 CSV_HEADER = "t,qw,qx,qy,qz,x,y,z,wx,wy,wz,vx,vy,vz,energy,Lx,Ly,Lz"
@@ -45,22 +46,26 @@ def samples_to_csv(samples) -> str:
     lines = [CSV_HEADER]
     for s in samples:
         q = rotation_to_quaternion(s.pose.rotation)
-        row = (
-            [s.t]
-            + list(q)
-            + list(s.pose.position)
-            + list(s.nu.omega)
-            + list(s.nu.vel)
-            + [s.energy]
-            + list(s.l_spatial)
-        )
+        row = [s.t, *q, *s.pose.position, *s.nu.omega, *s.nu.vel, s.energy, *s.l_spatial]
         lines.append(",".join(_fmt(v) for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _drifts(samples) -> "tuple[float, float]":
+def _drifts(scenario: Scenario, samples) -> "tuple[float, float]":
+    """Relative drifts of the energy and of the angular momentum the run conserves.
+
+    That is L about the pin anchor (L - a x R p) on pinned runs, and under
+    gravity only the component of L along gravity.
+    """
     e = np.array([s.energy for s in samples])
     l = np.array([s.l_spatial for s in samples])
+    if scenario.constraint is not None:
+        m6 = assemble_inertia(scenario.inertia)
+        p = np.array([s.pose.rotation.m @ (m6 @ s.nu.as_array())[3:] for s in samples])
+        l = l - np.cross(pin_anchor(scenario), p)
+    gravity = scenario.forces.gravity
+    if gravity.any():
+        l = (l @ (gravity / np.linalg.norm(gravity)))[:, None]
     e_scale = max(abs(e[0]), 1e-30)
     l_scale = max(float(np.linalg.norm(l[0])), 1e-30)
     e_drift = float(np.max(np.abs(e - e[0]))) / e_scale
@@ -86,6 +91,7 @@ def cmd_simulate(args) -> int:
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
         run_steps(dt, t_end, sample_every)
+        check_route(formulation, integrator, scenario.constraint is not None)
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -99,7 +105,7 @@ def cmd_simulate(args) -> int:
         return 1
     out = Path(args.output) if args.output else Path(f"{scenario.name}-{formulation.value}.csv")
     out.write_text(samples_to_csv(samples))
-    e_drift, l_drift = _drifts(samples)
+    e_drift, l_drift = _drifts(scenario, samples)
     print(
         f"t_end={samples[-1].t:.6g} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e} "
         f"samples={len(samples)} output={out}"
@@ -114,23 +120,26 @@ def cmd_compare(args) -> int:
     try:
         scenario = load_scenario(args.scenario)
         formulations = [Formulation(f) for f in args.formulation]
+        pick = IntegratorId(args.integrator) if args.integrator else None
+        integrators = {f: pick or DEFAULT_INTEGRATOR[f] for f in formulations}
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         run_steps(dt, t_end, args.sample_every)
+        for f in formulations:
+            check_route(f, integrators[f], scenario.constraint is not None)
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
     runs = {}
     for f in formulations:
-        integrator = IntegratorId(args.integrator) if args.integrator else DEFAULT_INTEGRATOR[f]
         try:
-            runs[f] = simulate(scenario, f, integrator, dt, t_end, args.sample_every)
+            runs[f] = simulate(scenario, f, integrators[f], dt, t_end, args.sample_every)
         except UniRigidError as err:
             print(f"aborted: {f.value}: {err}", file=sys.stderr)
             return 2
-        e_drift, l_drift = _drifts(runs[f])
-        print(f"{f.value}: integrator={integrator.value} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e}")
+        e_drift, l_drift = _drifts(scenario, runs[f])
+        print(f"{f.value}: integrator={integrators[f].value} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e}")
 
     worst = 0.0
     for i, fa in enumerate(formulations):

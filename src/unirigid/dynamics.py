@@ -27,19 +27,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import (
-    ChartId,
-    ChartState,
-    Frame,
-    Twist,
-    _euler_rate_matrix_dot,
-    euler_chart_guard,
-    euler_rate_matrix,
-    euler_rates,
-    stage_state,
-)
+from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Frame, Twist, _euler_rate_matrix_dot, stage_state
+from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import Pose, Rotation, _as_vec3, _readonly, check_rotation, cross3, euler_matrix, hat
+from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross3, euler_matrix, gimbal_guard, hat
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
@@ -49,7 +40,10 @@ STANDARD_GRAVITY = np.array([0.0, 0.0, -9.81])
 
 @dataclass(frozen=True)
 class SpatialInertia:
-    """Mass, inertia tensor about the body origin (body axes), CoM offset."""
+    """Mass, inertia tensor about the body origin (body axes), CoM offset.
+
+    The one inertia validation; each NotPositiveDefiniteError names its scenario field.
+    """
 
     mass: float
     j: np.ndarray
@@ -57,7 +51,9 @@ class SpatialInertia:
 
     def __post_init__(self):
         if not (np.isfinite(self.mass) and self.mass > 0.0):
-            raise NotPositiveDefiniteError(f"mass must be positive and finite, got {self.mass!r}")
+            raise NotPositiveDefiniteError(
+                f"mass must be positive and finite, got {self.mass!r}", field="mass"
+            )
         j = np.asarray(self.j, dtype=float)
         if j.shape != (3, 3):
             raise ValueError(f"inertia tensor must be 3x3, got {j.shape}")
@@ -66,16 +62,16 @@ class SpatialInertia:
         scale = max(1.0, float(np.abs(j).max()))
         if np.abs(j - j.T).max() > INERTIA_TOL * scale:
             raise ValueError("inertia tensor must be symmetric")
-        lam = np.linalg.eigvalsh(0.5 * (j + j.T))
+        lam = np.linalg.eigvalsh(0.5 * (j + j.T))  # ascending
         if lam[0] <= 0.0:
             raise NotPositiveDefiniteError(f"inertia tensor has eigenvalue {lam[0]!r} <= 0")
-        # Any mass distribution satisfies the principal-moment triangle inequalities.
-        for a, b, cc in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            if lam[cc] > lam[a] + lam[b] + INERTIA_TOL * scale:
-                raise NotPositiveDefiniteError(
-                    "inertia triangle inequality violated: "
-                    f"principal moments {lam[0]!r}, {lam[1]!r}, {lam[2]!r}"
-                )
+        # Any mass distribution satisfies the principal-moment triangle inequality.
+        if lam[2] > lam[0] + lam[1] + INERTIA_TOL * scale:
+            raise NotPositiveDefiniteError(
+                f"largest principal moment {lam[2]!r} exceeds the sum of the others "
+                f"({lam[0]!r}, {lam[1]!r})",
+                field="inertia triangle inequality",
+            )
         object.__setattr__(self, "j", _readonly(j))
         object.__setattr__(self, "c", _readonly(_as_vec3(self.c, "c")))
         # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
@@ -173,12 +169,25 @@ def momentum(si: SpatialInertia, nu: Twist) -> Momentum:
     return Momentum(out[:3], out[3:])
 
 
+def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, np.ndarray]":
+    """Raw (kinetic energy, gravitational potential, angular momentum about the space origin).
+
+    T = 1/2 nu^T M nu,  V = -m g . (x + R c),  L = R pi + x cross (R p)
+    with (pi, p) = M nu, for the body twist nu6 at rotation r and position x.
+    """
+    mom6 = m6 @ nu6
+    return (
+        0.5 * float(nu6 @ mom6),
+        -mass * float(gravity @ (x + r @ c)),
+        r @ mom6[:3] + cross3(x, r @ mom6[3:]),
+    )
+
+
 def energy(si: SpatialInertia, nu: Twist) -> float:
     """Kinetic energy T = 1/2 nu^T M nu."""
     if nu.frame is not Frame.BODY:
         raise ValueError("energy requires a body-frame twist")
-    v = nu.as_array()
-    return 0.5 * float(v @ assemble_inertia(si) @ v)
+    return conserved6(assemble_inertia(si), si.mass, si.c, _ZERO3, _EYE3, _ZERO3, nu.as_array())[0]
 
 
 def momentum_bias(nu6: np.ndarray, mom6: np.ndarray) -> np.ndarray:
@@ -302,10 +311,11 @@ def chart_rhs_fn(chart: ChartId, accel):
     ``accel(t, r, x, nu)`` is the body-twist acceleration nu_dot at rotation
     matrix r and position x.  With Phi invertible, the unified equation times
     Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the body solve, read
-    through the chart as u_dot = Phi^-1 (nu_dot - Phi_dot u), which each chart
-    supplies in closed form.
+    through the chart's closed-form maps (charts.CHART_MAPS) as
+    u_dot = Phi^-1 (nu_dot - Phi_dot u).
     """
-    if chart is ChartId.BODY_TWIST:
+    to_body, from_body = CHART_MAPS[chart]
+    if chart is ChartId.BODY_TWIST:  # Phi = I
 
         def rhs(t, s):
             r, x, u = s
@@ -314,32 +324,27 @@ def chart_rhs_fn(chart: ChartId, accel):
     elif chart is ChartId.SPATIAL_TWIST:
 
         def rhs(t, s):
-            # Phi = Ad(q)^-1 and Phi_dot u = -ad_nu nu = 0, so u_dot = Ad(q) nu_dot.
+            # Phi_dot u = -ad_nu nu = 0, so u_dot = Phi^-1 nu_dot.
             r, x, u = s
-            rt = r.T
-            nu = np.concatenate((rt @ u[:3], rt @ (u[3:] - cross3(x, u[:3]))))
-            nu_dot = accel(t, r, x, nu)
-            omega_dot = r @ nu_dot[:3]
-            return np.concatenate((omega_dot, cross3(x, omega_dot) + r @ nu_dot[3:]))
+            nu_dot = accel(t, r, x, np.concatenate(to_body(r, r, x, u)))
+            return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
 
     else:
 
         def rhs(t, s):
-            # Phi = diag(E, R^T) and Phi_dot u = (E_dot u_ang, -omega x v).
             angles, x, u = s
-            phi, theta, psi = angles.tolist()
+            g = angles.tolist()
+            phi, theta, psi = g
             if not math.isfinite(phi + theta + psi):
                 raise NonFiniteStateError("Euler angles are not finite")
-            euler_chart_guard(theta, psi)
+            gimbal_guard(math.sin(theta))
             r = euler_matrix(phi, theta, psi)
             check_rotation(r)
-            u_ang = u[:3]
-            omega = euler_rate_matrix(theta, psi) @ u_ang
-            v = r.T @ u[3:]
+            omega, v = to_body(g, r, x, u)
             nu_dot = accel(t, r, x, np.concatenate((omega, v)))
-            a_ang = nu_dot[:3] - _euler_rate_matrix_dot(theta, psi, u[1], u[2]) @ u_ang
-            a_lin = nu_dot[3:] + cross3(omega, v)
-            return np.concatenate((euler_rates(theta, psi, a_ang), r @ a_lin))
+            # nu_dot - Phi_dot u, with Phi_dot u = (E_dot u_ang, -omega x v).
+            a_ang = nu_dot[:3] - _euler_rate_matrix_dot(theta, psi, u[1], u[2]) @ u[:3]
+            return from_body(g, r, x, a_ang, nu_dot[3:] + cross3(omega, v))
 
     return rhs
 
@@ -363,12 +368,13 @@ def chart_rhs(
 
 def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:
     """Potential -m g . x_G with x_G the CoM position in space."""
-    x_g = pose.position + pose.rotation.m @ si.c
-    return -si.mass * float(np.asarray(gravity, dtype=float) @ x_g)
+    g, r, x = np.asarray(gravity, dtype=float), pose.rotation.m, pose.position
+    return conserved6(assemble_inertia(si), si.mass, si.c, g, r, x, np.zeros(6))[1]
 
 
 def spatial_angular_momentum(si: SpatialInertia, pose: Pose, nu: Twist) -> np.ndarray:
     """Angular momentum about the space origin: L = R pi + x x (R p)."""
-    mom = momentum(si, nu)
+    if nu.frame is not Frame.BODY:
+        raise ValueError("spatial_angular_momentum requires a body-frame twist")
     r, x = pose.rotation.m, pose.position
-    return r @ mom.pi + cross3(x, r @ mom.p)
+    return conserved6(assemble_inertia(si), si.mass, si.c, _ZERO3, r, x, nu.as_array())[2]

@@ -17,12 +17,12 @@ class GimbalLockError(UniRigidError):
         self.time = time
 
 
-class IllConditionedError(UniRigidError):
-    """Chart kinematic matrix condition number exceeds the solvable limit."""
-
-
 class NotPositiveDefiniteError(UniRigidError):
-    """Inertia data fails a positive-definiteness requirement."""
+    """Inertia data fails a positive-definiteness requirement; names the scenario field."""
+
+    def __init__(self, message: str, field: str = "inertia"):
+        super().__init__(message)
+        self.field = field
 
 
 class FrameNotAtCoMError(UniRigidError):

@@ -99,9 +99,6 @@ class Rotation:
     def identity() -> "Rotation":
         return Rotation(np.eye(3))
 
-    def inverse(self) -> "Rotation":
-        return Rotation(self.m.T)
-
     def apply(self, v) -> np.ndarray:
         return self.m @ _as_vec3(v)
 
@@ -218,15 +215,25 @@ def euler_to_rotation(e: EulerAngles) -> Rotation:
     return Rotation(euler_matrix(e.phi, e.theta, e.psi))
 
 
+def gimbal_guard(sin_theta: float) -> None:
+    """The Euler chart's one validity rule, sin(theta) >= GIMBAL_EPS; NaN and theta outside (0, pi) fail."""
+    if not sin_theta >= GIMBAL_EPS:
+        raise GimbalLockError(f"sin(theta) = {sin_theta:.3e} below {GIMBAL_EPS:g}")
+
+
 def rotation_to_euler(r: Rotation) -> EulerAngles:
-    """Inverse of euler_to_rotation on the chart-valid region |m22| < 1."""
+    """Inverse of euler_to_rotation where the chart is valid (see gimbal_guard).
+
+    theta = atan2(sin(theta), R22) with sin(theta) = hypot(R20, R21) keeps full
+    relative precision down to GIMBAL_EPS; acos(R22) cannot resolve theta below
+    about 1.5e-8, where R22 rounds to 1.
+    """
     m = r.m
-    if abs(m[2, 2]) >= 1.0 - 1e-12:
-        raise GimbalLockError(f"Euler chart singular: |R[2,2]| = {float(abs(m[2, 2])):.17g}")
-    theta = math.acos(max(-1.0, min(1.0, m[2, 2])))
+    sin_theta = math.hypot(m[2, 0], m[2, 1])
+    gimbal_guard(sin_theta)
     phi = math.atan2(m[0, 2], -m[1, 2])
     psi = math.atan2(m[2, 0], m[2, 1])
-    return EulerAngles(phi, theta, psi)
+    return EulerAngles(phi, math.atan2(sin_theta, m[2, 2]), psi)
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:

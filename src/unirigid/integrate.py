@@ -11,13 +11,8 @@ validated boundary: one ChartState in, one out.
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
 in the rotation algebra (``charts.chart_rates``) and the pose is updated by a
 single exponential of the assembled increment.  On the Euler chart it is
-classical RK4 in the coordinates, and ``RK4`` coincides with it there.
-
-``RK4`` on a twist chart advances the chart velocities classically and moves
-the pose from the base with each stage velocity held fixed, reconstructing
-the final pose from the RK4-averaged twist; that reconstruction is
-second-order accurate in the orientation, so order studies for RK4 belong on
-the coordinate chart.  ``LIE_EULER`` is the one-stage member of the family.
+classical RK4 in the coordinates, and ``RK4`` is that method: it steps the
+Euler chart only.  ``LIE_EULER`` is the one-stage member of the family.
 """
 
 from __future__ import annotations
@@ -32,11 +27,11 @@ import numpy as np
 
 from .charts import (
     _ZERO3,
+    CHART_MAPS,
     ChartId,
     ChartState,
     Frame,
     Twist,
-    body_twist,
     chart_from_body_twist,
     chart_rates,
     chart_retract,
@@ -47,6 +42,7 @@ from .dynamics import (
     assemble_inertia,
     body_wrench_fn,
     chart_rhs_fn,
+    conserved6,
     kirchhoff_accel_fn,
     newton_euler_rhs6,
     require_com_frame,
@@ -61,7 +57,7 @@ from .gauss import (
     schur_factor,
 )
 # perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
-from .geom3 import Pose, cross3, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
+from .geom3 import Pose, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
 
 # rhs(t, (g, x, u)) -> u_dot on the raw stage state of charts.stage_state.
 RhsFn = Callable[[float, tuple], np.ndarray]
@@ -100,6 +96,22 @@ DEFAULT_INTEGRATOR = {
 }
 
 
+def check_route(formulation: Formulation, integrator: IntegratorId, constrained: bool, where: str = "") -> None:
+    """The route rules of scenario files, command-line choices and simulate().
+
+    A constraint needs the gauss formulation, and rk4 the Euler chart (lagrange);
+    lie-rk4 is its counterpart on the twist charts.  Errors name ``where + field``.
+    """
+    if constrained and formulation is not Formulation.GAUSS:
+        raise ScenarioValidationError(
+            f"{where}formulation", f"scenarios with a constraint must run gauss, not {formulation.value}"
+        )
+    if integrator is IntegratorId.RK4 and FORMULATION_CHART[formulation] is not ChartId.EULER_COM:
+        raise ScenarioValidationError(
+            f"{where}integrator", f"rk4 steps the lagrange (Euler) chart only; {formulation.value} runs lie-rk4"
+        )
+
+
 @dataclass(frozen=True)
 class TrajectorySample:
     """One recorded instant: state plus conserved-quantity bookkeeping.
@@ -122,7 +134,6 @@ _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
     """One step of every integrator on raw arrays; returns the new (g, x, u)."""
-    frozen = integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM
     nodes = (0.0,) if integrator is IntegratorId.LIE_EULER else _RK4_NODES
     slopes = []
     g, x, u, sigma = g0, x0, u0, _ZERO3
@@ -131,8 +142,6 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         if slopes:
             sigma_dot, x_dot, u_dot = slopes[-1]
             u = u0 + h * u_dot
-            if frozen:
-                sigma_dot, x_dot = chart_rates(chart, g0, x0, u, _ZERO3)
             sigma = h * sigma_dot
             g, x = chart_retract(chart, g0, x0, sigma, h * x_dot)
         u_dot = rhs(t + h, (g, x, u))
@@ -141,13 +150,7 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
     if integrator is IntegratorId.LIE_EULER:
         d_sigma, d_x, d_u = (dt * k for k in slopes[0])
     else:
-        k1, k2, k3, k4 = slopes
         d_sigma, d_x, d_u = ((dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*slopes))
-        if frozen:
-            # The pose follows the RK4-averaged velocity u0 + dt/6 (k1 + k2 + k3).
-            u_avg = u0 + (dt / 6.0) * (k1[2] + k2[2] + k3[2])
-            sigma_dot, x_dot = chart_rates(chart, g0, x0, u_avg, _ZERO3)
-            d_sigma, d_x = dt * sigma_dot, dt * x_dot
     g1, x1 = chart_retract(chart, g0, x0, d_sigma, d_x)
     return g1, x1, u0 + d_u
 
@@ -169,6 +172,8 @@ def step(
         raise ValueError(f"dt must be positive, got {dt!r}")
     if not isinstance(integrator, IntegratorId):
         raise ValueError(f"unknown integrator {integrator!r}")
+    if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
+        raise ValueError(f"rk4 steps the Euler chart only, not {chart.value}; use lie-rk4")
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
     if not (np.isfinite(g).all() and np.isfinite(x).all() and np.isfinite(u).all()):
         raise NonFiniteStateError(f"non-finite state after the step from t={t:.6g}", time=t + dt)
@@ -204,7 +209,7 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
         a_rows = fixed_point_rows(pin)
         AccelConstraint(a_rows, np.zeros(3))  # one-time rank validation
         m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
-        anchor = scenario.initial_pose.position + scenario.initial_pose.rotation.m @ pin.r_b
+        anchor = pin_anchor(scenario)
         free_accel = accel
 
         def accel(t, r, x, nu6):
@@ -214,6 +219,12 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
             return nu_dot
 
     return chart, chart_rhs_fn(chart, accel)
+
+
+def pin_anchor(scenario) -> np.ndarray:
+    """Space point where the scenario's constraint pins the body (at its initial pose)."""
+    pose = scenario.initial_pose
+    return pose.position + pose.rotation.m @ scenario.constraint.r_b
 
 
 def run_steps(dt, t_end, sample_every, where: str = "") -> int:
@@ -258,16 +269,14 @@ def simulate(
 ) -> List[TrajectorySample]:
     """Run one scenario with fixed steps; samples include t = 0 and the final step.
 
-    Run parameters go through run_steps.  Gimbal-lock and non-finite
-    failures abort with time-stamped exceptions; partial samples ride along
-    on the exception object.  Floating-point overflow or invalid operations
-    while stepping or sampling count as non-finite state.
+    Run parameters go through run_steps and the route through check_route,
+    before any stepping.  Gimbal-lock and non-finite failures abort with
+    time-stamped exceptions; partial samples ride along on the exception
+    object.  Floating-point overflow or invalid operations while stepping or
+    sampling count as non-finite state.
     """
     n_steps = run_steps(dt, t_end, sample_every)
-    if scenario.constraint is not None and formulation is not Formulation.GAUSS:
-        raise ScenarioValidationError(
-            "constraint", "pinned scenarios integrate through the gauss formulation only"
-        )
+    check_route(formulation, integrator, scenario.constraint is not None)
 
     chart, rhs = make_rhs(formulation, scenario)
     u0 = chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist)
@@ -276,25 +285,15 @@ def simulate(
     m6 = assemble_inertia(scenario.inertia)
     mass, com = scenario.inertia.mass, scenario.inertia.c
     gravity = scenario.forces.gravity
+    to_body = CHART_MAPS[chart][0]
 
     def sample(t: float, s: ChartState) -> TrajectorySample:
-        if chart is ChartId.BODY_TWIST:
-            nu6 = s.u
-            nu = Twist(nu6[:3], nu6[3:], Frame.BODY)
-        else:
-            nu = body_twist(chart, s)
-            nu6 = nu.as_array()
-        mom6 = m6 @ nu6
-        r, x = s.pose.rotation.m, s.pose.position
-        e = 0.5 * float(nu6 @ mom6) - mass * float(gravity @ (x + r @ com))
-        return TrajectorySample(
-            t=t,
-            pose=s.pose,
-            u=s.u.copy(),
-            nu=nu,
-            energy=e,
-            l_spatial=r @ mom6[:3] + cross3(x, r @ mom6[3:]),
-        )
+        g, x, u = stage_state(chart, s)
+        r = s.pose.rotation.m
+        omega, v = to_body(g, r, x, u)
+        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, np.concatenate((omega, v)))
+        nu = Twist(omega, v, Frame.BODY)
+        return TrajectorySample(t, s.pose, s.u.copy(), nu, kinetic + potential, l_spatial)
 
     samples = []
     t_next = 0.0

@@ -49,7 +49,7 @@ from .errors import (
 )
 from .gauss import FixedPointConstraint
 from .geom3 import EulerAngles, Pose, euler_to_rotation, quaternion_to_rotation
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, run_steps
+from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, check_route, run_steps
 
 
 @dataclass(frozen=True)
@@ -107,40 +107,25 @@ def _number(value, field: str) -> float:
 
 
 def _parse_inertia(block: dict) -> SpatialInertia:
+    """Parse the inertia block; SpatialInertia checks the physics and names the field."""
     mass = _number(_require(block, "mass", "inertia"), "mass")
-    if mass <= 0.0:
-        raise ScenarioValidationError("mass", f"must be positive, got {mass!r}")
-    raw = _require(block, "inertia", "inertia")
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape == (3,):
-        j = np.diag(arr)
-    elif arr.shape == (3, 3):
-        j = arr
-    else:
-        raise ScenarioValidationError("inertia", f"expected 3 principal moments or a 3x3 matrix")
-    if not np.all(np.isfinite(j)):
-        raise ScenarioValidationError("inertia", "entries must be finite")
-    scale = max(1.0, float(np.abs(j).max()))
-    if np.abs(j - j.T).max() > 1e-12 * scale:
-        raise ScenarioValidationError("inertia", "matrix must be symmetric")
-    lam = np.sort(np.linalg.eigvalsh(0.5 * (j + j.T)))
-    if lam[0] <= 0.0:
-        raise ScenarioValidationError("inertia", f"principal moments must be positive, got {lam!r}")
-    if lam[2] > lam[0] + lam[1] + 1e-12 * scale:
-        raise ScenarioValidationError(
-            "inertia triangle inequality",
-            f"largest principal moment {lam[2]!r} exceeds the sum of the others",
-        )
+    j = np.asarray(_require(block, "inertia", "inertia"), dtype=float)
+    if j.shape == (3,):
+        j = np.diag(j)
+    elif j.shape != (3, 3):
+        raise ScenarioValidationError("inertia", "expected 3 principal moments or a 3x3 matrix")
     com = _vec3(block.get("com", [0.0, 0.0, 0.0]), "inertia.com")
     try:
         return SpatialInertia(mass=mass, j=j, c=com)
-    except (NotPositiveDefiniteError, ValueError) as err:
+    except NotPositiveDefiniteError as err:
+        raise ScenarioValidationError(err.field, str(err)) from None
+    except ValueError as err:
         raise ScenarioValidationError("inertia", str(err)) from None
 
 
 def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
     orientation = block.get("orientation", {"quaternion": [1.0, 0.0, 0.0, 0.0]})
-    if not isinstance(orientation, dict) or len(orientation) != 1:
+    if not isinstance(orientation, dict) or list(orientation) not in (["quaternion"], ["euler_zxz"]):
         raise ScenarioValidationError(
             "initial.orientation", "expected exactly one of 'quaternion' or 'euler_zxz'"
         )
@@ -157,15 +142,11 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
                 stacklevel=2,
             )
         rotation = quaternion_to_rotation(q)
-    elif "euler_zxz" in orientation:
+    else:
         angles = np.asarray(orientation["euler_zxz"], dtype=float)
         if angles.shape != (3,):
             raise ScenarioValidationError("initial.orientation.euler_zxz", "expected 3 angles")
         rotation = euler_to_rotation(EulerAngles(*angles))
-    else:
-        raise ScenarioValidationError(
-            "initial.orientation", "expected 'quaternion' or 'euler_zxz'"
-        )
     position = _vec3(block.get("position", [0.0, 0.0, 0.0]), "initial.position")
     omega = _vec3(block.get("omega", [0.0, 0.0, 0.0]), "initial.omega")
     vel = _vec3(block.get("vel", [0.0, 0.0, 0.0]), "initial.vel")
@@ -206,23 +187,19 @@ def _parse_constraint(block) -> Optional[FixedPointConstraint]:
     return FixedPointConstraint(point, baumgarte_alpha=alpha, baumgarte_beta=beta)
 
 
+def _choice(enum, value, name: str):
+    try:
+        return enum(value)
+    except ValueError:
+        raise ScenarioValidationError(
+            f"run.{name}", f"unknown {name} {value!r}; choices: {[m.value for m in enum]}"
+        ) from None
+
+
 def _parse_run(block: dict) -> RunConfig:
-    formulation_name = block.get("formulation", "kirchhoff")
-    try:
-        formulation = Formulation(formulation_name)
-    except ValueError:
-        raise ScenarioValidationError(
-            "run.formulation",
-            f"unknown formulation {formulation_name!r}; choices: {[f.value for f in Formulation]}",
-        ) from None
-    integrator_name = block.get("integrator", DEFAULT_INTEGRATOR[formulation].value)
-    try:
-        integrator = IntegratorId(integrator_name)
-    except ValueError:
-        raise ScenarioValidationError(
-            "run.integrator",
-            f"unknown integrator {integrator_name!r}; choices: {[i.value for i in IntegratorId]}",
-        ) from None
+    formulation = _choice(Formulation, block.get("formulation", "kirchhoff"), "formulation")
+    default = DEFAULT_INTEGRATOR[formulation].value
+    integrator = _choice(IntegratorId, block.get("integrator", default), "integrator")
     dt = _number(block.get("dt", 1e-3), "run.dt")
     t_end = _number(block.get("t_end", 1.0), "run.t_end")
     sample_every = block.get("sample_every", 1)
@@ -239,10 +216,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     forces = _parse_forces(data.get("forces", {}))
     constraint = _parse_constraint(data.get("constraint"))
     run = _parse_run(data.get("run", {}))
-    if constraint is not None and run.formulation is not Formulation.GAUSS:
-        raise ScenarioValidationError(
-            "run.formulation", "scenarios with a constraint must run the gauss formulation"
-        )
+    check_route(run.formulation, run.integrator, constraint is not None, where="run.")
     return Scenario(
         name=str(data.get("name", name_hint)),
         inertia=inertia,

@@ -20,6 +20,18 @@ GIMBAL_SCENARIO = {
     "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 1.0},
 }
 
+# One RK stage of this run lands at sin(theta) = 1.5e-8, just above the gimbal threshold.
+NEAR_GIMBAL_SCENARIO = {
+    "name": "near-gimbal",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0]},
+    "initial": {
+        "orientation": {"euler_zxz": [0.0, 0.001000015, 0.0]},
+        "omega": [-1.0, 0.0, 0.0],
+    },
+    "forces": {"gravity": [0.0, 0.0, 0.0]},
+    "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 0.002},
+}
+
 BLOWUP_SCENARIO = {
     "name": "blowup",
     "inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0]},
@@ -76,6 +88,27 @@ class TestSimulateCommand:
         t_reported = float(err.split("gimbal lock at t=")[1].split(":")[0])
         assert abs(t_reported - 0.25) <= 2e-3
 
+    def test_stage_near_gimbal_threshold_exits_2_with_time(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, NEAR_GIMBAL_SCENARIO)
+        assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "g.csv")]) == 2
+        err = capsys.readouterr().err
+        assert "aborted: gimbal lock at t=0.002" in err
+
+    @pytest.mark.parametrize("scenario", ["heavy-top-generic", "heavy-top-steady"])
+    def test_pinned_momentum_drift_is_integration_error(self, tmp_path, capsys, scenario):
+        # The vertical component of L about the pin is conserved; the rest is gravity's torque.
+        assert main(["simulate", "--scenario", scenario, "--output", str(tmp_path / "p.csv")]) == 0
+        out = capsys.readouterr().out
+        assert float(out.split("momentum_drift=")[1].split()[0]) <= 1e-8
+
+    def test_free_momentum_drift_is_full_l(self, tmp_path, capsys):
+        out_csv = tmp_path / "e.csv"
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "1.0", "--output", str(out_csv)]) == 0
+        printed = capsys.readouterr().out.split("momentum_drift=")[1].split()[0]
+        l = np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 15:18]
+        drift = np.max(np.linalg.norm(l - l[0], axis=1)) / np.linalg.norm(l[0])
+        assert printed == f"{drift:.6e}"
+
     def test_blowup_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BLOWUP_SCENARIO)
         with warnings.catch_warnings(record=True) as caught:
@@ -122,6 +155,25 @@ class TestSimulateCommand:
         path = write_scenario(tmp_path, bad)
         assert main(["simulate", "--scenario", path]) == 1
         assert "mass" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            ["--scenario", "heavy-top-generic", "--formulation", "kirchhoff"],
+            ["--scenario", "euler-top", "--integrator", "rk4", "--formulation", "kirchhoff"],
+        ],
+    )
+    def test_bad_route_is_one_error_line(self, tmp_path, capsys, command, route):
+        argv = [command] + route
+        if command == "simulate":
+            argv += ["--output", str(tmp_path / "o.csv")]
+        else:
+            argv += ["--formulation", "gauss" if "heavy-top-generic" in route else "lagrange"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err
+        assert not (tmp_path / "o.csv").exists()
 
     def test_constrained_scenario_wrong_formulation(self, tmp_path, capsys):
         assert (

@@ -44,10 +44,15 @@ def final_state_error(scenario, formulation, integrator, dt, t_end=1.0):
     )
 
 
+# Every chart/integrator pair step() accepts: rk4 steps the Euler chart only.
+STEP_ROUTES = [
+    (c, i) for c in ChartId for i in IntegratorId if i is not IntegratorId.RK4 or c is ChartId.EULER_COM
+]
+
+
 class TestStepBasics:
-    @pytest.mark.parametrize("integrator", list(IntegratorId))
-    @pytest.mark.parametrize("chart", list(ChartId))
-    def test_zero_rhs_zero_velocity_fixed_point(self, integrator, chart):
+    @pytest.mark.parametrize("chart, integrator", STEP_ROUTES)
+    def test_zero_rhs_zero_velocity_fixed_point(self, chart, integrator):
         pose = Pose(orientation_taking([0.3, 0.2, 0.91], [0, 0, 1]), np.array([0.1, -0.2, 0.3]))
         state = ChartState(pose, np.zeros(6))
         out = step(integrator, chart, lambda t, s: np.zeros(6), state, 0.0, 0.01)
@@ -59,6 +64,12 @@ class TestStepBasics:
         state = ChartState(Pose.identity(), np.zeros(6))
         with pytest.raises(ValueError):
             step(IntegratorId.RK4, ChartId.BODY_TWIST, lambda t, s: np.zeros(6), state, 0.0, 0.0)
+
+    @pytest.mark.parametrize("chart", [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST])
+    def test_rejects_rk4_on_twist_chart(self, chart):
+        state = ChartState(Pose.identity(), np.zeros(6))
+        with pytest.raises(ValueError, match="rk4"):
+            step(IntegratorId.RK4, chart, lambda t, s: np.zeros(6), state, 0.0, 0.01)
 
 
 class TestConvergenceOrders:
@@ -220,6 +231,20 @@ class TestSimulateContract:
             assert np.array_equal(sa.pose.rotation.m, sb.pose.rotation.m)
             assert np.array_equal(sa.u, sb.u)
             assert sa.energy == sb.energy
+
+    @pytest.mark.parametrize(
+        "formulation, integrator, constraint, field",
+        [
+            (Formulation.KIRCHHOFF, IntegratorId.RK4, None, "integrator"),
+            (Formulation.NEWTON_EULER, IntegratorId.RK4, None, "integrator"),
+            (Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, FixedPointConstraint(np.array([0.0, 0.0, -0.3])), "formulation"),
+        ],
+    )
+    def test_route_rules(self, formulation, integrator, constraint, field):
+        sc = make_scenario("route", 1.0, np.eye(3), [0.0, 0.0, 1.0], constraint=constraint)
+        with pytest.raises(ScenarioValidationError) as exc:
+            simulate(sc, formulation, integrator, 1e-3, 0.01)
+        assert exc.value.field == field
 
     def test_gimbal_lock_aborts_with_time(self):
         # theta(t) = 0.25 - t crosses the singularity at t = 0.25.

@@ -3,6 +3,8 @@
 Each property is drawn by hypothesis with a fixed seed (``derandomize``), so
 the suite is deterministic:
 
+* each chart's closed-form maps nu = Phi u and u = Phi^-1 nu equal the
+  matrix product and the linear solve with Phi from chart_eval;
 * the closed-form u_dot = Phi^-1 (nu_dot - Phi_dot u) of the Euler and the
   spatial-twist charts equals the generic solve
   (Phi^T M Phi) u_dot = Phi^T (F - M Phi_dot u - bias), built here from
@@ -21,7 +23,15 @@ from hypothesis import strategies as st
 
 from helpers import make_scenario
 
-from unirigid.charts import ChartId, ChartState, Frame, Twist, chart_eval, chart_from_body_twist
+from unirigid.charts import (
+    ChartId,
+    ChartState,
+    Frame,
+    Twist,
+    body_twist,
+    chart_eval,
+    chart_from_body_twist,
+)
 from unirigid.dynamics import (
     ForceModel,
     SpatialInertia,
@@ -63,6 +73,22 @@ def euler_states(draw):
     )
     pose = Pose(euler_to_rotation(angles), draw(vec3))
     return ChartState(pose, np.concatenate([draw(vec3), draw(vec3)]) * 2.0)
+
+
+@pytest.mark.parametrize("chart", list(ChartId))
+def test_closed_form_maps_match_chart_matrix(chart):
+    @SETTINGS
+    @given(state=euler_states(), nu6=st.tuples(vec3, vec3).map(np.concatenate))
+    def check(state, nu6):
+        phi = chart_eval(chart, state.pose, state.u).phi
+        expected = phi @ state.u
+        got = body_twist(chart, state).as_array()
+        assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+        expected = np.linalg.solve(phi, nu6)
+        got = chart_from_body_twist(chart, state.pose, Twist(nu6[:3], nu6[3:], Frame.BODY))
+        assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
+
+    check()
 
 
 def reference_u_dot(chart, si, state, forces):

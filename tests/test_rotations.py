@@ -204,6 +204,14 @@ class TestEulerAngles:
         with pytest.raises(GimbalLockError):
             rotation_to_euler(Rotation.identity())
 
+    def test_resolves_nutation_down_to_the_gimbal_threshold(self):
+        # sin(theta) >= GIMBAL_EPS = 1e-8 is the one rule; acos(R22) would round theta to 0 here.
+        back = rotation_to_euler(euler_to_rotation(EulerAngles(0.3, 2e-8, -0.4)))
+        assert math.isclose(back.theta, 2e-8, rel_tol=1e-12)
+        assert abs(back.phi - 0.3) <= 1e-6 and abs(back.psi + 0.4) <= 1e-6
+        with pytest.raises(GimbalLockError):
+            rotation_to_euler(euler_to_rotation(EulerAngles(0.3, 5e-9, -0.4)))
+
 
 class TestPose:
     def test_identity_neutral(self):

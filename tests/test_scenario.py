@@ -84,6 +84,11 @@ class TestValidation:
             parse_scenario(data)
         assert exc.value.field == "run.formulation"
 
+    def test_rk4_requires_the_euler_chart(self):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, "run": {"formulation": "kirchhoff", "integrator": "rk4"}})
+        assert exc.value.field == "run.integrator"
+
     def test_nonpositive_dt(self):
         with pytest.raises(ScenarioValidationError) as exc:
             parse_scenario({**MINIMAL, "run": {"dt": 0.0}})
