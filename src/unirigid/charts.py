@@ -65,7 +65,7 @@ class ChartId(Enum):
 
 @dataclass(frozen=True)
 class Twist:
-    """Angular + linear velocity pair with an explicit frame tag."""
+    """Body twist: angular + linear velocity in body axes; the frame tag must be Frame.BODY."""
 
     omega: np.ndarray
     vel: np.ndarray
@@ -74,8 +74,8 @@ class Twist:
     def __post_init__(self):
         object.__setattr__(self, "omega", _readonly(_as_vec3(self.omega, "omega")))
         object.__setattr__(self, "vel", _readonly(_as_vec3(self.vel, "vel")))
-        if not isinstance(self.frame, Frame):
-            raise ValueError(f"frame must be a Frame, got {self.frame!r}")
+        if self.frame is not Frame.BODY:
+            raise ValueError(f"a Twist is a body twist (Frame.BODY), got {self.frame!r}")
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.omega, self.vel])
@@ -237,8 +237,6 @@ def body_twist(chart: ChartId, state: ChartState) -> Twist:
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
-    if nu.frame is not Frame.BODY:
-        raise ValueError("chart_from_body_twist requires a body-frame twist")
     g = _configuration(chart, pose)
     return CHART_MAPS[chart][1](g, pose.rotation.m, pose.position, nu.omega, nu.vel)
 

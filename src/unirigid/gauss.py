@@ -128,8 +128,8 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    if nu.frame is not Frame.BODY or wrench.frame is not Frame.BODY:
-        raise ValueError("constrained_accel requires body-frame twist and wrench")
+    if wrench.frame is not Frame.BODY:
+        raise ValueError("constrained_accel requires a body-frame wrench")
     m6 = assemble_inertia(si)
     m6_inv = spd_factor(m6, "generalized inertia")
     free = kirchhoff_rhs6(nu.as_array(), wrench.as_array(), m6, m6_inv)
@@ -168,8 +168,6 @@ def fixed_point_constraint(
     where c_x is the accumulated position drift of the pin in body axes,
     supplied by the caller that tracks the anchor (defaults to zero).
     """
-    if nu.frame is not Frame.BODY:
-        raise ValueError("fixed_point_constraint requires a body-frame twist")
     if position_drift is not None:
         position_drift = _as_vec3(position_drift, "position_drift")
     return AccelConstraint(

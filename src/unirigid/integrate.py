@@ -48,9 +48,8 @@ from .dynamics import (
     require_com_frame,
     spd_factor,
 )
-from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
+from .errors import FrameNotAtCoMError, GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import (
-    AccelConstraint,
     constrained_accel6,
     fixed_point_offset6,
     fixed_point_rows,
@@ -96,13 +95,14 @@ DEFAULT_INTEGRATOR = {
 }
 
 
-def check_route(formulation: Formulation, integrator: IntegratorId, constrained: bool, where: str = "") -> None:
+def check_route(formulation: Formulation, integrator: IntegratorId, scenario, where: str = "") -> None:
     """The route rules of scenario files, command-line choices and simulate().
 
-    A constraint needs the gauss formulation, and rk4 the Euler chart (lagrange);
-    lie-rk4 is its counterpart on the twist charts.  Errors name ``where + field``.
+    A constraint needs the gauss formulation, rk4 the Euler chart (lagrange;
+    lie-rk4 is its counterpart on the twist charts), and newton-euler the
+    body origin at the CoM.  Errors name ``where + field``.
     """
-    if constrained and formulation is not Formulation.GAUSS:
+    if scenario.constraint is not None and formulation is not Formulation.GAUSS:
         raise ScenarioValidationError(
             f"{where}formulation", f"scenarios with a constraint must run gauss, not {formulation.value}"
         )
@@ -110,6 +110,11 @@ def check_route(formulation: Formulation, integrator: IntegratorId, constrained:
         raise ScenarioValidationError(
             f"{where}integrator", f"rk4 steps the lagrange (Euler) chart only; {formulation.value} runs lie-rk4"
         )
+    if formulation is Formulation.NEWTON_EULER:
+        try:
+            require_com_frame(scenario.inertia)
+        except FrameNotAtCoMError as err:
+            raise ScenarioValidationError(f"{where}formulation", str(err)) from None
 
 
 @dataclass(frozen=True)
@@ -194,7 +199,6 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     chart = FORMULATION_CHART[formulation]
 
     if formulation is Formulation.NEWTON_EULER:
-        require_com_frame(si)
         j, mass = si.j, si.mass
         j_inv = spd_factor(j, "inertia tensor")
 
@@ -207,7 +211,6 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     pin = scenario.constraint
     if formulation is Formulation.GAUSS and pin is not None:
         a_rows = fixed_point_rows(pin)
-        AccelConstraint(a_rows, np.zeros(3))  # one-time rank validation
         m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
         anchor = pin_anchor(scenario)
         free_accel = accel
@@ -276,7 +279,7 @@ def simulate(
     sampling count as non-finite state.
     """
     n_steps = run_steps(dt, t_end, sample_every)
-    check_route(formulation, integrator, scenario.constraint is not None)
+    check_route(formulation, integrator, scenario)
 
     chart, rhs = make_rhs(formulation, scenario)
     u0 = chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist)

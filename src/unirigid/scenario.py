@@ -213,19 +213,17 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
         raise ScenarioParseError(f"top level must be an object, got {type(data).__name__}")
     inertia = _parse_inertia(_require(data, "inertia", ""))
     pose, twist = _parse_initial(data.get("initial", {}))
-    forces = _parse_forces(data.get("forces", {}))
-    constraint = _parse_constraint(data.get("constraint"))
-    run = _parse_run(data.get("run", {}))
-    check_route(run.formulation, run.integrator, constraint is not None, where="run.")
-    return Scenario(
+    scenario = Scenario(
         name=str(data.get("name", name_hint)),
         inertia=inertia,
         initial_pose=pose,
         initial_twist=twist,
-        forces=forces,
-        constraint=constraint,
-        run=run,
+        forces=_parse_forces(data.get("forces", {})),
+        constraint=_parse_constraint(data.get("constraint")),
+        run=_parse_run(data.get("run", {})),
     )
+    check_route(scenario.run.formulation, scenario.run.integrator, scenario, where="run.")
+    return scenario
 
 
 def builtin_scenario_dir() -> Path:

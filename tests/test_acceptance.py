@@ -10,21 +10,20 @@ import math
 import time
 
 import numpy as np
-import pytest
 
 from helpers import make_scenario, reduced_heavy_top_rotations
 
-from unirigid.charts import ChartId, Frame, Twist, hamel_coefficients
+from unirigid.charts import Frame, Twist
+from unirigid.checks import (
+    check_axisymmetric_analytic,
+    check_steady_precession,
+    check_structure_constants,
+    conservation_drifts,
+)
 from unirigid.cli import main
 from unirigid.dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs
-from unirigid.gauss import (
-    AccelConstraint,
-    FixedPointConstraint,
-    constrained_accel,
-    gauss_functional,
-    steady_precession_rates,
-)
-from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation, geodesic_distance
+from unirigid.gauss import AccelConstraint, constrained_accel, gauss_functional
+from unirigid.geom3 import Pose, geodesic_distance
 from unirigid.integrate import Formulation, IntegratorId, simulate
 from unirigid.scenario import load_scenario
 
@@ -120,106 +119,31 @@ def test_criterion_2_gauss_as_oracle():
 
 
 def test_criterion_3_structure_constants():
-    def levi_civita(i, j, k):
-        return ((i - j) * (j - k) * (k - i)) // 2
-
-    expected = np.zeros((6, 6, 6))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                eps = levi_civita(i, j, k)
-                expected[k, i, j] = -eps
-                expected[k + 3, i, j + 3] = -eps
-                expected[k + 3, i + 3, j] = -eps
-    worst = 0.0
-    for _ in range(100):
-        e = EulerAngles(
-            RNG.uniform(-math.pi, math.pi),
-            RNG.uniform(0.2, math.pi - 0.2),
-            RNG.uniform(-math.pi, math.pi),
-        )
-        pose = Pose(euler_to_rotation(e), RNG.normal(size=3))
-        gamma = hamel_coefficients(ChartId.BODY_TWIST, pose)
-        worst = max(worst, float(np.max(np.abs(gamma - expected))))
-    report(
-        3,
-        worst <= 1e-6,
-        f"body-twist bracket coefficients vs algebra table: max deviation {worst:.3e} "
-        f"over 100 poses (tol 1e-6)",
-    )
+    report(3, *check_structure_constants(RNG, 100))
 
 
 def test_criterion_4_axisymmetric_analytic_rate():
-    sc = load_scenario("axisymmetric-free")
-    samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 10.0, sample_every=10)
-    t = np.array([s.t for s in samples])
-    omega = np.array([s.nu.omega for s in samples])
-    phase = np.unwrap(np.arctan2(omega[:, 1], omega[:, 0]))
-    measured = (phase[-1] - phase[0]) / (t[-1] - t[0])
-    expected = (2.0 - 1.0) / 1.0 * 1.0
-    rel = abs(measured - expected) / expected
-    report(
-        4,
-        rel <= 1e-6,
-        f"transverse angular velocity rotates at {measured:.9f} rad/s vs {expected} "
-        f"(rel err {rel:.3e}, tol 1e-6)",
-    )
+    report(4, *check_axisymmetric_analytic())
 
 
 def test_criterion_5_conservation():
+    # Free bodies conserve energy and L; the pinned tops conserve energy and the
+    # vertical L about the pin (gravity torques the other components).
     failures = []
     details = []
-    free_scenarios = ["free-sphere", "euler-top", "dzhanibekov", "axisymmetric-free"]
-    for name in free_scenarios:
+    for name in ["free-sphere", "euler-top", "dzhanibekov", "axisymmetric-free",
+                 "heavy-top-steady", "heavy-top-generic"]:
         sc = load_scenario(name)
         samples = simulate(sc, sc.run.formulation, sc.run.integrator, 1e-3, 10.0, sample_every=50)
-        e = np.array([s.energy for s in samples])
-        l = np.array([s.l_spatial for s in samples])
-        e_drift = float(np.abs(e - e[0]).max()) / max(abs(e[0]), 1e-30)
-        l_drift = float(np.linalg.norm(l - l[0], axis=1).max()) / max(np.linalg.norm(l[0]), 1e-30)
+        e_drift, l_drift = conservation_drifts(sc, samples)
         details.append(f"{name}: dE={e_drift:.1e} dL={l_drift:.1e}")
         if e_drift > 1e-8 or l_drift > 1e-8:
-            failures.append(name)
-    # Pinned scenarios conserve energy and the vertical momentum about the pin
-    # (gravity torques the other components).
-    for name in ["heavy-top-steady", "heavy-top-generic"]:
-        sc = load_scenario(name)
-        samples = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 10.0, sample_every=50)
-        anchor = sc.initial_pose.position + sc.initial_pose.rotation.m @ sc.constraint.r_b
-        assert np.linalg.norm(anchor) <= 1e-12  # shipped files pin at the origin
-        e = np.array([s.energy for s in samples])
-        lz = np.array([s.l_spatial[2] for s in samples])
-        e_drift = float(np.abs(e - e[0]).max()) / max(abs(e[0]), 1e-30)
-        lz_drift = float(np.abs(lz - lz[0]).max()) / max(abs(lz[0]), 1e-30)
-        details.append(f"{name}: dE={e_drift:.1e} dLz={lz_drift:.1e}")
-        if e_drift > 1e-8 or lz_drift > 1e-8:
             failures.append(name)
     report(5, not failures, "; ".join(details) + " (all tol 1e-8 over 10 s)")
 
 
 def test_criterion_6_heavy_top():
-    theta0, spin, l = 0.5, 10.0, 0.3
-    base = load_scenario("heavy-top-steady")
-    i1_pivot = 0.4 + base.inertia.mass * l * l
-    roots = steady_precession_rates(i1_pivot, 0.3, base.inertia.mass, l, theta0, spin)
-    details = []
-    ok = True
-    for label, rate in zip(("slow", "fast"), roots):
-        omega = np.array([0.0, rate * math.sin(theta0), spin])
-        vel = np.array([l * omega[1], 0.0, 0.0])
-        rot = euler_to_rotation(EulerAngles(0.0, theta0, 0.0))
-        sc = make_scenario(
-            "steady", base.inertia.mass, base.inertia.j, omega, vel=vel,
-            gravity=[0.0, 0.0, -9.81],
-            pose=Pose(rot, rot.m @ np.array([0.0, 0.0, l])),
-            constraint=FixedPointConstraint(np.array([0.0, 0.0, -l])),
-            formulation=Formulation.GAUSS,
-        )
-        samples = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 5.0, sample_every=10)
-        theta = np.array([math.acos(max(-1.0, min(1.0, s.pose.rotation.m[2, 2]))) for s in samples])
-        dev = float(np.max(np.abs(theta - theta0)))
-        ok &= dev <= 1e-4
-        details.append(f"{label} root {rate:.4f} rad/s holds nutation to {dev:.2e}")
+    ok, steady = check_steady_precession()
 
     gen = load_scenario("heavy-top-generic")
     dt, t_end = 1e-3, 5.0
@@ -234,8 +158,7 @@ def test_criterion_6_heavy_top():
     )
     gap = max(geodesic_distance(s.pose.rotation, r) for s, r in zip(gauss_run, rotations))
     ok &= gap <= 1e-5
-    details.append(f"gauss vs rotation-only lagrange route gap {gap:.2e} (tol 1e-5)")
-    report(6, ok, "; ".join(details))
+    report(6, ok, f"{steady}; gauss vs rotation-only lagrange route gap {gap:.2e} (tol 1e-5)")
 
 
 def test_criterion_7_integrator_orders():

@@ -32,6 +32,15 @@ NEAR_GIMBAL_SCENARIO = {
     "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 0.002},
 }
 
+# A free body whose frame origin is 0.1 m from its CoM; newton-euler cannot run it.
+OFFSET_SCENARIO = {
+    "name": "offset",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 1.2, 1.5], "com": [0.0, 0.0, 0.1]},
+    "initial": {"orientation": {"euler_zxz": [0.0, 1.0, 0.0]}, "omega": [0.1, 0.2, 0.3]},
+    "forces": {"gravity": [0.0, 0.0, 0.0]},
+    "run": {"dt": 0.001, "t_end": 0.01},
+}
+
 BLOWUP_SCENARIO = {
     "name": "blowup",
     "inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0]},
@@ -162,10 +171,13 @@ class TestSimulateCommand:
         [
             ["--scenario", "heavy-top-generic", "--formulation", "kirchhoff"],
             ["--scenario", "euler-top", "--integrator", "rk4", "--formulation", "kirchhoff"],
+            ["--scenario", "offset", "--formulation", "newton-euler"],
         ],
     )
     def test_bad_route_is_one_error_line(self, tmp_path, capsys, command, route):
         argv = [command] + route
+        if route[1] == "offset":  # OFFSET_SCENARIO, written to a file
+            argv[2] = write_scenario(tmp_path, OFFSET_SCENARIO)
         if command == "simulate":
             argv += ["--output", str(tmp_path / "o.csv")]
         else:
@@ -173,6 +185,7 @@ class TestSimulateCommand:
         assert main(argv) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
+        assert "np.float64" not in err[0]
         assert not (tmp_path / "o.csv").exists()
 
     def test_constrained_scenario_wrong_formulation(self, tmp_path, capsys):

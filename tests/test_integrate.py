@@ -15,7 +15,8 @@ import pytest
 
 from helpers import make_scenario, orientation_taking
 
-from unirigid.charts import ChartId, ChartState, Frame
+from unirigid.charts import ChartId, ChartState, Frame, Twist, chart_from_body_twist
+from unirigid.dynamics import ForceModel, SpatialInertia, body_wrench_fn, chart_rhs_fn, kirchhoff_accel_fn
 from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation, geodesic_distance
@@ -184,6 +185,34 @@ class TestFormulationEquivalence:
 
         assert gap(2e-3) / gap(1e-3) >= 8.0
 
+    def test_spatial_twist_chart_matches_body_chart(self):
+        # No formulation runs the spatial chart, so step() drives it directly:
+        # an offset-CoM body, translating under gravity, from the same body twist.
+        si = SpatialInertia(1.3, ORDER_J, np.array([0.05, -0.1, 0.2]))
+        accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(ForceModel(gravity=np.array([0.0, 0.0, -9.81])), si))
+        pose0 = Pose(orientation_taking(ORDER_J @ ORDER_OMEGA, [0.0, 0.0, 1.0]), np.array([0.1, -0.2, 0.3]))
+        nu0 = Twist(np.array([0.8, -0.5, 1.2]), np.array([0.4, -0.2, 0.3]), Frame.BODY)
+
+        def poses(chart, dt):
+            rhs = chart_rhs_fn(chart, accel)
+            state = ChartState(pose0, chart_from_body_twist(chart, pose0, nu0))
+            out = [state.pose]
+            for k in range(round(1.0 / dt)):
+                state = step(IntegratorId.LIE_RK4, chart, rhs, state, k * dt, dt)
+                out.append(state.pose)
+            return out
+
+        gaps = []
+        for dt in (4e-3, 2e-3, 1e-3):
+            pairs = list(zip(poses(ChartId.BODY_TWIST, dt), poses(ChartId.SPATIAL_TWIST, dt)))
+            gaps.append((
+                max(geodesic_distance(a.rotation, b.rotation) for a, b in pairs),
+                max(float(np.linalg.norm(a.position - b.position)) for a, b in pairs),
+            ))
+        assert gaps[0][0] <= 1e-9 and gaps[0][1] <= 1e-9
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert coarse[0] / fine[0] >= 8.0 and coarse[1] / fine[1] >= 8.0
+
 
 class TestSimulateContract:
     def test_zero_duration_single_sample(self):
@@ -238,10 +267,13 @@ class TestSimulateContract:
             (Formulation.KIRCHHOFF, IntegratorId.RK4, None, "integrator"),
             (Formulation.NEWTON_EULER, IntegratorId.RK4, None, "integrator"),
             (Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, FixedPointConstraint(np.array([0.0, 0.0, -0.3])), "formulation"),
+            (Formulation.NEWTON_EULER, IntegratorId.LIE_RK4, None, "formulation"),
         ],
     )
     def test_route_rules(self, formulation, integrator, constraint, field):
-        sc = make_scenario("route", 1.0, np.eye(3), [0.0, 0.0, 1.0], constraint=constraint)
+        # The body origin sits off the CoM, which only newton-euler refuses; the
+        # rules apply in order constraint, integrator, CoM frame.
+        sc = make_scenario("route", 1.0, np.eye(3), [0.0, 0.0, 1.0], com=[0.0, 0.0, 0.1], constraint=constraint)
         with pytest.raises(ScenarioValidationError) as exc:
             simulate(sc, formulation, integrator, 1e-3, 0.01)
         assert exc.value.field == field
