@@ -11,7 +11,6 @@ from .charts import (
     ChartEval,
     ChartId,
     ChartState,
-    Frame,
     Twist,
     advance_pose,
     body_twist,

@@ -52,11 +52,6 @@ _ZERO3 = np.zeros(3)
 _ZERO3.flags.writeable = False
 
 
-class Frame(Enum):
-    BODY = "body"
-    SPATIAL = "spatial"
-
-
 class ChartId(Enum):
     BODY_TWIST = "body-twist"
     SPATIAL_TWIST = "spatial-twist"
@@ -65,17 +60,14 @@ class ChartId(Enum):
 
 @dataclass(frozen=True)
 class Twist:
-    """Body twist: angular + linear velocity in body axes; the frame tag must be Frame.BODY."""
+    """Body twist: angular + linear velocity in body axes."""
 
     omega: np.ndarray
     vel: np.ndarray
-    frame: Frame
 
     def __post_init__(self):
         object.__setattr__(self, "omega", _readonly(_as_vec3(self.omega, "omega")))
         object.__setattr__(self, "vel", _readonly(_as_vec3(self.vel, "vel")))
-        if self.frame is not Frame.BODY:
-            raise ValueError(f"a Twist is a body twist (Frame.BODY), got {self.frame!r}")
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.omega, self.vel])
@@ -230,9 +222,9 @@ CHART_MAPS = {
 
 
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
-    """nu = Phi(q) u, tagged as a body-frame twist."""
+    """nu = Phi(q) u."""
     g, x, u = stage_state(chart, state)
-    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.m, x, u), Frame.BODY)
+    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.m, x, u))
 
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:

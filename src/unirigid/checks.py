@@ -14,7 +14,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .charts import ChartId, Frame, Twist, hamel_coefficients
+from .charts import ChartId, Twist, hamel_coefficients
 from .dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs
 from .gauss import (
     AccelConstraint,
@@ -81,8 +81,8 @@ def check_gauss_minimality() -> Tuple[bool, str]:
         if lam[2] > lam[0] + lam[1]:
             j = j + (lam[2] - lam[0] - lam[1] + 0.1) * np.eye(3)
         si = SpatialInertia(mass=float(rng.uniform(0.5, 2.0)), j=j)
-        nu = Twist(rng.normal(size=3), rng.normal(size=3), Frame.BODY)
-        w = Wrench(rng.normal(size=3), rng.normal(size=3), Frame.BODY)
+        nu = Twist(rng.normal(size=3), rng.normal(size=3))
+        w = Wrench(rng.normal(size=3), rng.normal(size=3))
         free = kirchhoff_rhs(si, nu, w)
         nu_dot0, _ = constrained_accel(si, nu, w, AccelConstraint.empty())
         worst_free = max(worst_free, float(np.max(np.abs(nu_dot0 - free))))
@@ -149,7 +149,7 @@ def check_steady_precession() -> Tuple[bool, str]:
         omega = np.array([0.0, rate * math.sin(theta0), spin])
         vel = np.array([l * omega[1], 0.0, 0.0])
         pin = FixedPointConstraint(np.array([0.0, 0.0, -l]))
-        scenario = dataclasses.replace(sc, initial_twist=Twist(omega, vel, Frame.BODY), constraint=pin)
+        scenario = dataclasses.replace(sc, initial_twist=Twist(omega, vel), constraint=pin)
         samples = simulate(scenario, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 5.0, sample_every=10)
         theta = np.array([math.acos(max(-1.0, min(1.0, s.pose.rotation.m[2, 2]))) for s in samples])
         dev = float(np.max(np.abs(theta - theta0)))

@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Frame, Twist, _euler_rate_matrix_dot, stage_state
+from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Twist, _euler_rate_matrix_dot, stage_state
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
 from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross3, euler_matrix, gimbal_guard, hat
@@ -100,32 +100,28 @@ class Momentum:
 
 @dataclass(frozen=True)
 class Wrench:
-    """Torque + force with a frame tag; body wrenches act about the body origin."""
+    """Body wrench: torque about the body origin + force, in body axes."""
 
     torque: np.ndarray
     force: np.ndarray
-    frame: Frame = Frame.BODY
 
     def __post_init__(self):
         object.__setattr__(self, "torque", _readonly(_as_vec3(self.torque, "torque")))
         object.__setattr__(self, "force", _readonly(_as_vec3(self.force, "force")))
-        if not isinstance(self.frame, Frame):
-            raise ValueError(f"frame must be a Frame, got {self.frame!r}")
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.torque, self.force])
 
     @staticmethod
-    def zero(frame: Frame = Frame.BODY) -> "Wrench":
-        return Wrench(np.zeros(3), np.zeros(3), frame)
+    def zero() -> "Wrench":
+        return Wrench(np.zeros(3), np.zeros(3))
 
 
 @dataclass(frozen=True)
 class ForceModel:
     """Applied-force description: uniform gravity plus optional wrenches.
 
-    ``callback`` must be a pure function (t, pose, twist) -> Wrench; spatial
-    wrenches are taken about the space origin and converted internally.
+    ``callback`` must be a pure function (t, pose, twist) -> Wrench.
     """
 
     gravity: np.ndarray = field(default_factory=lambda: STANDARD_GRAVITY.copy())
@@ -209,8 +205,6 @@ def kirchhoff_rhs6(nu6: np.ndarray, w6: np.ndarray, m6: np.ndarray, m6_inv: np.n
 
 def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p)."""
-    if w.frame is not Frame.BODY:
-        raise ValueError("kirchhoff_rhs requires a body-frame wrench")
     m6 = assemble_inertia(si)
     return kirchhoff_rhs6(nu.as_array(), w.as_array(), m6, spd_factor(m6, "generalized inertia"))
 
@@ -248,24 +242,8 @@ def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     omega_dot = J^-1 (tau - omega x J omega),  v_dot = f/m - omega x v.
     """
     require_com_frame(si)
-    if w.frame is not Frame.BODY:
-        raise ValueError("newton_euler_rhs requires a body-frame wrench")
     j_inv = spd_factor(si.j, "inertia tensor")
     return newton_euler_rhs6(nu.as_array(), w.as_array(), si.j, j_inv, si.mass)
-
-
-def _spatial_to_body6(w: Wrench, r: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Spatial wrench (about the space origin) to body axes, by the transposed pose adjoint."""
-    rt = r.T
-    return np.concatenate((rt @ (w.torque - cross3(x, w.force)), rt @ w.force))
-
-
-def wrench_to_body(w: Wrench, pose: Pose) -> Wrench:
-    """Transport a wrench to body axes about the body origin."""
-    if w.frame is Frame.BODY:
-        return w
-    w6 = _spatial_to_body6(w, pose.rotation.m, pose.position)
-    return Wrench(w6[:3], w6[3:], Frame.BODY)
 
 
 def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
@@ -275,19 +253,17 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     Twist objects are built only for a force callback.
     """
     mass, c, gravity, callback = si.mass, si.c, forces.gravity, forces.callback
-    cw = forces.constant_wrench
-    body_cw = cw.as_array() if cw.frame is Frame.BODY else None
+    cw6 = forces.constant_wrench.as_array()
 
     def wrench(t, r, x, nu6):
         g_body = r.T @ gravity
         w = mass * np.concatenate((cross3(c, g_body), g_body))
-        w += body_cw if body_cw is not None else _spatial_to_body6(cw, r, x)
+        w += cw6
         if callback is not None:
             if not (np.isfinite(nu6).all() and np.isfinite(x).all()):
                 raise NonFiniteStateError("state passed to the force callback is not finite")
-            pose = Pose(Rotation(r), x)
-            extra = callback(t, pose, Twist(nu6[:3], nu6[3:], Frame.BODY))
-            w += wrench_to_body(extra, pose).as_array()
+            extra = callback(t, Pose(Rotation(r), x), Twist(nu6[:3], nu6[3:]))
+            w += extra.as_array()
         return w
 
     return wrench
@@ -296,7 +272,7 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
 def body_wrench(forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu: Twist) -> Wrench:
     """Total applied wrench in body axes about the body origin; see body_wrench_fn."""
     w6 = body_wrench_fn(forces, si)(t, pose.rotation.m, pose.position, nu.as_array())
-    return Wrench(w6[:3], w6[3:], Frame.BODY)
+    return Wrench(w6[:3], w6[3:])
 
 
 def chart_rhs_fn(chart: ChartId, accel):

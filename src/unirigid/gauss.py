@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Frame, Twist
-from .dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6, spd_factor
+from .charts import Twist
+from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6, spd_factor
 from .errors import RankDeficientConstraintError
 from .geom3 import _as_vec3, _readonly, cross3, hat
 
@@ -128,8 +128,6 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    if wrench.frame is not Frame.BODY:
-        raise ValueError("constrained_accel requires a body-frame wrench")
     m6 = assemble_inertia(si)
     m6_inv = spd_factor(m6, "generalized inertia")
     free = kirchhoff_rhs6(nu.as_array(), wrench.as_array(), m6, m6_inv)
@@ -182,7 +180,7 @@ def steady_precession_rates(
     com_distance: float,
     theta0: float,
     spin: float,
-    gravity: float = 9.81,
+    gravity: float = float(-STANDARD_GRAVITY[2]),
 ) -> "tuple[float, float]":
     """Precession rates holding the nutation angle constant for a symmetric top.
 

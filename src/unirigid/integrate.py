@@ -27,11 +27,10 @@ import numpy as np
 
 from .charts import (
     _ZERO3,
-    CHART_MAPS,
     ChartId,
     ChartState,
-    Frame,
     Twist,
+    body_twist,
     chart_from_body_twist,
     chart_rates,
     chart_retract,
@@ -288,14 +287,11 @@ def simulate(
     m6 = assemble_inertia(scenario.inertia)
     mass, com = scenario.inertia.mass, scenario.inertia.c
     gravity = scenario.forces.gravity
-    to_body = CHART_MAPS[chart][0]
 
     def sample(t: float, s: ChartState) -> TrajectorySample:
-        g, x, u = stage_state(chart, s)
-        r = s.pose.rotation.m
-        omega, v = to_body(g, r, x, u)
-        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, np.concatenate((omega, v)))
-        nu = Twist(omega, v, Frame.BODY)
+        nu = body_twist(chart, s)
+        r, x = s.pose.rotation.m, s.pose.position
+        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu.as_array())
         return TrajectorySample(t, s.pose, s.u.copy(), nu, kinetic + potential, l_spatial)
 
     samples = []

@@ -16,7 +16,7 @@ Schema (defaults in brackets):
         "vel": [0, 0, 0]          # body twist, linear part
       },
       "forces": {
-        "gravity": [0, 0, -9.81],
+        "gravity": [0, 0, -9.81], # dynamics.STANDARD_GRAVITY
         "torque": [0, 0, 0],      # constant body wrench
         "force": [0, 0, 0],
         "builtin": {"name": "linear-damping", "coeff": 0.1}   # optional named force
@@ -40,8 +40,8 @@ from typing import Optional
 
 import numpy as np
 
-from .charts import Frame, Twist
-from .dynamics import ForceModel, SpatialInertia, Wrench
+from .charts import Twist
+from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench
 from .errors import (
     NotPositiveDefiniteError,
     ScenarioParseError,
@@ -74,7 +74,7 @@ class Scenario:
 
 def _linear_damping(coeff: float):
     def wrench(t, pose, nu):
-        return Wrench(-coeff * nu.omega, -coeff * nu.vel, Frame.BODY)
+        return Wrench(-coeff * nu.omega, -coeff * nu.vel)
 
     return wrench
 
@@ -150,11 +150,11 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
     position = _vec3(block.get("position", [0.0, 0.0, 0.0]), "initial.position")
     omega = _vec3(block.get("omega", [0.0, 0.0, 0.0]), "initial.omega")
     vel = _vec3(block.get("vel", [0.0, 0.0, 0.0]), "initial.vel")
-    return Pose(rotation, position), Twist(omega, vel, Frame.BODY)
+    return Pose(rotation, position), Twist(omega, vel)
 
 
 def _parse_forces(block: dict) -> ForceModel:
-    gravity = _vec3(block.get("gravity", [0.0, 0.0, -9.81]), "forces.gravity")
+    gravity = _vec3(block.get("gravity", STANDARD_GRAVITY), "forces.gravity")
     torque = _vec3(block.get("torque", [0.0, 0.0, 0.0]), "forces.torque")
     force = _vec3(block.get("force", [0.0, 0.0, 0.0]), "forces.force")
     callback = None
@@ -171,7 +171,7 @@ def _parse_forces(block: dict) -> ForceModel:
         callback = BUILTIN_FORCES[name](coeff)
     return ForceModel(
         gravity=gravity,
-        constant_wrench=Wrench(torque, force, Frame.BODY),
+        constant_wrench=Wrench(torque, force),
         callback=callback,
     )
 

@@ -16,7 +16,7 @@ from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation, exp_so3, cross3
 from unirigid.integrate import Formulation, IntegratorId
 from unirigid.scenario import RunConfig, Scenario
-from unirigid.charts import Frame, Twist
+from unirigid.charts import Twist
 
 
 def make_scenario(
@@ -38,7 +38,7 @@ def make_scenario(
         name=name,
         inertia=SpatialInertia(mass, np.asarray(j, dtype=float), np.asarray(com, dtype=float)),
         initial_pose=pose if pose is not None else Pose.identity(),
-        initial_twist=Twist(np.asarray(omega, dtype=float), np.asarray(vel, dtype=float), Frame.BODY),
+        initial_twist=Twist(np.asarray(omega, dtype=float), np.asarray(vel, dtype=float)),
         forces=ForceModel(gravity=np.asarray(gravity, dtype=float)),
         constraint=constraint,
         run=RunConfig(formulation, integrator, dt, t_end, 1),

@@ -13,7 +13,7 @@ import numpy as np
 
 from helpers import make_scenario, reduced_heavy_top_rotations
 
-from unirigid.charts import Frame, Twist
+from unirigid.charts import Twist
 from unirigid.checks import (
     check_axisymmetric_analytic,
     check_steady_precession,
@@ -96,8 +96,8 @@ def test_criterion_2_gauss_as_oracle():
     m_pert = 1000
     for _ in range(1000):
         si = random_body(RNG)
-        nu = Twist(RNG.normal(size=3), RNG.normal(size=3), Frame.BODY)
-        w = Wrench(RNG.normal(size=3), RNG.normal(size=3), Frame.BODY)
+        nu = Twist(RNG.normal(size=3), RNG.normal(size=3))
+        w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
         free = kirchhoff_rhs(si, nu, w)
         nu_dot, lam = constrained_accel(si, nu, w, AccelConstraint.empty())
         worst_rhs = max(worst_rhs, float(np.max(np.abs(nu_dot - free))))

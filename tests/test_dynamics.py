@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from unirigid.charts import ChartId, ChartState, Frame, Twist, chart_eval
+from unirigid.charts import ChartId, ChartState, Twist, chart_eval
 from unirigid.dynamics import (
     ForceModel,
     SpatialInertia,
@@ -25,7 +25,6 @@ from unirigid.dynamics import (
     momentum,
     newton_euler_rhs,
     spatial_angular_momentum,
-    wrench_to_body,
 )
 from unirigid.errors import FrameNotAtCoMError, NotPositiveDefiniteError
 from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation, hat
@@ -54,7 +53,7 @@ def random_inertia(rng, with_offset=False, unit_scale=False):
 
 
 def random_body_twist(rng, scale=1.0):
-    return Twist(rng.normal(size=3) * scale, rng.normal(size=3) * scale, Frame.BODY)
+    return Twist(rng.normal(size=3) * scale, rng.normal(size=3) * scale)
 
 
 def random_valid_pose(rng):
@@ -95,14 +94,14 @@ class TestAssembleInertia:
 class TestMomentum:
     def test_zero_twist(self):
         si = random_inertia(RNG, with_offset=True)
-        mom = momentum(si, Twist(np.zeros(3), np.zeros(3), Frame.BODY))
+        mom = momentum(si, Twist(np.zeros(3), np.zeros(3)))
         assert np.array_equal(mom.as_array(), np.zeros(6))
 
     def test_sphere_diagonal_case(self):
         lam = 2.5
         si = SpatialInertia(mass=1.0, j=lam * np.eye(3))
         omega = np.array([0.3, -0.1, 0.8])
-        mom = momentum(si, Twist(omega, np.zeros(3), Frame.BODY))
+        mom = momentum(si, Twist(omega, np.zeros(3)))
         assert np.allclose(mom.pi, lam * omega)
         assert np.allclose(mom.p, np.zeros(3))
 
@@ -118,8 +117,8 @@ class TestMomentum:
                 dp, dm = base.copy(), base.copy()
                 dp[i] += h
                 dm[i] -= h
-                tp = energy(si, Twist(dp[:3], dp[3:], Frame.BODY))
-                tm = energy(si, Twist(dm[:3], dm[3:], Frame.BODY))
+                tp = energy(si, Twist(dp[:3], dp[3:]))
+                tm = energy(si, Twist(dm[:3], dm[3:]))
                 fd[i] = (tp - tm) / (2.0 * h)
             assert np.max(np.abs(fd - grad)) <= 1e-6
 
@@ -132,13 +131,13 @@ class TestMomentum:
 class TestKirchhoffRhs:
     def test_torque_free_sphere_equilibrium(self):
         si = SpatialInertia(mass=1.0, j=2.0 * np.eye(3))
-        nu = Twist(np.array([0.4, -0.2, 1.0]), np.zeros(3), Frame.BODY)
+        nu = Twist(np.array([0.4, -0.2, 1.0]), np.zeros(3))
         assert np.allclose(kirchhoff_rhs(si, nu, Wrench.zero()), np.zeros(6), atol=1e-15)
 
     def test_euler_equations_frozen_value(self):
         # J = diag(1,2,3), omega = (0,1,1): omega_dot_1 = (J2-J3)/J1 * w2 w3 = -1.
         si = SpatialInertia(mass=1.0, j=np.diag([1.0, 2.0, 3.0]))
-        nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3), Frame.BODY)
+        nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         nu_dot = kirchhoff_rhs(si, nu, Wrench.zero())
         assert math.isclose(nu_dot[0], -1.0, rel_tol=1e-14)
         assert math.isclose(nu_dot[1], (3.0 - 1.0) / 2.0 * 1.0 * 0.0, abs_tol=1e-15)
@@ -148,7 +147,7 @@ class TestKirchhoffRhs:
         for _ in range(1000):
             si = random_inertia(RNG, with_offset=True)
             nu = random_body_twist(RNG)
-            w = Wrench(RNG.normal(size=3), RNG.normal(size=3), Frame.BODY)
+            w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
             direct = kirchhoff_rhs(si, nu, w)
             forces = ForceModel(gravity=np.zeros(3), constant_wrench=w)
             via_chart = chart_rhs(
@@ -162,21 +161,21 @@ class TestNewtonEulerRhs:
         for _ in range(1000):
             si = random_inertia(RNG, with_offset=False)
             nu = random_body_twist(RNG)
-            w = Wrench(RNG.normal(size=3), RNG.normal(size=3), Frame.BODY)
+            w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
             assert np.max(np.abs(newton_euler_rhs(si, nu, w) - kirchhoff_rhs(si, nu, w))) <= 1e-12
 
     def test_free_fall(self):
         si = SpatialInertia(mass=2.0, j=np.eye(3))
         g = np.array([0.0, 0.0, -9.81])
-        nu = Twist(np.zeros(3), np.zeros(3), Frame.BODY)
-        w = Wrench(np.zeros(3), si.mass * g, Frame.BODY)  # R = I
+        nu = Twist(np.zeros(3), np.zeros(3))
+        w = Wrench(np.zeros(3), si.mass * g)  # R = I
         nu_dot = newton_euler_rhs(si, nu, w)
         assert np.allclose(nu_dot[3:], g)
         assert np.allclose(nu_dot[:3], 0.0)
 
     def test_spinning_top_vector(self):
         si = SpatialInertia(mass=1.0, j=np.diag([1.0, 2.0, 3.0]))
-        nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3), Frame.BODY)
+        nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         assert math.isclose(newton_euler_rhs(si, nu, Wrench.zero())[0], -1.0, rel_tol=1e-14)
 
     def test_offset_frame_rejected(self):
@@ -270,14 +269,14 @@ class TestChartEngine:
 class TestEnergyAndMomentum:
     def test_zero_twist(self):
         si = random_inertia(RNG, with_offset=True)
-        nu = Twist(np.zeros(3), np.zeros(3), Frame.BODY)
+        nu = Twist(np.zeros(3), np.zeros(3))
         assert energy(si, nu) == 0.0
         assert np.array_equal(spatial_angular_momentum(si, Pose.identity(), nu), np.zeros(3))
 
     def test_spinning_sphere(self):
         lam, w = 2.0, 1.5
         si = SpatialInertia(mass=1.0, j=lam * np.eye(3))
-        nu = Twist(np.array([0.0, 0.0, w]), np.zeros(3), Frame.BODY)
+        nu = Twist(np.array([0.0, 0.0, w]), np.zeros(3))
         assert math.isclose(energy(si, nu), 0.5 * lam * w * w, rel_tol=1e-15)
         assert np.allclose(
             spatial_angular_momentum(si, Pose.identity(), nu), [0.0, 0.0, lam * w]
@@ -297,28 +296,17 @@ class TestForceAssembly:
         si = SpatialInertia(mass=2.0, j=np.eye(3), c=np.array([0.1, 0.0, 0.0]))
         pose = random_valid_pose(RNG)
         forces = ForceModel()
-        nu = Twist(np.zeros(3), np.zeros(3), Frame.BODY)
+        nu = Twist(np.zeros(3), np.zeros(3))
         w = body_wrench(forces, si, 0.0, pose, nu)
         g_body = pose.rotation.m.T @ forces.gravity
         assert np.allclose(w.force, 2.0 * g_body)
         assert np.allclose(w.torque, 2.0 * np.cross(si.c, g_body))
 
-    def test_spatial_wrench_transport(self):
-        # A spatial wrench about the space origin must keep its power pairing.
-        pose = random_valid_pose(RNG)
-        ws = Wrench(RNG.normal(size=3), RNG.normal(size=3), Frame.SPATIAL)
-        wb = wrench_to_body(ws, pose)
-        from unirigid.geom3 import adjoint
-
-        nu6 = RNG.normal(size=6)
-        eta = adjoint(pose) @ nu6  # spatial twist of the same motion
-        assert math.isclose(ws.as_array() @ eta, wb.as_array() @ nu6, rel_tol=1e-10)
-
     def test_callback_wrench_added(self):
         si = SpatialInertia(mass=1.0, j=np.eye(3))
-        drag = lambda t, pose, nu: Wrench(-0.5 * nu.omega, -0.5 * nu.vel, Frame.BODY)
+        drag = lambda t, pose, nu: Wrench(-0.5 * nu.omega, -0.5 * nu.vel)
         forces = ForceModel(gravity=np.zeros(3), callback=drag)
-        nu = Twist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]), Frame.BODY)
+        nu = Twist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]))
         w = body_wrench(forces, si, 0.0, Pose.identity(), nu)
         assert np.allclose(w.torque, [-0.5, 0.0, 0.0])
         assert np.allclose(w.force, [0.0, -1.0, 0.0])

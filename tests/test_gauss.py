@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from unirigid.charts import Frame, Twist
+from unirigid.charts import Twist
 from unirigid.dynamics import (
     SpatialInertia,
     Wrench,
@@ -42,11 +42,11 @@ def random_inertia(rng):
 
 
 def random_twist(rng):
-    return Twist(rng.normal(size=3), rng.normal(size=3), Frame.BODY)
+    return Twist(rng.normal(size=3), rng.normal(size=3))
 
 
 def random_wrench(rng):
-    return Wrench(rng.normal(size=3), rng.normal(size=3), Frame.BODY)
+    return Wrench(rng.normal(size=3), rng.normal(size=3))
 
 
 class TestGaussFunctional:
@@ -145,7 +145,7 @@ class TestConstrainedAccel:
 class TestFixedPointConstraint:
     def test_rest_body(self):
         fp = FixedPointConstraint(np.array([0.0, 0.0, -0.5]))
-        nu = Twist(np.zeros(3), np.zeros(3), Frame.BODY)
+        nu = Twist(np.zeros(3), np.zeros(3))
         con = fixed_point_constraint(fp, nu)
         from unirigid.geom3 import hat
 
@@ -157,7 +157,7 @@ class TestFixedPointConstraint:
         r_b = np.array([0.1, -0.2, -0.4])
         omega = np.array([0.7, 0.2, 1.5])
         fp = FixedPointConstraint(r_b)
-        nu = Twist(omega, -np.cross(omega, r_b), Frame.BODY)
+        nu = Twist(omega, -np.cross(omega, r_b))
         con = fixed_point_constraint(fp, nu)
         assert np.max(np.abs(con.b)) <= 1e-15
 
@@ -167,7 +167,7 @@ class TestFixedPointConstraint:
         omega = np.array([0.1, 0.0, 0.5])
         vel = np.array([0.2, -0.1, 0.0])
         drift = np.array([0.01, 0.02, -0.03])
-        nu = Twist(omega, vel, Frame.BODY)
+        nu = Twist(omega, vel)
         con = fixed_point_constraint(fp, nu, position_drift=drift)
         c_v = vel + np.cross(omega, r_b)
         expected = -np.cross(omega, c_v) - 2.0 * 2.0 * c_v - 9.0 * drift

@@ -26,7 +26,6 @@ from helpers import make_scenario
 from unirigid.charts import (
     ChartId,
     ChartState,
-    Frame,
     Twist,
     body_twist,
     chart_eval,
@@ -85,7 +84,7 @@ def test_closed_form_maps_match_chart_matrix(chart):
         got = body_twist(chart, state).as_array()
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
         expected = np.linalg.solve(phi, nu6)
-        got = chart_from_body_twist(chart, state.pose, Twist(nu6[:3], nu6[3:], Frame.BODY))
+        got = chart_from_body_twist(chart, state.pose, Twist(nu6[:3], nu6[3:]))
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
     check()
@@ -95,7 +94,7 @@ def reference_u_dot(chart, si, state, forces):
     ev = chart_eval(chart, state.pose, state.u)
     m6 = assemble_inertia(si)
     nu6 = ev.phi @ state.u
-    nu = Twist(nu6[:3], nu6[3:], Frame.BODY)
+    nu = Twist(nu6[:3], nu6[3:])
     f6 = body_wrench(forces, si, 0.0, state.pose, nu).as_array()
     rhs = ev.phi.T @ (f6 - m6 @ (ev.phi_dot @ state.u) - momentum_bias(nu6, m6 @ nu6))
     return np.linalg.solve(ev.phi.T @ m6 @ ev.phi, rhs)
@@ -107,7 +106,7 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     @SETTINGS
     @given(si=bodies(with_offset), state=euler_states(), g=vec3, torque=vec3, force=vec3)
     def check(si, state, g, torque, force):
-        forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force, Frame.BODY))
+        forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
         expected = reference_u_dot(chart, si, state, forces)
         got = chart_rhs(chart, si, state, forces)
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
@@ -134,8 +133,8 @@ def kkt_reference(si, nu, w, con):
 )
 def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force, drift, gains):
     pin = FixedPointConstraint(0.5 * r_b, baumgarte_alpha=gains[0], baumgarte_beta=gains[1])
-    nu = Twist(2.0 * omega, vel, Frame.BODY)
-    w = Wrench(torque, force, Frame.BODY)
+    nu = Twist(2.0 * omega, vel)
+    w = Wrench(torque, force)
     con = fixed_point_constraint(pin, nu, position_drift=1e-3 * drift)
     nu_dot_ref, lam_ref = kkt_reference(si, nu, w, con)
     nu_dot, lam = constrained_accel(si, nu, w, con)
@@ -157,7 +156,7 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     chart, rhs = make_rhs(Formulation.GAUSS, sc)
     pose = Pose(euler_to_rotation(EulerAngles(*(angles + 0.1))), 0.1 * x)
     u = np.concatenate([2.0 * omega, vel])
-    nu = Twist(u[:3], u[3:], Frame.BODY)
+    nu = Twist(u[:3], u[3:])
     anchor = pose0.rotation.m @ pin.r_b
     drift = pose.rotation.m.T @ (pose.position + pose.rotation.m @ pin.r_b - anchor)
     w = body_wrench(sc.forces, si, 0.0, pose, nu)
