@@ -33,12 +33,15 @@ from .geom3 import (
     _readonly,
     adjoint,
     check_rotation,
-    cross3,
+    cross,
     euler_to_rotation,
     exp_so3,
     exp_so3_matrix,
     hat,
     log_so3,
+    mat3_mul,
+    mat3_vec,
+    mat3t_vec,
     pose_compose,
     pose_inverse,
     rotation_to_euler,
@@ -48,8 +51,7 @@ from .geom3 import (
 # Step for the finite-difference commutators behind hamel_coefficients.
 HAMEL_FD_STEP = 1e-5
 
-_ZERO3 = np.zeros(3)
-_ZERO3.flags.writeable = False
+_ZERO3 = (0.0, 0.0, 0.0)
 
 
 class ChartId(Enum):
@@ -96,22 +98,27 @@ class ChartState:
 
 
 def stage_state(chart: ChartId, state: ChartState) -> tuple:
-    """The raw ``(g, x, u)`` the integration kernel and chart right-hand sides work on.
+    """The float ``(g, x, u)`` the integration kernel and chart right-hand sides work on.
 
-    ``g`` is the rotation matrix on the twist charts and the Z-X-Z angles
-    (phi, theta, psi) on the Euler chart; ``x`` is the position, ``u`` the
-    chart velocities.
+    ``g`` is the rotation matrix as a row-major 9-tuple on the twist charts
+    and the Z-X-Z angles (phi, theta, psi) on the Euler chart; ``x`` is the
+    position 3-tuple, ``u`` the chart-velocity 6-tuple.  stage_pose is the
+    inverse of its pose part.
     """
     pose = state.pose
-    return _configuration(chart, pose), pose.position, state.u
+    return _configuration(chart, pose), tuple(pose.position.tolist()), tuple(state.u.tolist())
 
 
-def _configuration(chart: ChartId, pose: Pose):
+def _configuration(chart: ChartId, pose: Pose) -> tuple:
     """The ``g`` of stage_state; on the Euler chart rotation_to_euler applies the gimbal rule."""
     if chart is ChartId.EULER_COM:
         e = rotation_to_euler(pose.rotation)
-        return np.array([e.phi, e.theta, e.psi])
-    return pose.rotation.m
+        return e.phi, e.theta, e.psi
+    return _flat(pose.rotation)
+
+
+def _flat(r: Rotation) -> tuple:
+    return tuple(r.m.ravel().tolist())
 
 
 def _as_u6(u) -> np.ndarray:
@@ -121,32 +128,31 @@ def _as_u6(u) -> np.ndarray:
     return a
 
 
-def euler_rate_matrix(theta: float, psi: float) -> np.ndarray:
-    """Body angular velocity from Z-X-Z rates: omega = E(theta, psi) @ (phi', theta', psi')."""
+def euler_rate_matrix(theta: float, psi: float) -> tuple:
+    """E(theta, psi) as a row-major 9-tuple: body omega = E @ (phi', theta', psi')."""
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
-    return np.array([[st * sp, cp, 0.0], [st * cp, -sp, 0.0], [ct, 0.0, 1.0]])
+    return (st * sp, cp, 0.0, st * cp, -sp, 0.0, ct, 0.0, 1.0)
 
 
-def _euler_rate_matrix_dot(theta, psi, theta_dot, psi_dot) -> np.ndarray:
+def _euler_rate_matrix_dot(theta, psi, theta_dot, psi_dot) -> tuple:
+    """dE/dt as a row-major 9-tuple along the angle rates theta_dot, psi_dot."""
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
-    return np.array(
-        [
-            [ct * sp * theta_dot + st * cp * psi_dot, -sp * psi_dot, 0.0],
-            [ct * cp * theta_dot - st * sp * psi_dot, -cp * psi_dot, 0.0],
-            [-st * theta_dot, 0.0, 0.0],
-        ]
+    return (
+        ct * sp * theta_dot + st * cp * psi_dot, -sp * psi_dot, 0.0,
+        ct * cp * theta_dot - st * sp * psi_dot, -cp * psi_dot, 0.0,
+        -st * theta_dot, 0.0, 0.0,
     )
 
 
-def euler_rates(theta: float, psi: float, a: np.ndarray) -> np.ndarray:
+def euler_rates(theta: float, psi: float, a) -> tuple:
     """E(theta, psi)^-1 @ a in closed form; theta must pass geom3.gimbal_guard."""
     st, ct = math.sin(theta), math.cos(theta)
     sp, cp = math.sin(psi), math.cos(psi)
     a1, a2, a3 = a
     phi_rate = (sp * a1 + cp * a2) / st
-    return np.array([phi_rate, cp * a1 - sp * a2, a3 - ct * phi_rate])
+    return phi_rate, cp * a1 - sp * a2, a3 - ct * phi_rate
 
 
 def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
@@ -156,7 +162,7 @@ def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
         return adjoint(pose_inverse(pose))  # Ad(q)^-1: spatial twist mapped to the body twist
     e = rotation_to_euler(pose.rotation)
     out = np.zeros((6, 6))
-    out[:3, :3] = euler_rate_matrix(e.theta, e.psi)
+    out[:3, :3] = np.reshape(euler_rate_matrix(e.theta, e.psi), (3, 3))
     out[3:, 3:] = pose.rotation.m.T
     return out
 
@@ -171,7 +177,7 @@ def _phi_dot(chart: ChartId, pose: Pose, u: np.ndarray, phi: np.ndarray) -> np.n
     e = rotation_to_euler(pose.rotation)
     omega = phi[:3, :3] @ u[:3]
     out = np.zeros((6, 6))
-    out[:3, :3] = _euler_rate_matrix_dot(e.theta, e.psi, u[1], u[2])
+    out[:3, :3] = np.reshape(_euler_rate_matrix_dot(e.theta, e.psi, u[1], u[2]), (3, 3))
     out[3:, 3:] = -hat(omega) @ pose.rotation.m.T
     return out
 
@@ -188,32 +194,35 @@ def _body_to_body(g, r, x, u):
 
 
 def _body_from_body(g, r, x, omega, v):
-    return np.concatenate((omega, v))
+    return (*omega, *v)
 
 
 def _spatial_to_body(g, r, x, u):
     # Ad(q)^-1 (omega_s, v_s) = (R^T omega_s, R^T (v_s - x cross omega_s)).
-    rt = r.T
-    return rt @ u[:3], rt @ (u[3:] - cross3(x, u[:3]))
+    omega_s = u[:3]
+    xw = cross(x, omega_s)
+    return mat3t_vec(r, omega_s), mat3t_vec(r, (u[3] - xw[0], u[4] - xw[1], u[5] - xw[2]))
 
 
 def _spatial_from_body(g, r, x, omega, v):
     # Ad(q) (omega, v) = (R omega, x cross R omega + R v).
-    omega_s = r @ omega
-    return np.concatenate((omega_s, cross3(x, omega_s) + r @ v))
+    omega_s = mat3_vec(r, omega)
+    xw, rv = cross(x, omega_s), mat3_vec(r, v)
+    return (*omega_s, xw[0] + rv[0], xw[1] + rv[1], xw[2] + rv[2])
 
 
 def _euler_to_body(g, r, x, u):
-    return euler_rate_matrix(g[1], g[2]) @ u[:3], r.T @ u[3:]
+    return mat3_vec(euler_rate_matrix(g[1], g[2]), u[:3]), mat3t_vec(r, u[3:])
 
 
 def _euler_from_body(g, r, x, omega, v):
-    return np.concatenate((euler_rates(g[1], g[2], omega), r @ v))
+    return (*euler_rates(g[1], g[2], omega), *mat3_vec(r, v))
 
 
-# Per chart, nu = Phi u and u = Phi^-1 nu in closed form on the blocks of Phi:
-# to_body(g, r, x, u) -> (omega, v) and from_body(g, r, x, omega, v) -> u, with g the
-# stage configuration of stage_state (or its list), r the rotation and x the position.
+# Per chart, nu = Phi u and u = Phi^-1 nu in closed form on the blocks of Phi, on
+# floats: to_body(g, r, x, u) -> (omega, v) and from_body(g, r, x, omega, v) -> u,
+# with g the stage configuration of stage_state, r the rotation as a row-major
+# 9-tuple and x the position.
 CHART_MAPS = {
     ChartId.BODY_TWIST: (_body_to_body, _body_from_body),
     ChartId.SPATIAL_TWIST: (_spatial_to_body, _spatial_from_body),
@@ -224,17 +233,17 @@ CHART_MAPS = {
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
     """nu = Phi(q) u."""
     g, x, u = stage_state(chart, state)
-    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.m, x, u))
+    return Twist(*CHART_MAPS[chart][0](g, _flat(state.pose.rotation), x, u))
 
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
-    g = _configuration(chart, pose)
-    return CHART_MAPS[chart][1](g, pose.rotation.m, pose.position, nu.omega, nu.vel)
+    g, r, x = _configuration(chart, pose), _flat(pose.rotation), pose.position.tolist()
+    return np.array(CHART_MAPS[chart][1](g, r, x, nu.omega.tolist(), nu.vel.tolist()))
 
 
-def chart_rates(chart: ChartId, g, x: np.ndarray, u: np.ndarray, sigma: np.ndarray):
-    """Configuration velocity (sigma_dot, x_dot) of a raw stage state in increment coordinates.
+def chart_rates(chart: ChartId, g, x, u, sigma) -> tuple:
+    """Configuration velocity (sigma_dot, x_dot) of a float stage state in increment coordinates.
 
     ``sigma`` is the stage's rotation increment from the step's base.  On the
     twist charts sigma_dot is the inverse exponential differential of omega
@@ -248,38 +257,43 @@ def chart_rates(chart: ChartId, g, x: np.ndarray, u: np.ndarray, sigma: np.ndarr
     if chart is ChartId.EULER_COM:
         return u[:3], u[3:]
     omega = u[:3]
-    c1 = cross3(sigma, omega)
+    c1 = cross(sigma, omega)
+    half = 0.5 if chart is ChartId.BODY_TWIST else -0.5
+    sigma_dot = tuple([w + half * a + (1.0 / 12.0) * b for w, a, b in zip(omega, c1, cross(sigma, c1))])
     if chart is ChartId.BODY_TWIST:
-        return omega + 0.5 * c1 + (1.0 / 12.0) * cross3(sigma, c1), g @ u[3:]
-    return omega - 0.5 * c1 + (1.0 / 12.0) * cross3(sigma, c1), u[3:] + cross3(omega, x)
+        return sigma_dot, mat3_vec(g, u[3:])
+    wx = cross(omega, x)
+    return sigma_dot, (u[3] + wx[0], u[4] + wx[1], u[5] + wx[2])
 
 
-def chart_retract(chart: ChartId, g0, x0: np.ndarray, d_sigma: np.ndarray, d_x: np.ndarray):
-    """Raw configuration reached from (g0, x0) by the increment (d_sigma, d_x).
+def chart_retract(chart: ChartId, g0, x0, d_sigma, d_x) -> tuple:
+    """Float configuration reached from (g0, x0) by the increment (d_sigma, d_x).
 
     Twist charts multiply by exp(d_sigma), on the right (body) or left
     (spatial), and check the product; the Euler chart adds to its angles.
     """
+    x1 = (x0[0] + d_x[0], x0[1] + d_x[1], x0[2] + d_x[2])
     if chart is ChartId.EULER_COM:
-        return g0 + d_sigma, x0 + d_x
+        return (g0[0] + d_sigma[0], g0[1] + d_sigma[1], g0[2] + d_sigma[2]), x1
     e = exp_so3_matrix(d_sigma)
-    r = g0 @ e if chart is ChartId.BODY_TWIST else e @ g0
+    r = mat3_mul(g0, e) if chart is ChartId.BODY_TWIST else mat3_mul(e, g0)
     check_rotation(r)
-    return r, x0 + d_x
+    return r, x1
 
 
-def stage_pose(chart: ChartId, g, x: np.ndarray) -> Pose:
-    """Validated Pose of a raw configuration (inverse of stage_state's pose part)."""
+def stage_pose(chart: ChartId, g, x) -> Pose:
+    """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
     if chart is ChartId.EULER_COM:
-        return Pose(euler_to_rotation(EulerAngles(*g.tolist())), x)
-    return Pose(Rotation(g), x)
+        return Pose(euler_to_rotation(EulerAngles(*g)), x)
+    return Pose(Rotation(np.reshape(g, (3, 3))), x)
 
 
 def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:
     """Pose reached by holding the chart velocities fixed for dt (one Lie-Euler step)."""
     g, x, u = stage_state(chart, state)
     sigma_dot, x_dot = chart_rates(chart, g, x, u, _ZERO3)
-    return stage_pose(chart, *chart_retract(chart, g, x, dt * sigma_dot, dt * x_dot))
+    d_sigma, d_x = (tuple([dt * a for a in k]) for k in (sigma_dot, x_dot))
+    return stage_pose(chart, *chart_retract(chart, g, x, d_sigma, d_x))
 
 
 def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:

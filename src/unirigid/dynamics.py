@@ -30,7 +30,8 @@ import numpy as np
 from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Twist, _euler_rate_matrix_dot, stage_state
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross3, euler_matrix, gimbal_guard, hat
+from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross, euler_matrix
+from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
@@ -173,7 +174,7 @@ def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, np.ndarr
     return (
         0.5 * float(nu6 @ mom6),
         -mass * float(gravity @ (x + r @ c)),
-        r @ mom6[:3] + cross3(x, r @ mom6[3:]),
+        r @ mom6[:3] + cross(x, r @ mom6[3:]),
     )
 
 
@@ -182,40 +183,42 @@ def energy(si: SpatialInertia, nu: Twist) -> float:
     return conserved6(assemble_inertia(si), si.mass, si.c, _ZERO3, _EYE3, _ZERO3, nu.as_array())[0]
 
 
-def momentum_bias(nu6: np.ndarray, mom6: np.ndarray) -> np.ndarray:
-    """Gyroscopic term (omega x pi + v x p, omega x p) of the momentum balance."""
-    w1, w2, w3, v1, v2, v3 = nu6.tolist()
-    a1, a2, a3, p1, p2, p3 = mom6.tolist()
-    return np.array(
-        [
-            (w2 * a3 - w3 * a2) + (v2 * p3 - v3 * p2),
-            (w3 * a1 - w1 * a3) + (v3 * p1 - v1 * p3),
-            (w1 * a2 - w2 * a1) + (v1 * p2 - v2 * p1),
-            w2 * p3 - w3 * p2,
-            w3 * p1 - w1 * p3,
-            w1 * p2 - w2 * p1,
-        ]
+def momentum_bias(nu6, mom6) -> tuple:
+    """Gyroscopic term (omega x pi + v x p, omega x p) of the momentum balance, as a 6-tuple."""
+    w1, w2, w3, v1, v2, v3 = nu6
+    a1, a2, a3, p1, p2, p3 = mom6
+    return (
+        (w2 * a3 - w3 * a2) + (v2 * p3 - v3 * p2),
+        (w3 * a1 - w1 * a3) + (v3 * p1 - v1 * p3),
+        (w1 * a2 - w2 * a1) + (v1 * p2 - v2 * p1),
+        w2 * p3 - w3 * p2,
+        w3 * p1 - w1 * p3,
+        w1 * p2 - w2 * p1,
     )
 
 
-def kirchhoff_rhs6(nu6: np.ndarray, w6: np.ndarray, m6: np.ndarray, m6_inv: np.ndarray) -> np.ndarray:
-    """Raw-array core of kirchhoff_rhs; m6_inv = spd_factor(m6, ...)."""
-    return m6_inv @ (w6 - momentum_bias(nu6, m6 @ nu6))
+def kirchhoff_rhs6(nu6, w6, m6, m6_inv) -> tuple:
+    """Float core of kirchhoff_rhs; m6 and m6_inv = spd_factor(m6, ...) as tuples of rows."""
+    bias = momentum_bias(nu6, matvec(m6, nu6))
+    return matvec(m6_inv, [w - b for w, b in zip(w6, bias)])
 
 
 def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p)."""
     m6 = assemble_inertia(si)
-    return kirchhoff_rhs6(nu.as_array(), w.as_array(), m6, spd_factor(m6, "generalized inertia"))
+    m6_inv = spd_factor(m6, "generalized inertia")
+    nu6, w6 = nu.as_array().tolist(), w.as_array().tolist()
+    return np.array(kirchhoff_rhs6(nu6, w6, as_rows(m6), as_rows(m6_inv)))
 
 
 def kirchhoff_accel_fn(si: SpatialInertia, wrench) -> "tuple[Callable, np.ndarray]":
-    """Raw Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``wrench``, and M^-1 (factored once)."""
+    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``wrench``, and M^-1 (factored once)."""
     m6 = assemble_inertia(si)
     m6_inv = spd_factor(m6, "generalized inertia")
+    m6_rows, m6_inv_rows = as_rows(m6), as_rows(m6_inv)
 
     def accel(t, r, x, nu6):
-        return kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), m6, m6_inv)
+        return kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), m6_rows, m6_inv_rows)
 
     return accel, m6_inv
 
@@ -227,13 +230,13 @@ def require_com_frame(si: SpatialInertia) -> None:
         raise FrameNotAtCoMError(f"body frame origin is {offset:.6g} m from the CoM; newton-euler requires c = 0")
 
 
-def newton_euler_rhs6(
-    nu6: np.ndarray, w6: np.ndarray, j: np.ndarray, j_inv: np.ndarray, mass: float
-) -> np.ndarray:
-    """Raw-array core of newton_euler_rhs; j_inv = spd_factor(j, ...)."""
-    omega = nu6[:3]
-    omega_dot = j_inv @ (w6[:3] - cross3(omega, j @ omega))
-    return np.concatenate((omega_dot, w6[3:] / mass - cross3(omega, nu6[3:])))
+def newton_euler_rhs6(nu6, w6, j, j_inv, mass: float) -> tuple:
+    """Float core of newton_euler_rhs; j and j_inv = spd_factor(j, ...) as tuples of rows."""
+    omega, v = nu6[:3], nu6[3:]
+    gyro = cross(omega, matvec(j, omega))
+    omega_dot = matvec(j_inv, (w6[0] - gyro[0], w6[1] - gyro[1], w6[2] - gyro[2]))
+    wv = cross(omega, v)
+    return (*omega_dot, w6[3] / mass - wv[0], w6[4] / mass - wv[1], w6[5] / mass - wv[2])
 
 
 def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
@@ -242,28 +245,28 @@ def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     omega_dot = J^-1 (tau - omega x J omega),  v_dot = f/m - omega x v.
     """
     require_com_frame(si)
-    j_inv = spd_factor(si.j, "inertia tensor")
-    return newton_euler_rhs6(nu.as_array(), w.as_array(), si.j, j_inv, si.mass)
+    j, j_inv = as_rows(si.j), as_rows(spd_factor(si.j, "inertia tensor"))
+    return np.array(newton_euler_rhs6(nu.as_array().tolist(), w.as_array().tolist(), j, j_inv, si.mass))
 
 
 def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
-    """Raw total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
+    """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
 
     Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).  Pose and
     Twist objects are built only for a force callback.
     """
-    mass, c, gravity, callback = si.mass, si.c, forces.gravity, forces.callback
-    cw6 = forces.constant_wrench.as_array()
+    mass, callback = si.mass, forces.callback
+    c, gravity = si.c.tolist(), forces.gravity.tolist()
+    cw6 = forces.constant_wrench.as_array().tolist()
 
     def wrench(t, r, x, nu6):
-        g_body = r.T @ gravity
-        w = mass * np.concatenate((cross3(c, g_body), g_body))
-        w += cw6
+        g_body = mat3t_vec(r, gravity)
+        w = tuple([mass * a + b for a, b in zip((*cross(c, g_body), *g_body), cw6)])
         if callback is not None:
-            if not (np.isfinite(nu6).all() and np.isfinite(x).all()):
+            if not all(map(math.isfinite, (*nu6, *x))):
                 raise NonFiniteStateError("state passed to the force callback is not finite")
-            extra = callback(t, Pose(Rotation(r), x), Twist(nu6[:3], nu6[3:]))
-            w += extra.as_array()
+            extra = callback(t, Pose(Rotation(np.reshape(r, (3, 3))), x), Twist(nu6[:3], nu6[3:]))
+            w = tuple([a + b for a, b in zip(w, extra.as_array().tolist())])
         return w
 
     return wrench
@@ -271,18 +274,19 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
 
 def body_wrench(forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu: Twist) -> Wrench:
     """Total applied wrench in body axes about the body origin; see body_wrench_fn."""
-    w6 = body_wrench_fn(forces, si)(t, pose.rotation.m, pose.position, nu.as_array())
+    r, x = pose.rotation.m.ravel().tolist(), pose.position.tolist()
+    w6 = body_wrench_fn(forces, si)(t, r, x, nu.as_array().tolist())
     return Wrench(w6[:3], w6[3:])
 
 
 def chart_rhs_fn(chart: ChartId, accel):
-    """Chart-velocity right-hand side ``rhs(t, (g, x, u)) -> u_dot`` on raw stage states.
+    """Chart-velocity right-hand side ``rhs(t, (g, x, u)) -> u_dot`` on float stage states.
 
     ``accel(t, r, x, nu)`` is the body-twist acceleration nu_dot at rotation
-    matrix r and position x.  With Phi invertible, the unified equation times
-    Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the body solve, read
-    through the chart's closed-form maps (charts.CHART_MAPS) as
-    u_dot = Phi^-1 (nu_dot - Phi_dot u).
+    r (a row-major 9-tuple) and position x.  With Phi invertible, the unified
+    equation times Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the
+    body solve, read through the chart's closed-form maps (charts.CHART_MAPS)
+    as u_dot = Phi^-1 (nu_dot - Phi_dot u).  Every map returns a 6-tuple.
     """
     to_body, from_body = CHART_MAPS[chart]
     if chart is ChartId.BODY_TWIST:  # Phi = I
@@ -296,14 +300,14 @@ def chart_rhs_fn(chart: ChartId, accel):
         def rhs(t, s):
             # Phi_dot u = -ad_nu nu = 0, so u_dot = Phi^-1 nu_dot.
             r, x, u = s
-            nu_dot = accel(t, r, x, np.concatenate(to_body(r, r, x, u)))
+            omega, v = to_body(r, r, x, u)
+            nu_dot = accel(t, r, x, (*omega, *v))
             return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
 
     else:
 
         def rhs(t, s):
-            angles, x, u = s
-            g = angles.tolist()
+            g, x, u = s
             phi, theta, psi = g
             if not math.isfinite(phi + theta + psi):
                 raise NonFiniteStateError("Euler angles are not finite")
@@ -311,10 +315,12 @@ def chart_rhs_fn(chart: ChartId, accel):
             r = euler_matrix(phi, theta, psi)
             check_rotation(r)
             omega, v = to_body(g, r, x, u)
-            nu_dot = accel(t, r, x, np.concatenate((omega, v)))
+            nu_dot = accel(t, r, x, (*omega, *v))
             # nu_dot - Phi_dot u, with Phi_dot u = (E_dot u_ang, -omega x v).
-            a_ang = nu_dot[:3] - _euler_rate_matrix_dot(theta, psi, u[1], u[2]) @ u[:3]
-            return from_body(g, r, x, a_ang, nu_dot[3:] + cross3(omega, v))
+            e_dot_u = mat3_vec(_euler_rate_matrix_dot(theta, psi, u[1], u[2]), u[:3])
+            wv = cross(omega, v)
+            a_ang = (nu_dot[0] - e_dot_u[0], nu_dot[1] - e_dot_u[1], nu_dot[2] - e_dot_u[2])
+            return from_body(g, r, x, a_ang, (nu_dot[3] + wv[0], nu_dot[4] + wv[1], nu_dot[5] + wv[2]))
 
     return rhs
 
@@ -333,7 +339,7 @@ def chart_rhs(
     chart this is the Kirchhoff solve verbatim.
     """
     accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(forces, si))
-    return chart_rhs_fn(chart, accel)(t, stage_state(chart, state))
+    return np.array(chart_rhs_fn(chart, accel)(t, stage_state(chart, state)))
 
 
 def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 from .charts import Twist
 from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6, spd_factor
 from .errors import RankDeficientConstraintError
-from .geom3 import _as_vec3, _readonly, cross3, hat
+from .geom3 import _as_vec3, _readonly, as_rows, cross, hat, matvec
 
 # Relative singular-value threshold below which constraint rows count as dependent.
 RANK_TOL = 1e-10
@@ -96,22 +96,17 @@ def gauss_functional(
     return 0.5 * float(d @ m6 @ d)
 
 
-def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[np.ndarray, np.ndarray]":
-    """(M^-1 A^T, S^-1) with S = A M^-1 A^T; computed once for constant rows A."""
+def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[tuple, tuple]":
+    """(M^-1 A^T, S^-1) with S = A M^-1 A^T, as tuples of rows; computed once for constant rows A."""
     m_inv_at = m6_inv @ a.T
-    return m_inv_at, spd_factor(a @ m_inv_at, "constraint Schur complement A M^-1 A^T")
+    s_inv = spd_factor(a @ m_inv_at, "constraint Schur complement A M^-1 A^T")
+    return as_rows(m_inv_at), as_rows(s_inv)
 
 
-def constrained_accel6(
-    nu_dot_free: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    m_inv_at: np.ndarray,
-    s_inv: np.ndarray,
-) -> "tuple[np.ndarray, np.ndarray]":
-    """Raw-array core of constrained_accel; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
-    lam = s_inv @ (b - a @ nu_dot_free)
-    return nu_dot_free + m_inv_at @ lam, lam
+def constrained_accel6(nu_dot_free, a, b, m_inv_at, s_inv) -> "tuple[tuple, tuple]":
+    """Float core of constrained_accel on tuples of rows; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
+    lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, matvec(a, nu_dot_free))])
+    return tuple([f + d for f, d in zip(nu_dot_free, matvec(m_inv_at, lam))]), lam
 
 
 def constrained_accel(
@@ -130,10 +125,11 @@ def constrained_accel(
     """
     m6 = assemble_inertia(si)
     m6_inv = spd_factor(m6, "generalized inertia")
-    free = kirchhoff_rhs6(nu.as_array(), wrench.as_array(), m6, m6_inv)
+    free = kirchhoff_rhs6(nu.as_array().tolist(), wrench.as_array().tolist(), as_rows(m6), as_rows(m6_inv))
     if con.k == 0:
-        return free, np.zeros(0)
-    return constrained_accel6(free, con.a, con.b, *schur_factor(m6_inv, con.a))
+        return np.array(free), np.zeros(0)
+    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
+    return np.array(nu_dot), np.array(lam)
 
 
 def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
@@ -141,13 +137,14 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
     return np.hstack([-hat(fp.r_b), np.eye(3)])
 
 
-def fixed_point_offset6(fp: FixedPointConstraint, nu6: np.ndarray, position_drift) -> np.ndarray:
-    """Raw-array core of the pinned-point constraint offset b."""
+def fixed_point_offset6(fp: FixedPointConstraint, nu6, position_drift) -> tuple:
+    """Float core of the pinned-point constraint offset b."""
     omega = nu6[:3]
-    c_v = nu6[3:] + cross3(omega, fp.r_b)
-    b = -cross3(omega, c_v) - 2.0 * fp.baumgarte_alpha * c_v
+    rw = cross(omega, fp.r_b.tolist())
+    c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
+    b = tuple([-a - 2.0 * fp.baumgarte_alpha * c for a, c in zip(cross(omega, c_v), c_v)])
     if position_drift is not None:
-        b = b - fp.baumgarte_beta**2 * position_drift
+        b = tuple([bi - fp.baumgarte_beta * fp.baumgarte_beta * d for bi, d in zip(b, position_drift)])
     return b
 
 
@@ -167,9 +164,9 @@ def fixed_point_constraint(
     supplied by the caller that tracks the anchor (defaults to zero).
     """
     if position_drift is not None:
-        position_drift = _as_vec3(position_drift, "position_drift")
+        position_drift = _as_vec3(position_drift, "position_drift").tolist()
     return AccelConstraint(
-        fixed_point_rows(fp), fixed_point_offset6(fp, nu.as_array(), position_drift)
+        fixed_point_rows(fp), fixed_point_offset6(fp, nu.as_array().tolist(), position_drift)
     )
 
 

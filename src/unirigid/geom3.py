@@ -1,7 +1,8 @@
 """Rotations, poses and the adjoint machinery of the rigid placement group.
 
 Orientation ground truth is the 3x3 rotation matrix; quaternions appear only
-as an I/O convenience.  Twists and wrenches are ordered (angular, linear)
+as an I/O convenience.  The integration kernel runs on Python floats: vectors
+are tuples, a rotation is a row-major 9-tuple and any other matrix a tuple of rows.  Twists and wrenches are ordered (angular, linear)
 everywhere, and the Euler convention is Z-X-Z (precession phi, nutation theta,
 spin psi).
 """
@@ -9,6 +10,7 @@ spin psi).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,11 +36,59 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     return a
 
 
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vectors; avoids the generic np.cross dispatch."""
-    a1, a2, a3 = a.tolist()
-    b1, b2, b3 = b.tolist()
-    return np.array([a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1])
+def cross(a, b) -> tuple:
+    """Cross product of two 3-sequences as a float 3-tuple."""
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
+
+
+def cross3(a, b) -> np.ndarray:
+    """Cross product of two 3-vectors as an array; see cross."""
+    return np.array(cross(a, b))
+
+
+def mat3_vec(m, v) -> tuple:
+    """m @ v for a row-major 9-tuple m."""
+    a, b, c, d, e, f, g, h, i = m
+    x, y, z = v
+    return (a * x + b * y + c * z, d * x + e * y + f * z, g * x + h * y + i * z)
+
+
+def mat3t_vec(m, v) -> tuple:
+    """m^T @ v for a row-major 9-tuple m."""
+    a, b, c, d, e, f, g, h, i = m
+    x, y, z = v
+    return (a * x + d * y + g * z, b * x + e * y + h * z, c * x + f * y + i * z)
+
+
+def mat3_mul(m, n) -> tuple:
+    """m @ n for row-major 9-tuples."""
+    a, b, c, d, e, f, g, h, i = m
+    p, q, r, s, t, u, v, w, x = n
+    return (
+        a * p + b * s + c * v, a * q + b * t + c * w, a * r + b * u + c * x,
+        d * p + e * s + f * v, d * q + e * t + f * w, d * r + e * u + f * x,
+        g * p + h * s + i * v, g * q + h * t + i * w, g * r + h * u + i * x,
+    )
+
+
+def matvec(rows, v) -> tuple:
+    """rows @ v for a matrix held as a tuple of rows, written out for 3 and 6 columns."""
+    if len(v) == 3:
+        v0, v1, v2 = v
+        return tuple([a * v0 + b * v1 + c * v2 for a, b, c in rows])
+    if len(v) == 6:
+        v0, v1, v2, v3, v4, v5 = v
+        return tuple(
+            [a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5 for a, b, c, d, e, f in rows]
+        )
+    return tuple([sum(map(operator.mul, row, v)) for row in rows])
+
+
+def as_rows(a) -> tuple:
+    """A 2-D array as the tuple of float rows that matvec takes."""
+    return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -62,24 +112,27 @@ def vee(s: np.ndarray) -> np.ndarray:
     return np.array([s[2, 1], s[0, 2], s[1, 0]])
 
 
-def check_rotation(m: np.ndarray) -> None:
-    """Raise ValueError unless the array m is a 3x3 orthogonal matrix with det 1 to ORTHO_TOL.
+def check_rotation(m) -> None:
+    """Raise ValueError unless the row-major 9-sequence m is orthogonal with det 1 to ORTHO_TOL.
 
     The one orthogonality check: ``Rotation`` runs it on construction and the
     integration kernel on every rotation it forms.
     """
-    if m.shape != (3, 3):
-        raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-    d = m.T @ m
-    d -= _EYE3
-    defect_sq = float(np.vdot(d, d))
+    a, b, c, d, e, f, g, h, i = m
+    # Entries of R^T R - I: dot products of the columns (a, d, g), (b, e, h), (c, f, i).
+    d00 = a * a + d * d + g * g - 1.0
+    d11 = b * b + e * e + h * h - 1.0
+    d22 = c * c + f * f + i * i - 1.0
+    d01 = a * b + d * e + g * h
+    d02 = a * c + d * f + g * i
+    d12 = b * c + e * f + h * i
+    defect_sq = d00 * d00 + d11 * d11 + d22 * d22 + 2.0 * (d01 * d01 + d02 * d02 + d12 * d12)
     # Written so NaN/Inf entries fail the comparison too.
     if not defect_sq <= ORTHO_TOL * ORTHO_TOL:
         raise ValueError(
             f"matrix is not orthogonal (or not finite): ||R^T R - I||_F^2 = {defect_sq!r}"
         )
-    (a, b, c), (e, f, g), (h, i, j) = m.tolist()
-    det = a * (f * j - g * i) - b * (e * j - g * h) + c * (e * i - f * h)
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
     if not abs(det - 1.0) <= ORTHO_TOL:
         raise ValueError(f"matrix is not a proper rotation: det = {det!r}")
 
@@ -92,7 +145,9 @@ class Rotation:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        check_rotation(m)
+        if m.shape != (3, 3):
+            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
+        check_rotation(m.ravel().tolist())
         object.__setattr__(self, "m", _readonly(m))
 
     @staticmethod
@@ -135,9 +190,9 @@ class EulerAngles:
                 raise ValueError(f"{name} must be finite")
 
 
-def exp_so3_matrix(w: np.ndarray) -> np.ndarray:
-    """Rodrigues formula on a raw 3-vector, with a 4th-order Taylor branch below SMALL_ANGLE."""
-    x, y, z = w.tolist()
+def exp_so3_matrix(w) -> tuple:
+    """Rodrigues formula on a 3-sequence as a row-major 9-tuple; Taylor branch below SMALL_ANGLE."""
+    x, y, z = w
     theta2 = x * x + y * y + z * z
     if not math.isfinite(theta2):
         raise NonFiniteStateError(f"rotation vector norm is not finite: |w|^2 = {theta2!r}")
@@ -149,18 +204,16 @@ def exp_so3_matrix(w: np.ndarray) -> np.ndarray:
         a = math.sin(theta) / theta
         b = (1.0 - math.cos(theta)) / theta2
     # I + a hat(w) + b hat(w)^2 with hat(w)^2 = w w^T - theta^2 I, written out.
-    return np.array(
-        [
-            [1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y],
-            [b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x],
-            [b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y)],
-        ]
+    return (
+        1.0 - b * (y * y + z * z), b * x * y - a * z, b * x * z + a * y,
+        b * x * y + a * z, 1.0 - b * (x * x + z * z), b * y * z - a * x,
+        b * x * z - a * y, b * y * z + a * x, 1.0 - b * (x * x + y * y),
     )
 
 
 def exp_so3(w) -> Rotation:
     """Rotation exp(hat(w)); see exp_so3_matrix."""
-    return Rotation(exp_so3_matrix(_as_vec3(w, "w")))
+    return Rotation(np.reshape(exp_so3_matrix(_as_vec3(w, "w").tolist()), (3, 3)))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
@@ -196,23 +249,21 @@ def geodesic_distance(a: Rotation, b: Rotation) -> float:
     return math.atan2(sin_theta, 0.5 * (c[0, 0] + c[1, 1] + c[2, 2] - 1.0))
 
 
-def euler_matrix(phi: float, theta: float, psi: float) -> np.ndarray:
-    """Raw R = Rz(phi) Rx(theta) Rz(psi), assembled entrywise."""
+def euler_matrix(phi: float, theta: float, psi: float) -> tuple:
+    """R = Rz(phi) Rx(theta) Rz(psi) as a row-major 9-tuple, assembled entrywise."""
     cf, sf = math.cos(phi), math.sin(phi)
     ct, st = math.cos(theta), math.sin(theta)
     cp, sp = math.cos(psi), math.sin(psi)
-    return np.array(
-        [
-            [cf * cp - sf * ct * sp, -cf * sp - sf * ct * cp, sf * st],
-            [sf * cp + cf * ct * sp, -sf * sp + cf * ct * cp, -cf * st],
-            [st * sp, st * cp, ct],
-        ]
+    return (
+        cf * cp - sf * ct * sp, -cf * sp - sf * ct * cp, sf * st,
+        sf * cp + cf * ct * sp, -sf * sp + cf * ct * cp, -cf * st,
+        st * sp, st * cp, ct,
     )
 
 
 def euler_to_rotation(e: EulerAngles) -> Rotation:
     """R = Rz(phi) Rx(theta) Rz(psi)."""
-    return Rotation(euler_matrix(e.phi, e.theta, e.psi))
+    return Rotation(np.reshape(euler_matrix(e.phi, e.theta, e.psi), (3, 3)))
 
 
 def gimbal_guard(sin_theta: float) -> None:

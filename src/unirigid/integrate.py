@@ -1,12 +1,12 @@
 """Fixed-step time integration respecting each chart's geometry.
 
 One kernel, ``_rk_step``, advances every integrator on every chart over the
-raw ``(g, x, u)`` stage states of ``charts.stage_state``: a rotation matrix on
+float ``(g, x, u)`` tuples of ``charts.stage_state``: a row-major rotation on
 the twist charts, Z-X-Z angles on the Euler chart.  Stage configurations are
 reached from the step's base by increments (``charts.chart_retract``); on the
 twist charts that is an exponential, so orthogonality holds by construction,
 is checked on every rotation formed and is never repaired.  ``step`` is the
-validated boundary: one ChartState in, one out.
+validated boundary, the one place numpy meets the kernel: ChartState in, out.
 
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
 in the rotation algebra (``charts.chart_rates``) and the pose is updated by a
@@ -56,11 +56,12 @@ from .gauss import (
 )
 # perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
 from .geom3 import Pose, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
+from .geom3 import as_rows, mat3_vec, mat3t_vec
 
-# rhs(t, (g, x, u)) -> u_dot on the raw stage state of charts.stage_state.
-RhsFn = Callable[[float, tuple], np.ndarray]
+# rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
+RhsFn = Callable[[float, tuple], tuple]
 
-# Longest run simulate accepts; about a quarter of an hour at 100 us per step.
+# Longest run simulate accepts; about 15 minutes at 90 us per step (2-CPU x86_64 VM).
 MAX_STEPS = 10_000_000
 
 
@@ -136,8 +137,12 @@ class TrajectorySample:
 _RK4_NODES = (0.0, 0.5, 0.5, 1.0)
 
 
+def _scaled(h: float, v) -> tuple:
+    return tuple([h * a for a in v])
+
+
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
-    """One step of every integrator on raw arrays; returns the new (g, x, u)."""
+    """One step of every integrator on float stage states; returns the new (g, x, u)."""
     nodes = (0.0,) if integrator is IntegratorId.LIE_EULER else _RK4_NODES
     slopes = []
     g, x, u, sigma = g0, x0, u0, _ZERO3
@@ -145,18 +150,23 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         h = c * dt
         if slopes:
             sigma_dot, x_dot, u_dot = slopes[-1]
-            u = u0 + h * u_dot
-            sigma = h * sigma_dot
-            g, x = chart_retract(chart, g0, x0, sigma, h * x_dot)
+            u = tuple([a + h * b for a, b in zip(u0, u_dot)])
+            sigma = _scaled(h, sigma_dot)
+            g, x = chart_retract(chart, g0, x0, sigma, _scaled(h, x_dot))
         u_dot = rhs(t + h, (g, x, u))
+        # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
+        if not all(map(math.isfinite, u_dot)):
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={t + h:.6g}")
         slopes.append((*chart_rates(chart, g, x, u, sigma), u_dot))
 
     if integrator is IntegratorId.LIE_EULER:
-        d_sigma, d_x, d_u = (dt * k for k in slopes[0])
+        d_sigma, d_x, d_u = (_scaled(dt, k) for k in slopes[0])
     else:
-        d_sigma, d_x, d_u = ((dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*slopes))
+        d_sigma, d_x, d_u = (
+            [(dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*ks)] for ks in zip(*slopes)
+        )
     g1, x1 = chart_retract(chart, g0, x0, d_sigma, d_x)
-    return g1, x1, u0 + d_u
+    return g1, x1, tuple([a + b for a, b in zip(u0, d_u)])
 
 
 def step(
@@ -179,7 +189,7 @@ def step(
     if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
         raise ValueError(f"rk4 steps the Euler chart only, not {chart.value}; use lie-rk4")
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
-    if not (np.isfinite(g).all() and np.isfinite(x).all() and np.isfinite(u).all()):
+    if not all(map(math.isfinite, (*g, *x, *u))):
         raise NonFiniteStateError(f"non-finite state after the step from t={t:.6g}", time=t + dt)
     return ChartState(stage_pose(chart, g, x), u)
 
@@ -198,8 +208,8 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     chart = FORMULATION_CHART[formulation]
 
     if formulation is Formulation.NEWTON_EULER:
-        j, mass = si.j, si.mass
-        j_inv = spd_factor(j, "inertia tensor")
+        j, mass = as_rows(si.j), si.mass
+        j_inv = as_rows(spd_factor(si.j, "inertia tensor"))
 
         def accel(t, r, x, nu6):
             return newton_euler_rhs6(nu6, wrench(t, r, x, nu6), j, j_inv, mass)
@@ -211,11 +221,12 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     if formulation is Formulation.GAUSS and pin is not None:
         a_rows = fixed_point_rows(pin)
         m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
-        anchor = pin_anchor(scenario)
+        a_rows, r_b, anchor = as_rows(a_rows), pin.r_b.tolist(), pin_anchor(scenario).tolist()
         free_accel = accel
 
         def accel(t, r, x, nu6):
-            drift = r.T @ (x + r @ pin.r_b - anchor)
+            r_rb = mat3_vec(r, r_b)
+            drift = mat3t_vec(r, [xi + p - a for xi, p, a in zip(x, r_rb, anchor)])
             b = fixed_point_offset6(pin, nu6, drift)
             nu_dot, _ = constrained_accel6(free_accel(t, r, x, nu6), a_rows, b, m_inv_at, s_inv)
             return nu_dot
@@ -306,7 +317,7 @@ def simulate(
                     samples.append(sample(t_next, state))
     except GimbalLockError as err:
         raise GimbalLockError(f"gimbal lock at t={t_next:.6g}: {err}", time=t_next) from None
-    except (FloatingPointError, NonFiniteStateError) as err:
+    except (FloatingPointError, OverflowError, NonFiniteStateError) as err:
         raise NonFiniteStateError(
             f"state became non-finite at t={t_next:.6g}: {err}",
             time=t_next,

@@ -355,6 +355,32 @@ class TestSimulateContract:
         assert len(exc.value.samples) >= 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    @pytest.mark.parametrize(
+        "formulation, integrator",
+        [
+            (Formulation.KIRCHHOFF, IntegratorId.LIE_RK4),
+            (Formulation.NEWTON_EULER, IntegratorId.LIE_RK4),
+            (Formulation.LAGRANGE, IntegratorId.RK4),
+            (Formulation.GAUSS, IntegratorId.LIE_RK4),
+        ],
+    )
+    def test_overflow_aborts_with_context(self, formulation, integrator):
+        # No callback: the gyroscopic terms of a 1e150 rad/s spin overflow inside the first step.
+        pose = Pose(euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)), np.zeros(3))
+        pin = FixedPointConstraint(np.array([0.0, 0.0, -0.3])) if formulation is Formulation.GAUSS else None
+        sc = make_scenario(
+            "overflow", 1.0, np.diag([1.0, 1.6, 2.2]), [1e150, 2e150, 5e149], pose=pose,
+            constraint=pin, formulation=formulation, integrator=integrator,
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NonFiniteStateError) as exc:
+                simulate(sc, formulation, integrator, 1e-3, 1.0)
+        assert exc.value.time == pytest.approx(1e-3)
+        assert exc.value.last_sample_index == 0
+        assert len(exc.value.samples) == 1
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
     def test_constraint_requires_gauss(self):
         sc = make_scenario(
             "pinned", 1.0, np.diag([0.4, 0.4, 0.3]), [0.0, 0.0, 5.0],

@@ -11,6 +11,8 @@ the suite is deterministic:
   chart_eval, with and without a CoM offset;
 * the pinned point's Schur-complement solve equals the bordered 9x9 KKT
   system [[M, A^T], [A, 0]] (nu_dot, -lambda) = (M nu_dot_free, b);
+* one step() of every integrator/chart pair equals an independent numpy
+  step built from that generic solve and a numpy Rodrigues formula;
 * simulate() is bit for bit the same as repeated public step() calls.
 """
 
@@ -30,6 +32,7 @@ from unirigid.charts import (
     body_twist,
     chart_eval,
     chart_from_body_twist,
+    stage_state,
 )
 from unirigid.dynamics import (
     ForceModel,
@@ -41,8 +44,9 @@ from unirigid.dynamics import (
     momentum_bias,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
-from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation
-from unirigid.integrate import Formulation, make_rhs, simulate, step
+from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation
+from unirigid.dynamics import body_wrench_fn, chart_rhs_fn, kirchhoff_accel_fn
+from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -114,6 +118,83 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     check()
 
 
+def rodrigues(w):
+    theta2 = float(w @ w)
+    x, y, z = w
+    k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    if theta2 < 1e-12:
+        a, b = 1.0 - theta2 / 6.0, 0.5 - theta2 / 24.0
+    else:
+        theta = math.sqrt(theta2)
+        a, b = math.sin(theta) / theta, (1.0 - math.cos(theta)) / theta2
+    return np.eye(3) + a * k + b * (k @ k)
+
+
+def zxz_matrix(angles):
+    def rz(a):
+        return np.array([[math.cos(a), -math.sin(a), 0.0], [math.sin(a), math.cos(a), 0.0], [0.0, 0.0, 1.0]])
+
+    t = angles[1]
+    rx = np.array([[1.0, 0.0, 0.0], [0.0, math.cos(t), -math.sin(t)], [0.0, math.sin(t), math.cos(t)]])
+    return rz(angles[0]) @ rx @ rz(angles[2])
+
+
+def reference_step(integrator, chart, si, forces, state, dt):
+    """One step in numpy: stage poses from the step's base, slopes from reference_u_dot."""
+    r0, x0, u0 = state.pose.rotation.m, state.pose.position, state.u
+    angles0 = np.array(stage_state(chart, state)[0]) if chart is ChartId.EULER_COM else None
+
+    def retract(d_sigma, d_x):
+        if chart is ChartId.EULER_COM:
+            return zxz_matrix(angles0 + d_sigma), x0 + d_x
+        e = rodrigues(d_sigma)
+        return (r0 @ e if chart is ChartId.BODY_TWIST else e @ r0), x0 + d_x
+
+    def rates(r, x, u, sigma):
+        if chart is ChartId.EULER_COM:
+            return u[:3], u[3:]
+        omega, sign = u[:3], 1.0 if chart is ChartId.BODY_TWIST else -1.0
+        c1 = np.cross(sigma, omega)
+        sigma_dot = omega + sign * 0.5 * c1 + np.cross(sigma, c1) / 12.0
+        return sigma_dot, (r @ u[3:] if chart is ChartId.BODY_TWIST else u[3:] + np.cross(omega, x))
+
+    nodes = (0.0,) if integrator is IntegratorId.LIE_EULER else (0.0, 0.5, 0.5, 1.0)
+    slopes = []
+    for c in nodes:
+        h = c * dt
+        sigma_dot, x_dot, u_dot = slopes[-1] if slopes else (np.zeros(3), np.zeros(3), np.zeros(6))
+        u, sigma = u0 + h * u_dot, h * sigma_dot
+        r, x = retract(sigma, h * x_dot)
+        k_u = reference_u_dot(chart, si, ChartState(Pose(Rotation(r), x), u), forces)
+        slopes.append((*rates(r, x, u, sigma), k_u))
+    weights = (1.0,) if integrator is IntegratorId.LIE_EULER else (1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0)
+    d_sigma, d_x, d_u = (dt * sum(w * k[i] for w, k in zip(weights, slopes)) for i in range(3))
+    r1, x1 = retract(d_sigma, d_x)
+    return r1, x1, u0 + d_u
+
+
+STEP_PAIRS = [(i, c) for i in (IntegratorId.LIE_EULER, IntegratorId.LIE_RK4) for c in ChartId]
+STEP_PAIRS.append((IntegratorId.RK4, ChartId.EULER_COM))
+
+
+@pytest.mark.parametrize("integrator, chart", STEP_PAIRS)
+def test_step_matches_numpy_reference(integrator, chart):
+    @SETTINGS
+    @given(
+        si=bodies(True), state=euler_states(), g=vec3, torque=vec3, force=vec3,
+        dt=st.floats(1e-3, 5e-2),
+    )
+    def check(si, state, g, torque, force, dt):
+        forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
+        accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(forces, si))
+        got = step(integrator, chart, chart_rhs_fn(chart, accel), state, 0.0, dt)
+        r1, x1, u1 = reference_step(integrator, chart, si, forces, state, dt)
+        for a, b in ((got.pose.rotation.m, r1), (got.pose.position, x1), (got.u, u1)):
+            assert np.linalg.norm(a - b) <= 1e-13 * max(1.0, np.linalg.norm(b))
+
+    check()
+
+
 def kkt_reference(si, nu, w, con):
     m6 = assemble_inertia(si)
     nu6 = nu.as_array()
@@ -161,7 +242,7 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     drift = pose.rotation.m.T @ (pose.position + pose.rotation.m @ pin.r_b - anchor)
     w = body_wrench(sc.forces, si, 0.0, pose, nu)
     nu_dot_ref, _ = kkt_reference(si, nu, w, fixed_point_constraint(pin, nu, position_drift=drift))
-    got = rhs(0.0, (pose.rotation.m, pose.position, u))
+    got = rhs(0.0, stage_state(chart, ChartState(pose, u)))
     assert np.linalg.norm(got - nu_dot_ref) <= 1e-12 * max(1.0, np.linalg.norm(nu_dot_ref))
 
 

@@ -279,6 +279,17 @@ class TestRotationInvariants:
         with pytest.raises(ValueError):
             Rotation(np.diag([1.0, 1.0, -1.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_construction_rejects_non_finite_entry(self, bad):
+        m = np.eye(3)
+        m[1, 2] = bad
+        with pytest.raises(ValueError):
+            Rotation(m)
+
+    def test_construction_rejects_scaled_identity(self):
+        with pytest.raises(ValueError):
+            Rotation(1.001 * np.eye(3))
+
     def test_matrix_is_read_only(self):
         r = Rotation.identity()
         with pytest.raises(ValueError):
