@@ -40,12 +40,14 @@ from unirigid.dynamics import (
     Wrench,
     assemble_inertia,
     body_wrench,
+    body_wrench_fn,
     chart_rhs,
+    chart_rhs_fn,
+    kirchhoff_accel_fn,
     momentum_bias,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
 from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation
-from unirigid.dynamics import body_wrench_fn, chart_rhs_fn, kirchhoff_accel_fn
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
