@@ -27,11 +27,11 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Twist, _euler_rate_matrix_dot, stage_state
+from .charts import CHART_MAPS, ChartId, ChartState, Twist, _euler_rate_matrix_dot, stage_state
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross, euler_matrix
-from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
+from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross, cross3
+from .geom3 import euler_matrix, gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
@@ -174,13 +174,13 @@ def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, np.ndarr
     return (
         0.5 * float(nu6 @ mom6),
         -mass * float(gravity @ (x + r @ c)),
-        r @ mom6[:3] + cross(x, r @ mom6[3:]),
+        r @ mom6[:3] + cross3(x, r @ mom6[3:]),
     )
 
 
 def energy(si: SpatialInertia, nu: Twist) -> float:
     """Kinetic energy T = 1/2 nu^T M nu."""
-    return conserved6(assemble_inertia(si), si.mass, si.c, _ZERO3, _EYE3, _ZERO3, nu.as_array())[0]
+    return conserved6(assemble_inertia(si), si.mass, si.c, np.zeros(3), _EYE3, np.zeros(3), nu.as_array())[0]
 
 
 def momentum_bias(nu6, mom6) -> tuple:
@@ -351,4 +351,4 @@ def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:
 def spatial_angular_momentum(si: SpatialInertia, pose: Pose, nu: Twist) -> np.ndarray:
     """Angular momentum about the space origin: L = R pi + x x (R p)."""
     r, x = pose.rotation.m, pose.position
-    return conserved6(assemble_inertia(si), si.mass, si.c, _ZERO3, r, x, nu.as_array())[2]
+    return conserved6(assemble_inertia(si), si.mass, si.c, np.zeros(3), r, x, nu.as_array())[2]

@@ -43,9 +43,9 @@ def cross(a, b) -> tuple:
     return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
 
 
-def cross3(a, b) -> np.ndarray:
-    """Cross product of two 3-vectors as an array; see cross."""
-    return np.array(cross(a, b))
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vector arrays as an array; see cross."""
+    return np.array(cross(a.tolist(), b.tolist()))
 
 
 def mat3_vec(m, v) -> tuple:
