@@ -92,7 +92,7 @@ class ChartState:
 
     def __post_init__(self):
         u = _as_u6(self.u)
-        if not np.isfinite(u).all():
+        if not all(map(math.isfinite, u.tolist())):
             raise ValueError("chart velocity must be finite")
         object.__setattr__(self, "u", _readonly(u))
 
@@ -256,14 +256,18 @@ def chart_rates(chart: ChartId, g, x, u, sigma) -> tuple:
     """
     if chart is ChartId.EULER_COM:
         return u[:3], u[3:]
-    omega = u[:3]
-    c1 = cross(sigma, omega)
+    w1, w2, w3, v1, v2, v3 = u
+    s1, s2, s3 = sigma
+    # c = sigma x omega and d = sigma x c, written out.
+    c1, c2, c3 = s2 * w3 - s3 * w2, s3 * w1 - s1 * w3, s1 * w2 - s2 * w1
+    d1, d2, d3 = s2 * c3 - s3 * c2, s3 * c1 - s1 * c3, s1 * c2 - s2 * c1
     half = 0.5 if chart is ChartId.BODY_TWIST else -0.5
-    sigma_dot = tuple([w + half * a + (1.0 / 12.0) * b for w, a, b in zip(omega, c1, cross(sigma, c1))])
+    sigma_dot = (w1 + half * c1 + (1.0 / 12.0) * d1, w2 + half * c2 + (1.0 / 12.0) * d2,
+                 w3 + half * c3 + (1.0 / 12.0) * d3)
     if chart is ChartId.BODY_TWIST:
-        return sigma_dot, mat3_vec(g, u[3:])
-    wx = cross(omega, x)
-    return sigma_dot, (u[3] + wx[0], u[4] + wx[1], u[5] + wx[2])
+        return sigma_dot, mat3_vec(g, (v1, v2, v3))
+    x1, x2, x3 = x
+    return sigma_dot, (v1 + (w2 * x3 - w3 * x2), v2 + (w3 * x1 - w1 * x3), v3 + (w1 * x2 - w2 * x1))
 
 
 def chart_retract(chart: ChartId, g0, x0, d_sigma, d_x) -> tuple:
@@ -285,7 +289,7 @@ def stage_pose(chart: ChartId, g, x) -> Pose:
     """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
     if chart is ChartId.EULER_COM:
         return Pose(euler_to_rotation(EulerAngles(*g)), x)
-    return Pose(Rotation(np.reshape(g, (3, 3))), x)
+    return Pose(Rotation(np.array(g).reshape(3, 3)), x)
 
 
 def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:

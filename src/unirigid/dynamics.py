@@ -199,8 +199,9 @@ def momentum_bias(nu6, mom6) -> tuple:
 
 def kirchhoff_rhs6(nu6, w6, m6, m6_inv) -> tuple:
     """Float core of kirchhoff_rhs; m6 and m6_inv = spd_factor(m6, ...) as tuples of rows."""
-    bias = momentum_bias(nu6, matvec(m6, nu6))
-    return matvec(m6_inv, [w - b for w, b in zip(w6, bias)])
+    b1, b2, b3, b4, b5, b6 = momentum_bias(nu6, matvec(m6, nu6))
+    t1, t2, t3, f1, f2, f3 = w6
+    return matvec(m6_inv, (t1 - b1, t2 - b2, t3 - b3, f1 - b4, f2 - b5, f3 - b6))
 
 
 def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
@@ -256,16 +257,17 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     Twist objects are built only for a force callback.
     """
     mass, callback = si.mass, forces.callback
-    c, gravity = si.c.tolist(), forces.gravity.tolist()
-    cw6 = forces.constant_wrench.as_array().tolist()
+    (c1, c2, c3), gravity = si.c.tolist(), forces.gravity.tolist()
+    t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
     def wrench(t, r, x, nu6):
-        g_body = mat3t_vec(r, gravity)
-        w = tuple([mass * a + b for a, b in zip((*cross(c, g_body), *g_body), cw6)])
+        g1, g2, g3 = mat3t_vec(r, gravity)
+        w = (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
+             mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
         if callback is not None:
             if not all(map(math.isfinite, (*nu6, *x))):
                 raise NonFiniteStateError("state passed to the force callback is not finite")
-            extra = callback(t, Pose(Rotation(np.reshape(r, (3, 3))), x), Twist(nu6[:3], nu6[3:]))
+            extra = callback(t, Pose(Rotation(np.array(r).reshape(3, 3)), x), Twist(nu6[:3], nu6[3:]))
             w = tuple([a + b for a, b in zip(w, extra.as_array().tolist())])
         return w
 

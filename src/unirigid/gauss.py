@@ -106,7 +106,9 @@ def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[tuple, tuple]":
 def constrained_accel6(nu_dot_free, a, b, m_inv_at, s_inv) -> "tuple[tuple, tuple]":
     """Float core of constrained_accel on tuples of rows; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
     lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, matvec(a, nu_dot_free))])
-    return tuple([f + d for f, d in zip(nu_dot_free, matvec(m_inv_at, lam))]), lam
+    f1, f2, f3, f4, f5, f6 = nu_dot_free
+    d1, d2, d3, d4, d5, d6 = matvec(m_inv_at, lam)
+    return (f1 + d1, f2 + d2, f3 + d3, f4 + d4, f5 + d5, f6 + d6), lam
 
 
 def constrained_accel(
@@ -137,15 +139,21 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
     return np.hstack([-hat(fp.r_b), np.eye(3)])
 
 
-def fixed_point_offset6(fp: FixedPointConstraint, nu6, position_drift) -> tuple:
-    """Float core of the pinned-point constraint offset b."""
-    omega = nu6[:3]
-    rw = cross(omega, fp.r_b.tolist())
-    c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
-    b = tuple([-a - 2.0 * fp.baumgarte_alpha * c for a, c in zip(cross(omega, c_v), c_v)])
-    if position_drift is not None:
-        b = tuple([bi - fp.baumgarte_beta * fp.baumgarte_beta * d for bi, d in zip(b, position_drift)])
-    return b
+def fixed_point_offset_fn(fp: FixedPointConstraint):
+    """Float core of the pinned-point constraint offset, ``b(nu6, position_drift)``; the pin is read once here."""
+    r_b = fp.r_b.tolist()
+    two_alpha, beta_sq = 2.0 * fp.baumgarte_alpha, fp.baumgarte_beta * fp.baumgarte_beta
+
+    def offset(nu6, position_drift) -> tuple:
+        omega = nu6[:3]
+        rw = cross(omega, r_b)
+        c1, c2, c3 = c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
+        a1, a2, a3 = cross(omega, c_v)
+        d1, d2, d3 = position_drift
+        return (-a1 - two_alpha * c1 - beta_sq * d1, -a2 - two_alpha * c2 - beta_sq * d2,
+                -a3 - two_alpha * c3 - beta_sq * d3)
+
+    return offset
 
 
 def fixed_point_constraint(
@@ -163,11 +171,8 @@ def fixed_point_constraint(
     where c_x is the accumulated position drift of the pin in body axes,
     supplied by the caller that tracks the anchor (defaults to zero).
     """
-    if position_drift is not None:
-        position_drift = _as_vec3(position_drift, "position_drift").tolist()
-    return AccelConstraint(
-        fixed_point_rows(fp), fixed_point_offset6(fp, nu.as_array().tolist(), position_drift)
-    )
+    drift = (0.0, 0.0, 0.0) if position_drift is None else _as_vec3(position_drift, "position_drift").tolist()
+    return AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.as_array().tolist(), drift))
 
 
 def steady_precession_rates(

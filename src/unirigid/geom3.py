@@ -31,7 +31,8 @@ def _as_vec3(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    if not (math.isfinite(a[0]) and math.isfinite(a[1]) and math.isfinite(a[2])):
+    x, y, z = a.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise ValueError(f"{name} must be finite, got {a}")
     return a
 
@@ -74,16 +75,25 @@ def mat3_mul(m, n) -> tuple:
 
 
 def matvec(rows, v) -> tuple:
-    """rows @ v for a matrix held as a tuple of rows, written out for 3 and 6 columns."""
+    """rows @ v for a tuple of rows, each row summed left to right; written out for 3 and 6 columns."""
     if len(v) == 3:
         v0, v1, v2 = v
         return tuple([a * v0 + b * v1 + c * v2 for a, b, c in rows])
-    if len(v) == 6:
-        v0, v1, v2, v3, v4, v5 = v
-        return tuple(
-            [a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5 for a, b, c, d, e, f in rows]
-        )
-    return tuple([sum(map(operator.mul, row, v)) for row in rows])
+    if len(v) != 6:  # constrained_accel with 1, 2, 4 or 5 constraint rows
+        return tuple([sum(map(operator.mul, row, v)) for row in rows])
+    v0, v1, v2, v3, v4, v5 = v
+    if len(rows) != 6:
+        return tuple([a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5 for a, b, c, d, e, f in rows])
+    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5), \
+        (d0, d1, d2, d3, d4, d5), (e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5) = rows
+    return (
+        a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5,
+        b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5,
+        c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5,
+        d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3 + d4 * v4 + d5 * v5,
+        e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5,
+        f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3 + f4 * v4 + f5 * v5,
+    )
 
 
 def as_rows(a) -> tuple:
@@ -93,7 +103,7 @@ def as_rows(a) -> tuple:
 
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
-    out.flags.writeable = False
+    out.setflags(write=False)
     return out
 
 
@@ -213,7 +223,7 @@ def exp_so3_matrix(w) -> tuple:
 
 def exp_so3(w) -> Rotation:
     """Rotation exp(hat(w)); see exp_so3_matrix."""
-    return Rotation(np.reshape(exp_so3_matrix(_as_vec3(w, "w").tolist()), (3, 3)))
+    return Rotation(np.array(exp_so3_matrix(_as_vec3(w, "w").tolist())).reshape(3, 3))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
@@ -263,7 +273,7 @@ def euler_matrix(phi: float, theta: float, psi: float) -> tuple:
 
 def euler_to_rotation(e: EulerAngles) -> Rotation:
     """R = Rz(phi) Rx(theta) Rz(psi)."""
-    return Rotation(np.reshape(euler_matrix(e.phi, e.theta, e.psi), (3, 3)))
+    return Rotation(np.array(euler_matrix(e.phi, e.theta, e.psi)).reshape(3, 3))
 
 
 def gimbal_guard(sin_theta: float) -> None:

@@ -50,7 +50,7 @@ from .dynamics import (
 from .errors import FrameNotAtCoMError, GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import (
     constrained_accel6,
-    fixed_point_offset6,
+    fixed_point_offset_fn,
     fixed_point_rows,
     schur_factor,
 )
@@ -61,7 +61,7 @@ from .geom3 import as_rows, mat3_vec, mat3t_vec
 # rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
 RhsFn = Callable[[float, tuple], tuple]
 
-# Longest run simulate accepts; about 15 minutes at 90 us per step (2-CPU x86_64 VM).
+# Longest run simulate accepts; about 13 minutes at 80 us per step (compare-euler-top in BENCH_7.json).
 MAX_STEPS = 10_000_000
 
 
@@ -134,39 +134,56 @@ class TrajectorySample:
     l_spatial: np.ndarray
 
 
-_RK4_NODES = (0.0, 0.5, 0.5, 1.0)
+def _slopes(chart: ChartId, rhs: RhsFn, t: float, g, x, u, sigma) -> tuple:
+    """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment."""
+    u_dot = rhs(t, (g, x, u))
+    # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
+    if not all(map(math.isfinite, u_dot)):
+        raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
+    return (*chart_rates(chart, g, x, u, sigma), u_dot)
 
 
-def _scaled(h: float, v) -> tuple:
-    return tuple([h * a for a in v])
+def _advance(chart: ChartId, g0, x0, u0, h: float, s, y, k) -> tuple:
+    """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h."""
+    sigma = (h * s[0], h * s[1], h * s[2])
+    g, x = chart_retract(chart, g0, x0, sigma, (h * y[0], h * y[1], h * y[2]))
+    u1, u2, u3, u4, u5, u6 = u0
+    return g, x, (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma
+
+
+def _rk4_sum(a, b, c, d) -> tuple:
+    """a + 2 b + 2 c + d, entrywise, for 3- or 6-wide slopes."""
+    head = (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0], a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1],
+            a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2])
+    return head if len(a) == 3 else (*head, a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3],
+                                     a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4], a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5])
 
 
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
-    """One step of every integrator on float stage states; returns the new (g, x, u)."""
-    nodes = (0.0,) if integrator is IntegratorId.LIE_EULER else _RK4_NODES
-    slopes = []
-    g, x, u, sigma = g0, x0, u0, _ZERO3
-    for c in nodes:
-        h = c * dt
-        if slopes:
-            sigma_dot, x_dot, u_dot = slopes[-1]
-            u = tuple([a + h * b for a, b in zip(u0, u_dot)])
-            sigma = _scaled(h, sigma_dot)
-            g, x = chart_retract(chart, g0, x0, sigma, _scaled(h, x_dot))
-        u_dot = rhs(t + h, (g, x, u))
-        # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
-        if not all(map(math.isfinite, u_dot)):
-            raise NonFiniteStateError(f"non-finite chart acceleration at t={t + h:.6g}")
-        slopes.append((*chart_rates(chart, g, x, u, sigma), u_dot))
+    """One step of every integrator on float stage states; returns the new (g, x, u).
 
+    Every stage starts from the base; RK4 then advances it by (dt / 6) (k1 + 2 k2 + 2 k3 + k4).
+    """
+    s1, y1, k1 = _slopes(chart, rhs, t, g0, x0, u0, _ZERO3)
     if integrator is IntegratorId.LIE_EULER:
-        d_sigma, d_x, d_u = (_scaled(dt, k) for k in slopes[0])
-    else:
-        d_sigma, d_x, d_u = (
-            [(dt / 6.0) * (a + 2.0 * b + 2.0 * c + d) for a, b, c, d in zip(*ks)] for ks in zip(*slopes)
-        )
-    g1, x1 = chart_retract(chart, g0, x0, d_sigma, d_x)
-    return g1, x1, tuple([a + b for a, b in zip(u0, d_u)])
+        return _advance(chart, g0, x0, u0, dt, s1, y1, k1)[:3]
+    h = 0.5 * dt
+    try:
+        stage = _advance(chart, g0, x0, u0, h, s1, y1, k1)
+        s2, y2, k2 = _slopes(chart, rhs, t + h, *stage)
+        stage = _advance(chart, g0, x0, u0, h, s2, y2, k2)
+        s3, y3, k3 = _slopes(chart, rhs, t + h, *stage)
+        stage = _advance(chart, g0, x0, u0, dt, s3, y3, k3)
+        s4, y4, k4 = _slopes(chart, rhs, t + dt, *stage)
+    except GimbalLockError as err:
+        # The base passed the gimbal rule: a stage that moved theta this far is under-resolved.
+        if chart is not ChartId.EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
+            raise
+        raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
+                              f"within one stage (more than pi/2), to {err}") from None
+    return _advance(
+        chart, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
+    )[:3]
 
 
 def step(
@@ -221,14 +238,13 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     if formulation is Formulation.GAUSS and pin is not None:
         a_rows = fixed_point_rows(pin)
         m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
-        a_rows, r_b, anchor = as_rows(a_rows), pin.r_b.tolist(), pin_anchor(scenario).tolist()
-        free_accel = accel
+        a_rows, r_b, (a1, a2, a3) = as_rows(a_rows), pin.r_b.tolist(), pin_anchor(scenario).tolist()
+        offset, free_accel = fixed_point_offset_fn(pin), accel
 
         def accel(t, r, x, nu6):
-            r_rb = mat3_vec(r, r_b)
-            drift = mat3t_vec(r, [xi + p - a for xi, p, a in zip(x, r_rb, anchor)])
-            b = fixed_point_offset6(pin, nu6, drift)
-            nu_dot, _ = constrained_accel6(free_accel(t, r, x, nu6), a_rows, b, m_inv_at, s_inv)
+            p1, p2, p3 = mat3_vec(r, r_b)
+            drift = mat3t_vec(r, (x[0] + p1 - a1, x[1] + p2 - a2, x[2] + p3 - a3))
+            nu_dot, _ = constrained_accel6(free_accel(t, r, x, nu6), a_rows, offset(nu6, drift), m_inv_at, s_inv)
             return nu_dot
 
     return chart, chart_rhs_fn(chart, accel)

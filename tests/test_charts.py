@@ -107,6 +107,16 @@ class TestChartInverse:
             chart_from_body_twist(ChartId.EULER_COM, pose, nu)
 
 
+class TestChartState:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(6))
+    def test_rejects_non_finite_velocity(self, slot, bad):
+        u = np.zeros(6)
+        u[slot] = bad
+        with pytest.raises(ValueError):
+            ChartState(Pose.identity(), u)
+
+
 class TestInvariance:
     def test_body_chart_configuration_independent(self):
         for _ in range(100):

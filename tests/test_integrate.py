@@ -331,6 +331,34 @@ class TestSimulateContract:
         assert abs(exc.value.time - 0.25) <= 2e-3
         assert "gimbal lock at t=" in str(exc.value)
 
+    @pytest.mark.parametrize("scale", [1e3, 1e6, 1e100])
+    def test_under_resolved_euler_step_names_dt_and_jump(self, scale):
+        # At these rates one RK4 stage carries theta across 0 or pi from a base
+        # at theta = 1; nothing approached the singularity.
+        pose = Pose(euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)), np.zeros(3))
+        sc = make_scenario(
+            "fast", 1.0, np.diag([1.0, 1.6, 2.2]), [scale, 2.0 * scale, 0.5 * scale], pose=pose,
+            formulation=Formulation.LAGRANGE, integrator=IntegratorId.RK4,
+        )
+        with pytest.raises(GimbalLockError) as exc:
+            simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        msg = str(exc.value)
+        assert "step too large for the rates: dt = 0.001 moved theta by " in msg
+        jump = float(msg.split("moved theta by ")[1].split(" rad")[0])
+        assert abs(jump) > 0.5 * math.pi
+        assert exc.value.time == pytest.approx(2e-3 if scale == 1e3 else 1e-3)
+
+    def test_gimbal_lock_is_not_called_a_large_step(self):
+        # theta(t) = 0.25 - t reaches the singularity in steps that move it by 1e-3.
+        pose = Pose(euler_to_rotation(EulerAngles(0.0, 0.25, 0.0)), np.zeros(3))
+        sc = make_scenario(
+            "gimbal", 1.0, np.diag([1.0, 1.2, 1.5]), [-1.0, 0.0, 0.0], pose=pose,
+            formulation=Formulation.LAGRANGE, integrator=IntegratorId.RK4,
+        )
+        with pytest.raises(GimbalLockError) as exc:
+            simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 1.0)
+        assert "step too large" not in str(exc.value)
+
     def test_non_finite_aborts_with_context(self):
         from unirigid.dynamics import ForceModel, Wrench
         from unirigid.scenario import Scenario

@@ -13,7 +13,9 @@ the suite is deterministic:
   system [[M, A^T], [A, 0]] (nu_dot, -lambda) = (M nu_dot_free, b);
 * one step() of every integrator/chart pair equals an independent numpy
   step built from that generic solve and a numpy Rodrigues formula;
-* simulate() is bit for bit the same as repeated public step() calls.
+* simulate() is bit for bit the same as repeated public step() calls;
+* geom3.matvec, written out per width, sums each row left to right, bit for
+  bit.
 """
 
 import math
@@ -47,7 +49,7 @@ from unirigid.dynamics import (
     momentum_bias,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
-from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation
+from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
@@ -263,3 +265,24 @@ def test_simulate_is_repeated_step(name):
         assert np.array_equal(s.pose.rotation.m, state.pose.rotation.m)
         assert np.array_equal(s.pose.position, state.pose.position)
         assert np.array_equal(s.u, state.u)
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(6, 6), (3, 6), (3, 3), (6, 3)])
+def test_matvec_sums_rows_left_to_right(n_rows, n_cols):
+    entry = st.floats(-1e3, 1e3)
+
+    @SETTINGS
+    @given(rows=st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows),
+           v=st.lists(entry, min_size=n_cols, max_size=n_cols))
+    def check(rows, v):
+        want = []
+        for row in rows:
+            acc = row[0] * v[0]
+            for a, b in zip(row[1:], v[1:]):
+                acc = acc + a * b
+            want.append(acc)
+        got = matvec(tuple(map(tuple, rows)), tuple(v))
+        # float.hex tells -0.0 from 0.0.
+        assert [a.hex() for a in got] == [a.hex() for a in want]
+
+    check()

@@ -234,6 +234,15 @@ class TestPose:
             assert np.allclose(left.position, right.position, atol=1e-12)
 
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_rejects_non_finite_position(self, slot, bad):
+        x = np.zeros(3)
+        x[slot] = bad
+        with pytest.raises(ValueError):
+            Pose(Rotation.identity(), x)
+
+
 class TestAdjoint:
     def test_identity(self):
         assert np.array_equal(adjoint(Pose.identity()), np.eye(6))
