@@ -233,7 +233,6 @@ class TestPose:
             assert np.allclose(left.rotation.m, right.rotation.m, atol=1e-12)
             assert np.allclose(left.position, right.position, atol=1e-12)
 
-
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("slot", range(3))
     def test_rejects_non_finite_position(self, slot, bad):
