@@ -20,7 +20,7 @@ serve as the reference for the Hamel coefficients and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -29,8 +29,7 @@ from .geom3 import (
     EulerAngles,
     Pose,
     Rotation,
-    _as_vec3,
-    _readonly,
+    _frozen_vec,
     adjoint,
     check_rotation,
     cross,
@@ -62,14 +61,18 @@ class ChartId(Enum):
 
 @dataclass(frozen=True)
 class Twist:
-    """Body twist: angular + linear velocity in body axes."""
+    """Body twist: angular + linear velocity in body axes; ``flat`` is the float 6-tuple (omega, vel)."""
 
     omega: np.ndarray
     vel: np.ndarray
+    flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "omega", _readonly(_as_vec3(self.omega, "omega")))
-        object.__setattr__(self, "vel", _readonly(_as_vec3(self.vel, "vel")))
+        omega, w = _frozen_vec(self.omega, 3, "omega")
+        vel, v = _frozen_vec(self.vel, 3, "vel")
+        object.__setattr__(self, "omega", omega)
+        object.__setattr__(self, "vel", vel)
+        object.__setattr__(self, "flat", w + v)
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.omega, self.vel])
@@ -85,16 +88,16 @@ class ChartEval:
 
 @dataclass(frozen=True)
 class ChartState:
-    """Dynamic state advanced in time: a pose plus chart velocities."""
+    """Dynamic state advanced in time: a pose plus chart velocities; ``flat`` is u's float 6-tuple."""
 
     pose: Pose
     u: np.ndarray
+    flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        u = _as_u6(self.u)
-        if not all(map(math.isfinite, u.tolist())):
-            raise ValueError("chart velocity must be finite")
-        object.__setattr__(self, "u", _readonly(u))
+        u, flat = _frozen_vec(self.u, 6, "chart velocity")
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "flat", flat)
 
 
 def stage_state(chart: ChartId, state: ChartState) -> tuple:
@@ -103,10 +106,10 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
     ``g`` is the rotation matrix as a row-major 9-tuple on the twist charts
     and the Z-X-Z angles (phi, theta, psi) on the Euler chart; ``x`` is the
     position 3-tuple, ``u`` the chart-velocity 6-tuple.  stage_pose is the
-    inverse of its pose part.
+    inverse of its pose part.  Every part is a tuple the boxes kept when they validated it.
     """
     pose = state.pose
-    return _configuration(chart, pose), tuple(pose.position.tolist()), tuple(state.u.tolist())
+    return _configuration(chart, pose), pose.flat, state.flat
 
 
 def _configuration(chart: ChartId, pose: Pose) -> tuple:
@@ -114,11 +117,7 @@ def _configuration(chart: ChartId, pose: Pose) -> tuple:
     if chart is ChartId.EULER_COM:
         e = rotation_to_euler(pose.rotation)
         return e.phi, e.theta, e.psi
-    return _flat(pose.rotation)
-
-
-def _flat(r: Rotation) -> tuple:
-    return tuple(r.m.ravel().tolist())
+    return pose.rotation.flat
 
 
 def _as_u6(u) -> np.ndarray:
@@ -233,13 +232,13 @@ CHART_MAPS = {
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
     """nu = Phi(q) u."""
     g, x, u = stage_state(chart, state)
-    return Twist(*CHART_MAPS[chart][0](g, _flat(state.pose.rotation), x, u))
+    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.flat, x, u))
 
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
-    g, r, x = _configuration(chart, pose), _flat(pose.rotation), pose.position.tolist()
-    return np.array(CHART_MAPS[chart][1](g, r, x, nu.omega.tolist(), nu.vel.tolist()))
+    g, r, x = _configuration(chart, pose), pose.rotation.flat, pose.flat
+    return np.array(CHART_MAPS[chart][1](g, r, x, nu.flat[:3], nu.flat[3:]))
 
 
 def chart_rates(chart: ChartId, g, x, u, sigma) -> tuple:

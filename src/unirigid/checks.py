@@ -167,9 +167,10 @@ def conservation_drifts(scenario: Scenario, samples) -> Tuple[float, float]:
     e = np.array([s.energy for s in samples])
     l = np.array([s.l_spatial for s in samples])
     if scenario.constraint is not None:
-        m6 = assemble_inertia(scenario.inertia)
-        p = np.array([s.pose.rotation.m @ (m6 @ s.nu.as_array())[3:] for s in samples])
-        l = l - np.cross(pin_anchor(scenario), p)
+        # Space-frame linear momentum R (M nu)[3:] of every sample, as one stacked product.
+        r = np.array([s.pose.rotation.flat for s in samples]).reshape(-1, 3, 3)
+        body_p = np.array([s.nu.flat for s in samples]) @ assemble_inertia(scenario.inertia)[3:].T
+        l = l - np.cross(pin_anchor(scenario), np.einsum("nij,nj->ni", r, body_p))
     gravity = scenario.forces.gravity
     if gravity.any():
         l = (l @ (gravity / np.linalg.norm(gravity)))[:, None]

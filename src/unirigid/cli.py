@@ -36,17 +36,16 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+# One row of CSV_HEADER; on Python floats "%.17g" is the text of format(v, ".17g").
+CSV_ROW = ",".join(["%.17g"] * 18)
 
 
 def samples_to_csv(samples) -> str:
     """Deterministic CSV text; floats carry 17 significant digits."""
     lines = [CSV_HEADER]
     for s in samples:
-        q = rotation_to_quaternion(s.pose.rotation)
-        row = [s.t, *q, *s.pose.position, *s.nu.omega, *s.nu.vel, s.energy, *s.l_spatial]
-        lines.append(",".join(_fmt(v) for v in row))
+        q = rotation_to_quaternion(s.pose.rotation).tolist()
+        lines.append(CSV_ROW % (s.t, *q, *s.pose.flat, *s.nu.flat, s.energy, *s.l_spatial.tolist()))
     return "\n".join(lines) + "\n"
 
 

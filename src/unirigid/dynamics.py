@@ -30,7 +30,7 @@ import numpy as np
 from .charts import CHART_MAPS, ChartId, ChartState, Twist, _euler_rate_matrix_dot, stage_state
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE3, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross, cross3
+from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross
 from .geom3 import euler_matrix, gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
@@ -74,7 +74,7 @@ class SpatialInertia:
                 field="inertia triangle inequality",
             )
         object.__setattr__(self, "j", _readonly(j))
-        object.__setattr__(self, "c", _readonly(_as_vec3(self.c, "c")))
+        object.__setattr__(self, "c", _as_vec3(self.c, "c"))
         # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
         try:
             np.linalg.cholesky(assemble_inertia(self))
@@ -92,8 +92,8 @@ class Momentum:
     p: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "pi", _readonly(_as_vec3(self.pi, "pi")))
-        object.__setattr__(self, "p", _readonly(_as_vec3(self.p, "p")))
+        object.__setattr__(self, "pi", _as_vec3(self.pi, "pi"))
+        object.__setattr__(self, "p", _as_vec3(self.p, "p"))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.pi, self.p])
@@ -107,8 +107,8 @@ class Wrench:
     force: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "torque", _readonly(_as_vec3(self.torque, "torque")))
-        object.__setattr__(self, "force", _readonly(_as_vec3(self.force, "force")))
+        object.__setattr__(self, "torque", _as_vec3(self.torque, "torque"))
+        object.__setattr__(self, "force", _as_vec3(self.force, "force"))
 
     def as_array(self) -> np.ndarray:
         return np.concatenate([self.torque, self.force])
@@ -130,7 +130,7 @@ class ForceModel:
     callback: Optional[Callable[[float, Pose, Twist], Wrench]] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "gravity", _readonly(_as_vec3(self.gravity, "gravity")))
+        object.__setattr__(self, "gravity", _as_vec3(self.gravity, "gravity"))
 
 
 def spd_factor(a: np.ndarray, what: str) -> np.ndarray:
@@ -164,23 +164,33 @@ def momentum(si: SpatialInertia, nu: Twist) -> Momentum:
     return Momentum(out[:3], out[3:])
 
 
-def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, np.ndarray]":
-    """Raw (kinetic energy, gravitational potential, angular momentum about the space origin).
+def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
+    """Float (kinetic energy, gravitational potential, angular momentum about the space origin).
 
     T = 1/2 nu^T M nu,  V = -m g . (x + R c),  L = R pi + x cross (R p)
-    with (pi, p) = M nu, for the body twist nu6 at rotation r and position x.
+    with (pi, p) = M nu, for the body twist nu6 at the row-major rotation r
+    and position x; M is a tuple of rows, and every sum runs left to right.
     """
-    mom6 = m6 @ nu6
+    mom6 = matvec(m6, nu6)
+    n1, n2, n3, n4, n5, n6 = nu6
+    a1, a2, a3, p1, p2, p3 = mom6
+    (x1, x2, x3), (g1, g2, g3), (rc1, rc2, rc3) = x, gravity, mat3_vec(r, c)
+    l1, l2, l3 = mat3_vec(r, (a1, a2, a3))
+    xp1, xp2, xp3 = cross(x, mat3_vec(r, (p1, p2, p3)))
     return (
-        0.5 * float(nu6 @ mom6),
-        -mass * float(gravity @ (x + r @ c)),
-        r @ mom6[:3] + cross3(x, r @ mom6[3:]),
+        0.5 * (n1 * a1 + n2 * a2 + n3 * a3 + n4 * p1 + n5 * p2 + n6 * p3),
+        -mass * (g1 * (x1 + rc1) + g2 * (x2 + rc2) + g3 * (x3 + rc3)),
+        (l1 + xp1, l2 + xp2, l3 + xp3),
     )
+
+
+def _conserved(si: SpatialInertia, gravity, r, x, nu6) -> tuple:
+    return conserved6(as_rows(assemble_inertia(si)), si.mass, si.c.tolist(), gravity, r, x, nu6)
 
 
 def energy(si: SpatialInertia, nu: Twist) -> float:
     """Kinetic energy T = 1/2 nu^T M nu."""
-    return conserved6(assemble_inertia(si), si.mass, si.c, np.zeros(3), _EYE3, np.zeros(3), nu.as_array())[0]
+    return _conserved(si, (0.0, 0.0, 0.0), _EYE9, (0.0, 0.0, 0.0), nu.flat)[0]
 
 
 def momentum_bias(nu6, mom6) -> tuple:
@@ -346,11 +356,9 @@ def chart_rhs(
 
 def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:
     """Potential -m g . x_G with x_G the CoM position in space."""
-    g, r, x = np.asarray(gravity, dtype=float), pose.rotation.m, pose.position
-    return conserved6(assemble_inertia(si), si.mass, si.c, g, r, x, np.zeros(6))[1]
+    return _conserved(si, np.asarray(gravity, dtype=float).tolist(), pose.rotation.flat, pose.flat, (0.0,) * 6)[1]
 
 
 def spatial_angular_momentum(si: SpatialInertia, pose: Pose, nu: Twist) -> np.ndarray:
     """Angular momentum about the space origin: L = R pi + x x (R p)."""
-    r, x = pose.rotation.m, pose.position
-    return conserved6(assemble_inertia(si), si.mass, si.c, np.zeros(3), r, x, nu.as_array())[2]
+    return np.array(_conserved(si, (0.0, 0.0, 0.0), pose.rotation.flat, pose.flat, nu.flat)[2])

@@ -78,7 +78,7 @@ class FixedPointConstraint:
     baumgarte_beta: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "r_b", _readonly(_as_vec3(self.r_b, "r_b")))
+        object.__setattr__(self, "r_b", _as_vec3(self.r_b, "r_b"))
         if not (math.isfinite(self.baumgarte_alpha) and math.isfinite(self.baumgarte_beta)):
             raise ValueError("Baumgarte gains must be finite")
 
@@ -105,7 +105,11 @@ def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[tuple, tuple]":
 
 def constrained_accel6(nu_dot_free, a, b, m_inv_at, s_inv) -> "tuple[tuple, tuple]":
     """Float core of constrained_accel on tuples of rows; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
-    lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, matvec(a, nu_dot_free))])
+    av = matvec(a, nu_dot_free)
+    if len(av) == 3:  # the pinned point
+        lam = matvec(s_inv, (b[0] - av[0], b[1] - av[1], b[2] - av[2]))
+    else:
+        lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, av)])
     f1, f2, f3, f4, f5, f6 = nu_dot_free
     d1, d2, d3, d4, d5, d6 = matvec(m_inv_at, lam)
     return (f1 + d1, f2 + d2, f3 + d3, f4 + d4, f5 + d5, f6 + d6), lam

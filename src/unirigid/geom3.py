@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,14 +27,20 @@ TRACE_NEAR_PI = 1e-9
 GIMBAL_EPS = 1e-8
 
 
-def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"{name} must have shape (3,), got {a.shape}")
-    x, y, z = a.tolist()
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+def _frozen_vec(v, n: int, name: str) -> "tuple[np.ndarray, tuple]":
+    """A private read-only float copy of the n-vector v, and the float tuple it was checked finite on."""
+    a = np.array(v, dtype=float)
+    if a.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
+    flat = tuple(a.tolist())
+    if not all(map(math.isfinite, flat)):
         raise ValueError(f"{name} must be finite, got {a}")
-    return a
+    a.flags.writeable = False
+    return a, flat
+
+
+def _as_vec3(v, name: str = "vector") -> np.ndarray:
+    return _frozen_vec(v, 3, name)[0]
 
 
 def cross(a, b) -> tuple:
@@ -42,11 +48,6 @@ def cross(a, b) -> tuple:
     a1, a2, a3 = a
     b1, b2, b3 = b
     return (a2 * b3 - a3 * b2, a3 * b1 - a1 * b3, a1 * b2 - a2 * b1)
-
-
-def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cross product of two 3-vector arrays as an array; see cross."""
-    return np.array(cross(a.tolist(), b.tolist()))
 
 
 def mat3_vec(m, v) -> tuple:
@@ -75,13 +76,25 @@ def mat3_mul(m, n) -> tuple:
 
 
 def matvec(rows, v) -> tuple:
-    """rows @ v for a tuple of rows, each row summed left to right; written out for 3 and 6 columns."""
+    """rows @ v for a tuple of rows, each row summed left to right; written out for 3x3, 6x3, 3x6 and 6x6."""
     if len(v) == 3:
         v0, v1, v2 = v
+        if len(rows) == 3:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
+            return a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2
+        if len(rows) == 6:
+            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2), (f0, f1, f2) = rows
+            return (a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2,
+                    d0 * v0 + d1 * v1 + d2 * v2, e0 * v0 + e1 * v1 + e2 * v2, f0 * v0 + f1 * v1 + f2 * v2)
         return tuple([a * v0 + b * v1 + c * v2 for a, b, c in rows])
     if len(v) != 6:  # constrained_accel with 1, 2, 4 or 5 constraint rows
         return tuple([sum(map(operator.mul, row, v)) for row in rows])
     v0, v1, v2, v3, v4, v5 = v
+    if len(rows) == 3:
+        (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5) = rows
+        return (a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5,
+                b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5,
+                c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5)
     if len(rows) != 6:
         return tuple([a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5 for a, b, c, d, e, f in rows])
     (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5), \
@@ -107,8 +120,7 @@ def _readonly(a: np.ndarray) -> np.ndarray:
     return out
 
 
-_EYE3 = np.eye(3)
-_EYE3.flags.writeable = False
+_EYE9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
 def hat(w) -> np.ndarray:
@@ -149,16 +161,23 @@ def check_rotation(m) -> None:
 
 @dataclass(frozen=True)
 class Rotation:
-    """Proper rotation; orthogonality and det(m)=1 re-checked on construction."""
+    """Proper rotation; orthogonality and det(m)=1 re-checked on construction.
+
+    ``flat`` is the row-major float 9-tuple the check ran on.
+    """
 
     m: np.ndarray
+    flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)
         if m.shape != (3, 3):
             raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        check_rotation(m.ravel().tolist())
-        object.__setattr__(self, "m", _readonly(m))
+        flat = tuple(m.ravel().tolist())
+        check_rotation(flat)
+        m.flags.writeable = False
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "flat", flat)
 
     @staticmethod
     def identity() -> "Rotation":
@@ -173,13 +192,19 @@ class Rotation:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid placement: rotation plus position of the body-frame origin in space."""
+    """Rigid placement: rotation plus position of the body-frame origin in space.
+
+    ``flat`` is the position's float 3-tuple.
+    """
 
     rotation: Rotation
     position: np.ndarray
+    flat: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _readonly(_as_vec3(self.position, "position")))
+        position, flat = _frozen_vec(self.position, 3, "position")
+        object.__setattr__(self, "position", position)
+        object.__setattr__(self, "flat", flat)
 
     @staticmethod
     def identity() -> "Pose":
@@ -289,12 +314,12 @@ def rotation_to_euler(r: Rotation) -> EulerAngles:
     relative precision down to GIMBAL_EPS; acos(R22) cannot resolve theta below
     about 1.5e-8, where R22 rounds to 1.
     """
-    m = r.m
-    sin_theta = math.hypot(m[2, 0], m[2, 1])
+    _, _, r02, _, _, r12, r20, r21, r22 = r.flat
+    sin_theta = math.hypot(r20, r21)
     gimbal_guard(sin_theta)
-    phi = math.atan2(m[0, 2], -m[1, 2])
-    psi = math.atan2(m[2, 0], m[2, 1])
-    return EulerAngles(phi, math.atan2(sin_theta, m[2, 2]), psi)
+    phi = math.atan2(r02, -r12)
+    psi = math.atan2(r20, r21)
+    return EulerAngles(phi, math.atan2(sin_theta, r22), psi)
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:

@@ -311,15 +311,15 @@ def simulate(
     u0 = chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist)
     state = ChartState(scenario.initial_pose, u0)
 
-    m6 = assemble_inertia(scenario.inertia)
-    mass, com = scenario.inertia.mass, scenario.inertia.c
-    gravity = scenario.forces.gravity
+    m6 = as_rows(assemble_inertia(scenario.inertia))
+    mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
+    gravity = scenario.forces.gravity.tolist()
 
     def sample(t: float, s: ChartState) -> TrajectorySample:
         nu = body_twist(chart, s)
-        r, x = s.pose.rotation.m, s.pose.position
-        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu.as_array())
-        return TrajectorySample(t, s.pose, s.u.copy(), nu, kinetic + potential, l_spatial)
+        r, x = s.pose.rotation.flat, s.pose.flat
+        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu.flat)
+        return TrajectorySample(t, s.pose, s.u.copy(), nu, kinetic + potential, np.array(l_spatial))
 
     samples = []
     t_next = 0.0

@@ -13,10 +13,15 @@ import numpy as np
 from unirigid.charts import ChartId, chart_eval
 from unirigid.dynamics import ForceModel, SpatialInertia
 from unirigid.gauss import FixedPointConstraint
-from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation, exp_so3, cross3
+from unirigid.geom3 import EulerAngles, Pose, cross, euler_to_rotation, exp_so3
 from unirigid.integrate import Formulation, IntegratorId
 from unirigid.scenario import RunConfig, Scenario
 from unirigid.charts import Twist
+
+
+def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cross product of two 3-vector arrays as an array; see geom3.cross."""
+    return np.array(cross(a.tolist(), b.tolist()))
 
 
 def make_scenario(

@@ -6,8 +6,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from unirigid.cli import CSV_HEADER, main
+from unirigid.cli import CSV_HEADER, CSV_ROW, main
 
 GIMBAL_SCENARIO = {
     "name": "gimbal-crossing",
@@ -259,3 +261,13 @@ class TestValidateCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
+
+
+EXTREMES = (-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0, 1.7e308, -1.7e308)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(row=st.lists(st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EXTREMES),
+                    min_size=18, max_size=18))
+def test_csv_row_is_the_per_value_format(row):
+    assert CSV_ROW % tuple(row) == ",".join(format(float(v), ".17g") for v in row)

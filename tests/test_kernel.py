@@ -15,7 +15,10 @@ the suite is deterministic:
   step built from that generic solve and a numpy Rodrigues formula;
 * simulate() is bit for bit the same as repeated public step() calls;
 * geom3.matvec, written out per width, sums each row left to right, bit for
-  bit.
+  bit;
+* stage_state reads the floats the boxes kept, bit for bit the tuples the
+  numpy arrays give, and keeps the gimbal rule;
+* the float conserved6 equals a numpy evaluation of T, V and L.
 """
 
 import math
@@ -46,10 +49,12 @@ from unirigid.dynamics import (
     chart_rhs,
     chart_rhs_fn,
     kirchhoff_accel_fn,
+    conserved6,
     momentum_bias,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
-from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation, matvec
+from unirigid.errors import GimbalLockError
+from unirigid.geom3 import EulerAngles, Pose, Rotation, as_rows, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
@@ -286,3 +291,49 @@ def test_matvec_sums_rows_left_to_right(n_rows, n_cols):
         assert [a.hex() for a in got] == [a.hex() for a in want]
 
     check()
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("chart", list(ChartId))
+def test_stage_state_reads_the_numpy_state_bit_for_bit(chart):
+    @SETTINGS
+    @given(state=euler_states())
+    def check(state):
+        m = state.pose.rotation.m
+        if chart is ChartId.EULER_COM:
+            # rotation_to_euler's formulas on numpy entries.
+            g = (math.atan2(m[0, 2], -m[1, 2]), math.atan2(math.hypot(m[2, 0], m[2, 1]), m[2, 2]),
+                 math.atan2(m[2, 0], m[2, 1]))
+        else:
+            g = m.ravel().tolist()
+        got = stage_state(chart, state)
+        for a, b in zip(got, (g, state.pose.position.tolist(), state.u.tolist())):
+            assert hexes(a) == hexes(b)
+
+    check()
+    at_lock = ChartState(Pose.identity(), np.ones(6))
+    if chart is ChartId.EULER_COM:
+        with pytest.raises(GimbalLockError):
+            stage_state(chart, at_lock)
+    else:
+        assert stage_state(chart, at_lock)[0] == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+
+
+@SETTINGS
+@given(si=bodies(True), state=euler_states(), g=vec3)
+def test_conserved6_matches_numpy(si, state, g):
+    m6, r, x, nu = assemble_inertia(si), state.pose.rotation.m, state.pose.position, state.u
+    mom = m6 @ nu
+    xg, rp = x + r @ si.c, r @ mom[3:]
+    want = (0.5 * nu @ mom, -si.mass * (10.0 * g) @ xg, r @ mom[:3] + np.cross(x, rp))
+    # Scales: bounds on the magnitudes of the terms each quantity adds up.
+    norm = np.linalg.norm
+    scales = (0.5 * np.abs(nu) @ np.abs(m6) @ np.abs(nu), si.mass * norm(10.0 * g) * (norm(x) + norm(si.c)),
+              norm(mom[:3]) + norm(x) * norm(rp))
+    got = conserved6(as_rows(m6), si.mass, si.c.tolist(), (10.0 * g).tolist(), state.pose.rotation.flat,
+                     state.pose.flat, state.flat)
+    for a, b, scale in zip(got, want, scales):
+        assert np.max(np.abs(np.subtract(a, b))) <= 1e-13 * max(scale, 1e-300)
