@@ -48,8 +48,8 @@ from unirigid.dynamics import (
     body_wrench_fn,
     chart_rhs,
     chart_rhs_fn,
-    kirchhoff_accel_fn,
     conserved6,
+    kirchhoff_accel_fn,
     momentum_bias,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
