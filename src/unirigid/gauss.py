@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import Twist
-from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs6, spd_factor
+from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs, spd_factor
 from .errors import RankDeficientConstraintError
 from .geom3 import _as_vec3, _readonly, as_rows, cross, hat, matvec
 
@@ -129,12 +129,11 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    m6 = assemble_inertia(si)
-    m6_inv = spd_factor(m6, "generalized inertia")
-    free = kirchhoff_rhs6(nu.as_array().tolist(), wrench.as_array().tolist(), as_rows(m6), as_rows(m6_inv))
+    free = kirchhoff_rhs(si, nu, wrench)
     if con.k == 0:
-        return np.array(free), np.zeros(0)
-    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
+        return free, np.zeros(0)
+    m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
+    nu_dot, lam = constrained_accel6(free.tolist(), as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
     return np.array(nu_dot), np.array(lam)
 
 

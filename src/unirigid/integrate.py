@@ -39,14 +39,13 @@ from .charts import (
 )
 from .dynamics import (
     assemble_inertia,
-    body_wrench_fn,
     chart_rhs_fn,
     conserved6,
     kirchhoff_accel_fn,
-    newton_euler_rhs6,
+    newton_euler_accel_fn,
     require_com_frame,
-    spd_factor,
 )
+from .dynamics import spd_factor  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import (
     constrained_accel6,
@@ -124,7 +123,7 @@ class TrajectorySample:
 
     ``energy`` is kinetic plus gravitational potential so that drift is
     meaningful for conservative scenarios; ``l_spatial`` is the angular
-    momentum about the space origin.
+    momentum about the space origin.  ``u`` is the state's read-only array.
     """
 
     t: float
@@ -200,8 +199,8 @@ def step(
     ``rhs(t, (g, x, u))`` is the chart acceleration on the raw stage state of
     ``charts.stage_state``, as returned by make_rhs.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be positive, got {dt!r}")
+    if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t)):
+        raise ValueError(f"dt must be positive and finite and t finite, got dt={dt!r}, t={t!r}")
     if not isinstance(integrator, IntegratorId):
         raise ValueError(f"unknown integrator {integrator!r}")
     if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
@@ -221,20 +220,11 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     the pin anchor for drift stabilization; the other routes are
     unconstrained.
     """
-    si = scenario.inertia
-    wrench = body_wrench_fn(scenario.forces, si)
     chart = FORMULATION_CHART[formulation]
-
     if formulation is Formulation.NEWTON_EULER:
-        j, mass = as_rows(si.j), si.mass
-        j_inv = as_rows(spd_factor(si.j, "inertia tensor"))
+        return chart, chart_rhs_fn(chart, newton_euler_accel_fn(scenario.inertia, scenario.forces))
 
-        def accel(t, r, x, nu6):
-            return newton_euler_rhs6(nu6, wrench(t, r, x, nu6), j, j_inv, mass)
-
-        return chart, chart_rhs_fn(chart, accel)
-
-    accel, m6_inv = kirchhoff_accel_fn(si, wrench)
+    accel, m6_inv = kirchhoff_accel_fn(scenario.inertia, scenario.forces)
     pin = scenario.constraint
     if formulation is Formulation.GAUSS and pin is not None:
         a_rows = fixed_point_rows(pin)
@@ -320,7 +310,7 @@ def simulate(
         nu = body_twist(chart, s)
         r, x = s.pose.rotation.flat, s.pose.flat
         kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu.flat)
-        return TrajectorySample(t, s.pose, s.u.copy(), nu, kinetic + potential, np.array(l_spatial))
+        return TrajectorySample(t, s.pose, s.u, nu, kinetic + potential, np.array(l_spatial))
 
     samples = []
     t_next = 0.0

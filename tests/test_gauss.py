@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import momentum_bias
+
 from unirigid.charts import Twist
 from unirigid.dynamics import (
     SpatialInertia,
     Wrench,
     assemble_inertia,
     kirchhoff_rhs,
-    momentum_bias,
 )
 from unirigid.errors import RankDeficientConstraintError
 from unirigid.gauss import (
@@ -258,7 +259,7 @@ class TestHeavyTopTrajectories:
         assert gap <= 1e-5
 
     def test_reaction_wrench_closes_balance_along_trajectory(self):
-        from unirigid.dynamics import assemble_inertia, body_wrench, momentum_bias
+        from unirigid.dynamics import assemble_inertia, body_wrench
         from unirigid.integrate import Formulation, IntegratorId, simulate
 
         sc = self._pinned_scenario()

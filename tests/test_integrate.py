@@ -16,12 +16,12 @@ import pytest
 from helpers import make_scenario, orientation_taking
 
 from unirigid.charts import ChartId, ChartState, Twist, chart_from_body_twist
-from unirigid.dynamics import ForceModel, SpatialInertia, body_wrench_fn, chart_rhs_fn, kirchhoff_accel_fn
+from unirigid.dynamics import ForceModel, SpatialInertia, chart_rhs_fn, kirchhoff_accel_fn
 from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation, geodesic_distance
-from unirigid.integrate import Formulation, IntegratorId, simulate, step
-from unirigid.scenario import parse_scenario
+from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
+from unirigid.scenario import load_scenario, parse_scenario
 
 RNG = np.random.default_rng(57721566)
 
@@ -82,6 +82,24 @@ class TestStepBasics:
         state = ChartState(Pose.identity(), np.zeros(6))
         with pytest.raises(ValueError):
             step(IntegratorId.RK4, ChartId.BODY_TWIST, lambda t, s: np.zeros(6), state, 0.0, 0.0)
+
+    @pytest.mark.parametrize("t, dt", [(0.0, math.inf), (0.0, math.nan), (0.0, -1e-3), (math.nan, 1e-3),
+                                       (math.inf, 1e-3), (-math.inf, 1e-3)])
+    def test_rejects_bad_time_inputs(self, t, dt):
+        sc = load_scenario("euler-top")
+        chart, rhs = make_rhs(Formulation.KIRCHHOFF, sc)
+        state = ChartState(sc.initial_pose, sc.initial_twist.as_array())
+        with pytest.raises(ValueError, match="dt must be positive and finite and t finite") as err:
+            step(IntegratorId.LIE_RK4, chart, rhs, state, t, dt)
+        assert "\n" not in str(err.value)
+
+    def test_huge_finite_dt_overflows_the_state(self):
+        # dt = 1e300 passes the input rule; the stage increments overflow instead.
+        sc = load_scenario("euler-top")
+        chart, rhs = make_rhs(Formulation.KIRCHHOFF, sc)
+        state = ChartState(sc.initial_pose, sc.initial_twist.as_array())
+        with pytest.raises(NonFiniteStateError, match="not finite"):
+            step(IntegratorId.LIE_RK4, chart, rhs, state, 0.0, 1e300)
 
     @pytest.mark.parametrize("chart", [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST])
     def test_rejects_rk4_on_twist_chart(self, chart):
@@ -229,7 +247,7 @@ class TestFormulationEquivalence:
         # No formulation runs the spatial chart, so step() drives it directly:
         # an offset-CoM body, translating under gravity, from the same body twist.
         si = SpatialInertia(1.3, ORDER_J, np.array([0.05, -0.1, 0.2]))
-        accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(ForceModel(gravity=np.array([0.0, 0.0, -9.81])), si))
+        accel, _ = kirchhoff_accel_fn(si, ForceModel(gravity=np.array([0.0, 0.0, -9.81])))
         pose0 = Pose(orientation_taking(ORDER_J @ ORDER_OMEGA, [0.0, 0.0, 1.0]), np.array([0.1, -0.2, 0.3]))
         nu0 = Twist(np.array([0.8, -0.5, 1.2]), np.array([0.4, -0.2, 0.3]))
 
@@ -267,6 +285,12 @@ class TestSimulateContract:
             assert np.array_equal(s.pose.position, samples[0].pose.position)
             assert np.array_equal(s.pose.rotation.m, samples[0].pose.rotation.m)
             assert np.array_equal(s.u, samples[0].u)
+
+    def test_sample_u_is_read_only(self):
+        sc = make_scenario("read-only", 1.0, np.eye(3), [0.1, 0.2, 0.3])
+        for s in simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.002):
+            with pytest.raises(ValueError, match="read-only"):
+                s.u[0] = 1.0
 
     def test_sampling_includes_final_step(self):
         sc = make_scenario("sampling", 1.0, np.eye(3), [0.1, 0.0, 0.0])

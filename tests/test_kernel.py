@@ -18,7 +18,11 @@ the suite is deterministic:
   bit;
 * stage_state reads the floats the boxes kept, bit for bit the tuples the
   numpy arrays give, and keeps the gimbal rule;
-* the float conserved6 equals a numpy evaluation of T, V and L.
+* the float conserved6 equals a numpy evaluation of T, V and L;
+* each route's flat right-hand side (kirchhoff_accel_fn,
+  newton_euler_accel_fn, and chart_rhs_fn's Euler transport) equals the
+  layered reference composition of tests/helpers.py bit for bit, compared by
+  float.hex, and fails with the same error where the reference fails.
 """
 
 import math
@@ -28,7 +32,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_scenario
+from helpers import (
+    layered_chart_rhs_fn,
+    layered_kirchhoff_accel,
+    layered_newton_euler_accel,
+    make_scenario,
+    momentum_bias,
+)
 
 from unirigid.charts import (
     ChartId,
@@ -45,16 +55,15 @@ from unirigid.dynamics import (
     Wrench,
     assemble_inertia,
     body_wrench,
-    body_wrench_fn,
     chart_rhs,
     chart_rhs_fn,
     conserved6,
     kirchhoff_accel_fn,
-    momentum_bias,
+    newton_euler_accel_fn,
 )
 from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
-from unirigid.errors import GimbalLockError
-from unirigid.geom3 import EulerAngles, Pose, Rotation, as_rows, euler_to_rotation, matvec
+from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
+from unirigid.geom3 import GIMBAL_EPS, EulerAngles, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
@@ -195,7 +204,7 @@ def test_step_matches_numpy_reference(integrator, chart):
     )
     def check(si, state, g, torque, force, dt):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
-        accel, _ = kirchhoff_accel_fn(si, body_wrench_fn(forces, si))
+        accel, _ = kirchhoff_accel_fn(si, forces)
         got = step(integrator, chart, chart_rhs_fn(chart, accel), state, 0.0, dt)
         r1, x1, u1 = reference_step(integrator, chart, si, forces, state, dt)
         for a, b in ((got.pose.rotation.m, r1), (got.pose.position, x1), (got.u, u1)):
@@ -337,3 +346,86 @@ def test_conserved6_matches_numpy(si, state, g):
                      state.pose.flat, state.flat)
     for a, b, scale in zip(got, want, scales):
         assert np.max(np.abs(np.subtract(a, b))) <= 1e-13 * max(scale, 1e-300)
+
+
+def drag(t, pose, nu):
+    """A force callback that reads every part of the state it is given."""
+    return Wrench(-0.3 * nu.omega + 0.1 * pose.position, pose.rotation.m.T @ [0.0, 0.0, 0.2 * t] - 0.5 * nu.vel)
+
+
+@st.composite
+def force_models(draw):
+    zero_or = st.one_of(vec3, st.just(np.zeros(3)), st.just(-np.zeros(3)))
+    return ForceModel(gravity=10.0 * draw(zero_or), constant_wrench=Wrench(draw(zero_or), draw(zero_or)),
+                      callback=draw(st.sampled_from([None, drag])))
+
+
+@st.composite
+def raw_stage_states(draw, chart):
+    """A float (g, x, u); on the Euler chart theta is drawn near and past both gimbal singularities too."""
+    phi, psi = draw(st.floats(-math.pi, math.pi)), draw(st.floats(-math.pi, math.pi))
+    if chart is ChartId.EULER_COM:
+        theta = draw(st.one_of(st.floats(0.5, math.pi - 0.5), st.floats(-GIMBAL_EPS, 4.0 * GIMBAL_EPS),
+                               st.floats(math.pi - 4.0 * GIMBAL_EPS, math.pi + GIMBAL_EPS)))
+        g = (phi, theta, psi)
+    else:
+        g = euler_matrix(phi, draw(st.floats(0.0, math.pi)), psi)
+    # Signed zeros and infinities in u tell the zero entries' products apart from their omission.
+    u = draw(st.tuples(*[st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))] * 6))
+    return g, tuple(draw(vec3).tolist()), u
+
+
+def outcome(rhs, t, s):
+    """The hex of each u_dot entry, or the type and text of the error rhs raises."""
+    try:
+        return hexes(rhs(t, s))
+    except UniRigidError as err:
+        return type(err).__name__, str(err)
+
+
+FLAT_ROUTES = {
+    "kirchhoff": (lambda si, forces: kirchhoff_accel_fn(si, forces)[0], layered_kirchhoff_accel, True),
+    "newton-euler": (newton_euler_accel_fn, layered_newton_euler_accel, False),
+}
+
+
+@pytest.mark.parametrize("route", sorted(FLAT_ROUTES))
+@pytest.mark.parametrize("chart", list(ChartId))
+def test_flat_rhs_matches_layered_reference_bit_for_bit(chart, route):
+    flat_accel, layered_accel, with_offset = FLAT_ROUTES[route]
+
+    @SETTINGS
+    @given(si=bodies(with_offset), forces=force_models(), s=raw_stage_states(chart), t=st.floats(0.0, 10.0))
+    def check(si, forces, s, t):
+        want = outcome(layered_chart_rhs_fn(chart, layered_accel(si, forces)), t, s)
+        assert outcome(chart_rhs_fn(chart, flat_accel(si, forces)), t, s) == want
+
+    check()
+
+
+@pytest.mark.parametrize("route", sorted(FLAT_ROUTES))
+@pytest.mark.parametrize("chart", list(ChartId))
+def test_flat_rhs_fails_as_the_layered_reference(chart, route):
+    flat_accel, layered_accel, with_offset = FLAT_ROUTES[route]
+    si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]) if with_offset else np.zeros(3))
+    forces = ForceModel(callback=drag)
+    flat, layered = chart_rhs_fn(chart, flat_accel(si, forces)), layered_chart_rhs_fn(chart, layered_accel(si, forces))
+    g = (0.3, 1.0, -0.4) if chart is ChartId.EULER_COM else euler_matrix(0.3, 1.0, -0.4)
+    u = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
+    cases = [
+        ((g, (0.0, math.inf, 0.0), u), NonFiniteStateError, "force callback"),
+        ((g, (0.1, 0.2, 0.3), (0.1, math.nan, 0.3, 0.4, 0.5, 0.6)), NonFiniteStateError, "force callback"),
+    ]
+    if chart is ChartId.EULER_COM:
+        cases += [
+            (((0.3, math.nan, -0.4), (0.1, 0.2, 0.3), u), NonFiniteStateError, "Euler angles"),
+            (((math.inf, 1.0, -0.4), (0.1, 0.2, 0.3), u), NonFiniteStateError, "Euler angles"),
+            (((0.3, 0.5 * GIMBAL_EPS, -0.4), (0.1, 0.2, 0.3), u), GimbalLockError, "sin"),
+            (((0.3, -0.2, -0.4), (0.1, 0.2, 0.3), u), GimbalLockError, "sin"),
+        ]
+    for s, error, text in cases:
+        with pytest.raises(error, match=text) as flat_err:
+            flat(0.5, s)
+        with pytest.raises(error) as layered_err:
+            layered(0.5, s)
+        assert str(flat_err.value) == str(layered_err.value)
