@@ -370,7 +370,7 @@ def raw_stage_states(draw, chart):
         g = (phi, theta, psi)
     else:
         g = euler_matrix(phi, draw(st.floats(0.0, math.pi)), psi)
-    # Signed zeros and infinities in u tell the zero entries' products apart from their omission.
+    # Signed zeros and infinities in u reach the signs of zero products and the non-finite paths.
     u = draw(st.tuples(*[st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, math.inf, -math.inf]))] * 6))
     return g, tuple(draw(vec3).tolist()), u
 
