@@ -20,8 +20,9 @@ serve as the reference for the Hamel coefficients and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,8 @@ from .geom3 import (
     EulerAngles,
     Pose,
     Rotation,
-    _frozen_vec,
+    _float_tuple,
+    _readonly,
     adjoint,
     check_rotation,
     cross,
@@ -59,23 +61,29 @@ class ChartId(Enum):
     EULER_COM = "euler-com"
 
 
+# Bound once: in Python 3.11 each ChartId.<member> lookup costs several times a global name's.
+_EULER_COM = ChartId.EULER_COM
+
+
 @dataclass(frozen=True)
 class Twist:
-    """Body twist: angular + linear velocity in body axes; ``flat`` is the float 6-tuple (omega, vel)."""
+    """Body twist (omega, vel) in body axes, kept as the float 6-tuple ``flat``; arrays are built on first read."""
 
-    omega: np.ndarray
-    vel: np.ndarray
-    flat: tuple = field(init=False, repr=False, compare=False)
+    flat: tuple
 
-    def __post_init__(self):
-        omega, w = _frozen_vec(self.omega, 3, "omega")
-        vel, v = _frozen_vec(self.vel, 3, "vel")
-        object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "vel", vel)
-        object.__setattr__(self, "flat", w + v)
+    def __init__(self, omega, vel):
+        object.__setattr__(self, "flat", _float_tuple(omega, 3, "omega") + _float_tuple(vel, 3, "vel"))
+
+    @cached_property
+    def omega(self) -> np.ndarray:
+        return _readonly(self.flat[:3])
+
+    @cached_property
+    def vel(self) -> np.ndarray:
+        return _readonly(self.flat[3:])
 
     def as_array(self) -> np.ndarray:
-        return np.concatenate([self.omega, self.vel])
+        return np.array(self.flat)
 
 
 @dataclass(frozen=True)
@@ -88,16 +96,17 @@ class ChartEval:
 
 @dataclass(frozen=True)
 class ChartState:
-    """Dynamic state advanced in time: a pose plus chart velocities; ``flat`` is u's float 6-tuple."""
+    """Dynamic state advanced in time: a pose plus chart velocities u, kept as the float 6-tuple ``flat``."""
 
     pose: Pose
-    u: np.ndarray
-    flat: tuple = field(init=False, repr=False, compare=False)
+    flat: tuple
 
     def __post_init__(self):
-        u, flat = _frozen_vec(self.u, 6, "chart velocity")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "flat", _float_tuple(self.flat, 6, "chart velocity"))
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        return _readonly(self.flat)
 
 
 def stage_state(chart: ChartId, state: ChartState) -> tuple:
@@ -114,7 +123,7 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
 
 def _configuration(chart: ChartId, pose: Pose) -> tuple:
     """The ``g`` of stage_state; on the Euler chart rotation_to_euler applies the gimbal rule."""
-    if chart is ChartId.EULER_COM:
+    if chart is _EULER_COM:
         e = rotation_to_euler(pose.rotation)
         return e.phi, e.theta, e.psi
     return pose.rotation.flat
@@ -241,62 +250,75 @@ def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     return np.array(CHART_MAPS[chart][1](g, r, x, nu.flat[:3], nu.flat[3:]))
 
 
-def chart_rates(chart: ChartId, g, x, u, sigma) -> tuple:
-    """Configuration velocity (sigma_dot, x_dot) of a float stage state in increment coordinates.
-
-    ``sigma`` is the stage's rotation increment from the step's base.  On the
-    twist charts sigma_dot is the inverse exponential differential of omega
-    truncated after its double-commutator Bernoulli term,
-
-        dexpinv(sigma, w) = w +/- sigma x w / 2 + sigma x (sigma x w) / 12
-
-    (plus on the body chart, minus on the spatial chart), which is what
-    fourth-order Lie-RK4 requires; on the Euler chart it is the angle rates.
-    """
-    if chart is ChartId.EULER_COM:
-        return u[:3], u[3:]
-    w1, w2, w3, v1, v2, v3 = u
+def _dexpinv(half: float, u, sigma) -> tuple:
+    """omega + half sigma x omega + sigma x (sigma x omega) / 12 for u = (omega, v); half is +-1/2."""
+    w1, w2, w3 = u[0], u[1], u[2]
     s1, s2, s3 = sigma
     # c = sigma x omega and d = sigma x c, written out.
     c1, c2, c3 = s2 * w3 - s3 * w2, s3 * w1 - s1 * w3, s1 * w2 - s2 * w1
     d1, d2, d3 = s2 * c3 - s3 * c2, s3 * c1 - s1 * c3, s1 * c2 - s2 * c1
-    half = 0.5 if chart is ChartId.BODY_TWIST else -0.5
-    sigma_dot = (w1 + half * c1 + (1.0 / 12.0) * d1, w2 + half * c2 + (1.0 / 12.0) * d2,
-                 w3 + half * c3 + (1.0 / 12.0) * d3)
-    if chart is ChartId.BODY_TWIST:
-        return sigma_dot, mat3_vec(g, (v1, v2, v3))
+    return (w1 + half * c1 + (1.0 / 12.0) * d1, w2 + half * c2 + (1.0 / 12.0) * d2,
+            w3 + half * c3 + (1.0 / 12.0) * d3)
+
+
+def _body_rates(g, x, u, sigma):
+    return _dexpinv(0.5, u, sigma), mat3_vec(g, u[3:])
+
+
+def _spatial_rates(g, x, u, sigma):
+    w1, w2, w3, v1, v2, v3 = u
     x1, x2, x3 = x
-    return sigma_dot, (v1 + (w2 * x3 - w3 * x2), v2 + (w3 * x1 - w1 * x3), v3 + (w1 * x2 - w2 * x1))
+    return _dexpinv(-0.5, u, sigma), (v1 + (w2 * x3 - w3 * x2), v2 + (w3 * x1 - w1 * x3), v3 + (w1 * x2 - w2 * x1))
 
 
-def chart_retract(chart: ChartId, g0, x0, d_sigma, d_x) -> tuple:
-    """Float configuration reached from (g0, x0) by the increment (d_sigma, d_x).
+def _angle_rates(g, x, u, sigma):
+    return u[:3], u[3:]
 
-    Twist charts multiply by exp(d_sigma), on the right (body) or left
-    (spatial), and check the product; the Euler chart adds to its angles.
-    """
-    x1 = (x0[0] + d_x[0], x0[1] + d_x[1], x0[2] + d_x[2])
-    if chart is ChartId.EULER_COM:
-        return (g0[0] + d_sigma[0], g0[1] + d_sigma[1], g0[2] + d_sigma[2]), x1
-    e = exp_so3_matrix(d_sigma)
-    r = mat3_mul(g0, e) if chart is ChartId.BODY_TWIST else mat3_mul(e, g0)
+
+def _body_retract(g0, d_sigma):
+    r = mat3_mul(g0, exp_so3_matrix(d_sigma))
     check_rotation(r)
-    return r, x1
+    return r
+
+
+def _spatial_retract(g0, d_sigma):
+    r = mat3_mul(exp_so3_matrix(d_sigma), g0)
+    check_rotation(r)
+    return r
+
+
+def _angle_retract(g0, d_sigma):
+    return g0[0] + d_sigma[0], g0[1] + d_sigma[1], g0[2] + d_sigma[2]
+
+
+# The kernel's stage maps per chart, looked up once per step.  rates(g, x, u, sigma)
+# -> (sigma_dot, x_dot) is the configuration velocity in increment coordinates, sigma
+# being the stage's rotation increment from the step's base: on the twist charts
+# sigma_dot is dexpinv(sigma, omega) truncated after its double-commutator Bernoulli
+# term, which fourth-order Lie-RK4 requires; on the Euler chart, the angle rates.
+# retract(g0, d_sigma) -> g applies an increment: twist charts multiply by exp(d_sigma),
+# on the right (body) or left (spatial), and check the product; the Euler chart adds angles.
+CHART_STAGES = {
+    ChartId.BODY_TWIST: (_body_rates, _body_retract),
+    ChartId.SPATIAL_TWIST: (_spatial_rates, _spatial_retract),
+    ChartId.EULER_COM: (_angle_rates, _angle_retract),
+}
 
 
 def stage_pose(chart: ChartId, g, x) -> Pose:
     """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
-    if chart is ChartId.EULER_COM:
+    if chart is _EULER_COM:
         return Pose(euler_to_rotation(EulerAngles(*g)), x)
-    return Pose(Rotation(np.array(g).reshape(3, 3)), x)
+    return Pose(Rotation(g), x)
 
 
 def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:
     """Pose reached by holding the chart velocities fixed for dt (one Lie-Euler step)."""
+    rates, retract = CHART_STAGES[chart]
     g, x, u = stage_state(chart, state)
-    sigma_dot, x_dot = chart_rates(chart, g, x, u, _ZERO3)
-    d_sigma, d_x = (tuple([dt * a for a in k]) for k in (sigma_dot, x_dot))
-    return stage_pose(chart, *chart_retract(chart, g, x, d_sigma, d_x))
+    sigma_dot, x_dot = rates(g, x, u, _ZERO3)
+    x1 = tuple([a + dt * b for a, b in zip(x, x_dot)])
+    return stage_pose(chart, retract(g, tuple([dt * a for a in sigma_dot])), x1)
 
 
 def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:

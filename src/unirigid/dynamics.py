@@ -204,7 +204,7 @@ def _callback_wrench(callback, t, r, x, nu6) -> list:
     """The force callback's wrench at a float state, checked finite first; Pose and Twist are built only here."""
     if not all(map(math.isfinite, (*nu6, *x))):
         raise NonFiniteStateError("state passed to the force callback is not finite")
-    return callback(t, Pose(Rotation(np.array(r).reshape(3, 3)), x), Twist(nu6[:3], nu6[3:])).as_array().tolist()
+    return callback(t, Pose(Rotation(r), x), Twist(nu6[:3], nu6[3:])).as_array().tolist()
 
 
 def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> "tuple[Callable, np.ndarray]":
@@ -324,8 +324,7 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
 
 def body_wrench(forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu: Twist) -> Wrench:
     """Total applied wrench in body axes about the body origin; see body_wrench_fn."""
-    r, x = pose.rotation.m.ravel().tolist(), pose.position.tolist()
-    w6 = body_wrench_fn(forces, si)(t, r, x, nu.as_array().tolist())
+    w6 = body_wrench_fn(forces, si)(t, pose.rotation.flat, pose.flat, nu.flat)
     return Wrench(w6[:3], w6[3:])
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,21 +27,33 @@ TRACE_NEAR_PI = 1e-9
 # One gimbal threshold for every Euler-angle operation: valid iff sin(theta) >= GIMBAL_EPS.
 GIMBAL_EPS = 1e-8
 
+_EYE9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
-def _frozen_vec(v, n: int, name: str) -> "tuple[np.ndarray, tuple]":
-    """A private read-only float copy of the n-vector v, and the float tuple it was checked finite on."""
-    a = np.array(v, dtype=float)
-    if a.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
-    flat = tuple(a.tolist())
+
+def _float_tuple(v, n: int, name: str) -> tuple:
+    """The n-vector v as a float tuple, checked finite; a tuple goes through float() alone, anything else numpy."""
+    if type(v) is tuple and len(v) == n:
+        # Not tuple(map(...)): that tuple bypasses CPython's tuple free list, which the freed ones then fill.
+        flat = (*map(float, v),)
+    else:
+        a = np.asarray(v, dtype=float)
+        if a.shape != (n,):
+            raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
+        flat = tuple(a.tolist())
     if not all(map(math.isfinite, flat)):
-        raise ValueError(f"{name} must be finite, got {a}")
-    a.flags.writeable = False
-    return a, flat
+        raise ValueError(f"{name} must be finite, got {flat}")
+    return flat
+
+
+def _readonly(a) -> np.ndarray:
+    """A read-only float array that owns its data; a may be a float tuple or a tuple of rows."""
+    out = np.array(a, dtype=float)
+    out.setflags(write=False)
+    return out
 
 
 def _as_vec3(v, name: str = "vector") -> np.ndarray:
-    return _frozen_vec(v, 3, name)[0]
+    return _readonly(_float_tuple(v, 3, name))
 
 
 def cross(a, b) -> tuple:
@@ -114,15 +127,6 @@ def as_rows(a) -> tuple:
     return tuple(map(tuple, np.asarray(a, dtype=float).tolist()))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
-    out.setflags(write=False)
-    return out
-
-
-_EYE9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
-
-
 def hat(w) -> np.ndarray:
     """Skew matrix S with S @ u == cross(w, u)."""
     x, y, z = _as_vec3(w, "w")
@@ -161,27 +165,35 @@ def check_rotation(m) -> None:
 
 @dataclass(frozen=True)
 class Rotation:
-    """Proper rotation; orthogonality and det(m)=1 re-checked on construction.
+    """Proper rotation, from a 3x3 array-like or its row-major 9-tuple; re-checked on construction.
 
-    ``flat`` is the row-major float 9-tuple the check ran on.
+    ``flat`` is the float 9-tuple the check ran on.  Every box (Rotation, Pose,
+    charts.Twist, charts.ChartState) stores its validated float tuple ``flat``,
+    compares and hashes on it, and builds its read-only arrays from it on first read.
     """
 
-    m: np.ndarray
-    flat: tuple = field(init=False, repr=False, compare=False)
+    flat: tuple
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)
-        if m.shape != (3, 3):
-            raise ValueError(f"rotation matrix must be 3x3, got {m.shape}")
-        flat = tuple(m.ravel().tolist())
+        m = self.flat
+        if type(m) is tuple and len(m) == 9:
+            flat = (*map(float, m),)
+        else:
+            a = np.asarray(m, dtype=float)
+            if a.shape != (3, 3):
+                raise ValueError(f"rotation matrix must be 3x3, got {a.shape}")
+            flat = tuple(a.ravel().tolist())
         check_rotation(flat)
-        m.flags.writeable = False
-        object.__setattr__(self, "m", m)
         object.__setattr__(self, "flat", flat)
+
+    @cached_property
+    def m(self) -> np.ndarray:
+        f = self.flat
+        return _readonly((f[:3], f[3:6], f[6:]))
 
     @staticmethod
     def identity() -> "Rotation":
-        return Rotation(np.eye(3))
+        return Rotation(_EYE9)
 
     def apply(self, v) -> np.ndarray:
         return self.m @ _as_vec3(v)
@@ -192,23 +204,21 @@ class Rotation:
 
 @dataclass(frozen=True)
 class Pose:
-    """Rigid placement: rotation plus position of the body-frame origin in space.
-
-    ``flat`` is the position's float 3-tuple.
-    """
+    """Rigid placement: rotation plus position of the body-frame origin in space, kept as the 3-tuple ``flat``."""
 
     rotation: Rotation
-    position: np.ndarray
-    flat: tuple = field(init=False, repr=False, compare=False)
+    flat: tuple
 
     def __post_init__(self):
-        position, flat = _frozen_vec(self.position, 3, "position")
-        object.__setattr__(self, "position", position)
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "flat", _float_tuple(self.flat, 3, "position"))
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        return _readonly(self.flat)
 
     @staticmethod
     def identity() -> "Pose":
-        return Pose(Rotation.identity(), np.zeros(3))
+        return Pose(Rotation.identity(), (0.0, 0.0, 0.0))
 
 
 @dataclass(frozen=True)
@@ -248,7 +258,7 @@ def exp_so3_matrix(w) -> tuple:
 
 def exp_so3(w) -> Rotation:
     """Rotation exp(hat(w)); see exp_so3_matrix."""
-    return Rotation(np.array(exp_so3_matrix(_as_vec3(w, "w").tolist())).reshape(3, 3))
+    return Rotation(exp_so3_matrix(_float_tuple(w, 3, "w")))
 
 
 def log_so3(r: Rotation) -> np.ndarray:
@@ -298,7 +308,7 @@ def euler_matrix(phi: float, theta: float, psi: float) -> tuple:
 
 def euler_to_rotation(e: EulerAngles) -> Rotation:
     """R = Rz(phi) Rx(theta) Rz(psi)."""
-    return Rotation(np.array(euler_matrix(e.phi, e.theta, e.psi)).reshape(3, 3))
+    return Rotation(euler_matrix(e.phi, e.theta, e.psi))
 
 
 def gimbal_guard(sin_theta: float) -> None:

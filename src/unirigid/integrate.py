@@ -2,14 +2,15 @@
 
 One kernel, ``_rk_step``, advances every integrator on every chart over the
 float ``(g, x, u)`` tuples of ``charts.stage_state``: a row-major rotation on
-the twist charts, Z-X-Z angles on the Euler chart.  Stage configurations are
-reached from the step's base by increments (``charts.chart_retract``); on the
-twist charts that is an exponential, so orthogonality holds by construction,
-is checked on every rotation formed and is never repaired.  ``step`` is the
-validated boundary, the one place numpy meets the kernel: ChartState in, out.
+the twist charts, Z-X-Z angles on the Euler chart, through the chart's stage
+maps in ``charts.CHART_STAGES``.  Stage configurations are reached from the
+step's base by increments (``retract``); on the twist charts that is an
+exponential, so orthogonality holds by construction, is checked on every
+rotation formed and is never repaired.  ``step`` is the validated boundary,
+ChartState in and out; the boxes keep floats, so no array is built there.
 
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
-in the rotation algebra (``charts.chart_rates``) and the pose is updated by a
+in the rotation algebra (``rates``) and the pose is updated by a
 single exponential of the assembled increment.  On the Euler chart it is
 classical RK4 in the coordinates, and ``RK4`` is that method: it steps the
 Euler chart only.  ``LIE_EULER`` is the one-stage member of the family.
@@ -26,14 +27,14 @@ from typing import Callable, List
 import numpy as np
 
 from .charts import (
+    _EULER_COM,
     _ZERO3,
+    CHART_STAGES,
     ChartId,
     ChartState,
     Twist,
     body_twist,
     chart_from_body_twist,
-    chart_rates,
-    chart_retract,
     stage_pose,
     stage_state,
 )
@@ -69,6 +70,9 @@ class IntegratorId(Enum):
     RK4 = "rk4"
     LIE_EULER = "lie-euler"
     LIE_RK4 = "lie-rk4"
+
+
+_RK4, _LIE_EULER = IntegratorId.RK4, IntegratorId.LIE_EULER
 
 
 class Formulation(Enum):
@@ -134,21 +138,21 @@ class TrajectorySample:
     l_spatial: np.ndarray
 
 
-def _slopes(chart: ChartId, rhs: RhsFn, t: float, g, x, u, sigma) -> tuple:
+def _slopes(rates, rhs: RhsFn, t: float, g, x, u, sigma) -> tuple:
     """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment."""
     u_dot = rhs(t, (g, x, u))
     # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
     if not all(map(math.isfinite, u_dot)):
         raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
-    return (*chart_rates(chart, g, x, u, sigma), u_dot)
+    return (*rates(g, x, u, sigma), u_dot)
 
 
-def _advance(chart: ChartId, g0, x0, u0, h: float, s, y, k) -> tuple:
+def _advance(retract, g0, x0, u0, h: float, s, y, k) -> tuple:
     """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h."""
     sigma = (h * s[0], h * s[1], h * s[2])
-    g, x = chart_retract(chart, g0, x0, sigma, (h * y[0], h * y[1], h * y[2]))
     u1, u2, u3, u4, u5, u6 = u0
-    return g, x, (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma
+    return (retract(g0, sigma), (x0[0] + h * y[0], x0[1] + h * y[1], x0[2] + h * y[2]),
+            (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma)
 
 
 def _rk4_sum(a, b, c, d) -> tuple:
@@ -164,25 +168,26 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
 
     Every stage starts from the base; RK4 then advances it by (dt / 6) (k1 + 2 k2 + 2 k3 + k4).
     """
-    s1, y1, k1 = _slopes(chart, rhs, t, g0, x0, u0, _ZERO3)
-    if integrator is IntegratorId.LIE_EULER:
-        return _advance(chart, g0, x0, u0, dt, s1, y1, k1)[:3]
+    rates, retract = CHART_STAGES[chart]
+    s1, y1, k1 = _slopes(rates, rhs, t, g0, x0, u0, _ZERO3)
+    if integrator is _LIE_EULER:
+        return _advance(retract, g0, x0, u0, dt, s1, y1, k1)[:3]
     h = 0.5 * dt
     try:
-        stage = _advance(chart, g0, x0, u0, h, s1, y1, k1)
-        s2, y2, k2 = _slopes(chart, rhs, t + h, *stage)
-        stage = _advance(chart, g0, x0, u0, h, s2, y2, k2)
-        s3, y3, k3 = _slopes(chart, rhs, t + h, *stage)
-        stage = _advance(chart, g0, x0, u0, dt, s3, y3, k3)
-        s4, y4, k4 = _slopes(chart, rhs, t + dt, *stage)
+        stage = _advance(retract, g0, x0, u0, h, s1, y1, k1)
+        s2, y2, k2 = _slopes(rates, rhs, t + h, *stage)
+        stage = _advance(retract, g0, x0, u0, h, s2, y2, k2)
+        s3, y3, k3 = _slopes(rates, rhs, t + h, *stage)
+        stage = _advance(retract, g0, x0, u0, dt, s3, y3, k3)
+        s4, y4, k4 = _slopes(rates, rhs, t + dt, *stage)
     except GimbalLockError as err:
         # The base passed the gimbal rule: a stage that moved theta this far is under-resolved.
-        if chart is not ChartId.EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
+        if chart is not _EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
             raise
         raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
                               f"within one stage (more than pi/2), to {err}") from None
     return _advance(
-        chart, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
+        retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
     )[:3]
 
 
@@ -203,7 +208,7 @@ def step(
         raise ValueError(f"dt must be positive and finite and t finite, got dt={dt!r}, t={t!r}")
     if not isinstance(integrator, IntegratorId):
         raise ValueError(f"unknown integrator {integrator!r}")
-    if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
+    if integrator is _RK4 and chart is not _EULER_COM:
         raise ValueError(f"rk4 steps the Euler chart only, not {chart.value}; use lie-rk4")
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
     if not all(map(math.isfinite, (*g, *x, *u))):

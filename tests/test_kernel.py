@@ -22,7 +22,9 @@ the suite is deterministic:
 * each route's flat right-hand side (kirchhoff_accel_fn,
   newton_euler_accel_fn, and chart_rhs_fn's Euler transport) equals the
   layered reference composition of tests/helpers.py bit for bit, compared by
-  float.hex, and fails with the same error where the reference fails.
+  float.hex, and fails with the same error where the reference fails;
+* the Euler transport keeps the sign of an exactly zero output that only its
+  products with E's zero entries decide.
 """
 
 import math
@@ -429,3 +431,17 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
         with pytest.raises(error) as layered_err:
             layered(0.5, s)
         assert str(flat_err.value) == str(layered_err.value)
+
+
+def test_euler_transport_keeps_the_sign_of_zero():
+    # The products with E's zero entries (0.0 * u3 in omega_1; 0.0 * u2 + 0.0 * u3 in E_dot u) decide
+    # only the sign of an exactly zero output, which no drawn state reaches.  A body acceleration of -0.0
+    # in every entry leaves that sign to the transport: this u makes psi_dot and the second linear
+    # rate -0.0, and dropping either product flips them.
+    def accel(t, r, x, nu):
+        return (-0.0,) * 6
+
+    s = ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (-1.0, -0.0, 1.0, -0.0, -0.0, -0.0))
+    got = chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, s)
+    assert hexes(got) == hexes(layered_chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, s))
+    assert hexes((got[2], got[4])) == hexes((-0.0, -0.0))

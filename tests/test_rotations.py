@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from unirigid.charts import ChartState, Twist
 from unirigid.errors import AngleNearPiError, GimbalLockError
 from unirigid.geom3 import (
     EulerAngles,
@@ -302,3 +303,38 @@ class TestRotationInvariants:
         r = Rotation.identity()
         with pytest.raises(ValueError):
             r.m[0, 0] = 2.0
+
+
+# Each box from a value a, and the names of its read-only arrays.
+BOXES = {
+    "rotation": (lambda a: euler_to_rotation(EulerAngles(a, 1.0, -0.4)), ("m",)),
+    "pose": (lambda a: Pose(Rotation.identity(), np.array([a, 0.0, -1.0])), ("position",)),
+    "chart-state": (lambda a: ChartState(Pose.identity(), np.array([a, 0.0, 0.0, 0.0, 0.0, 1.0])), ("u",)),
+    "twist": (lambda a: Twist(np.array([a, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])), ("omega", "vel")),
+}
+
+
+class TestBoxValues:
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_equal_values_compare_and_hash_equal(self, box):
+        make, _ = BOXES[box]
+        a, b, other = make(0.3), make(0.3), make(0.4)
+        assert a == b and hash(a) == hash(b)
+        assert a != other and not a == other
+        assert len({a, b, other}) == 2
+
+    @pytest.mark.parametrize("box", sorted(BOXES))
+    def test_arrays_are_read_only_copies_built_once(self, box):
+        make, names = BOXES[box]
+        value = make(0.3)
+        for name in names:
+            a = getattr(value, name)
+            assert a is getattr(value, name)
+            assert a.flags.owndata and not a.flags.writeable
+
+    def test_tuple_and_matrix_make_the_same_rotation(self):
+        m = euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)).m
+        assert Rotation(m) == Rotation(tuple(m.ravel().tolist()))
+        assert Rotation(np.eye(3)) == Rotation.identity()
+        with pytest.raises(ValueError, match="3x3"):
+            Rotation(np.eye(3).ravel())
