@@ -20,7 +20,7 @@ serve as the reference for the Hamel coefficients and the tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 
@@ -61,15 +61,11 @@ class ChartId(Enum):
     EULER_COM = "euler-com"
 
 
-# Bound once: in Python 3.11 each ChartId.<member> lookup costs several times a global name's.
-_EULER_COM = ChartId.EULER_COM
-
-
 @dataclass(frozen=True)
 class Twist:
     """Body twist (omega, vel) in body axes, kept as the float 6-tuple ``flat``; arrays are built on first read."""
 
-    flat: tuple
+    flat: tuple = field(init=False)
 
     def __init__(self, omega, vel):
         object.__setattr__(self, "flat", _float_tuple(omega, 3, "omega") + _float_tuple(vel, 3, "vel"))
@@ -99,10 +95,11 @@ class ChartState:
     """Dynamic state advanced in time: a pose plus chart velocities u, kept as the float 6-tuple ``flat``."""
 
     pose: Pose
-    flat: tuple
+    flat: tuple = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "flat", _float_tuple(self.flat, 6, "chart velocity"))
+    def __init__(self, pose: Pose, u):
+        object.__setattr__(self, "pose", pose)
+        object.__setattr__(self, "flat", _float_tuple(u, 6, "chart velocity"))
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -123,7 +120,7 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
 
 def _configuration(chart: ChartId, pose: Pose) -> tuple:
     """The ``g`` of stage_state; on the Euler chart rotation_to_euler applies the gimbal rule."""
-    if chart is _EULER_COM:
+    if chart is ChartId.EULER_COM:
         e = rotation_to_euler(pose.rotation)
         return e.phi, e.theta, e.psi
     return pose.rotation.flat
@@ -307,7 +304,7 @@ CHART_STAGES = {
 
 def stage_pose(chart: ChartId, g, x) -> Pose:
     """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
-    if chart is _EULER_COM:
+    if chart is ChartId.EULER_COM:
         return Pose(euler_to_rotation(EulerAngles(*g)), x)
     return Pose(Rotation(g), x)
 

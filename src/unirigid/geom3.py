@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -30,16 +30,17 @@ GIMBAL_EPS = 1e-8
 _EYE9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def _float_tuple(v, n: int, name: str) -> tuple:
-    """The n-vector v as a float tuple, checked finite; a tuple goes through float() alone, anything else numpy."""
+def _float_tuple(v, n: int, name: str, shape: tuple = None) -> tuple:
+    """The n floats of v as a flat tuple, checked finite; an n-tuple goes through float() alone,
+    anything else through numpy, where it must have ``shape`` (default (n,))."""
     if type(v) is tuple and len(v) == n:
         # Not tuple(map(...)): that tuple bypasses CPython's tuple free list, which the freed ones then fill.
         flat = (*map(float, v),)
     else:
         a = np.asarray(v, dtype=float)
-        if a.shape != (n,):
-            raise ValueError(f"{name} must have shape ({n},), got {a.shape}")
-        flat = tuple(a.tolist())
+        if a.shape != (shape or (n,)):
+            raise ValueError(f"{name} must have shape {shape or (n,)}, got {a.shape}")
+        flat = tuple(a.ravel().tolist())
     if not all(map(math.isfinite, flat)):
         raise ValueError(f"{name} must be finite, got {flat}")
     return flat
@@ -172,17 +173,14 @@ class Rotation:
     compares and hashes on it, and builds its read-only arrays from it on first read.
     """
 
-    flat: tuple
+    flat: tuple = field(init=False)
+
+    def __init__(self, m):
+        object.__setattr__(self, "flat", m)
+        self.__post_init__()
 
     def __post_init__(self):
-        m = self.flat
-        if type(m) is tuple and len(m) == 9:
-            flat = (*map(float, m),)
-        else:
-            a = np.asarray(m, dtype=float)
-            if a.shape != (3, 3):
-                raise ValueError(f"rotation matrix must be 3x3, got {a.shape}")
-            flat = tuple(a.ravel().tolist())
+        flat = _float_tuple(self.flat, 9, "rotation matrix", (3, 3))
         check_rotation(flat)
         object.__setattr__(self, "flat", flat)
 
@@ -207,10 +205,11 @@ class Pose:
     """Rigid placement: rotation plus position of the body-frame origin in space, kept as the 3-tuple ``flat``."""
 
     rotation: Rotation
-    flat: tuple
+    flat: tuple = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "flat", _float_tuple(self.flat, 3, "position"))
+    def __init__(self, rotation: Rotation, position):
+        object.__setattr__(self, "rotation", rotation)
+        object.__setattr__(self, "flat", _float_tuple(position, 3, "position"))
 
     @cached_property
     def position(self) -> np.ndarray:

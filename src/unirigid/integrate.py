@@ -27,7 +27,6 @@ from typing import Callable, List
 import numpy as np
 
 from .charts import (
-    _EULER_COM,
     _ZERO3,
     CHART_STAGES,
     ChartId,
@@ -70,9 +69,6 @@ class IntegratorId(Enum):
     RK4 = "rk4"
     LIE_EULER = "lie-euler"
     LIE_RK4 = "lie-rk4"
-
-
-_RK4, _LIE_EULER = IntegratorId.RK4, IntegratorId.LIE_EULER
 
 
 class Formulation(Enum):
@@ -170,7 +166,7 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
     """
     rates, retract = CHART_STAGES[chart]
     s1, y1, k1 = _slopes(rates, rhs, t, g0, x0, u0, _ZERO3)
-    if integrator is _LIE_EULER:
+    if integrator is IntegratorId.LIE_EULER:
         return _advance(retract, g0, x0, u0, dt, s1, y1, k1)[:3]
     h = 0.5 * dt
     try:
@@ -182,7 +178,7 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         s4, y4, k4 = _slopes(rates, rhs, t + dt, *stage)
     except GimbalLockError as err:
         # The base passed the gimbal rule: a stage that moved theta this far is under-resolved.
-        if chart is not _EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
+        if chart is not ChartId.EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
             raise
         raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
                               f"within one stage (more than pi/2), to {err}") from None
@@ -208,7 +204,7 @@ def step(
         raise ValueError(f"dt must be positive and finite and t finite, got dt={dt!r}, t={t!r}")
     if not isinstance(integrator, IntegratorId):
         raise ValueError(f"unknown integrator {integrator!r}")
-    if integrator is _RK4 and chart is not _EULER_COM:
+    if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
         raise ValueError(f"rk4 steps the Euler chart only, not {chart.value}; use lie-rk4")
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
     if not all(map(math.isfinite, (*g, *x, *u))):

@@ -4,6 +4,7 @@ The exponential map is checked against a scaling-and-squaring oracle that
 shares no code with the Rodrigues implementation.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -336,5 +337,15 @@ class TestBoxValues:
         m = euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)).m
         assert Rotation(m) == Rotation(tuple(m.ravel().tolist()))
         assert Rotation(np.eye(3)) == Rotation.identity()
-        with pytest.raises(ValueError, match="3x3"):
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
             Rotation(np.eye(3).ravel())
+
+    def test_keyword_constructors_and_replace(self):
+        r = euler_to_rotation(EulerAngles(0.3, 1.0, -0.4))
+        pose = Pose(r, (0.1, 0.2, 0.3))
+        assert Rotation(m=r.m) == r
+        assert Pose(rotation=r, position=[0.1, 0.2, 0.3]) == pose
+        assert ChartState(pose=pose, u=np.ones(6)) == ChartState(pose, (1.0,) * 6)
+        assert Twist(omega=(1.0, 2.0, 3.0), vel=np.zeros(3)) == Twist((1, 2, 3), (0, 0, 0))
+        moved = dataclasses.replace(pose, position=(0.0, 0.0, 1.0))
+        assert moved.rotation is r and moved.flat == (0.0, 0.0, 1.0)

@@ -4,12 +4,11 @@ Usage:
     python tools/bench_pairs.py BASE_REF HEAD_REF --pairs N --seconds S --traced K --out BENCH_<n>.json
 
 Each side runs from a fresh ``git archive`` of its commit, so only committed
-files are measured.  For every workload named in the head's BENCHMARK.json
-(or each ``--workload``), ``perfbench/run.py --trace 0`` runs in N pairs with
-seeds ``--seed`` to ``--seed + N - 1``; odd pairs run the parent first, even
-pairs the change.  Then K ``--trace 1`` runs per side (seeds from
-``--trace-seed``, alternating which side goes first) give the per-layer
-numbers.  The benchmark itself is run unchanged, one process at a time.
+files are measured.  For every workload named in the head's BENCHMARK.json,
+``perfbench/run.py --trace 0`` runs in N pairs with seeds SEED to SEED + N - 1;
+odd pairs run the parent first, even pairs the change.  Then K ``--trace 1``
+runs per side (seeds from TRACE_SEED, alternating which side goes first) give
+the per-layer numbers.  The benchmark itself is run unchanged, one process at a time.
 
 The output holds, for every metric and side, the median, the quartiles (numpy
 linear percentiles), the IQR, n, min, max and every run; for each gated metric
@@ -34,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 SIDES = ("parent", "change")
+# Seeds of the first untraced pair and of the first traced run; fixed so that BENCH files compare.
+SEED, TRACE_SEED = 9001, 9101
 # A printed metric line of perfbench/run.py: name, value, unit.
 LINE = re.compile(r"^(\S+)\s+(\S+)\s+(\S+)")
 
@@ -122,9 +123,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--traced", type=int, default=3, help="--trace 1 runs per side")
     parser.add_argument("--out", required=True)
-    parser.add_argument("--workload", action="append", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--seed", type=int, default=9001, help="seed of the first pair")
-    parser.add_argument("--trace-seed", type=int, default=9101, help="seed of the first traced run")
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.traced < 0 or not args.seconds > 0:
         parser.error("--pairs must be at least 1, --traced at least 0 and --seconds positive")
@@ -139,7 +137,7 @@ def main(argv=None) -> int:
         for side in SIDES:
             export(repo, shas[side], trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text())
-        names = args.workload or [w["name"] for w in spec["workloads"]]
+        names = [w["name"] for w in spec["workloads"]]
 
         def alternate(name, i, seed, trace):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
@@ -153,7 +151,7 @@ def main(argv=None) -> int:
 
         workloads, per_layer, provenance = {}, {}, {}
         for name in names:
-            seeds = [args.seed + i for i in range(args.pairs)]
+            seeds = [SEED + i for i in range(args.pairs)]
             runs = {side: [] for side in SIDES}
             for i, seed in enumerate(seeds):
                 for side, result in alternate(name, i, seed, 0).items():
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
             workloads[name] = workload_block(spec, runs, seeds)
             traced = {side: [] for side in SIDES}
             for i in range(args.traced):
-                for side, result in alternate(name, i, args.trace_seed + i, 1).items():
+                for side, result in alternate(name, i, TRACE_SEED + i, 1).items():
                     traced[side].append(result)
             if args.traced:
                 per_layer[name] = per_layer_block(spec, traced)
@@ -171,9 +169,9 @@ def main(argv=None) -> int:
     doc = {
         "description": (
             f"perfbench/run.py (unchanged) on the parent and on the change, {args.pairs} alternating pairs per "
-            f"workload (odd pairs run the parent first), seeds {args.seed}-{args.seed + args.pairs - 1}, "
+            f"workload (odd pairs run the parent first), seeds {SEED}-{SEED + args.pairs - 1}, "
             f"--seconds {args.seconds:g} --trace 0; then {args.traced} --trace 1 runs per side (seeds from "
-            f"{args.trace_seed}, alternating which side runs first), summarised in per_layer. Each side runs "
+            f"{TRACE_SEED}, alternating which side runs first), summarised in per_layer. Each side runs "
             "from a fresh git archive of its commit. Quartiles are numpy linear percentiles over the runs of "
             "each side. Written by tools/bench_pairs.py."),
         "command": "python3 perfbench/run.py --workload <w> --seed <s> --seconds <S> --trace <0|1>",
