@@ -176,6 +176,7 @@ class Rotation:
     flat: tuple = field(init=False)
 
     def __init__(self, m):
+        # Validation stays in __post_init__, run once per construction: perfbench counts Rotations through it.
         object.__setattr__(self, "flat", m)
         self.__post_init__()
 

@@ -60,8 +60,8 @@ from .geom3 import as_rows, mat3_vec, mat3t_vec
 # rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
 RhsFn = Callable[[float, tuple], tuple]
 
-# Longest run simulate accepts: about 9 minutes at 52 us per step (compare-euler-top in BENCH_10.json),
-# about 21 minutes at 126 us per step when every step is sampled and written (pinned-csv).
+# Longest run simulate accepts: about 9 minutes at 53 us per step (compare-euler-top in BENCH_10.json),
+# about 21 minutes at 128 us per step when every step is sampled and written (pinned-csv).
 MAX_STEPS = 10_000_000
 
 
