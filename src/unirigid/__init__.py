@@ -12,7 +12,6 @@ from .charts import (
     ChartId,
     ChartState,
     Twist,
-    advance_pose,
     body_twist,
     chart_eval,
     chart_from_body_twist,
@@ -20,18 +19,10 @@ from .charts import (
 )
 from .dynamics import (
     ForceModel,
-    Momentum,
     SpatialInertia,
     Wrench,
     assemble_inertia,
-    body_wrench,
-    chart_rhs,
-    energy,
-    gravity_potential,
     kirchhoff_rhs,
-    momentum,
-    newton_euler_rhs,
-    spatial_angular_momentum,
 )
 from .errors import (
     AngleNearPiError,
@@ -48,7 +39,6 @@ from .gauss import (
     AccelConstraint,
     FixedPointConstraint,
     constrained_accel,
-    fixed_point_constraint,
     gauss_functional,
     steady_precession_rates,
 )

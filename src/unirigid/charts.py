@@ -126,13 +126,6 @@ def _configuration(chart: ChartId, pose: Pose) -> tuple:
     return pose.rotation.flat
 
 
-def _as_u6(u) -> np.ndarray:
-    a = np.asarray(u, dtype=float)
-    if a.shape != (6,):
-        raise ValueError(f"chart velocity must have shape (6,), got {a.shape}")
-    return a
-
-
 def euler_rate_matrix(theta: float, psi: float) -> tuple:
     """E(theta, psi) as a row-major 9-tuple: body omega = E @ (phi', theta', psi')."""
     st, ct = math.sin(theta), math.cos(theta)
@@ -172,7 +165,7 @@ def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
     return out
 
 
-def _phi_dot(chart: ChartId, pose: Pose, u: np.ndarray, phi: np.ndarray) -> np.ndarray:
+def _phi_dot(chart: ChartId, pose: Pose, u: tuple, phi: np.ndarray) -> np.ndarray:
     if chart is ChartId.BODY_TWIST:
         return np.zeros((6, 6))
     if chart is ChartId.SPATIAL_TWIST:
@@ -189,7 +182,7 @@ def _phi_dot(chart: ChartId, pose: Pose, u: np.ndarray, phi: np.ndarray) -> np.n
 
 def chart_eval(chart: ChartId, pose: Pose, u) -> ChartEval:
     """Kinematic matrix and its time derivative at (pose, u)."""
-    u = _as_u6(u)
+    u = _float_tuple(u, 6, "chart velocity")
     phi = _phi(chart, pose)
     return ChartEval(phi=phi, phi_dot=_phi_dot(chart, pose, u, phi))
 
@@ -307,15 +300,6 @@ def stage_pose(chart: ChartId, g, x) -> Pose:
     if chart is ChartId.EULER_COM:
         return Pose(euler_to_rotation(EulerAngles(*g)), x)
     return Pose(Rotation(g), x)
-
-
-def advance_pose(chart: ChartId, state: ChartState, dt: float) -> Pose:
-    """Pose reached by holding the chart velocities fixed for dt (one Lie-Euler step)."""
-    rates, retract = CHART_STAGES[chart]
-    g, x, u = stage_state(chart, state)
-    sigma_dot, x_dot = rates(g, x, u, _ZERO3)
-    x1 = tuple([a + dt * b for a, b in zip(x, x_dot)])
-    return stage_pose(chart, retract(g, tuple([dt * a for a in sigma_dot])), x1)
 
 
 def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:

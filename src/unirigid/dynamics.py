@@ -34,10 +34,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .charts import _ZERO3, CHART_MAPS, ChartId, ChartState, Twist, stage_state
+from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _readonly, as_rows, check_rotation, cross
+from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross
 from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
@@ -89,21 +89,6 @@ class SpatialInertia:
             raise NotPositiveDefiniteError(
                 "assembled 6x6 inertia is not positive definite (CoM offset too large)"
             ) from None
-
-
-@dataclass(frozen=True)
-class Momentum:
-    """Angular and linear momentum in body axes, about the body origin."""
-
-    pi: np.ndarray
-    p: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "pi", _as_vec3(self.pi, "pi"))
-        object.__setattr__(self, "p", _as_vec3(self.p, "p"))
-
-    def as_array(self) -> np.ndarray:
-        return np.concatenate([self.pi, self.p])
 
 
 @dataclass(frozen=True)
@@ -164,13 +149,6 @@ def assemble_inertia(si: SpatialInertia) -> np.ndarray:
     return m
 
 
-def momentum(si: SpatialInertia, nu: Twist) -> Momentum:
-    """(pi, p) = M (omega, v); the kinetic-energy gradient in the body twist."""
-    m6 = assemble_inertia(si)
-    out = m6 @ nu.as_array()
-    return Momentum(out[:3], out[3:])
-
-
 def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
     """Float (kinetic energy, gravitational potential, angular momentum about the space origin).
 
@@ -189,15 +167,6 @@ def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
         -mass * (g1 * (x1 + rc1) + g2 * (x2 + rc2) + g3 * (x3 + rc3)),
         (l1 + xp1, l2 + xp2, l3 + xp3),
     )
-
-
-def _conserved(si: SpatialInertia, gravity, r, x, nu6) -> tuple:
-    return conserved6(as_rows(assemble_inertia(si)), si.mass, si.c.tolist(), gravity, r, x, nu6)
-
-
-def energy(si: SpatialInertia, nu: Twist) -> float:
-    """Kinetic energy T = 1/2 nu^T M nu."""
-    return _conserved(si, (0.0, 0.0, 0.0), _EYE9, (0.0, 0.0, 0.0), nu.flat)[0]
 
 
 def _callback_wrench(callback, t, r, x, nu6) -> list:
@@ -293,13 +262,6 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
     return accel
 
 
-def newton_euler_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
-    """Closed form for the CoM-aligned case: Euler equation plus momentum balance (newton_euler_accel_fn)."""
-    require_com_frame(si)
-    accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
-    return np.array(accel(0.0, _EYE9, _ZERO3, nu.flat))
-
-
 def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
 
@@ -320,12 +282,6 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
         return w
 
     return wrench
-
-
-def body_wrench(forces: ForceModel, si: SpatialInertia, t: float, pose: Pose, nu: Twist) -> Wrench:
-    """Total applied wrench in body axes about the body origin; see body_wrench_fn."""
-    w6 = body_wrench_fn(forces, si)(t, pose.rotation.flat, pose.flat, nu.flat)
-    return Wrench(w6[:3], w6[3:])
 
 
 def chart_rhs_fn(chart: ChartId, accel):
@@ -384,29 +340,3 @@ def chart_rhs_fn(chart: ChartId, accel):
 
     return rhs
 
-
-def chart_rhs(
-    chart: ChartId,
-    si: SpatialInertia,
-    state: ChartState,
-    forces: ForceModel,
-    t: float = 0.0,
-) -> np.ndarray:
-    """Chart-velocity acceleration u_dot from the unified quasi-velocity equations.
-
-    Solves (Phi^T M Phi) u_dot = Phi^T F - Phi^T (M Phi_dot u + bias(nu)) with
-    nu = Phi u, through the body solve of chart_rhs_fn.  For the body-twist
-    chart this is the Kirchhoff solve verbatim.
-    """
-    accel, _ = kirchhoff_accel_fn(si, forces)
-    return np.array(chart_rhs_fn(chart, accel)(t, stage_state(chart, state)))
-
-
-def gravity_potential(si: SpatialInertia, pose: Pose, gravity) -> float:
-    """Potential -m g . x_G with x_G the CoM position in space."""
-    return _conserved(si, np.asarray(gravity, dtype=float).tolist(), pose.rotation.flat, pose.flat, (0.0,) * 6)[1]
-
-
-def spatial_angular_momentum(si: SpatialInertia, pose: Pose, nu: Twist) -> np.ndarray:
-    """Angular momentum about the space origin: L = R pi + x x (R p)."""
-    return np.array(_conserved(si, (0.0, 0.0, 0.0), pose.rotation.flat, pose.flat, nu.flat)[2])

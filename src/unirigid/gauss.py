@@ -83,15 +83,8 @@ class FixedPointConstraint:
             raise ValueError("Baumgarte gains must be finite")
 
 
-def gauss_functional(
-    si: SpatialInertia,
-    nu_dot_candidate,
-    nu_dot_free,
-    m6: np.ndarray | None = None,
-) -> float:
-    """Mass-weighted squared deviation from the free acceleration; zero at it."""
-    if m6 is None:
-        m6 = assemble_inertia(si)
+def gauss_functional(m6: np.ndarray, nu_dot_candidate, nu_dot_free) -> float:
+    """Mass-weighted squared deviation from the free acceleration under the 6x6 inertia m6; zero at it."""
     d = np.asarray(nu_dot_candidate, dtype=float) - np.asarray(nu_dot_free, dtype=float)
     return 0.5 * float(d @ m6 @ d)
 
@@ -148,6 +141,7 @@ def fixed_point_offset_fn(fp: FixedPointConstraint):
     two_alpha, beta_sq = 2.0 * fp.baumgarte_alpha, fp.baumgarte_beta * fp.baumgarte_beta
 
     def offset(nu6, position_drift) -> tuple:
+        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 drift, c_v = v + omega x r_b.
         omega = nu6[:3]
         rw = cross(omega, r_b)
         c1, c2, c3 = c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
@@ -159,25 +153,6 @@ def fixed_point_offset_fn(fp: FixedPointConstraint):
     return offset
 
 
-def fixed_point_constraint(
-    fp: FixedPointConstraint,
-    nu: Twist,
-    position_drift=None,
-) -> AccelConstraint:
-    """Acceleration-level rows for the pinned point.
-
-    The pinned point has body-frame velocity c_v = v + omega x r_b; requiring
-    zero spatial acceleration of that material point gives
-
-        [-hat(r_b) | I] nu_dot = -omega x c_v - 2 alpha c_v - beta^2 c_x,
-
-    where c_x is the accumulated position drift of the pin in body axes,
-    supplied by the caller that tracks the anchor (defaults to zero).
-    """
-    drift = (0.0, 0.0, 0.0) if position_drift is None else _as_vec3(position_drift, "position_drift").tolist()
-    return AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.as_array().tolist(), drift))
-
-
 def steady_precession_rates(
     transverse_inertia: float,
     axial_inertia: float,
@@ -185,18 +160,17 @@ def steady_precession_rates(
     com_distance: float,
     theta0: float,
     spin: float,
-    gravity: float = float(-STANDARD_GRAVITY[2]),
 ) -> "tuple[float, float]":
     """Precession rates holding the nutation angle constant for a symmetric top.
 
     Roots of  I1 rate^2 cos(theta0) - I3 spin rate + m g l = 0, with I1 the
     transverse and I3 the axial moment about the pivot, l the pivot-to-CoM
-    distance and spin the body-axis angular velocity component.  Returns
-    (slow, fast); both are exact steady states.
+    distance, g the standard gravity and spin the body-axis angular velocity
+    component.  Returns (slow, fast); both are exact steady states.
     """
     a = transverse_inertia * math.cos(theta0)
     bq = -axial_inertia * spin
-    cq = mass * gravity * com_distance
+    cq = mass * float(-STANDARD_GRAVITY[2]) * com_distance
     disc = bq * bq - 4.0 * a * cq
     if disc < 0.0:
         raise ValueError(

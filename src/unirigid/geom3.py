@@ -194,9 +194,6 @@ class Rotation:
     def identity() -> "Rotation":
         return Rotation(_EYE9)
 
-    def apply(self, v) -> np.ndarray:
-        return self.m @ _as_vec3(v)
-
     def compose(self, other: "Rotation") -> "Rotation":
         return Rotation(self.m @ other.m)
 

@@ -104,7 +104,7 @@ def test_criterion_2_gauss_as_oracle():
         # 1000 admissible perturbations per state (k = 0: all of R^6).
         m6 = assemble_inertia(si)
         deltas = RNG.normal(size=(m_pert, 6))
-        g_star = gauss_functional(si, nu_dot, free, m6=m6)
+        g_star = gauss_functional(m6, nu_dot, free)
         diffs = deltas + (nu_dot - free)
         g_pert = 0.5 * np.einsum("ij,jk,ik->i", diffs, m6, diffs)
         worst_decrease = min(worst_decrease, float(np.min(g_pert) - g_star))

@@ -14,7 +14,6 @@ from unirigid.charts import (
     ChartId,
     ChartState,
     Twist,
-    advance_pose,
     body_twist,
     chart_eval,
     chart_from_body_twist,
@@ -31,6 +30,7 @@ from unirigid.geom3 import (
     exp_so3,
     geodesic_distance,
 )
+from unirigid.integrate import IntegratorId, step
 
 RNG = np.random.default_rng(7041812)
 
@@ -46,6 +46,11 @@ def random_valid_pose(rng):
         rng.uniform(-math.pi, math.pi),
     )
     return Pose(euler_to_rotation(e), rng.normal(size=3))
+
+
+def zero_rhs(t, s):
+    """Zero chart acceleration: a LIE_EULER step then holds the chart velocities fixed over dt."""
+    return (0.0,) * 6
 
 
 class TestChartEval:
@@ -79,8 +84,10 @@ class TestChartEval:
         for _ in range(40):
             state = ChartState(random_valid_pose(RNG), RNG.normal(size=6))
             ev = chart_eval(chart, state.pose, state.u)
-            plus = chart_eval(chart, advance_pose(chart, state, h), state.u).phi
-            minus = chart_eval(chart, advance_pose(chart, state, -h), state.u).phi
+            plus = chart_eval(chart, step(IntegratorId.LIE_EULER, chart, zero_rhs, state, 0.0, h).pose, state.u).phi
+            # step refuses dt <= 0; the exactly negated velocities over +h reach the pose at -h.
+            back = ChartState(state.pose, -state.u)
+            minus = chart_eval(chart, step(IntegratorId.LIE_EULER, chart, zero_rhs, back, 0.0, h).pose, state.u).phi
             fd = (plus - minus) / (2.0 * h)
             assert np.max(np.abs(fd - ev.phi_dot)) <= 1e-6
 
@@ -115,6 +122,10 @@ class TestChartState:
         u[slot] = bad
         with pytest.raises(ValueError):
             ChartState(Pose.identity(), u)
+        pose = Pose(euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)), np.zeros(3))
+        for chart in ALL_CHARTS:
+            with pytest.raises(ValueError):
+                chart_eval(chart, pose, u)
 
 
 class TestInvariance:
@@ -132,10 +143,12 @@ class TestInvariance:
 
 
 class TestAdvancePose:
+    """A LIE_EULER step under zero acceleration: the pose reached holding the chart velocities fixed."""
+
     @pytest.mark.parametrize("chart", ALL_CHARTS)
     def test_zero_velocity_fixed_point(self, chart):
         pose = random_valid_pose(RNG)
-        out = advance_pose(chart, ChartState(pose, np.zeros(6)), 0.25)
+        out = step(IntegratorId.LIE_EULER, chart, zero_rhs, ChartState(pose, np.zeros(6)), 0.0, 0.25).pose
         assert np.allclose(out.rotation.m, pose.rotation.m)
         assert np.allclose(out.position, pose.position)
 
@@ -143,7 +156,7 @@ class TestAdvancePose:
         w = 2.0
         dt = (math.pi / 2) / w
         state = ChartState(Pose.identity(), np.array([0.0, 0.0, w, 0.0, 0.0, 0.0]))
-        out = advance_pose(ChartId.BODY_TWIST, state, dt)
+        out = step(IntegratorId.LIE_EULER, ChartId.BODY_TWIST, zero_rhs, state, 0.0, dt).pose
         assert geodesic_distance(out.rotation, exp_so3([0.0, 0.0, math.pi / 2])) <= 1e-12
 
     @pytest.mark.parametrize("chart", TWIST_CHARTS)
@@ -151,10 +164,10 @@ class TestAdvancePose:
         # The rotation update is the exact flow, so substepping changes nothing.
         for _ in range(20):
             state = ChartState(random_valid_pose(RNG), RNG.normal(size=6))
-            one = advance_pose(chart, state, 1.0)
+            one = step(IntegratorId.LIE_EULER, chart, zero_rhs, state, 0.0, 1.0).pose
             fine = state.pose
             for _ in range(1000):
-                fine = advance_pose(chart, ChartState(fine, state.u), 1.0 / 1000)
+                fine = step(IntegratorId.LIE_EULER, chart, zero_rhs, ChartState(fine, state.u), 0.0, 1.0 / 1000).pose
             assert geodesic_distance(one.rotation, fine.rotation) < 1e-9
 
 

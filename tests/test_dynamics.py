@@ -11,27 +11,27 @@ import math
 import numpy as np
 import pytest
 
-from unirigid.charts import ChartId, ChartState, Twist, chart_eval
+from unirigid.charts import ChartId, ChartState, Twist, chart_eval, stage_state
 from unirigid.dynamics import (
     ForceModel,
     SpatialInertia,
     Wrench,
     assemble_inertia,
-    body_wrench,
-    chart_rhs,
-    energy,
-    gravity_potential,
+    body_wrench_fn,
+    chart_rhs_fn,
+    conserved6,
+    kirchhoff_accel_fn,
     kirchhoff_rhs,
-    momentum,
-    newton_euler_rhs,
-    spatial_angular_momentum,
+    newton_euler_accel_fn,
 )
-from unirigid.errors import FrameNotAtCoMError, NotPositiveDefiniteError
-from unirigid.geom3 import EulerAngles, Pose, Rotation, euler_to_rotation, hat
+from unirigid.errors import NotPositiveDefiniteError
+from unirigid.geom3 import EulerAngles, Pose, Rotation, as_rows, euler_to_rotation, hat
 
 RNG = np.random.default_rng(31830989)
 
 NO_FORCES = ForceModel(gravity=np.zeros(3))
+EYE9 = Rotation.identity().flat
+ZERO3 = (0.0, 0.0, 0.0)
 
 
 def random_inertia(rng, with_offset=False, unit_scale=False):
@@ -94,38 +94,41 @@ class TestAssembleInertia:
 class TestMomentum:
     def test_zero_twist(self):
         si = random_inertia(RNG, with_offset=True)
-        mom = momentum(si, Twist(np.zeros(3), np.zeros(3)))
-        assert np.array_equal(mom.as_array(), np.zeros(6))
+        mom = assemble_inertia(si) @ Twist(np.zeros(3), np.zeros(3)).as_array()
+        assert np.array_equal(mom, np.zeros(6))
 
     def test_sphere_diagonal_case(self):
         lam = 2.5
         si = SpatialInertia(mass=1.0, j=lam * np.eye(3))
         omega = np.array([0.3, -0.1, 0.8])
-        mom = momentum(si, Twist(omega, np.zeros(3)))
-        assert np.allclose(mom.pi, lam * omega)
-        assert np.allclose(mom.p, np.zeros(3))
+        mom = assemble_inertia(si) @ Twist(omega, np.zeros(3)).as_array()
+        assert np.allclose(mom[:3], lam * omega)
+        assert np.allclose(mom[3:], np.zeros(3))
 
     def test_is_kinetic_energy_gradient(self):
         h = 1e-6
         for _ in range(50):
             si = random_inertia(RNG, with_offset=True)
             nu = random_body_twist(RNG)
-            grad = momentum(si, nu).as_array()
+            m6 = assemble_inertia(si)
+            rows, c = as_rows(m6), si.c.tolist()
+            grad = m6 @ nu.as_array()
             fd = np.zeros(6)
             base = nu.as_array()
             for i in range(6):
                 dp, dm = base.copy(), base.copy()
                 dp[i] += h
                 dm[i] -= h
-                tp = energy(si, Twist(dp[:3], dp[3:]))
-                tm = energy(si, Twist(dm[:3], dm[3:]))
+                tp = conserved6(rows, si.mass, c, ZERO3, EYE9, ZERO3, dp.tolist())[0]
+                tm = conserved6(rows, si.mass, c, ZERO3, EYE9, ZERO3, dm.tolist())[0]
                 fd[i] = (tp - tm) / (2.0 * h)
             assert np.max(np.abs(fd - grad)) <= 1e-6
 
     def test_energy_nonnegative(self):
         for _ in range(100):
             si = random_inertia(RNG, with_offset=True)
-            assert energy(si, random_body_twist(RNG)) >= 0.0
+            m6_rows, nu6 = as_rows(assemble_inertia(si)), random_body_twist(RNG).flat
+            assert conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu6)[0] >= 0.0
 
 
 class TestKirchhoffRhs:
@@ -150,9 +153,8 @@ class TestKirchhoffRhs:
             w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
             direct = kirchhoff_rhs(si, nu, w)
             forces = ForceModel(gravity=np.zeros(3), constant_wrench=w)
-            via_chart = chart_rhs(
-                ChartId.BODY_TWIST, si, ChartState(Pose.identity(), nu.as_array()), forces
-            )
+            rhs = chart_rhs_fn(ChartId.BODY_TWIST, kirchhoff_accel_fn(si, forces)[0])
+            via_chart = np.array(rhs(0.0, stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
             assert np.max(np.abs(direct - via_chart)) <= 1e-12
 
 
@@ -162,26 +164,25 @@ class TestNewtonEulerRhs:
             si = random_inertia(RNG, with_offset=False)
             nu = random_body_twist(RNG)
             w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
-            assert np.max(np.abs(newton_euler_rhs(si, nu, w) - kirchhoff_rhs(si, nu, w))) <= 1e-12
+            accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
+            nu_dot = np.array(accel(0.0, EYE9, ZERO3, nu.flat))
+            assert np.max(np.abs(nu_dot - kirchhoff_rhs(si, nu, w))) <= 1e-12
 
     def test_free_fall(self):
         si = SpatialInertia(mass=2.0, j=np.eye(3))
         g = np.array([0.0, 0.0, -9.81])
         nu = Twist(np.zeros(3), np.zeros(3))
         w = Wrench(np.zeros(3), si.mass * g)  # R = I
-        nu_dot = newton_euler_rhs(si, nu, w)
+        accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
+        nu_dot = np.array(accel(0.0, EYE9, ZERO3, nu.flat))
         assert np.allclose(nu_dot[3:], g)
         assert np.allclose(nu_dot[:3], 0.0)
 
     def test_spinning_top_vector(self):
         si = SpatialInertia(mass=1.0, j=np.diag([1.0, 2.0, 3.0]))
         nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3))
-        assert math.isclose(newton_euler_rhs(si, nu, Wrench.zero())[0], -1.0, rel_tol=1e-14)
-
-    def test_offset_frame_rejected(self):
-        si = SpatialInertia(mass=1.0, j=np.eye(3), c=np.array([0.1, 0.0, 0.0]))
-        with pytest.raises(FrameNotAtCoMError):
-            newton_euler_rhs(si, random_body_twist(RNG), Wrench.zero())
+        accel = newton_euler_accel_fn(si, NO_FORCES)
+        assert math.isclose(accel(0.0, EYE9, ZERO3, nu.flat)[0], -1.0, rel_tol=1e-14)
 
 
 class TestChartEngine:
@@ -201,7 +202,8 @@ class TestChartEngine:
             pose = random_valid_pose(RNG)
             u = RNG.normal(size=6)
             state = ChartState(pose, u)
-            u_dot = chart_rhs(ChartId.EULER_COM, si, state, NO_FORCES)
+            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, NO_FORCES)[0])
+            u_dot = rhs(0.0, stage_state(ChartId.EULER_COM, state))
             theta = math.acos(pose.rotation.m[2, 2])
             spin_rate_dot = (
                 u_dot[0] * math.cos(theta) - u[0] * math.sin(theta) * u[1] + u_dot[2]
@@ -238,7 +240,8 @@ class TestChartEngine:
             pose = Pose(random_valid_pose(RNG).rotation, RNG.normal(size=3) * 0.3)
             u = RNG.normal(size=6) * 0.5
             state = ChartState(pose, u)
-            u_dot = chart_rhs(ChartId.EULER_COM, si, state, ForceModel(gravity=gravity))
+            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, ForceModel(gravity=gravity))[0])
+            u_dot = np.array(rhs(0.0, stage_state(ChartId.EULER_COM, state)))
 
             from unirigid.geom3 import rotation_to_euler
 
@@ -267,28 +270,33 @@ class TestChartEngine:
 
 
 class TestEnergyAndMomentum:
+    """conserved6's (T, V, L) at hand-computed states."""
+
     def test_zero_twist(self):
         si = random_inertia(RNG, with_offset=True)
         nu = Twist(np.zeros(3), np.zeros(3))
-        assert energy(si, nu) == 0.0
-        assert np.array_equal(spatial_angular_momentum(si, Pose.identity(), nu), np.zeros(3))
+        m6_rows = as_rows(assemble_inertia(si))
+        kin, _, l_spatial = conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu.flat)
+        assert kin == 0.0
+        assert np.array_equal(np.array(l_spatial), np.zeros(3))
 
     def test_spinning_sphere(self):
         lam, w = 2.0, 1.5
         si = SpatialInertia(mass=1.0, j=lam * np.eye(3))
         nu = Twist(np.array([0.0, 0.0, w]), np.zeros(3))
-        assert math.isclose(energy(si, nu), 0.5 * lam * w * w, rel_tol=1e-15)
-        assert np.allclose(
-            spatial_angular_momentum(si, Pose.identity(), nu), [0.0, 0.0, lam * w]
-        )
+        m6_rows = as_rows(assemble_inertia(si))
+        kin, _, l_spatial = conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu.flat)
+        assert math.isclose(kin, 0.5 * lam * w * w, rel_tol=1e-15)
+        assert np.allclose(np.array(l_spatial), [0.0, 0.0, lam * w])
 
     def test_gravity_potential_tracks_com(self):
         si = SpatialInertia(mass=2.0, j=np.eye(3), c=np.array([0.0, 0.0, 0.25]))
         pose = Pose(Rotation.identity(), np.array([0.0, 0.0, 3.0]))
         expected = 2.0 * 9.81 * 3.25
-        assert math.isclose(
-            gravity_potential(si, pose, [0.0, 0.0, -9.81]), expected, rel_tol=1e-14
-        )
+        m6_rows = as_rows(assemble_inertia(si))
+        gravity = (0.0, 0.0, -9.81)
+        pot = conserved6(m6_rows, si.mass, si.c.tolist(), gravity, pose.rotation.flat, pose.flat, (0.0,) * 6)[1]
+        assert math.isclose(pot, expected, rel_tol=1e-14)
 
 
 class TestForceAssembly:
@@ -297,16 +305,16 @@ class TestForceAssembly:
         pose = random_valid_pose(RNG)
         forces = ForceModel()
         nu = Twist(np.zeros(3), np.zeros(3))
-        w = body_wrench(forces, si, 0.0, pose, nu)
+        w = np.array(body_wrench_fn(forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat))
         g_body = pose.rotation.m.T @ forces.gravity
-        assert np.allclose(w.force, 2.0 * g_body)
-        assert np.allclose(w.torque, 2.0 * np.cross(si.c, g_body))
+        assert np.allclose(w[3:], 2.0 * g_body)
+        assert np.allclose(w[:3], 2.0 * np.cross(si.c, g_body))
 
     def test_callback_wrench_added(self):
         si = SpatialInertia(mass=1.0, j=np.eye(3))
         drag = lambda t, pose, nu: Wrench(-0.5 * nu.omega, -0.5 * nu.vel)
         forces = ForceModel(gravity=np.zeros(3), callback=drag)
         nu = Twist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]))
-        w = body_wrench(forces, si, 0.0, Pose.identity(), nu)
-        assert np.allclose(w.torque, [-0.5, 0.0, 0.0])
-        assert np.allclose(w.force, [0.0, -1.0, 0.0])
+        w = np.array(body_wrench_fn(forces, si)(0.0, EYE9, ZERO3, nu.flat))
+        assert np.allclose(w[:3], [-0.5, 0.0, 0.0])
+        assert np.allclose(w[3:], [0.0, -1.0, 0.0])

@@ -25,7 +25,8 @@ from unirigid.gauss import (
     AccelConstraint,
     FixedPointConstraint,
     constrained_accel,
-    fixed_point_constraint,
+    fixed_point_offset_fn,
+    fixed_point_rows,
     gauss_functional,
     steady_precession_rates,
 )
@@ -54,27 +55,27 @@ class TestGaussFunctional:
     def test_zero_at_free_acceleration(self):
         si = random_inertia(RNG)
         free = RNG.normal(size=6)
-        assert gauss_functional(si, free, free) == 0.0
+        assert gauss_functional(assemble_inertia(si), free, free) == 0.0
 
     def test_unit_displacement(self):
         si = SpatialInertia(mass=1.0, j=np.eye(3))
         e1 = np.zeros(6)
         e1[0] = 1.0
-        assert math.isclose(gauss_functional(si, e1, np.zeros(6)), 0.5, rel_tol=1e-15)
+        assert math.isclose(gauss_functional(assemble_inertia(si), e1, np.zeros(6)), 0.5, rel_tol=1e-15)
 
     def test_convexity(self):
         for _ in range(1000):
-            si = random_inertia(RNG)
+            m6 = assemble_inertia(random_inertia(RNG))
             free = RNG.normal(size=6)
             a = RNG.normal(size=6)
             b = RNG.normal(size=6)
-            mid = gauss_functional(si, 0.5 * (a + b), free)
-            assert mid <= 0.5 * (gauss_functional(si, a, free) + gauss_functional(si, b, free)) + 1e-12
+            mid = gauss_functional(m6, 0.5 * (a + b), free)
+            assert mid <= 0.5 * (gauss_functional(m6, a, free) + gauss_functional(m6, b, free)) + 1e-12
 
     def test_nonnegative(self):
         for _ in range(200):
-            si = random_inertia(RNG)
-            assert gauss_functional(si, RNG.normal(size=6), RNG.normal(size=6)) >= 0.0
+            m6 = assemble_inertia(random_inertia(RNG))
+            assert gauss_functional(m6, RNG.normal(size=6), RNG.normal(size=6)) >= 0.0
 
 
 class TestConstrainedAccel:
@@ -112,12 +113,13 @@ class TestConstrainedAccel:
             con = AccelConstraint(RNG.normal(size=(k, 6)), RNG.normal(size=k))
             nu_dot, _ = constrained_accel(si, nu, w, con)
             free = kirchhoff_rhs(si, nu, w)
-            g_star = gauss_functional(si, nu_dot, free)
+            m6 = assemble_inertia(si)
+            g_star = gauss_functional(m6, nu_dot, free)
             # Project random directions onto the admissible subspace A delta = 0.
             proj = np.eye(6) - con.a.T @ np.linalg.solve(con.a @ con.a.T, con.a)
             for _ in range(1000):
                 delta = proj @ RNG.normal(size=6)
-                assert gauss_functional(si, nu_dot + delta, free) - g_star >= -1e-12
+                assert gauss_functional(m6, nu_dot + delta, free) - g_star >= -1e-12
 
     def test_multiplier_closes_momentum_balance(self):
         for _ in range(200):
@@ -144,10 +146,12 @@ class TestConstrainedAccel:
 
 
 class TestFixedPointConstraint:
+    """The pinned point's rows [-hat(r_b) | I] and offset b(nu, drift), through AccelConstraint."""
+
     def test_rest_body(self):
         fp = FixedPointConstraint(np.array([0.0, 0.0, -0.5]))
         nu = Twist(np.zeros(3), np.zeros(3))
-        con = fixed_point_constraint(fp, nu)
+        con = AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.flat, (0.0, 0.0, 0.0)))
         from unirigid.geom3 import hat
 
         assert np.array_equal(con.a, np.hstack([-hat(fp.r_b), np.eye(3)]))
@@ -159,7 +163,7 @@ class TestFixedPointConstraint:
         omega = np.array([0.7, 0.2, 1.5])
         fp = FixedPointConstraint(r_b)
         nu = Twist(omega, -np.cross(omega, r_b))
-        con = fixed_point_constraint(fp, nu)
+        con = AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.flat, (0.0, 0.0, 0.0)))
         assert np.max(np.abs(con.b)) <= 1e-15
 
     def test_baumgarte_terms(self):
@@ -169,7 +173,7 @@ class TestFixedPointConstraint:
         vel = np.array([0.2, -0.1, 0.0])
         drift = np.array([0.01, 0.02, -0.03])
         nu = Twist(omega, vel)
-        con = fixed_point_constraint(fp, nu, position_drift=drift)
+        con = AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.flat, drift.tolist()))
         c_v = vel + np.cross(omega, r_b)
         expected = -np.cross(omega, c_v) - 2.0 * 2.0 * c_v - 9.0 * drift
         assert np.allclose(con.b, expected, atol=1e-15)
@@ -259,18 +263,20 @@ class TestHeavyTopTrajectories:
         assert gap <= 1e-5
 
     def test_reaction_wrench_closes_balance_along_trajectory(self):
-        from unirigid.dynamics import assemble_inertia, body_wrench
+        from unirigid.dynamics import body_wrench_fn
         from unirigid.integrate import Formulation, IntegratorId, simulate
 
         sc = self._pinned_scenario()
         samples = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 1.0, sample_every=50)
         m6 = assemble_inertia(sc.inertia)
         anchor = sc.initial_pose.position + sc.initial_pose.rotation.m @ sc.constraint.r_b
+        wrench, offset = body_wrench_fn(sc.forces, sc.inertia), fixed_point_offset_fn(sc.constraint)
         for s in samples:
-            w = body_wrench(sc.forces, sc.inertia, s.t, s.pose, s.nu)
+            w6 = wrench(s.t, s.pose.rotation.flat, s.pose.flat, s.nu.flat)
+            w = Wrench(w6[:3], w6[3:])
             r, x = s.pose.rotation.m, s.pose.position
             drift = r.T @ (x + r @ sc.constraint.r_b - anchor)
-            con = fixed_point_constraint(sc.constraint, s.nu, position_drift=drift)
+            con = AccelConstraint(fixed_point_rows(sc.constraint), offset(s.nu.flat, drift.tolist()))
             nu_dot, lam = constrained_accel(sc.inertia, s.nu, w, con)
             nu6 = s.nu.as_array()
             residual = m6 @ nu_dot + momentum_bias(nu6, m6 @ nu6) - w.as_array() - con.a.T @ lam

@@ -165,7 +165,8 @@ class TestConservation:
 
     def test_power_balance_under_gravity(self):
         # c = 0 torque-free-plus-gravity: dT/dt equals nu . F to the stencil floor.
-        from unirigid.dynamics import body_wrench, energy
+        from unirigid.dynamics import assemble_inertia, body_wrench_fn, conserved6
+        from unirigid.geom3 import as_rows
 
         sc = make_scenario(
             "power", 2.0, np.diag([1.0, 1.4, 1.8]), [0.9, -0.4, 0.6], vel=[0.2, 0.0, -0.1],
@@ -173,11 +174,14 @@ class TestConservation:
         )
         dt = 1e-3
         samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, 2.0, sample_every=1)
-        kin = np.array([energy(sc.inertia, s.nu) for s in samples])
+        m6_rows, si = as_rows(assemble_inertia(sc.inertia)), sc.inertia
+        kin = np.array([conserved6(m6_rows, si.mass, si.c.tolist(), (0.0, 0.0, 0.0), s.pose.rotation.flat, s.pose.flat,
+                                   s.nu.flat)[0] for s in samples])
+        wrench = body_wrench_fn(sc.forces, sc.inertia)
         for k in range(1, len(samples) - 1):
             s = samples[k]
-            w = body_wrench(sc.forces, sc.inertia, s.t, s.pose, s.nu)
-            power = float(s.nu.as_array() @ w.as_array())
+            w6 = wrench(s.t, s.pose.rotation.flat, s.pose.flat, s.nu.flat)
+            power = float(s.nu.as_array() @ np.array(w6))
             fd = (kin[k + 1] - kin[k - 1]) / (2.0 * dt)
             assert abs(fd - power) <= 1e-8
 
@@ -189,7 +193,7 @@ class TestConservation:
         # d(T + V)/dt = tau . omega + f . v - c (|omega|^2 + |v|^2): the constant body
         # wrench acts about the body origin (not the CoM) and the damping callback's
         # wrench is added as returned.  The power comes from the scenario's numbers,
-        # not from body_wrench.  Measured gap 6.6e-6 against |power| up to 53; the
+        # not from body_wrench_fn.  Measured gap 6.6e-6 against |power| up to 53; the
         # constant force applied at the CoM would shift the power by up to 3.3e-2.
         sc = parse_scenario(POWER_SCENARIO)
         forces = POWER_SCENARIO["forces"]

@@ -56,14 +56,19 @@ from unirigid.dynamics import (
     SpatialInertia,
     Wrench,
     assemble_inertia,
-    body_wrench,
-    chart_rhs,
+    body_wrench_fn,
     chart_rhs_fn,
     conserved6,
     kirchhoff_accel_fn,
     newton_euler_accel_fn,
 )
-from unirigid.gauss import FixedPointConstraint, constrained_accel, fixed_point_constraint
+from unirigid.gauss import (
+    AccelConstraint,
+    FixedPointConstraint,
+    constrained_accel,
+    fixed_point_offset_fn,
+    fixed_point_rows,
+)
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
 from unirigid.geom3 import GIMBAL_EPS, EulerAngles, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
@@ -118,8 +123,7 @@ def reference_u_dot(chart, si, state, forces):
     ev = chart_eval(chart, state.pose, state.u)
     m6 = assemble_inertia(si)
     nu6 = ev.phi @ state.u
-    nu = Twist(nu6[:3], nu6[3:])
-    f6 = body_wrench(forces, si, 0.0, state.pose, nu).as_array()
+    f6 = np.array(body_wrench_fn(forces, si)(0.0, state.pose.rotation.flat, state.pose.flat, nu6.tolist()))
     rhs = ev.phi.T @ (f6 - m6 @ (ev.phi_dot @ state.u) - momentum_bias(nu6, m6 @ nu6))
     return np.linalg.solve(ev.phi.T @ m6 @ ev.phi, rhs)
 
@@ -132,7 +136,7 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     def check(si, state, g, torque, force):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
         expected = reference_u_dot(chart, si, state, forces)
-        got = chart_rhs(chart, si, state, forces)
+        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])(0.0, stage_state(chart, state)))
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
     check()
@@ -236,7 +240,7 @@ def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force, dr
     pin = FixedPointConstraint(0.5 * r_b, baumgarte_alpha=gains[0], baumgarte_beta=gains[1])
     nu = Twist(2.0 * omega, vel)
     w = Wrench(torque, force)
-    con = fixed_point_constraint(pin, nu, position_drift=1e-3 * drift)
+    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat, (1e-3 * drift).tolist()))
     nu_dot_ref, lam_ref = kkt_reference(si, nu, w, con)
     nu_dot, lam = constrained_accel(si, nu, w, con)
     scale = max(1.0, np.linalg.norm(nu_dot_ref), np.linalg.norm(lam_ref))
@@ -260,8 +264,9 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     nu = Twist(u[:3], u[3:])
     anchor = pose0.rotation.m @ pin.r_b
     drift = pose.rotation.m.T @ (pose.position + pose.rotation.m @ pin.r_b - anchor)
-    w = body_wrench(sc.forces, si, 0.0, pose, nu)
-    nu_dot_ref, _ = kkt_reference(si, nu, w, fixed_point_constraint(pin, nu, position_drift=drift))
+    w6 = body_wrench_fn(sc.forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat)
+    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat, drift.tolist()))
+    nu_dot_ref, _ = kkt_reference(si, nu, Wrench(w6[:3], w6[3:]), con)
     got = rhs(0.0, stage_state(chart, ChartState(pose, u)))
     assert np.linalg.norm(got - nu_dot_ref) <= 1e-12 * max(1.0, np.linalg.norm(nu_dot_ref))
 

@@ -80,7 +80,7 @@ class TestExpSo3:
 
     def test_quarter_turn_about_x(self):
         r = exp_so3([math.pi / 2, 0.0, 0.0])
-        assert np.allclose(r.apply([0.0, 1.0, 0.0]), [0.0, 0.0, 1.0], atol=1e-12)
+        assert np.allclose(r.m @ [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_against_scaling_and_squaring(self):
         for _ in range(200):
