@@ -174,10 +174,11 @@ class TestConservation:
         )
         dt = 1e-3
         samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, 2.0, sample_every=1)
-        m6_rows, si = as_rows(assemble_inertia(sc.inertia)), sc.inertia
-        kin = np.array([conserved6(m6_rows, si.mass, si.c.tolist(), (0.0, 0.0, 0.0), s.pose.rotation.flat, s.pose.flat,
-                                   s.nu.flat)[0] for s in samples])
-        wrench = body_wrench_fn(sc.forces, sc.inertia)
+        si = sc.inertia
+        m6_rows, c, no_gravity = as_rows(assemble_inertia(si)), si.c.tolist(), (0.0, 0.0, 0.0)
+        kin = np.array([conserved6(m6_rows, si.mass, c, no_gravity, s.pose.rotation.flat, s.pose.flat, s.nu.flat)[0]
+                        for s in samples])
+        wrench = body_wrench_fn(sc.forces, si)
         for k in range(1, len(samples) - 1):
             s = samples[k]
             w6 = wrench(s.t, s.pose.rotation.flat, s.pose.flat, s.nu.flat)
