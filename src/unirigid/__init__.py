@@ -1,9 +1,9 @@
 """Rigid-body dynamics on the rigid placement group.
 
 One quasi-velocity engine drives every formulation: picking the body-twist
-chart gives the Kirchhoff (and, for a CoM-centered frame, Newton-Euler)
-equations, picking the Euler-angle coordinate chart gives the Lagrange
-equations, and the Gauss least-constraint solver provides both constrained
+chart gives the Kirchhoff equations, the angular and CoM velocities give the
+Newton-Euler equations for any CoM offset, picking the Euler-angle coordinate
+chart gives the Lagrange equations, and the Gauss least-constraint solver provides both constrained
 dynamics and an independent cross-check of the unconstrained engine.
 """
 
@@ -26,7 +26,6 @@ from .dynamics import (
 )
 from .errors import (
     AngleNearPiError,
-    FrameNotAtCoMError,
     GimbalLockError,
     NonFiniteStateError,
     NotPositiveDefiniteError,

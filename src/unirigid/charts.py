@@ -7,8 +7,10 @@ formulation.  Each chart states its two maps nu = Phi u and u = Phi^-1 nu
 once, in closed form (``CHART_MAPS``); the matrices themselves (``chart_eval``)
 serve as the reference for the Hamel coefficients and the tests.
 
-* ``BODY_TWIST``    u is the body twist itself (Phi = I).  Kirchhoff /
-                    Newton-Euler route.
+* ``BODY_TWIST``    u is the body twist itself (Phi = I).  The Kirchhoff
+                    route, and the state of the Newton-Euler route, whose
+                    quasi-velocities (omega, v_G) map to it by the constant
+                    Phi = [[I, 0], [hat(c), I]] (dynamics.newton_euler_accel_fn).
 * ``SPATIAL_TWIST`` u is the space-frame twist; Phi = Ad(q)^-1.
 * ``EULER_COM``     u = (phi_dot, theta_dot, psi_dot, xdot) where (phi,
                     theta, psi) are Z-X-Z Euler angles and x is the position

@@ -16,14 +16,18 @@ balance into any velocity chart:
 
     (Phi^T M Phi) u_dot = Phi^T F - Phi^T (M Phi_dot u + bias(nu))
 
-with nu = Phi u and bias(nu) = (omega x pi + v x p, omega x p).
+with nu = Phi u and bias(nu) = (omega x pi + v x p, omega x p).  Newton-Euler's
+quasi-velocities (omega, v_G), with v_G = v + omega x c, map to the body twist
+by the constant Phi = [[I, 0], [hat(c), I]]; Phi^T M Phi = diag(J_G, m I), so
+the balance splits into its rotation about the CoM and its translation.
 
 Each route's stage right-hand side is one flat float function, built once
-per run: kirchhoff_accel_fn and newton_euler_accel_fn form the applied
-wrench and the solve inline, and chart_rhs_fn's Euler transport forms R, E u,
-E_dot u and E^-1 from one sin/cos of each angle.  They do the operations of
-the layered forms (body_wrench_fn, charts.CHART_MAPS) in the same order, so
-every result is the same to the bit.
+per run: kirchhoff_accel_fn forms the applied wrench and the 6x6 solve
+inline, newton_euler_accel_fn the wrench about the CoM and the 3x3 solve
+with J_G, and chart_rhs_fn's Euler transport forms R, E u, E_dot u and E^-1
+from one sin/cos of each angle.  They do the operations of the layered forms
+(body_wrench_fn, charts.CHART_MAPS, and the references of the tests) in the
+same order, so every result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ import numpy as np
 
 from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
-from .errors import FrameNotAtCoMError, NonFiniteStateError, NotPositiveDefiniteError
+from .errors import NonFiniteStateError, NotPositiveDefiniteError
 from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross
 from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
@@ -228,36 +232,41 @@ def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     return np.array(accel(0.0, _EYE9, _ZERO3, nu.flat))
 
 
-def require_com_frame(si: SpatialInertia) -> None:
-    """The Newton-Euler equations need the body origin at the center of mass."""
-    offset = float(np.linalg.norm(si.c))
-    if offset > 1e-12:
-        raise FrameNotAtCoMError(f"body frame origin is {offset:.6g} m from the CoM; newton-euler requires c = 0")
-
-
 def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
-    """Float Newton-Euler acceleration ``accel(t, r, x, nu6)`` under ``forces``, for c = 0.
+    """Float Newton-Euler acceleration ``accel(t, r, x, nu6)`` under ``forces``, from the balance about the CoM.
 
-    omega_dot = J^-1 (tau - omega x J omega) and v_dot = f/m - omega x v, with J and J^-1 bound as 9 floats each.
+    The quasi-velocities (omega, v_G), with v_G = v + omega x c the CoM velocity in body axes, give the
+    block-diagonal mass diag(J_G, m I), J_G = J + m hat(c)^2.  So omega_dot = J_G^-1 (tau_G - omega x J_G omega)
+    and v_dot = f/m - omega x v_G - omega_dot x c, with J_G and J_G^-1 bound as 9 floats each.  Gravity has no
+    torque about the CoM; the constant wrench's tau_G = t - c x f is formed here, once.
     """
-    j11, j12, j13, j21, j22, j23, j31, j32, j33 = si.j.ravel().tolist()
-    i11, i12, i13, i21, i22, i23, i31, i32, i33 = spd_factor(si.j, "inertia tensor").ravel().tolist()
+    hat_c = hat(si.c)
+    j_g = si.j + si.mass * (hat_c @ hat_c)
+    j11, j12, j13, j21, j22, j23, j31, j32, j33 = j_g.ravel().tolist()
+    i11, i12, i13, i21, i22, i23, i31, i32, i33 = spd_factor(j_g, "inertia tensor about the CoM").ravel().tolist()
     mass, callback, (c1, c2, c3), (gx, gy, gz) = si.mass, forces.callback, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
+    t1, t2, t3 = t1 - (c2 * f3 - c3 * f2), t2 - (c3 * f1 - c1 * f3), t3 - (c1 * f2 - c2 * f1)
 
     def accel(t, r, x, nu6):
         r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
         g1, g2, g3 = r1 * gx + r4 * gy + r7 * gz, r2 * gx + r5 * gy + r8 * gz, r3 * gx + r6 * gy + r9 * gz
-        e1, e2, e3 = mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3
-        e4, e5, e6 = mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
+        e1, e2, e3, e4, e5, e6 = t1, t2, t3, mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
         if callback is not None:
             k1, k2, k3, k4, k5, k6 = _callback_wrench(callback, t, r, x, nu6)
-            e1, e2, e3, e4, e5, e6 = e1 + k1, e2 + k2, e3 + k3, e4 + k4, e5 + k5, e6 + k6
+            # The callback's torque about the CoM is k_tau - c x k_f.
+            e1, e2, e3 = (e1 + (k1 - (c2 * k6 - c3 * k5)), e2 + (k2 - (c3 * k4 - c1 * k6)),
+                          e3 + (k3 - (c1 * k5 - c2 * k4)))
+            e4, e5, e6 = e4 + k4, e5 + k5, e6 + k6
         w1, w2, w3, v1, v2, v3 = nu6
         h1, h2, h3 = j11 * w1 + j12 * w2 + j13 * w3, j21 * w1 + j22 * w2 + j23 * w3, j31 * w1 + j32 * w2 + j33 * w3
         e1, e2, e3 = e1 - (w2 * h3 - w3 * h2), e2 - (w3 * h1 - w1 * h3), e3 - (w1 * h2 - w2 * h1)
-        return (i11 * e1 + i12 * e2 + i13 * e3, i21 * e1 + i22 * e2 + i23 * e3, i31 * e1 + i32 * e2 + i33 * e3,
-                e4 / mass - (w2 * v3 - w3 * v2), e5 / mass - (w3 * v1 - w1 * v3), e6 / mass - (w1 * v2 - w2 * v1))
+        a1, a2, a3 = i11 * e1 + i12 * e2 + i13 * e3, i21 * e1 + i22 * e2 + i23 * e3, i31 * e1 + i32 * e2 + i33 * e3
+        # v_G = v + omega x c, then v_dot = f/m - omega x v_G - omega_dot x c.
+        u1, u2, u3 = v1 + (w2 * c3 - w3 * c2), v2 + (w3 * c1 - w1 * c3), v3 + (w1 * c2 - w2 * c1)
+        return (a1, a2, a3, e4 / mass - (w2 * u3 - w3 * u2) - (a2 * c3 - a3 * c2),
+                e5 / mass - (w3 * u1 - w1 * u3) - (a3 * c1 - a1 * c3),
+                e6 / mass - (w1 * u2 - w2 * u1) - (a1 * c2 - a2 * c1))
 
     return accel
 
@@ -265,9 +274,8 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
 def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
 
-    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).  The
-    accelerations of kirchhoff_accel_fn and newton_euler_accel_fn form the
-    same wrench inline, operation for operation.
+    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
+    kirchhoff_accel_fn forms the same wrench inline, operation for operation.
     """
     mass, callback = si.mass, forces.callback
     (c1, c2, c3), gravity = si.c.tolist(), forces.gravity.tolist()

@@ -25,10 +25,6 @@ class NotPositiveDefiniteError(UniRigidError):
         self.field = field
 
 
-class FrameNotAtCoMError(UniRigidError):
-    """Operation requires the body frame origin at the center of mass."""
-
-
 class RankDeficientConstraintError(UniRigidError):
     """Constraint rows are linearly dependent at the working threshold."""
 

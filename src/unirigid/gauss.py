@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import Twist
-from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs, spd_factor
+from .charts import _ZERO3, Twist
+from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench, kirchhoff_accel_fn, spd_factor
 from .errors import RankDeficientConstraintError
-from .geom3 import _as_vec3, _readonly, as_rows, cross, hat, matvec
+from .geom3 import _EYE9, _as_vec3, _readonly, as_rows, cross, hat, matvec
 
 # Relative singular-value threshold below which constraint rows count as dependent.
 RANK_TOL = 1e-10
@@ -122,11 +122,11 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    free = kirchhoff_rhs(si, nu, wrench)
+    accel, m6_inv = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=wrench))
+    free = accel(0.0, _EYE9, _ZERO3, nu.flat)
     if con.k == 0:
-        return free, np.zeros(0)
-    m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
-    nu_dot, lam = constrained_accel6(free.tolist(), as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
+        return np.array(free), np.zeros(0)
+    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
     return np.array(nu_dot), np.array(lam)
 
 

@@ -43,10 +43,9 @@ from .dynamics import (
     conserved6,
     kirchhoff_accel_fn,
     newton_euler_accel_fn,
-    require_com_frame,
 )
 from .dynamics import spd_factor  # noqa: F401  (perfbench/tracer.py wraps it under this module)
-from .errors import FrameNotAtCoMError, GimbalLockError, NonFiniteStateError, ScenarioValidationError
+from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import (
     constrained_accel6,
     fixed_point_offset_fn,
@@ -98,9 +97,9 @@ DEFAULT_INTEGRATOR = {
 def check_route(formulation: Formulation, integrator: IntegratorId, scenario, where: str = "") -> None:
     """The route rules of scenario files, command-line choices and simulate().
 
-    A constraint needs the gauss formulation, rk4 the Euler chart (lagrange;
-    lie-rk4 is its counterpart on the twist charts), and newton-euler the
-    body origin at the CoM.  Errors name ``where + field``.
+    A constraint needs the gauss formulation, and rk4 the Euler chart
+    (lagrange; lie-rk4 is its counterpart on the twist charts).  Errors name
+    ``where + field``.
     """
     if scenario.constraint is not None and formulation is not Formulation.GAUSS:
         raise ScenarioValidationError(
@@ -110,11 +109,6 @@ def check_route(formulation: Formulation, integrator: IntegratorId, scenario, wh
         raise ScenarioValidationError(
             f"{where}integrator", f"rk4 steps the lagrange (Euler) chart only; {formulation.value} runs lie-rk4"
         )
-    if formulation is Formulation.NEWTON_EULER:
-        try:
-            require_com_frame(scenario.inertia)
-        except FrameNotAtCoMError as err:
-            raise ScenarioValidationError(f"{where}formulation", str(err)) from None
 
 
 @dataclass(frozen=True)

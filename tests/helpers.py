@@ -7,10 +7,10 @@ an independent route against the constrained body-twist dynamics.
 
 The layered references (``layered_kirchhoff_accel``,
 ``layered_newton_euler_accel``, ``layered_chart_rhs_fn``) compose the
-right-hand side from its parts, one call per layer: the wrench, M nu, the
-bias, M^-1, and each chart's maps.  The engine evaluates each route in one
-flat function with the same operations in the same order, so the two agree
-bit for bit.
+right-hand side from its parts, one call per layer: the wrench (about the
+CoM for Newton-Euler), M nu or J_G omega, the bias, the inverse, and each
+chart's maps.  The engine evaluates each route in one flat function with the
+same operations in the same order, so the two agree bit for bit.
 """
 
 import math
@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from unirigid.charts import CHART_MAPS, ChartId, _euler_rate_matrix_dot, chart_eval
-from unirigid.dynamics import ForceModel, SpatialInertia, assemble_inertia, body_wrench_fn, spd_factor
+from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, body_wrench_fn, spd_factor
 from unirigid.errors import NonFiniteStateError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import (
@@ -31,7 +31,9 @@ from unirigid.geom3 import (
     euler_to_rotation,
     exp_so3,
     gimbal_guard,
+    hat,
     mat3_vec,
+    mat3t_vec,
     matvec,
 )
 from unirigid.integrate import Formulation, IntegratorId
@@ -60,13 +62,41 @@ def kirchhoff_rhs6(nu6, w6, m6, m6_inv) -> tuple:
     return matvec(m6_inv, (t1 - b1, t2 - b2, t3 - b3, f1 - b4, f2 - b5, f3 - b6))
 
 
-def newton_euler_rhs6(nu6, w6, j, j_inv, mass: float) -> tuple:
-    """J^-1 (tau - omega x J omega) and f/m - omega x v; j and j_inv as tuples of rows."""
+def newton_euler_rhs6(nu6, w6, c, j_g, j_g_inv, mass: float) -> tuple:
+    """J_G^-1 (tau_G - omega x J_G omega) and f/m - omega x v_G - omega_dot x c, with v_G = v + omega x c.
+
+    w6 = (tau_G, f) is the wrench about the CoM; j_g and j_g_inv as tuples of rows.
+    """
     omega, v = nu6[:3], nu6[3:]
-    gyro = cross(omega, matvec(j, omega))
-    omega_dot = matvec(j_inv, (w6[0] - gyro[0], w6[1] - gyro[1], w6[2] - gyro[2]))
-    wv = cross(omega, v)
-    return (*omega_dot, w6[3] / mass - wv[0], w6[4] / mass - wv[1], w6[5] / mass - wv[2])
+    gyro = cross(omega, matvec(j_g, omega))
+    omega_dot = matvec(j_g_inv, (w6[0] - gyro[0], w6[1] - gyro[1], w6[2] - gyro[2]))
+    wc = cross(omega, c)
+    wv, dc = cross(omega, (v[0] + wc[0], v[1] + wc[1], v[2] + wc[2])), cross(omega_dot, c)
+    return (*omega_dot, w6[3] / mass - wv[0] - dc[0], w6[4] / mass - wv[1] - dc[1], w6[5] / mass - wv[2] - dc[2])
+
+
+def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
+    """w(t, r, x, nu6): the applied wrench about the CoM in body axes, (tau_G, f).
+
+    Gravity has no torque about the CoM.  The constant wrench's torque is
+    moved there once, t - c x f, and the callback's on every call.
+    """
+    mass, c, gravity, callback = si.mass, si.c.tolist(), forces.gravity.tolist(), forces.callback
+    t, f = forces.constant_wrench.torque.tolist(), forces.constant_wrench.force.tolist()
+    cf = cross(c, f)
+    tau = (t[0] - cf[0], t[1] - cf[1], t[2] - cf[2])
+
+    def wrench(time, r, x, nu6):
+        g = mat3t_vec(r, gravity)
+        w = (*tau, mass * g[0] + f[0], mass * g[1] + f[1], mass * g[2] + f[2])
+        if callback is None:
+            return w
+        k = _callback_wrench(callback, time, r, x, nu6)
+        ck = cross(c, k[3:])
+        return (w[0] + (k[0] - ck[0]), w[1] + (k[1] - ck[1]), w[2] + (k[2] - ck[2]),
+                w[3] + k[3], w[4] + k[4], w[5] + k[5])
+
+    return wrench
 
 
 def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
@@ -77,9 +107,12 @@ def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
 
 
 def layered_newton_euler_accel(si: SpatialInertia, forces: ForceModel):
-    """accel(t, r, x, nu6): body_wrench_fn, then newton_euler_rhs6."""
-    wrench, j, j_inv = body_wrench_fn(forces, si), as_rows(si.j), as_rows(spd_factor(si.j, "inertia tensor"))
-    return lambda t, r, x, nu6: newton_euler_rhs6(nu6, wrench(t, r, x, nu6), j, j_inv, si.mass)
+    """accel(t, r, x, nu6): com_wrench_fn, then newton_euler_rhs6 with J_G = J + m hat(c)^2."""
+    hat_c = hat(si.c)
+    j_g = si.j + si.mass * (hat_c @ hat_c)
+    wrench, c = com_wrench_fn(forces, si), si.c.tolist()
+    j_g_rows, j_g_inv_rows = as_rows(j_g), as_rows(spd_factor(j_g, "inertia tensor about the CoM"))
+    return lambda t, r, x, nu6: newton_euler_rhs6(nu6, wrench(t, r, x, nu6), c, j_g_rows, j_g_inv_rows, si.mass)
 
 
 def layered_chart_rhs_fn(chart: ChartId, accel):

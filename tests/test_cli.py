@@ -34,12 +34,12 @@ NEAR_GIMBAL_SCENARIO = {
     "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 0.002},
 }
 
-# A free body whose frame origin is 0.1 m from its CoM; newton-euler cannot run it.
+# A body falling under gravity whose frame origin is 0.1 m from its CoM.
 OFFSET_SCENARIO = {
     "name": "offset",
     "inertia": {"mass": 1.0, "inertia": [1.0, 1.2, 1.5], "com": [0.0, 0.0, 0.1]},
     "initial": {"orientation": {"euler_zxz": [0.0, 1.0, 0.0]}, "omega": [0.1, 0.2, 0.3]},
-    "forces": {"gravity": [0.0, 0.0, 0.0]},
+    "forces": {"gravity": [0.0, 0.0, -9.81]},
     "run": {"dt": 0.001, "t_end": 0.01},
 }
 
@@ -173,13 +173,10 @@ class TestSimulateCommand:
         [
             ["--scenario", "heavy-top-generic", "--formulation", "kirchhoff"],
             ["--scenario", "euler-top", "--integrator", "rk4", "--formulation", "kirchhoff"],
-            ["--scenario", "offset", "--formulation", "newton-euler"],
         ],
     )
     def test_bad_route_is_one_error_line(self, tmp_path, capsys, command, route):
         argv = [command] + route
-        if route[1] == "offset":  # OFFSET_SCENARIO, written to a file
-            argv[2] = write_scenario(tmp_path, OFFSET_SCENARIO)
         if command == "simulate":
             argv += ["--output", str(tmp_path / "o.csv")]
         else:
@@ -214,18 +211,21 @@ class TestCompareCommand:
         assert code == 0, out
         assert "max_orientation_gap" in out
 
-    def test_reported_gap_shrinks_with_dt(self, capsys):
-        def max_gap(dt):
-            code = main(
-                ["compare", "--scenario", "euler-top", "--dt", dt, "--t-end", "10",
-                 "--formulation", "kirchhoff", "--formulation", "lagrange",
-                 "--sample-every", "20"]
-            )
+    def test_reported_gap_shrinks_with_dt(self, tmp_path, capsys):
+        def max_gap(scenario, formulations, dt):
+            argv = ["compare", "--scenario", scenario, "--dt", dt, "--t-end", "10", "--sample-every", "20"]
+            code = main(argv + [arg for f in formulations for arg in ("--formulation", f)])
             out = capsys.readouterr().out
             assert code == 0, out
             return float(out.rsplit("max_orientation_gap=", 1)[1].split()[0])
 
-        assert max_gap("2e-3") / max_gap("1e-3") >= 8.0
+        assert max_gap("euler-top", ["kirchhoff", "lagrange"], "2e-3") / max_gap(
+            "euler-top", ["kirchhoff", "lagrange"], "1e-3") >= 8.0
+        # Newton-Euler on a body off its CoM, under gravity, against the other two formulations.
+        offset, three = write_scenario(tmp_path, OFFSET_SCENARIO), ["newton-euler", "kirchhoff", "lagrange"]
+        gap = max_gap(offset, three, "1e-3")
+        assert gap <= 1e-5
+        assert max_gap(offset, three, "2e-3") / gap >= 8.0
 
     def test_tolerance_failure_exits_2(self, capsys):
         code = main(

@@ -336,12 +336,11 @@ class TestSimulateContract:
             (Formulation.KIRCHHOFF, IntegratorId.RK4, None, "integrator"),
             (Formulation.NEWTON_EULER, IntegratorId.RK4, None, "integrator"),
             (Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, FixedPointConstraint(np.array([0.0, 0.0, -0.3])), "formulation"),
-            (Formulation.NEWTON_EULER, IntegratorId.LIE_RK4, None, "formulation"),
         ],
     )
     def test_route_rules(self, formulation, integrator, constraint, field):
-        # The body origin sits off the CoM, which only newton-euler refuses; the
-        # rules apply in order constraint, integrator, CoM frame.
+        # The body origin sits off the CoM, which no formulation refuses; the
+        # rules apply in order constraint, integrator.
         sc = make_scenario("route", 1.0, np.eye(3), [0.0, 0.0, 1.0], com=[0.0, 0.0, 0.1], constraint=constraint)
         with pytest.raises(ScenarioValidationError) as exc:
             simulate(sc, formulation, integrator, 1e-3, 0.01)

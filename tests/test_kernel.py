@@ -21,8 +21,9 @@ the suite is deterministic:
 * the float conserved6 equals a numpy evaluation of T, V and L;
 * each route's flat right-hand side (kirchhoff_accel_fn,
   newton_euler_accel_fn, and chart_rhs_fn's Euler transport) equals the
-  layered reference composition of tests/helpers.py bit for bit, compared by
-  float.hex, and fails with the same error where the reference fails;
+  layered reference composition of tests/helpers.py bit for bit on bodies
+  with a CoM offset, compared by float.hex, and fails with the same error
+  where the reference fails;
 * the Euler transport keeps the sign of an exactly zero output that only its
   products with E's zero entries decide.
 """
@@ -391,18 +392,18 @@ def outcome(rhs, t, s):
 
 
 FLAT_ROUTES = {
-    "kirchhoff": (lambda si, forces: kirchhoff_accel_fn(si, forces)[0], layered_kirchhoff_accel, True),
-    "newton-euler": (newton_euler_accel_fn, layered_newton_euler_accel, False),
+    "kirchhoff": (lambda si, forces: kirchhoff_accel_fn(si, forces)[0], layered_kirchhoff_accel),
+    "newton-euler": (newton_euler_accel_fn, layered_newton_euler_accel),
 }
 
 
 @pytest.mark.parametrize("route", sorted(FLAT_ROUTES))
 @pytest.mark.parametrize("chart", list(ChartId))
 def test_flat_rhs_matches_layered_reference_bit_for_bit(chart, route):
-    flat_accel, layered_accel, with_offset = FLAT_ROUTES[route]
+    flat_accel, layered_accel = FLAT_ROUTES[route]
 
     @SETTINGS
-    @given(si=bodies(with_offset), forces=force_models(), s=raw_stage_states(chart), t=st.floats(0.0, 10.0))
+    @given(si=bodies(True), forces=force_models(), s=raw_stage_states(chart), t=st.floats(0.0, 10.0))
     def check(si, forces, s, t):
         want = outcome(layered_chart_rhs_fn(chart, layered_accel(si, forces)), t, s)
         assert outcome(chart_rhs_fn(chart, flat_accel(si, forces)), t, s) == want
@@ -413,8 +414,8 @@ def test_flat_rhs_matches_layered_reference_bit_for_bit(chart, route):
 @pytest.mark.parametrize("route", sorted(FLAT_ROUTES))
 @pytest.mark.parametrize("chart", list(ChartId))
 def test_flat_rhs_fails_as_the_layered_reference(chart, route):
-    flat_accel, layered_accel, with_offset = FLAT_ROUTES[route]
-    si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]) if with_offset else np.zeros(3))
+    flat_accel, layered_accel = FLAT_ROUTES[route]
+    si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]))
     forces = ForceModel(callback=drag)
     flat, layered = chart_rhs_fn(chart, flat_accel(si, forces)), layered_chart_rhs_fn(chart, layered_accel(si, forces))
     g = (0.3, 1.0, -0.4) if chart is ChartId.EULER_COM else euler_matrix(0.3, 1.0, -0.4)

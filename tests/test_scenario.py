@@ -89,13 +89,6 @@ class TestValidation:
             parse_scenario({**MINIMAL, "run": {"formulation": "kirchhoff", "integrator": "rk4"}})
         assert exc.value.field == "run.integrator"
 
-    def test_newton_euler_requires_the_com_frame(self):
-        data = {**MINIMAL, "inertia": {**MINIMAL["inertia"], "com": [0.0, 0.0, 0.1]},
-                "run": {"formulation": "newton-euler"}}
-        with pytest.raises(ScenarioValidationError) as exc:
-            parse_scenario(data)
-        assert exc.value.field == "run.formulation"
-
     def test_nonpositive_dt(self):
         with pytest.raises(ScenarioValidationError) as exc:
             parse_scenario({**MINIMAL, "run": {"dt": 0.0}})

@@ -10,7 +10,10 @@ working directory:
   default CSV);
 * ``simulate --formulation`` lagrange, kirchhoff and newton-euler on
   euler-top and dzhanibekov;
-* ``compare --scenario euler-top`` over those three formulations.
+* ``compare --scenario euler-top`` over those three formulations;
+* ``compare`` over the same three on ``OFFSET_BODY``, a body falling under
+  gravity with its frame origin off its CoM, written once to a temporary
+  file.
 
 Prints "identical" when every CSV, printed line and exit code matches.
 Otherwise it prints, per run that differs, the largest absolute change and
@@ -20,6 +23,7 @@ differ.  Exits 0 when identical, 1 otherwise.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -28,18 +32,27 @@ from pathlib import Path
 
 FORMULATIONS = ("lagrange", "kirchhoff", "newton-euler")
 
+OFFSET_BODY = {
+    "name": "offset-body",
+    "inertia": {"mass": 1.3, "inertia": [[1.0, 0.1, -0.05], [0.1, 1.5, 0.08], [-0.05, 0.08, 2.0]],
+                "com": [0.08, -0.05, 0.12]},
+    "initial": {"orientation": {"euler_zxz": [0.3, 1.0, -0.4]}, "omega": [0.4, -0.3, 1.1], "vel": [0.2, 0.0, -0.1]},
+    "forces": {"gravity": [0.0, 0.0, -9.81]},
+    "run": {"dt": 0.001, "t_end": 10.0},
+}
 
-def runs(src: Path) -> "list[tuple[str, list[str]]]":
+
+def runs(src: Path, offset_body: Path) -> "list[tuple[str, list[str]]]":
     """(label, cli arguments) of every compared run; the shipped scenarios are read from ``src``."""
     out = [(f"simulate {name}", ["simulate", "--scenario", name, "--output", "out.csv"])
            for name in sorted(p.stem for p in (src / "unirigid" / "scenarios").glob("*.json"))]
     for name in ("euler-top", "dzhanibekov"):
         out += [(f"simulate {name} --formulation {f}",
                  ["simulate", "--scenario", name, "--formulation", f, "--output", "out.csv"]) for f in FORMULATIONS]
-    compare = ["compare", "--scenario", "euler-top"]
-    for f in FORMULATIONS:
-        compare += ["--formulation", f]
-    return out + [("compare euler-top", compare)]
+    formulations = [arg for f in FORMULATIONS for arg in ("--formulation", f)]
+    return out + [("compare euler-top", ["compare", "--scenario", "euler-top", *formulations]),
+                  ("compare offset-body",
+                   ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations])]
 
 
 def run(src: Path, argv: "list[str]") -> "tuple[int, str, str, str]":
@@ -73,8 +86,11 @@ def main(argv: "list[str]") -> int:
         return 2
     base_src, head_src = Path(argv[0]), Path(argv[1])
     report = []
-    for label, args in runs(head_src):
-        base, head = run(base_src, args), run(head_src, args)
+    with tempfile.TemporaryDirectory() as tmp:
+        offset_body = Path(tmp, "offset-body.json")
+        offset_body.write_text(json.dumps(OFFSET_BODY))
+        pairs = [(label, run(base_src, args), run(head_src, args)) for label, args in runs(head_src, offset_body)]
+    for label, base, head in pairs:
         if base == head:
             continue
         report.append(f"{label}:")
