@@ -62,6 +62,7 @@ from .geom3 import (
 from .integrate import (
     Formulation,
     IntegratorId,
+    Trajectory,
     TrajectorySample,
     simulate,
     step,

@@ -31,7 +31,7 @@ from .geom3 import (
     log_so3,
     rotation_to_euler,
 )
-from .integrate import Formulation, IntegratorId, pin_anchor, simulate
+from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, Formulation, IntegratorId, pin_anchor, simulate
 from .scenario import Scenario, load_scenario
 
 
@@ -129,8 +129,7 @@ def check_euler_roundtrip() -> Tuple[bool, str]:
 def check_axisymmetric_analytic() -> Tuple[bool, str]:
     sc = load_scenario("axisymmetric-free")
     samples = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 10.0, sample_every=10)
-    t = np.array([s.t for s in samples])
-    omega = np.array([s.nu.omega for s in samples])
+    t, omega = samples.rows[:, COL_T], samples.rows[:, COL_NU]
     phase = np.unwrap(np.arctan2(omega[:, 1], omega[:, 0]))
     measured = (phase[-1] - phase[0]) / (t[-1] - t[0])
     expected = (2.0 - 1.0) / 1.0 * 1.0  # (J3 - J1)/J1 * omega3
@@ -160,17 +159,17 @@ def check_steady_precession() -> Tuple[bool, str]:
 
 
 def conservation_drifts(scenario: Scenario, samples) -> Tuple[float, float]:
-    """Relative drifts of the energy and of the angular momentum the run conserves.
+    """Relative drifts of the energy and of the angular momentum the run conserves, from a Trajectory's rows.
 
     That is L about the pin anchor (L - a x R p) on pinned runs, and under
     gravity only the component of L along gravity.
     """
-    e = np.array([s.energy for s in samples])
-    l = np.array([s.l_spatial for s in samples])
+    rows = samples.rows
+    e, l = rows[:, COL_ENERGY], rows[:, COL_L]
     if scenario.constraint is not None:
         # Space-frame linear momentum R (M nu)[3:] of every sample, as one stacked product.
-        r = np.array([s.pose.rotation.flat for s in samples]).reshape(-1, 3, 3)
-        body_p = np.array([s.nu.flat for s in samples]) @ assemble_inertia(scenario.inertia)[3:].T
+        r = rows[:, COL_R].reshape(-1, 3, 3)
+        body_p = rows[:, COL_NU] @ assemble_inertia(scenario.inertia)[3:].T
         l = l - np.cross(pin_anchor(scenario), np.einsum("nij,nj->ni", r, body_p))
     gravity = scenario.forces.gravity
     if gravity.any():

@@ -20,8 +20,9 @@ from .errors import (
     ScenarioValidationError,
     UniRigidError,
 )
-from .geom3 import geodesic_distance, rotation_to_quaternion
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, check_route, run_steps, simulate
+from .geom3 import geodesic_distance, quaternion_from_matrix
+from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, COL_X, DEFAULT_INTEGRATOR, Formulation, IntegratorId
+from .integrate import check_route, run_steps, simulate
 from .scenario import Scenario, load_scenario
 
 CSV_HEADER = "t,qw,qx,qy,qz,x,y,z,wx,wy,wz,vx,vy,vz,energy,Lx,Ly,Lz"
@@ -41,11 +42,11 @@ CSV_ROW = ",".join(["%.17g"] * 18)
 
 
 def samples_to_csv(samples) -> str:
-    """Deterministic CSV text; floats carry 17 significant digits."""
+    """Deterministic CSV text of a Trajectory, written from its rows; floats carry 17 significant digits."""
     lines = [CSV_HEADER]
-    for s in samples:
-        q = rotation_to_quaternion(s.pose.rotation).tolist()
-        lines.append(CSV_ROW % (s.t, *q, *s.pose.flat, *s.nu.flat, s.energy, *s.l_spatial.tolist()))
+    for r in samples.rows.tolist():
+        q = quaternion_from_matrix(r[COL_R])
+        lines.append(CSV_ROW % (r[COL_T], *q, *r[COL_X], *r[COL_NU], r[COL_ENERGY], *r[COL_L]))
     return "\n".join(lines) + "\n"
 
 

@@ -379,30 +379,31 @@ def quaternion_to_rotation(q) -> Rotation:
     )
 
 
-def rotation_to_quaternion(r: Rotation) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0, via Shepperd's method."""
-    m = r.m
-    t = m[0, 0] + m[1, 1] + m[2, 2]
+def quaternion_from_matrix(m) -> tuple:
+    """Unit quaternion (w, x, y, z) with w >= 0 of a row-major 9-sequence, via Shepperd's method.
+
+    Float arithmetic throughout; the norm is summed left to right, so the bits
+    do not depend on the BLAS build.
+    """
+    a, b, c, d, e, f, g, h, i = m
+    t = a + e + i
     if t > 0.0:
         s = math.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s]
-        )
-    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s]
-        )
-    elif m[1, 1] >= m[2, 2]:
-        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
-        q = np.array(
-            [(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s]
-        )
+        q = (0.25 * s, (h - f) / s, (c - g) / s, (d - b) / s)
+    elif a >= e and a >= i:
+        s = math.sqrt(1.0 + a - e - i) * 2.0
+        q = ((h - f) / s, 0.25 * s, (b + d) / s, (c + g) / s)
+    elif e >= i:
+        s = math.sqrt(1.0 + e - a - i) * 2.0
+        q = ((c - g) / s, (b + d) / s, 0.25 * s, (f + h) / s)
     else:
-        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
-        q = np.array(
-            [(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s]
-        )
-    if q[0] < 0.0:
-        q = -q
-    return q / np.linalg.norm(q)
+        s = math.sqrt(1.0 + i - a - e) * 2.0
+        q = ((d - b) / s, (c + g) / s, (f + h) / s, 0.25 * s)
+    w, x, y, z = (-q[0], -q[1], -q[2], -q[3]) if q[0] < 0.0 else q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def rotation_to_quaternion(r: Rotation) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) with w >= 0 as an array; see quaternion_from_matrix."""
+    return np.array(quaternion_from_matrix(r.flat))

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, List
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -53,7 +53,7 @@ from .gauss import (
     schur_factor,
 )
 # perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
-from .geom3 import Pose, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
+from .geom3 import Pose, Rotation, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
 from .geom3 import as_rows, mat3_vec, mat3t_vec
 
 # rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
@@ -111,21 +111,47 @@ def check_route(formulation: Formulation, integrator: IntegratorId, scenario, wh
         )
 
 
-@dataclass(frozen=True)
+# The 29 columns of Trajectory.rows: t, R (row-major), x, u, nu, energy and L.
+COL_T, COL_R, COL_X, COL_U, COL_NU, COL_ENERGY, COL_L = 0, slice(1, 10), slice(10, 13), slice(13, 19), \
+    slice(19, 25), 25, slice(26, 29)
+
+
 class TrajectorySample:
-    """One recorded instant: state plus conserved-quantity bookkeeping.
+    """One recorded instant: a view of one row of ``Trajectory.rows``.
 
     ``energy`` is kinetic plus gravitational potential so that drift is
     meaningful for conservative scenarios; ``l_spatial`` is the angular
-    momentum about the space origin.  ``u`` is the state's read-only array.
+    momentum about the space origin.  ``u`` and ``l_spatial`` are read-only
+    views of the row; ``pose`` and ``nu`` are built from it, through their
+    validating constructors, on first read.
     """
 
-    t: float
-    pose: Pose
-    u: np.ndarray
-    nu: Twist
-    energy: float
-    l_spatial: np.ndarray
+    def __init__(self, row: np.ndarray):
+        self._row = row
+
+    t = property(lambda self: float(self._row[COL_T]))
+    energy = property(lambda self: float(self._row[COL_ENERGY]))
+    u = property(lambda self: self._row[COL_U])
+    l_spatial = property(lambda self: self._row[COL_L])
+    nu = cached_property(lambda self: Twist(*np.split(self._row[COL_NU], 2)))
+
+    @cached_property
+    def pose(self) -> Pose:
+        r = self._row.tolist()
+        return Pose(Rotation(tuple(r[COL_R])), tuple(r[COL_X]))
+
+
+class Trajectory(tuple):
+    """The samples of one run: a TrajectorySample per row of one read-only float array ``rows`` (columns COL_*)."""
+
+    def __new__(cls, rows: np.ndarray):
+        rows.setflags(write=False)
+        self = super().__new__(cls, map(TrajectorySample, rows))
+        self.rows = rows
+        return self
+
+    def __getnewargs__(self):  # copy and pickle rebuild the samples from the rows
+        return (self.rows,)
 
 
 def _slopes(rates, rhs: RhsFn, t: float, g, x, u, sigma) -> tuple:
@@ -281,14 +307,14 @@ def simulate(
     dt: float,
     t_end: float,
     sample_every: int = 1,
-) -> List[TrajectorySample]:
+) -> Trajectory:
     """Run one scenario with fixed steps; samples include t = 0 and the final step.
 
     Run parameters go through run_steps and the route through check_route,
     before any stepping.  Gimbal-lock and non-finite failures abort with
     time-stamped exceptions; partial samples ride along on the exception
-    object.  Floating-point overflow or invalid operations while stepping or
-    sampling count as non-finite state.
+    object as the rows recorded before the abort.  Floating-point overflow or
+    invalid operations while stepping or sampling count as non-finite state.
     """
     n_steps = run_steps(dt, t_end, sample_every)
     check_route(formulation, integrator, scenario)
@@ -300,30 +326,32 @@ def simulate(
     m6 = as_rows(assemble_inertia(scenario.inertia))
     mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
     gravity = scenario.forces.gravity.tolist()
+    # t = 0, every sample_every-th step, and the final step when the stride misses it.
+    rows = np.empty((1 + n_steps // sample_every + (n_steps % sample_every > 0), 29))
 
-    def sample(t: float, s: ChartState) -> TrajectorySample:
-        nu = body_twist(chart, s)
+    def sample(t: float, s: ChartState) -> tuple:
+        nu = body_twist(chart, s).flat
         r, x = s.pose.rotation.flat, s.pose.flat
-        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu.flat)
-        return TrajectorySample(t, s.pose, s.u, nu, kinetic + potential, np.array(l_spatial))
+        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu)
+        return (t, *r, *x, *s.flat, *nu, kinetic + potential, *l_spatial)
 
-    samples = []
-    t_next = 0.0
+    n_rows, t_next = 0, 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
-            samples.append(sample(0.0, state))
+            rows[0], n_rows = sample(0.0, state), 1
             for k in range(n_steps):
                 t_next = (k + 1) * dt
                 state = step(integrator, chart, rhs, state, k * dt, dt)
                 if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-                    samples.append(sample(t_next, state))
+                    rows[n_rows] = sample(t_next, state)
+                    n_rows += 1
     except GimbalLockError as err:
         raise GimbalLockError(f"gimbal lock at t={t_next:.6g}: {err}", time=t_next) from None
     except (FloatingPointError, OverflowError, NonFiniteStateError) as err:
         raise NonFiniteStateError(
             f"state became non-finite at t={t_next:.6g}: {err}",
             time=t_next,
-            last_sample_index=len(samples) - 1,
-            samples=samples,
+            last_sample_index=n_rows - 1,
+            samples=Trajectory(rows[:n_rows]),
         ) from None
-    return samples
+    return Trajectory(rows)

@@ -100,7 +100,10 @@ def _vec3(value, field: str) -> np.ndarray:
 def _number(value, field: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ScenarioValidationError(field, f"expected a number, got {value!r}")
-    v = float(value)
+    try:
+        v = float(value)
+    except OverflowError:
+        raise ScenarioValidationError(field, "must be finite, got an integer past float range") from None
     if not np.isfinite(v):
         raise ScenarioValidationError(field, "must be finite")
     return v

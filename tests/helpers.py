@@ -234,3 +234,24 @@ def reduced_heavy_top_rotations(si, fp: FixedPointConstraint, gravity, q0, q0_do
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         out.append(euler_to_rotation(EulerAngles(*y[:3])))
     return out
+
+
+def shepperd_quaternion(m) -> np.ndarray:
+    """Reference unit quaternion (w, x, y, z), w >= 0, of a 3x3 rotation array: Shepperd's method
+    on numpy scalars, normalized by np.linalg.norm."""
+    t = m[0, 0] + m[1, 1] + m[2, 2]
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = np.array([0.25 * s, (m[2, 1] - m[1, 2]) / s, (m[0, 2] - m[2, 0]) / s, (m[1, 0] - m[0, 1]) / s])
+    elif m[0, 0] >= m[1, 1] and m[0, 0] >= m[2, 2]:
+        s = math.sqrt(1.0 + m[0, 0] - m[1, 1] - m[2, 2]) * 2.0
+        q = np.array([(m[2, 1] - m[1, 2]) / s, 0.25 * s, (m[0, 1] + m[1, 0]) / s, (m[0, 2] + m[2, 0]) / s])
+    elif m[1, 1] >= m[2, 2]:
+        s = math.sqrt(1.0 + m[1, 1] - m[0, 0] - m[2, 2]) * 2.0
+        q = np.array([(m[0, 2] - m[2, 0]) / s, (m[0, 1] + m[1, 0]) / s, 0.25 * s, (m[1, 2] + m[2, 1]) / s])
+    else:
+        s = math.sqrt(1.0 + m[2, 2] - m[0, 0] - m[1, 1]) * 2.0
+        q = np.array([(m[1, 0] - m[0, 1]) / s, (m[0, 2] + m[2, 0]) / s, (m[1, 2] + m[2, 1]) / s, 0.25 * s])
+    if q[0] < 0.0:
+        q = -q
+    return q / np.linalg.norm(q)

@@ -32,7 +32,6 @@ from unirigid.geom3 import (
 )
 from unirigid.integrate import IntegratorId, step
 
-RNG = np.random.default_rng(7041812)
 
 ALL_CHARTS = [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST, ChartId.EULER_COM]
 TWIST_CHARTS = [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST]
@@ -55,7 +54,8 @@ def zero_rhs(t, s):
 
 class TestChartEval:
     def test_body_twist_identity_chart(self):
-        pose = random_valid_pose(RNG)
+        rng = np.random.default_rng(7041812)
+        pose = random_valid_pose(rng)
         u = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
         ev = chart_eval(ChartId.BODY_TWIST, pose, u)
         assert np.array_equal(ev.phi, np.eye(6))
@@ -72,17 +72,19 @@ class TestChartEval:
         assert np.allclose(nu.vel, 0.0)
 
     def test_euler_com_linear_block(self):
-        pose = random_valid_pose(RNG)
-        xdot = RNG.normal(size=3)
+        rng = np.random.default_rng(7041813)
+        pose = random_valid_pose(rng)
+        xdot = rng.normal(size=3)
         u = np.concatenate([np.zeros(3), xdot])
         nu = body_twist(ChartId.EULER_COM, ChartState(pose, u))
         assert np.allclose(nu.vel, pose.rotation.m.T @ xdot, atol=1e-14)
 
     @pytest.mark.parametrize("chart", ALL_CHARTS)
     def test_phi_dot_matches_finite_difference(self, chart):
+        rng = np.random.default_rng(7041814)
         h = 1e-5
         for _ in range(40):
-            state = ChartState(random_valid_pose(RNG), RNG.normal(size=6))
+            state = ChartState(random_valid_pose(rng), rng.normal(size=6))
             ev = chart_eval(chart, state.pose, state.u)
             plus = chart_eval(chart, step(IntegratorId.LIE_EULER, chart, zero_rhs, state, 0.0, h).pose, state.u).phi
             # step refuses dt <= 0; the exactly negated velocities over +h reach the pose at -h.
@@ -94,15 +96,17 @@ class TestChartEval:
 
 class TestChartInverse:
     def test_body_twist_is_identity_map(self):
-        pose = random_valid_pose(RNG)
-        nu = Twist(RNG.normal(size=3), RNG.normal(size=3))
+        rng = np.random.default_rng(7041815)
+        pose = random_valid_pose(rng)
+        nu = Twist(rng.normal(size=3), rng.normal(size=3))
         assert np.allclose(chart_from_body_twist(ChartId.BODY_TWIST, pose, nu), nu.as_array())
 
     @pytest.mark.parametrize("chart", ALL_CHARTS)
     def test_round_trip(self, chart):
+        rng = np.random.default_rng(7041816)
         for _ in range(1000):
-            pose = random_valid_pose(RNG)
-            nu = Twist(RNG.normal(size=3), RNG.normal(size=3))
+            pose = random_valid_pose(rng)
+            nu = Twist(rng.normal(size=3), rng.normal(size=3))
             u = chart_from_body_twist(chart, pose, nu)
             back = body_twist(chart, ChartState(pose, u))
             assert np.linalg.norm(back.as_array() - nu.as_array()) < 1e-10
@@ -130,14 +134,16 @@ class TestChartState:
 
 class TestInvariance:
     def test_body_chart_configuration_independent(self):
+        rng = np.random.default_rng(7041817)
         for _ in range(100):
-            ev = chart_eval(ChartId.BODY_TWIST, random_valid_pose(RNG), np.zeros(6))
+            ev = chart_eval(ChartId.BODY_TWIST, random_valid_pose(rng), np.zeros(6))
             assert np.max(np.abs(ev.phi - np.eye(6))) <= 1e-12
 
     def test_spatial_chart_adjoint_normalization(self):
         # Ad(q) Phi(q) must be the identity at every pose.
+        rng = np.random.default_rng(7041818)
         for _ in range(100):
-            pose = random_valid_pose(RNG)
+            pose = random_valid_pose(rng)
             ev = chart_eval(ChartId.SPATIAL_TWIST, pose, np.zeros(6))
             assert np.max(np.abs(adjoint(pose) @ ev.phi - np.eye(6))) <= 1e-12
 
@@ -147,7 +153,8 @@ class TestAdvancePose:
 
     @pytest.mark.parametrize("chart", ALL_CHARTS)
     def test_zero_velocity_fixed_point(self, chart):
-        pose = random_valid_pose(RNG)
+        rng = np.random.default_rng(7041819)
+        pose = random_valid_pose(rng)
         out = step(IntegratorId.LIE_EULER, chart, zero_rhs, ChartState(pose, np.zeros(6)), 0.0, 0.25).pose
         assert np.allclose(out.rotation.m, pose.rotation.m)
         assert np.allclose(out.position, pose.position)
@@ -161,9 +168,10 @@ class TestAdvancePose:
 
     @pytest.mark.parametrize("chart", TWIST_CHARTS)
     def test_constant_twist_substep_refinement(self, chart):
+        rng = np.random.default_rng(7041820)
         # The rotation update is the exact flow, so substepping changes nothing.
         for _ in range(20):
-            state = ChartState(random_valid_pose(RNG), RNG.normal(size=6))
+            state = ChartState(random_valid_pose(rng), rng.normal(size=6))
             one = step(IntegratorId.LIE_EULER, chart, zero_rhs, state, 0.0, 1.0).pose
             fine = state.pose
             for _ in range(1000):
@@ -173,22 +181,26 @@ class TestAdvancePose:
 
 class TestHamelCoefficients:
     def test_body_twist_matches_structure_constants(self):
-        passed, detail = check_structure_constants(RNG, 100)
+        rng = np.random.default_rng(7041821)
+        passed, detail = check_structure_constants(rng, 100)
         assert passed, detail
 
     @pytest.mark.parametrize("chart", ALL_CHARTS)
     def test_antisymmetry(self, chart):
-        gamma = hamel_coefficients(chart, random_valid_pose(RNG))
+        rng = np.random.default_rng(7041822)
+        gamma = hamel_coefficients(chart, random_valid_pose(rng))
         assert np.max(np.abs(gamma + np.transpose(gamma, (0, 2, 1)))) <= 1e-6
 
     def test_diagonal_contraction_vanishes(self):
-        gamma = hamel_coefficients(ChartId.EULER_COM, random_valid_pose(RNG))
+        rng = np.random.default_rng(7041823)
+        gamma = hamel_coefficients(ChartId.EULER_COM, random_valid_pose(rng))
         for i in range(6):
             u = np.zeros(6)
             u[i] = 1.0
             assert np.max(np.abs(np.einsum("kij,i,j->k", gamma, u, u))) <= 1e-12
 
     def test_euler_chart_is_holonomic(self):
+        rng = np.random.default_rng(7041824)
         # Coordinate basis fields commute: the Lagrange chart has no bracket terms.
-        gamma = hamel_coefficients(ChartId.EULER_COM, random_valid_pose(RNG))
+        gamma = hamel_coefficients(ChartId.EULER_COM, random_valid_pose(rng))
         assert np.max(np.abs(gamma)) <= 1e-6

@@ -10,6 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from unirigid.cli import CSV_HEADER, CSV_ROW, main
+from unirigid.geom3 import rotation_to_quaternion
+from unirigid.integrate import simulate
+from unirigid.scenario import load_scenario
 
 GIMBAL_SCENARIO = {
     "name": "gimbal-crossing",
@@ -89,6 +92,16 @@ class TestSimulateCommand:
         rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
         quat = np.array([float(v) for v in rows[-1][1:5]])
         assert math.isclose(float(np.linalg.norm(quat)), 1.0, abs_tol=1e-12)
+
+    def test_csv_quaternion_is_the_samples_quaternion(self, tmp_path):
+        out = tmp_path / "h.csv"
+        assert main(["simulate", "--scenario", "heavy-top-generic", "--t-end", "0.05", "--output", str(out)]) == 0
+        sc = load_scenario("heavy-top-generic")
+        samples = simulate(sc, sc.run.formulation, sc.run.integrator, sc.run.dt, 0.05, sc.run.sample_every)
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == len(samples)
+        for row, s in zip(rows, samples):
+            assert [float(v) for v in row[1:5]] == rotation_to_quaternion(s.pose.rotation).tolist()
 
     def test_gimbal_lock_exits_2_with_time(self, tmp_path, capsys):
         path = write_scenario(tmp_path, GIMBAL_SCENARIO)
@@ -185,6 +198,17 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert "np.float64" not in err[0]
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize("block, field", [("run", "dt"), ("run", "t_end"), ("inertia", "mass")])
+    def test_integer_past_float_range_is_one_error_line(self, tmp_path, capsys, block, field):
+        # JSON reads 1 followed by 400 zeros as an int, which float() cannot hold.
+        data = {**OFFSET_SCENARIO, block: {**OFFSET_SCENARIO[block], field: "BIG"}}
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data).replace('"BIG"', "1" + "0" * 400))
+        assert main(["simulate", "--scenario", str(path), "--output", str(tmp_path / "o.csv")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and field in err[0], err
         assert not (tmp_path / "o.csv").exists()
 
     def test_constrained_scenario_wrong_formulation(self, tmp_path, capsys):

@@ -31,8 +31,6 @@ from unirigid.gauss import (
     steady_precession_rates,
 )
 
-RNG = np.random.default_rng(16180339)
-
 
 def random_inertia(rng):
     a = rng.normal(size=(3, 3))
@@ -53,8 +51,9 @@ def random_wrench(rng):
 
 class TestGaussFunctional:
     def test_zero_at_free_acceleration(self):
-        si = random_inertia(RNG)
-        free = RNG.normal(size=6)
+        rng = np.random.default_rng(16180339)
+        si = random_inertia(rng)
+        free = rng.normal(size=6)
         assert gauss_functional(assemble_inertia(si), free, free) == 0.0
 
     def test_unit_displacement(self):
@@ -64,53 +63,59 @@ class TestGaussFunctional:
         assert math.isclose(gauss_functional(assemble_inertia(si), e1, np.zeros(6)), 0.5, rel_tol=1e-15)
 
     def test_convexity(self):
+        rng = np.random.default_rng(16180340)
         for _ in range(1000):
-            m6 = assemble_inertia(random_inertia(RNG))
-            free = RNG.normal(size=6)
-            a = RNG.normal(size=6)
-            b = RNG.normal(size=6)
+            m6 = assemble_inertia(random_inertia(rng))
+            free = rng.normal(size=6)
+            a = rng.normal(size=6)
+            b = rng.normal(size=6)
             mid = gauss_functional(m6, 0.5 * (a + b), free)
             assert mid <= 0.5 * (gauss_functional(m6, a, free) + gauss_functional(m6, b, free)) + 1e-12
 
     def test_nonnegative(self):
+        rng = np.random.default_rng(16180341)
         for _ in range(200):
-            m6 = assemble_inertia(random_inertia(RNG))
-            assert gauss_functional(m6, RNG.normal(size=6), RNG.normal(size=6)) >= 0.0
+            m6 = assemble_inertia(random_inertia(rng))
+            assert gauss_functional(m6, rng.normal(size=6), rng.normal(size=6)) >= 0.0
 
 
 class TestConstrainedAccel:
     def test_empty_constraint_returns_free_exactly(self):
+        rng = np.random.default_rng(16180342)
         for _ in range(1000):
-            si = random_inertia(RNG)
-            nu, w = random_twist(RNG), random_wrench(RNG)
+            si = random_inertia(rng)
+            nu, w = random_twist(rng), random_wrench(rng)
             nu_dot, lam = constrained_accel(si, nu, w, AccelConstraint.empty())
             assert lam.shape == (0,)
             assert np.array_equal(nu_dot, kirchhoff_rhs(si, nu, w))
 
     def test_pinned_angular_block(self):
+        rng = np.random.default_rng(16180343)
         # A = [I | 0], b = 0 freezes the angular acceleration.
-        si = random_inertia(RNG)
-        nu, w = random_twist(RNG), random_wrench(RNG)
+        si = random_inertia(rng)
+        nu, w = random_twist(rng), random_wrench(rng)
         con = AccelConstraint(np.hstack([np.eye(3), np.zeros((3, 3))]), np.zeros(3))
         nu_dot, lam = constrained_accel(si, nu, w, con)
         assert np.max(np.abs(nu_dot[:3])) <= 1e-12
         assert lam.shape == (3,)
 
     def test_constraint_satisfied(self):
+        rng = np.random.default_rng(16180344)
         for _ in range(200):
-            si = random_inertia(RNG)
-            nu, w = random_twist(RNG), random_wrench(RNG)
-            k = int(RNG.integers(1, 6))
-            con = AccelConstraint(RNG.normal(size=(k, 6)), RNG.normal(size=k))
+            si = random_inertia(rng)
+            nu, w = random_twist(rng), random_wrench(rng)
+            k = int(rng.integers(1, 6))
+            con = AccelConstraint(rng.normal(size=(k, 6)), rng.normal(size=k))
             nu_dot, _ = constrained_accel(si, nu, w, con)
             assert np.max(np.abs(con.a @ nu_dot - con.b)) <= 1e-10
 
     def test_minimality_under_admissible_perturbations(self):
+        rng = np.random.default_rng(16180345)
         for _ in range(50):
-            si = random_inertia(RNG)
-            nu, w = random_twist(RNG), random_wrench(RNG)
-            k = int(RNG.integers(1, 6))
-            con = AccelConstraint(RNG.normal(size=(k, 6)), RNG.normal(size=k))
+            si = random_inertia(rng)
+            nu, w = random_twist(rng), random_wrench(rng)
+            k = int(rng.integers(1, 6))
+            con = AccelConstraint(rng.normal(size=(k, 6)), rng.normal(size=k))
             nu_dot, _ = constrained_accel(si, nu, w, con)
             free = kirchhoff_rhs(si, nu, w)
             m6 = assemble_inertia(si)
@@ -118,15 +123,16 @@ class TestConstrainedAccel:
             # Project random directions onto the admissible subspace A delta = 0.
             proj = np.eye(6) - con.a.T @ np.linalg.solve(con.a @ con.a.T, con.a)
             for _ in range(1000):
-                delta = proj @ RNG.normal(size=6)
+                delta = proj @ rng.normal(size=6)
                 assert gauss_functional(m6, nu_dot + delta, free) - g_star >= -1e-12
 
     def test_multiplier_closes_momentum_balance(self):
+        rng = np.random.default_rng(16180346)
         for _ in range(200):
-            si = random_inertia(RNG)
-            nu, w = random_twist(RNG), random_wrench(RNG)
-            k = int(RNG.integers(1, 6))
-            con = AccelConstraint(RNG.normal(size=(k, 6)), RNG.normal(size=k))
+            si = random_inertia(rng)
+            nu, w = random_twist(rng), random_wrench(rng)
+            k = int(rng.integers(1, 6))
+            con = AccelConstraint(rng.normal(size=(k, 6)), rng.normal(size=k))
             nu_dot, lam = constrained_accel(si, nu, w, con)
             m6 = assemble_inertia(si)
             nu6 = nu.as_array()

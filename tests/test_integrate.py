@@ -7,7 +7,11 @@ tumbling torque-free body, so the asymptotic regime sits well above the
 roundoff floor.
 """
 
+import copy
+import gc
 import math
+import pickle
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -296,6 +300,39 @@ class TestSimulateContract:
         for s in simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.002):
             with pytest.raises(ValueError, match="read-only"):
                 s.u[0] = 1.0
+
+    def test_samples_are_read_only_views_of_rows(self):
+        sc = load_scenario("heavy-top-generic")
+        traj = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 0.01, sample_every=3)
+        assert traj.rows.shape == (len(traj), 29) and not traj.rows.flags.writeable
+        for k, s in enumerate(traj):
+            assert s.u.base is traj.rows and np.array_equal(s.u, traj.rows[k, 13:19])
+            assert s.l_spatial.base is traj.rows and np.array_equal(s.l_spatial, traj.rows[k, 26:29])
+            with pytest.raises(ValueError, match="read-only"):
+                s.l_spatial[0] = 1.0
+            assert (s.t, s.energy) == (traj.rows[k, 0], traj.rows[k, 25])
+            assert s.pose.rotation.flat + s.pose.flat == tuple(traj.rows[k, 1:13])
+            assert s.nu.flat == tuple(traj.rows[k, 19:25])
+
+    def test_trajectory_pickles_and_copies(self):
+        sc = make_scenario("pickle", 1.0, np.eye(3), [0.1, 0.2, 0.3])
+        traj = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.005)
+        for other in (pickle.loads(pickle.dumps(traj)), copy.deepcopy(traj)):
+            assert np.array_equal(other.rows, traj.rows) and not other.rows.flags.writeable
+            assert [s.pose for s in other] == [s.pose for s in traj]
+
+    def test_retained_memory_per_sample(self):
+        sc = load_scenario("heavy-top-generic")
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            traj = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 2.0)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 2001
+        assert retained / len(traj) <= 600.0
 
     def test_sampling_includes_final_step(self):
         sc = make_scenario("sampling", 1.0, np.eye(3), [0.1, 0.0, 0.0])

@@ -9,6 +9,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from helpers import shepperd_quaternion
 
 from unirigid.charts import ChartState, Twist
 from unirigid.errors import AngleNearPiError, GimbalLockError
@@ -24,6 +28,7 @@ from unirigid.geom3 import (
     log_so3,
     pose_compose,
     pose_inverse,
+    quaternion_from_matrix,
     quaternion_to_rotation,
     rotation_to_euler,
     rotation_to_quaternion,
@@ -278,6 +283,29 @@ class TestQuaternion:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             quaternion_to_rotation([0.0, 0.0, 0.0, 0.0])
+
+
+NEAR_PI = math.pi - 1e-9
+
+
+# Near pi about each axis the trace is about -1 and the largest diagonal entry picks the branch.
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(axis=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(lambda a: math.hypot(*a) > 1e-3),
+       angle=st.floats(0.0, math.pi))
+@example(axis=(0.3, -0.2, 0.5), angle=0.4)
+@example(axis=(1.0, 0.0, 0.0), angle=NEAR_PI)
+@example(axis=(0.0, 1.0, 0.0), angle=NEAR_PI)
+@example(axis=(0.0, 0.0, 1.0), angle=NEAR_PI)
+@example(axis=(-1.0, 1e-9, 2e-9), angle=math.pi)
+@example(axis=(1e-9, -1.0, 0.0), angle=math.pi)
+@example(axis=(2e-9, -1e-9, -1.0), angle=math.pi)
+def test_quaternion_matches_numpy_reference(axis, angle):
+    r = exp_so3(np.array(axis) / math.hypot(*axis) * angle)
+    q = quaternion_from_matrix(r.flat)
+    assert max(abs(a - b) for a, b in zip(q, shepperd_quaternion(r.m))) <= 4.5e-16
+    assert q[0] >= 0.0
+    assert abs(math.sqrt(math.fsum(v * v for v in q)) - 1.0) <= 1e-15
+    assert rotation_to_quaternion(r).tolist() == list(q)
 
 
 class TestRotationInvariants:

@@ -10,6 +10,8 @@ working directory:
   default CSV);
 * ``simulate --formulation`` lagrange, kirchhoff and newton-euler on
   euler-top and dzhanibekov;
+* ``simulate --scenario dzhanibekov --sample-every 7``, whose final row
+  falls off the stride;
 * ``compare --scenario euler-top`` over those three formulations;
 * ``compare`` over the same three on ``OFFSET_BODY``, a body falling under
   gravity with its frame origin off its CoM, written once to a temporary
@@ -49,6 +51,9 @@ def runs(src: Path, offset_body: Path) -> "list[tuple[str, list[str]]]":
     for name in ("euler-top", "dzhanibekov"):
         out += [(f"simulate {name} --formulation {f}",
                  ["simulate", "--scenario", name, "--formulation", f, "--output", "out.csv"]) for f in FORMULATIONS]
+    # 20,000 steps do not divide by 7: the last row is the final step, off the stride.
+    out.append(("simulate dzhanibekov --sample-every 7",
+                ["simulate", "--scenario", "dzhanibekov", "--sample-every", "7", "--output", "out.csv"]))
     formulations = [arg for f in FORMULATIONS for arg in ("--formulation", f)]
     return out + [("compare euler-top", ["compare", "--scenario", "euler-top", *formulations]),
                   ("compare offset-body",
