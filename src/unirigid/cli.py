@@ -21,7 +21,7 @@ from .errors import (
     UniRigidError,
 )
 from .geom3 import geodesic_distance, quaternion_from_matrix
-from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, COL_X, DEFAULT_INTEGRATOR, Formulation, IntegratorId
+from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, COL_X, ROUTES, Formulation, IntegratorId
 from .integrate import check_route, run_steps, simulate
 from .scenario import Scenario, load_scenario
 
@@ -61,7 +61,7 @@ def cmd_simulate(args) -> int:
         if args.integrator:
             integrator = IntegratorId(args.integrator)
         elif args.formulation:
-            integrator = DEFAULT_INTEGRATOR[formulation]
+            integrator = ROUTES[formulation][1]
         else:
             integrator = scenario.run.integrator
         dt = args.dt if args.dt is not None else scenario.run.dt
@@ -96,7 +96,7 @@ def cmd_compare(args) -> int:
         scenario = load_scenario(args.scenario)
         formulations = [Formulation(f) for f in args.formulation]
         pick = IntegratorId(args.integrator) if args.integrator else None
-        integrators = {f: pick or DEFAULT_INTEGRATOR[f] for f in formulations}
+        integrators = {f: pick or ROUTES[f][1] for f in formulations}
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         run_steps(dt, t_end, args.sample_every)

@@ -33,6 +33,7 @@ same order, so every result is the same to the bit.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -41,7 +42,7 @@ import numpy as np
 from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _readonly, check_rotation, cross
+from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _float_tuple, _readonly, check_rotation, cross
 from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
@@ -66,33 +67,30 @@ class SpatialInertia:
             raise NotPositiveDefiniteError(
                 f"mass must be positive and finite, got {self.mass!r}", field="mass"
             )
-        j = np.asarray(self.j, dtype=float)
-        if j.shape != (3, 3):
-            raise ValueError(f"inertia tensor must be 3x3, got {j.shape}")
-        if not np.all(np.isfinite(j)):
-            raise ValueError("inertia tensor must be finite")
+        j = np.reshape(_float_tuple(self.j, 9, "inertia tensor", (3, 3)), (3, 3))
         scale = max(1.0, float(np.abs(j).max()))
-        if np.abs(j - j.T).max() > INERTIA_TOL * scale:
-            raise ValueError("inertia tensor must be symmetric")
-        lam = np.linalg.eigvalsh(0.5 * (j + j.T))  # ascending
-        if lam[0] <= 0.0:
-            raise NotPositiveDefiniteError(f"inertia tensor has eigenvalue {lam[0]!r} <= 0")
-        # Any mass distribution satisfies the principal-moment triangle inequality.
-        if lam[2] > lam[0] + lam[1] + INERTIA_TOL * scale:
-            raise NotPositiveDefiniteError(
-                f"largest principal moment {lam[2]!r} exceeds the sum of the others "
-                f"({lam[0]!r}, {lam[1]!r})",
-                field="inertia triangle inequality",
-            )
-        object.__setattr__(self, "j", _readonly(j))
-        object.__setattr__(self, "c", _as_vec3(self.c, "c"))
-        # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
-        try:
-            np.linalg.cholesky(assemble_inertia(self))
-        except np.linalg.LinAlgError:
-            raise NotPositiveDefiniteError(
-                "assembled 6x6 inertia is not positive definite (CoM offset too large)"
-            ) from None
+        with setup_arithmetic("inertia data"):
+            if np.abs(j - j.T).max() > INERTIA_TOL * scale:
+                raise ValueError("inertia tensor must be symmetric")
+            lam = np.linalg.eigvalsh(0.5 * (j + j.T))  # ascending
+            if lam[0] <= 0.0:
+                raise NotPositiveDefiniteError(f"inertia tensor has eigenvalue {lam[0]!r} <= 0")
+            # Any mass distribution satisfies the principal-moment triangle inequality.
+            if lam[2] > lam[0] + lam[1] + INERTIA_TOL * scale:
+                raise NotPositiveDefiniteError(
+                    f"largest principal moment {lam[2]!r} exceeds the sum of the others "
+                    f"({lam[0]!r}, {lam[1]!r})",
+                    field="inertia triangle inequality",
+                )
+            object.__setattr__(self, "j", _readonly(j))
+            object.__setattr__(self, "c", _as_vec3(self.c, "c"))
+            # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
+            try:
+                np.linalg.cholesky(assemble_inertia(self))
+            except np.linalg.LinAlgError:
+                raise NotPositiveDefiniteError(
+                    "assembled 6x6 inertia is not positive definite (CoM offset too large)"
+                ) from None
 
 
 @dataclass(frozen=True)
@@ -129,17 +127,31 @@ class ForceModel:
         object.__setattr__(self, "gravity", _as_vec3(self.gravity, "gravity"))
 
 
-def spd_factor(a: np.ndarray, what: str) -> np.ndarray:
+@contextmanager
+def setup_arithmetic(what: str, field: str = "inertia"):
+    """Set-up arithmetic on inertia and constraint data: a FloatingPointError from overflow, an invalid
+    operation or division by zero becomes NotPositiveDefiniteError naming ``field``.  Underflow stays
+    quiet: valid inertias can have subnormal entries."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except FloatingPointError as err:
+        raise NotPositiveDefiniteError(f"{what} overflows float range ({err})", field) from None
+
+
+def spd_factor(a: np.ndarray, what: str, field: str = "inertia") -> np.ndarray:
     """Factor a symmetric positive definite matrix once, for repeated solves.
 
     Returns the inverse, built from the Cholesky factor L as L^-T L^-1, so
-    that every later solve is one matrix-vector product.
+    that every later solve is one matrix-vector product.  Failures name the
+    scenario ``field``.
     """
     try:
-        l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (a + a.T)))
+        with setup_arithmetic(what, field):
+            l_inv = np.linalg.inv(np.linalg.cholesky(0.5 * (a + a.T)))
+            return l_inv.T @ l_inv
     except np.linalg.LinAlgError:
-        raise NotPositiveDefiniteError(f"{what} is not positive definite") from None
-    return l_inv.T @ l_inv
+        raise NotPositiveDefiniteError(f"{what} is not positive definite", field) from None
 
 
 def assemble_inertia(si: SpatialInertia) -> np.ndarray:

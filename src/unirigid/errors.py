@@ -17,14 +17,6 @@ class GimbalLockError(UniRigidError):
         self.time = time
 
 
-class NotPositiveDefiniteError(UniRigidError):
-    """Inertia data fails a positive-definiteness requirement; names the scenario field."""
-
-    def __init__(self, message: str, field: str = "inertia"):
-        super().__init__(message)
-        self.field = field
-
-
 class RankDeficientConstraintError(UniRigidError):
     """Constraint rows are linearly dependent at the working threshold."""
 
@@ -49,3 +41,10 @@ class ScenarioValidationError(UniRigidError):
     def __init__(self, field: str, message: str):
         super().__init__(f"{field}: {message}")
         self.field = field
+
+
+class NotPositiveDefiniteError(ScenarioValidationError):
+    """Inertia or constraint data is not positive definite, or overflows float range while set up; names the field."""
+
+    def __init__(self, message: str, field: str = "inertia"):
+        super().__init__(field, message)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .charts import _ZERO3, Twist
-from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench, kirchhoff_accel_fn, spd_factor
+from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench, kirchhoff_accel_fn
+from .dynamics import setup_arithmetic, spd_factor
 from .errors import RankDeficientConstraintError
-from .geom3 import _EYE9, _as_vec3, _readonly, as_rows, cross, hat, matvec
+from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, as_rows, cross, hat, matvec
 
 # Relative singular-value threshold below which constraint rows count as dependent.
 RANK_TOL = 1e-10
@@ -41,17 +42,12 @@ class AccelConstraint:
     b: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.a, dtype=float)
-        b = np.asarray(self.b, dtype=float)
-        if a.ndim != 2 or a.shape[1] != 6:
-            raise ValueError(f"constraint matrix must be (k, 6), got {a.shape}")
-        if b.shape != (a.shape[0],):
-            raise ValueError(f"constraint offset must be ({a.shape[0]},), got {b.shape}")
-        if a.shape[0] > 6:
-            raise RankDeficientConstraintError(f"{a.shape[0]} rows cannot be independent in 6 dof")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-            raise ValueError("constraint data must be finite")
-        if a.shape[0] > 0:
+        k = len(self.a)
+        a = np.reshape(_float_tuple(self.a, 6 * k, "constraint matrix", (k, 6)), (k, 6))
+        b = np.array(_float_tuple(self.b, k, "constraint offset"))
+        if k > 6:
+            raise RankDeficientConstraintError(f"{k} rows cannot be independent in 6 dof")
+        if k > 0:
             sv = np.linalg.svd(a, compute_uv=False)
             if sv[-1] <= RANK_TOL * sv[0]:
                 raise RankDeficientConstraintError(
@@ -91,9 +87,11 @@ def gauss_functional(m6: np.ndarray, nu_dot_candidate, nu_dot_free) -> float:
 
 def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[tuple, tuple]":
     """(M^-1 A^T, S^-1) with S = A M^-1 A^T, as tuples of rows; computed once for constant rows A."""
-    m_inv_at = m6_inv @ a.T
-    s_inv = spd_factor(a @ m_inv_at, "constraint Schur complement A M^-1 A^T")
-    return as_rows(m_inv_at), as_rows(s_inv)
+    what = "constraint Schur complement A M^-1 A^T"
+    with setup_arithmetic(what, "constraint.point"):
+        m_inv_at = m6_inv @ a.T
+        s = a @ m_inv_at
+    return as_rows(m_inv_at), as_rows(spd_factor(s, what, "constraint.point"))
 
 
 def constrained_accel6(nu_dot_free, a, b, m_inv_at, s_inv) -> "tuple[tuple, tuple]":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -90,19 +90,17 @@ def mat3_mul(m, n) -> tuple:
 
 
 def matvec(rows, v) -> tuple:
-    """rows @ v for a tuple of rows, each row summed left to right; written out for 3x3, 6x3, 3x6 and 6x6."""
+    """rows @ v for a tuple of rows, each summed left to right; written out for 3x3, 6x3, 3x6, 6x6 (3-vectors: 3 or 6 rows)."""
     if len(v) == 3:
         v0, v1, v2 = v
         if len(rows) == 3:
             (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
             return a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2
-        if len(rows) == 6:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2), (f0, f1, f2) = rows
-            return (a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2,
-                    d0 * v0 + d1 * v1 + d2 * v2, e0 * v0 + e1 * v1 + e2 * v2, f0 * v0 + f1 * v1 + f2 * v2)
-        return tuple([a * v0 + b * v1 + c * v2 for a, b, c in rows])
-    if len(v) != 6:  # constrained_accel with 1, 2, 4 or 5 constraint rows
-        return tuple([sum(map(operator.mul, row, v)) for row in rows])
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2), (f0, f1, f2) = rows
+        return (a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2,
+                d0 * v0 + d1 * v1 + d2 * v2, e0 * v0 + e1 * v1 + e2 * v2, f0 * v0 + f1 * v1 + f2 * v2)
+    if len(v) != 6:  # constrained_accel with 1, 2, 4 or 5 constraint rows; each sum starts from its first product
+        return tuple([reduce(operator.add, map(operator.mul, row, v)) for row in rows])
     v0, v1, v2, v3, v4, v5 = v
     if len(rows) == 3:
         (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5) = rows
@@ -227,9 +225,8 @@ class EulerAngles:
     psi: float
 
     def __post_init__(self):
-        for name in ("phi", "theta", "psi"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+        for name, v in zip(("phi", "theta", "psi"), _float_tuple((self.phi, self.theta, self.psi), 3, "Euler angles")):
+            object.__setattr__(self, name, v)
 
 
 def exp_so3_matrix(w) -> tuple:
@@ -360,23 +357,16 @@ def se3_ad(omega, vel) -> np.ndarray:
 
 
 def quaternion_to_rotation(q) -> Rotation:
-    """Unit quaternion (w, x, y, z) to rotation matrix; q is normalized first."""
-    q = np.asarray(q, dtype=float)
-    if q.shape != (4,):
-        raise ValueError(f"quaternion must have shape (4,), got {q.shape}")
-    n = np.linalg.norm(q)
-    if n < 1e-12:
-        raise ValueError("quaternion has zero norm")
-    w, x, y, z = q / n
-    return Rotation(
-        np.array(
-            [
-                [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-                [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-                [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-            ]
-        )
-    )
+    """Quaternion (w, x, y, z) to rotation matrix, normalized first; a norm below 1e-12 or not finite is refused."""
+    q = _float_tuple(q, 4, "quaternion")
+    with np.errstate(over="ignore"):  # an overflowing norm is refused below
+        n = float(np.linalg.norm(q))
+    if not 1e-12 <= n < math.inf:
+        raise ValueError(f"quaternion norm {n!r} is zero or not finite")
+    w, x, y, z = (c / n for c in q)
+    return Rotation((1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
+                     2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
+                     2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)))
 
 
 def quaternion_from_matrix(m) -> tuple:

@@ -77,20 +77,13 @@ class Formulation(Enum):
     GAUSS = "gauss"
 
 
-FORMULATION_CHART = {
-    Formulation.NEWTON_EULER: ChartId.BODY_TWIST,
-    Formulation.KIRCHHOFF: ChartId.BODY_TWIST,
-    Formulation.GAUSS: ChartId.BODY_TWIST,
-    Formulation.LAGRANGE: ChartId.EULER_COM,
-}
-
-# Integrator used by default for each formulation: exponential-map stepping for
-# twist charts, classical RK4 for the coordinate chart.
-DEFAULT_INTEGRATOR = {
-    Formulation.NEWTON_EULER: IntegratorId.LIE_RK4,
-    Formulation.KIRCHHOFF: IntegratorId.LIE_RK4,
-    Formulation.GAUSS: IntegratorId.LIE_RK4,
-    Formulation.LAGRANGE: IntegratorId.RK4,
+# Chart and default integrator of each formulation: exponential-map stepping
+# for twist charts, classical RK4 for the coordinate chart.
+ROUTES = {
+    Formulation.NEWTON_EULER: (ChartId.BODY_TWIST, IntegratorId.LIE_RK4),
+    Formulation.KIRCHHOFF: (ChartId.BODY_TWIST, IntegratorId.LIE_RK4),
+    Formulation.GAUSS: (ChartId.BODY_TWIST, IntegratorId.LIE_RK4),
+    Formulation.LAGRANGE: (ChartId.EULER_COM, IntegratorId.RK4),
 }
 
 
@@ -105,7 +98,7 @@ def check_route(formulation: Formulation, integrator: IntegratorId, scenario, wh
         raise ScenarioValidationError(
             f"{where}formulation", f"scenarios with a constraint must run gauss, not {formulation.value}"
         )
-    if integrator is IntegratorId.RK4 and FORMULATION_CHART[formulation] is not ChartId.EULER_COM:
+    if integrator is IntegratorId.RK4 and ROUTES[formulation][0] is not ChartId.EULER_COM:
         raise ScenarioValidationError(
             f"{where}integrator", f"rk4 steps the lagrange (Euler) chart only; {formulation.value} runs lie-rk4"
         )
@@ -241,7 +234,7 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     the pin anchor for drift stabilization; the other routes are
     unconstrained.
     """
-    chart = FORMULATION_CHART[formulation]
+    chart, _ = ROUTES[formulation]
     if formulation is Formulation.NEWTON_EULER:
         return chart, chart_rhs_fn(chart, newton_euler_accel_fn(scenario.inertia, scenario.forces))
 

@@ -32,6 +32,7 @@ Quaternions are normalized exactly on ingestion; deviations above 1e-6 warn.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from importlib import resources
@@ -42,14 +43,10 @@ import numpy as np
 
 from .charts import Twist
 from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench
-from .errors import (
-    NotPositiveDefiniteError,
-    ScenarioParseError,
-    ScenarioValidationError,
-)
+from .errors import ScenarioParseError, ScenarioValidationError
 from .gauss import FixedPointConstraint
-from .geom3 import EulerAngles, Pose, euler_to_rotation, quaternion_to_rotation
-from .integrate import DEFAULT_INTEGRATOR, Formulation, IntegratorId, check_route, run_steps
+from .geom3 import EulerAngles, Pose, _float_tuple, euler_to_rotation, quaternion_to_rotation
+from .integrate import ROUTES, Formulation, IntegratorId, check_route, run_steps
 
 
 @dataclass(frozen=True)
@@ -88,13 +85,20 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
-def _vec3(value, field: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.shape != (3,):
-        raise ScenarioValidationError(field, f"expected 3 numbers, got {value!r}")
-    if not np.all(np.isfinite(arr)):
-        raise ScenarioValidationError(field, f"entries must be finite, got {value!r}")
-    return arr
+def _block(data: dict, key: str, required: bool = False) -> dict:
+    """The JSON object under ``key`` ({} when absent); a missing required block is a parse error."""
+    block = _require(data, key, "") if required else data.get(key, {})
+    if not isinstance(block, dict):
+        raise ScenarioValidationError(key, f"expected an object, got {block!r}")
+    return block
+
+
+def _floats(value, field: str, n: int, shape: tuple = None) -> tuple:
+    """The n floats of a JSON number list of ``shape`` (default (n,)), checked by geom3._float_tuple."""
+    try:
+        return _float_tuple(value, n, "value", shape)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ScenarioValidationError(field, str(err)) from None
 
 
 def _number(value, field: str) -> float:
@@ -112,16 +116,12 @@ def _number(value, field: str) -> float:
 def _parse_inertia(block: dict) -> SpatialInertia:
     """Parse the inertia block; SpatialInertia checks the physics and names the field."""
     mass = _number(_require(block, "mass", "inertia"), "mass")
-    j = np.asarray(_require(block, "inertia", "inertia"), dtype=float)
-    if j.shape == (3,):
-        j = np.diag(j)
-    elif j.shape != (3, 3):
-        raise ScenarioValidationError("inertia", "expected 3 principal moments or a 3x3 matrix")
-    com = _vec3(block.get("com", [0.0, 0.0, 0.0]), "inertia.com")
+    j = _require(block, "inertia", "inertia")
+    principal = isinstance(j, list) and j and not isinstance(j[0], list)
+    j = np.diag(_floats(j, "inertia", 3)) if principal else _floats(j, "inertia", 9, (3, 3))
+    com = _floats(block.get("com", [0.0, 0.0, 0.0]), "inertia.com", 3)
     try:
         return SpatialInertia(mass=mass, j=j, c=com)
-    except NotPositiveDefiniteError as err:
-        raise ScenarioValidationError(err.field, str(err)) from None
     except ValueError as err:
         raise ScenarioValidationError("inertia", str(err)) from None
 
@@ -133,40 +133,35 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
             "initial.orientation", "expected exactly one of 'quaternion' or 'euler_zxz'"
         )
     if "quaternion" in orientation:
-        q = np.asarray(orientation["quaternion"], dtype=float)
-        if q.shape != (4,):
-            raise ScenarioValidationError("initial.orientation.quaternion", "expected 4 numbers")
-        norm = float(np.linalg.norm(q))
-        if not np.isfinite(norm) or norm < 1e-12:
-            raise ScenarioValidationError("initial.orientation.quaternion", "norm is zero or non-finite")
-        if abs(norm - 1.0) > 1e-6:
-            warnings.warn(
-                f"orientation quaternion deviates from unit norm by {abs(norm - 1.0):.3e}; renormalizing",
-                stacklevel=2,
-            )
-        rotation = quaternion_to_rotation(q)
+        field = "initial.orientation.quaternion"
+        q = _floats(orientation["quaternion"], field, 4)
+        try:
+            rotation = quaternion_to_rotation(q)
+        except ValueError as err:
+            raise ScenarioValidationError(field, str(err)) from None
+        deviation = abs(math.hypot(*q) - 1.0)
+        if deviation > 1e-6:
+            warnings.warn(f"orientation quaternion deviates from unit norm by {deviation:.3e}; renormalizing", stacklevel=2)
     else:
-        angles = np.asarray(orientation["euler_zxz"], dtype=float)
-        if angles.shape != (3,):
-            raise ScenarioValidationError("initial.orientation.euler_zxz", "expected 3 angles")
+        angles = _floats(orientation["euler_zxz"], "initial.orientation.euler_zxz", 3)
         rotation = euler_to_rotation(EulerAngles(*angles))
-    position = _vec3(block.get("position", [0.0, 0.0, 0.0]), "initial.position")
-    omega = _vec3(block.get("omega", [0.0, 0.0, 0.0]), "initial.omega")
-    vel = _vec3(block.get("vel", [0.0, 0.0, 0.0]), "initial.vel")
+    position = _floats(block.get("position", [0.0, 0.0, 0.0]), "initial.position", 3)
+    omega = _floats(block.get("omega", [0.0, 0.0, 0.0]), "initial.omega", 3)
+    vel = _floats(block.get("vel", [0.0, 0.0, 0.0]), "initial.vel", 3)
     return Pose(rotation, position), Twist(omega, vel)
 
 
 def _parse_forces(block: dict) -> ForceModel:
-    gravity = _vec3(block.get("gravity", STANDARD_GRAVITY), "forces.gravity")
-    torque = _vec3(block.get("torque", [0.0, 0.0, 0.0]), "forces.torque")
-    force = _vec3(block.get("force", [0.0, 0.0, 0.0]), "forces.force")
+    gravity = _floats(block.get("gravity", STANDARD_GRAVITY), "forces.gravity", 3)
+    torque = _floats(block.get("torque", [0.0, 0.0, 0.0]), "forces.torque", 3)
+    force = _floats(block.get("force", [0.0, 0.0, 0.0]), "forces.force", 3)
     callback = None
     builtin = block.get("builtin")
     if builtin is not None:
         if not isinstance(builtin, dict) or "name" not in builtin:
             raise ScenarioValidationError("forces.builtin", "expected an object with a 'name'")
         name = builtin["name"]
-        if name not in BUILTIN_FORCES:
+        if name not in sorted(BUILTIN_FORCES):  # a list: an unhashable name compares unequal, not raises
             raise ScenarioValidationError(
                 "forces.builtin", f"unknown force {name!r}; available: {sorted(BUILTIN_FORCES)}"
             )
@@ -179,12 +174,8 @@ def _parse_forces(block: dict) -> ForceModel:
     )
 
 
-def _parse_constraint(block) -> Optional[FixedPointConstraint]:
-    if block is None:
-        return None
-    if not isinstance(block, dict):
-        raise ScenarioValidationError("constraint", "expected an object")
-    point = _vec3(_require(block, "point", "constraint"), "constraint.point")
+def _parse_constraint(block: dict) -> FixedPointConstraint:
+    point = _floats(_require(block, "point", "constraint"), "constraint.point", 3)
     alpha = _number(block.get("alpha", 0.0), "constraint.alpha")
     beta = _number(block.get("beta", 0.0), "constraint.beta")
     return FixedPointConstraint(point, baumgarte_alpha=alpha, baumgarte_beta=beta)
@@ -201,8 +192,7 @@ def _choice(enum, value, name: str):
 
 def _parse_run(block: dict) -> RunConfig:
     formulation = _choice(Formulation, block.get("formulation", "kirchhoff"), "formulation")
-    default = DEFAULT_INTEGRATOR[formulation].value
-    integrator = _choice(IntegratorId, block.get("integrator", default), "integrator")
+    integrator = _choice(IntegratorId, block.get("integrator", ROUTES[formulation][1].value), "integrator")
     dt = _number(block.get("dt", 1e-3), "run.dt")
     t_end = _number(block.get("t_end", 1.0), "run.t_end")
     sample_every = block.get("sample_every", 1)
@@ -214,16 +204,16 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded JSON object into a Scenario."""
     if not isinstance(data, dict):
         raise ScenarioParseError(f"top level must be an object, got {type(data).__name__}")
-    inertia = _parse_inertia(_require(data, "inertia", ""))
-    pose, twist = _parse_initial(data.get("initial", {}))
+    inertia = _parse_inertia(_block(data, "inertia", required=True))
+    pose, twist = _parse_initial(_block(data, "initial"))
     scenario = Scenario(
         name=str(data.get("name", name_hint)),
         inertia=inertia,
         initial_pose=pose,
         initial_twist=twist,
-        forces=_parse_forces(data.get("forces", {})),
-        constraint=_parse_constraint(data.get("constraint")),
-        run=_parse_run(data.get("run", {})),
+        forces=_parse_forces(_block(data, "forces")),
+        constraint=None if data.get("constraint") is None else _parse_constraint(_block(data, "constraint")),
+        run=_parse_run(_block(data, "run")),
     )
     check_route(scenario.run.formulation, scenario.run.integrator, scenario, where="run.")
     return scenario
@@ -258,4 +248,6 @@ def load_scenario(path) -> Scenario:
         data = json.loads(text)
     except json.JSONDecodeError as err:
         raise ScenarioParseError(f"{path}:{err.lineno}:{err.colno}: {err.msg}") from None
+    except ValueError as err:  # an integer literal longer than int() reads
+        raise ScenarioParseError(f"{path}: {err}") from None
     return parse_scenario(data, name_hint=path.stem)

@@ -32,7 +32,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -289,11 +289,15 @@ def test_simulate_is_repeated_step(name):
         assert np.array_equal(s.u, state.u)
 
 
-@pytest.mark.parametrize("n_rows, n_cols", [(6, 6), (3, 6), (3, 3), (6, 3)])
+@pytest.mark.parametrize(
+    "n_rows, n_cols", [(6, 6), (3, 6), (3, 3), (6, 3), (1, 1), (2, 2), (4, 4), (5, 5), (6, 1), (6, 2), (6, 4), (6, 5)]
+)
 def test_matvec_sums_rows_left_to_right(n_rows, n_cols):
     entry = st.floats(-1e3, 1e3)
 
     @SETTINGS
+    # Left to right from the first product: -0.0 + -0.0 is -0.0, where a sum started from 0 gives 0.0.
+    @example(rows=[[-0.0] * n_cols] * n_rows, v=[1.0] * n_cols)
     @given(rows=st.lists(st.lists(entry, min_size=n_cols, max_size=n_cols), min_size=n_rows, max_size=n_rows),
            v=st.lists(entry, min_size=n_cols, max_size=n_cols))
     def check(rows, v):

@@ -6,6 +6,7 @@ shares no code with the Rodrigues implementation.
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,13 @@ class TestQuaternion:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             quaternion_to_rotation([0.0, 0.0, 0.0, 0.0])
+
+    @pytest.mark.parametrize("q", [[1e308, 1e308, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0]])
+    def test_norm_past_float_range_rejected_without_warnings(self, q):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                quaternion_to_rotation(q)
 
 
 NEAR_PI = math.pi - 1e-9

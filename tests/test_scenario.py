@@ -1,11 +1,21 @@
 """Scenario file loading and validation."""
 
+import contextlib
+import copy
+import functools
+import io
 import json
 import math
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from unirigid.cli import main
 from unirigid.errors import ScenarioParseError, ScenarioValidationError
 from unirigid.integrate import Formulation, IntegratorId
 from unirigid.scenario import builtin_scenario_dir, load_scenario, parse_scenario
@@ -74,6 +84,12 @@ class TestValidation:
             parse_scenario({**MINIMAL, "forces": {"builtin": {"name": "warp-drive"}}})
         assert exc.value.field == "forces.builtin"
 
+    @pytest.mark.parametrize("name", [[], {}])
+    def test_unhashable_builtin_force_name(self, name):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, "forces": {"builtin": {"name": name}}})
+        assert exc.value.field == "forces.builtin"
+
     def test_constraint_requires_gauss(self):
         data = {
             **MINIMAL,
@@ -139,3 +155,97 @@ class TestBuiltins:
     def test_unknown_name_rejected(self):
         with pytest.raises(ScenarioParseError):
             load_scenario("no-such-scenario")
+
+
+class TestBlocks:
+    # A null constraint means no pin, so null is tried on the other blocks only.
+    @pytest.mark.parametrize(
+        "block, value",
+        [(block, value) for block in ("inertia", "initial", "forces", "constraint", "run")
+         for value in ([], 1, "abc") + ((None,) if block != "constraint" else ())],
+    )
+    def test_block_that_is_not_an_object_names_it(self, block, value):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, block: value})
+        assert exc.value.field == block
+
+    def test_null_constraint_is_no_pin(self):
+        assert parse_scenario({**MINIMAL, "constraint": None}).constraint is None
+
+
+# Replaced by an integer literal past float range (1 and 400 zeros) when a file is written.
+BIG = "<integer past float range>"
+DELETE = object()
+# One pool for every field: wrong JSON types, empty, short, long and ragged lists, values past float range,
+# and deletion.
+BAD_VALUES = (
+    None, True, False, "", "abc", "1.5", {}, {"a": 1}, [], [1.0], [1.0, 2.0], [1.0, 2.0, 3.0, 4.0, 5.0],
+    [[1.0], [2.0, 3.0]], [1.0, [2.0], 3.0], [1.0, "a", 3.0], [None, 0.0, 0.0], 1e308, -1e308, BIG, 0, -1, 1.5,
+    [1e308, 0.0, 0.0], [BIG, 0.0, 0.0], [[1e308, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]], DELETE,
+)
+
+
+def fields(data, prefix=()):
+    """The key path of every block and field of a decoded scenario."""
+    for key, value in data.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from fields(value, prefix + (key,))
+
+
+SHIPPED = {p.stem: json.loads(p.read_text()) for p in sorted(builtin_scenario_dir().glob("*.json"))}
+SHIPPED_FIELDS = [(name, path) for name, data in SHIPPED.items() for path in fields(data)]
+
+
+def mutated(data, path, value) -> str:
+    """The JSON text of data with the field at path set to value, or deleted."""
+    data = copy.deepcopy(data)
+    *parents, key = path
+    block = functools.reduce(dict.__getitem__, parents, data)
+    if value is DELETE:
+        del block[key]
+    else:
+        block[key] = value
+    return json.dumps(data).replace(json.dumps(BIG), "1" + "0" * 400)
+
+
+def run_simulate(text: str, tmp: Path) -> "tuple[int, list, list]":
+    """Exit code, stderr lines and recorded warnings of ``simulate`` on a scenario file holding text."""
+    (tmp / "s.json").write_text(text)
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("always")
+        code = main(["simulate", "--scenario", str(tmp / "s.json"), "--t-end", "0.01", "--output", str(tmp / "o.csv")])
+    return code, err.getvalue().splitlines(), caught
+
+
+class TestMalformedFields:
+    # Every field of every shipped scenario is drawn once: hypothesis draws distinct examples until none is left.
+    @settings(derandomize=True, max_examples=len(SHIPPED_FIELDS), deadline=None, database=None)
+    @given(st.sampled_from(SHIPPED_FIELDS))
+    def test_every_bad_value_ends_in_one_line(self, field):
+        name, path = field
+        with tempfile.TemporaryDirectory() as tmp:
+            for value in BAD_VALUES:
+                code, lines, caught = run_simulate(mutated(SHIPPED[name], path, value), Path(tmp))
+                where = f"{name}: {'.'.join(path)} = {'deleted' if value is DELETE else repr(value)}"
+                assert code in (0, 1, 2), where
+                assert code == 0 or len(lines) == 1, (where, lines)
+                # An input error names the block or the field.
+                assert code != 1 or path[0] in lines[0] or path[-1] in lines[0], (where, lines)
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (where, caught)
+
+    @pytest.mark.parametrize(
+        "name, path, value",
+        [
+            ("euler-top", ("inertia", "mass"), 1e308),
+            ("heavy-top-generic", ("inertia", "mass"), 1e308),
+            ("heavy-top-generic", ("inertia", "inertia"), [1e308, 1e308, 1e308]),
+            ("heavy-top-generic", ("constraint", "point"), [1e308, 0.0, 0.0]),
+        ],
+    )
+    def test_set_up_overflow_is_an_input_error(self, tmp_path, name, path, value):
+        code, lines, caught = run_simulate(mutated(SHIPPED[name], path, value), tmp_path)
+        assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {path[0]}"), lines
+        assert "overflows float range" in lines[0] and not caught
