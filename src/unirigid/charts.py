@@ -29,7 +29,6 @@ from functools import cached_property
 import numpy as np
 
 from .geom3 import (
-    EulerAngles,
     Pose,
     Rotation,
     _float_tuple,
@@ -37,7 +36,7 @@ from .geom3 import (
     adjoint,
     check_rotation,
     cross,
-    euler_to_rotation,
+    euler_matrix,
     exp_so3,
     exp_so3_matrix,
     hat,
@@ -300,7 +299,7 @@ CHART_STAGES = {
 def stage_pose(chart: ChartId, g, x) -> Pose:
     """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
     if chart is ChartId.EULER_COM:
-        return Pose(euler_to_rotation(EulerAngles(*g)), x)
+        return Pose(Rotation(euler_matrix(*g)), x)
     return Pose(Rotation(g), x)
 
 
