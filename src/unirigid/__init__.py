@@ -42,7 +42,6 @@ from .gauss import (
     steady_precession_rates,
 )
 from .geom3 import (
-    EulerAngles,
     Pose,
     Rotation,
     adjoint,

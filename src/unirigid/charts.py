@@ -122,8 +122,7 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
 def _configuration(chart: ChartId, pose: Pose) -> tuple:
     """The ``g`` of stage_state; on the Euler chart rotation_to_euler applies the gimbal rule."""
     if chart is ChartId.EULER_COM:
-        e = rotation_to_euler(pose.rotation)
-        return e.phi, e.theta, e.psi
+        return rotation_to_euler(pose.rotation)
     return pose.rotation.flat
 
 
@@ -159,9 +158,9 @@ def _phi(chart: ChartId, pose: Pose) -> np.ndarray:
         return np.eye(6)
     if chart is ChartId.SPATIAL_TWIST:
         return adjoint(pose_inverse(pose))  # Ad(q)^-1: spatial twist mapped to the body twist
-    e = rotation_to_euler(pose.rotation)
+    _, theta, psi = rotation_to_euler(pose.rotation)
     out = np.zeros((6, 6))
-    out[:3, :3] = np.reshape(euler_rate_matrix(e.theta, e.psi), (3, 3))
+    out[:3, :3] = np.reshape(euler_rate_matrix(theta, psi), (3, 3))
     out[3:, 3:] = pose.rotation.m.T
     return out
 
@@ -173,10 +172,10 @@ def _phi_dot(chart: ChartId, pose: Pose, u: tuple, phi: np.ndarray) -> np.ndarra
         # d/dt Ad(q)^-1 = -ad_nu Ad(q)^-1 with nu the body twist.
         nu = phi @ u
         return -se3_ad(nu[:3], nu[3:]) @ phi
-    e = rotation_to_euler(pose.rotation)
+    _, theta, psi = rotation_to_euler(pose.rotation)
     omega = phi[:3, :3] @ u[:3]
     out = np.zeros((6, 6))
-    out[:3, :3] = np.reshape(_euler_rate_matrix_dot(e.theta, e.psi, u[1], u[2]), (3, 3))
+    out[:3, :3] = np.reshape(_euler_rate_matrix_dot(theta, psi, u[1], u[2]), (3, 3))
     out[3:, 3:] = -hat(omega) @ pose.rotation.m.T
     return out
 

@@ -24,7 +24,6 @@ from .gauss import (
     steady_precession_rates,
 )
 from .geom3 import (
-    EulerAngles,
     Pose,
     euler_to_rotation,
     exp_so3,
@@ -52,12 +51,12 @@ def _structure_constant_table() -> np.ndarray:
 
 
 def _random_valid_pose(rng) -> Pose:
-    e = EulerAngles(
+    angles = (
         rng.uniform(-math.pi, math.pi),
         rng.uniform(0.2, math.pi - 0.2),
         rng.uniform(-math.pi, math.pi),
     )
-    return Pose(euler_to_rotation(e), rng.normal(size=3))
+    return Pose(euler_to_rotation(angles), rng.normal(size=3))
 
 
 def check_structure_constants(rng: np.random.Generator, poses: int) -> Tuple[bool, str]:
@@ -107,17 +106,17 @@ def check_euler_roundtrip() -> Tuple[bool, str]:
     rng = np.random.default_rng(303)
     worst = 0.0
     for _ in range(200):
-        e = EulerAngles(
+        phi, theta, psi = (
             rng.uniform(-math.pi, math.pi),
             rng.uniform(0.05, math.pi - 0.05),
             rng.uniform(-math.pi, math.pi),
         )
-        back = rotation_to_euler(euler_to_rotation(e))
+        phi_b, theta_b, psi_b = rotation_to_euler(euler_to_rotation((phi, theta, psi)))
         worst = max(
             worst,
-            abs(back.theta - e.theta),
-            abs(math.remainder(back.phi - e.phi, 2 * math.pi)),
-            abs(math.remainder(back.psi - e.psi, 2 * math.pi)),
+            abs(theta_b - theta),
+            abs(math.remainder(phi_b - phi, 2 * math.pi)),
+            abs(math.remainder(psi_b - psi, 2 * math.pi)),
         )
     for _ in range(200):
         w = rng.normal(size=3)
@@ -151,7 +150,7 @@ def check_steady_precession() -> Tuple[bool, str]:
         pin = FixedPointConstraint(np.array([0.0, 0.0, -l]))
         scenario = dataclasses.replace(sc, initial_twist=Twist(omega, vel), constraint=pin)
         samples = simulate(scenario, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 5.0, sample_every=10)
-        theta = np.array([math.acos(max(-1.0, min(1.0, s.pose.rotation.m[2, 2]))) for s in samples])
+        theta = np.array([math.acos(max(-1.0, min(1.0, r22))) for r22 in samples.rows[:, COL_R][:, 8].tolist()])
         dev = float(np.max(np.abs(theta - theta0)))
         ok = ok and dev <= 1e-4
         details.append(f"{label} root {rate:.6f}: max|theta - theta0| = {dev:.3e}")

@@ -7,6 +7,7 @@ comparison / validation run).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -154,7 +155,9 @@ def cmd_validate(args) -> int:
     return 0 if all_ok else 2
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state between calls."""
     parser = _Parser(prog="unirigid", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -185,9 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     return args.func(args)

@@ -3,8 +3,8 @@
 Orientation ground truth is the 3x3 rotation matrix; quaternions appear only
 as an I/O convenience.  The integration kernel runs on Python floats: vectors
 are tuples, a rotation is a row-major 9-tuple and any other matrix a tuple of rows.  Twists and wrenches are ordered (angular, linear)
-everywhere, and the Euler convention is Z-X-Z (precession phi, nutation theta,
-spin psi).
+everywhere, and Euler angles are the Z-X-Z float triple (precession phi,
+nutation theta, spin psi).
 """
 
 from __future__ import annotations
@@ -216,19 +216,6 @@ class Pose:
         return Pose(Rotation.identity(), (0.0, 0.0, 0.0))
 
 
-@dataclass(frozen=True)
-class EulerAngles:
-    """Z-X-Z angles; the chart is valid for theta in (0, pi)."""
-
-    phi: float
-    theta: float
-    psi: float
-
-    def __post_init__(self):
-        for name, v in zip(("phi", "theta", "psi"), _float_tuple((self.phi, self.theta, self.psi), 3, "Euler angles")):
-            object.__setattr__(self, name, v)
-
-
 def exp_so3_matrix(w) -> tuple:
     """Rodrigues formula on a 3-sequence as a row-major 9-tuple; Taylor branch below SMALL_ANGLE."""
     x, y, z = w
@@ -300,9 +287,9 @@ def euler_matrix(phi: float, theta: float, psi: float) -> tuple:
     )
 
 
-def euler_to_rotation(e: EulerAngles) -> Rotation:
-    """R = Rz(phi) Rx(theta) Rz(psi)."""
-    return Rotation(euler_matrix(e.phi, e.theta, e.psi))
+def euler_to_rotation(angles) -> Rotation:
+    """R = Rz(phi) Rx(theta) Rz(psi) of the 3-sequence (phi, theta, psi)."""
+    return Rotation(euler_matrix(*_float_tuple(angles, 3, "Euler angles")))
 
 
 def gimbal_guard(sin_theta: float) -> None:
@@ -311,8 +298,8 @@ def gimbal_guard(sin_theta: float) -> None:
         raise GimbalLockError(f"sin(theta) = {sin_theta:.3e} below {GIMBAL_EPS:g}")
 
 
-def rotation_to_euler(r: Rotation) -> EulerAngles:
-    """Inverse of euler_to_rotation where the chart is valid (see gimbal_guard).
+def rotation_to_euler(r: Rotation) -> tuple:
+    """Inverse of euler_to_rotation where the chart is valid (see gimbal_guard): the float triple (phi, theta, psi).
 
     theta = atan2(sin(theta), R22) with sin(theta) = hypot(R20, R21) keeps full
     relative precision down to GIMBAL_EPS; acos(R22) cannot resolve theta below
@@ -321,9 +308,7 @@ def rotation_to_euler(r: Rotation) -> EulerAngles:
     _, _, r02, _, _, r12, r20, r21, r22 = r.flat
     sin_theta = math.hypot(r20, r21)
     gimbal_guard(sin_theta)
-    phi = math.atan2(r02, -r12)
-    psi = math.atan2(r20, r21)
-    return EulerAngles(phi, math.atan2(sin_theta, r22), psi)
+    return math.atan2(r02, -r12), math.atan2(sin_theta, r22), math.atan2(r20, r21)
 
 
 def pose_compose(a: Pose, b: Pose) -> Pose:

@@ -45,7 +45,7 @@ from .charts import Twist
 from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gauss import FixedPointConstraint
-from .geom3 import EulerAngles, Pose, _float_tuple, euler_to_rotation, quaternion_to_rotation
+from .geom3 import Pose, _float_tuple, euler_to_rotation, quaternion_to_rotation
 from .integrate import ROUTES, Formulation, IntegratorId, check_route, run_steps
 
 
@@ -94,7 +94,10 @@ def _block(data: dict, key: str, required: bool = False) -> dict:
 
 
 def _floats(value, field: str, n: int, shape: tuple = None) -> tuple:
-    """The n floats of a JSON number list of ``shape`` (default (n,)), checked by geom3._float_tuple."""
+    """The n floats of a JSON number list of ``shape`` (default (n,)): every entry passes _number, so a string
+    or a boolean is refused before numpy could convert it; geom3._float_tuple checks the shape."""
+    for entry in np.array(value, dtype=object).ravel().tolist():
+        _number(entry, field)
     try:
         return _float_tuple(value, n, "value", shape)
     except (TypeError, ValueError, OverflowError) as err:
@@ -144,7 +147,7 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
             warnings.warn(f"orientation quaternion deviates from unit norm by {deviation:.3e}; renormalizing", stacklevel=2)
     else:
         angles = _floats(orientation["euler_zxz"], "initial.orientation.euler_zxz", 3)
-        rotation = euler_to_rotation(EulerAngles(*angles))
+        rotation = euler_to_rotation(angles)
     position = _floats(block.get("position", [0.0, 0.0, 0.0]), "initial.position", 3)
     omega = _floats(block.get("omega", [0.0, 0.0, 0.0]), "initial.omega", 3)
     vel = _floats(block.get("vel", [0.0, 0.0, 0.0]), "initial.vel", 3)
@@ -200,6 +203,14 @@ def _parse_run(block: dict) -> RunConfig:
     return RunConfig(formulation, integrator, dt, t_end, sample_every)
 
 
+def _parse_name(name) -> str:
+    """The scenario name, the stem of simulate's default CSV file: a non-empty string that is no path."""
+    if not isinstance(name, str) or name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+        raise ScenarioValidationError("name", "expected a non-empty string usable as a file name (no '/', '\\' "
+                                              f"or NUL; not '.' or '..'), got {name!r}")
+    return name
+
+
 def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded JSON object into a Scenario."""
     if not isinstance(data, dict):
@@ -207,7 +218,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     inertia = _parse_inertia(_block(data, "inertia", required=True))
     pose, twist = _parse_initial(_block(data, "initial"))
     scenario = Scenario(
-        name=str(data.get("name", name_hint)),
+        name=_parse_name(data.get("name", name_hint)),
         inertia=inertia,
         initial_pose=pose,
         initial_twist=twist,

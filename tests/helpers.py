@@ -22,7 +22,6 @@ from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, asse
 from unirigid.errors import NonFiniteStateError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import (
-    EulerAngles,
     Pose,
     as_rows,
     check_rotation,
@@ -211,7 +210,7 @@ def reduced_heavy_top_rotations(si, fp: FixedPointConstraint, gravity, q0, q0_do
     g = np.asarray(gravity, dtype=float)
 
     def qddot(q, qdot):
-        pose = Pose(euler_to_rotation(EulerAngles(*q)), np.zeros(3))
+        pose = Pose(euler_to_rotation(q), np.zeros(3))
         ev = chart_eval(ChartId.EULER_COM, pose, np.concatenate([qdot, np.zeros(3)]))
         e = ev.phi[:3, :3]
         e_dot = ev.phi_dot[:3, :3]
@@ -224,7 +223,7 @@ def reduced_heavy_top_rotations(si, fp: FixedPointConstraint, gravity, q0, q0_do
         return np.concatenate([y[3:], qddot(y[:3], y[3:])])
 
     y = np.concatenate([q0, q0_dot])
-    out = [euler_to_rotation(EulerAngles(*y[:3]))]
+    out = [euler_to_rotation(y[:3])]
     n = int(round(t_end / dt))
     for _ in range(n):
         k1 = f(y)
@@ -232,7 +231,7 @@ def reduced_heavy_top_rotations(si, fp: FixedPointConstraint, gravity, q0, q0_do
         k3 = f(y + 0.5 * dt * k2)
         k4 = f(y + dt * k3)
         y = y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out.append(euler_to_rotation(EulerAngles(*y[:3])))
+        out.append(euler_to_rotation(y[:3]))
     return out
 
 

@@ -22,7 +22,6 @@ from unirigid.charts import (
 from unirigid.checks import check_structure_constants
 from unirigid.errors import GimbalLockError
 from unirigid.geom3 import (
-    EulerAngles,
     Pose,
     Rotation,
     adjoint,
@@ -39,12 +38,12 @@ TWIST_CHARTS = [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST]
 
 def random_valid_pose(rng):
     """Pose whose Euler nutation is safely inside the chart-valid band."""
-    e = EulerAngles(
+    angles = (
         rng.uniform(-math.pi, math.pi),
         rng.uniform(0.2, math.pi - 0.2),
         rng.uniform(-math.pi, math.pi),
     )
-    return Pose(euler_to_rotation(e), rng.normal(size=3))
+    return Pose(euler_to_rotation(angles), rng.normal(size=3))
 
 
 def zero_rhs(t, s):
@@ -64,7 +63,7 @@ class TestChartEval:
 
     def test_euler_com_direct_substitution(self):
         # theta = pi/2, psi = 0, pure precession rate: omega_body = (0, phi_dot, 0).
-        pose = Pose(euler_to_rotation(EulerAngles(0.3, math.pi / 2, 0.0)), np.zeros(3))
+        pose = Pose(euler_to_rotation((0.3, math.pi / 2, 0.0)), np.zeros(3))
         phi_dot_rate = 0.8
         u = np.array([phi_dot_rate, 0.0, 0.0, 0.0, 0.0, 0.0])
         nu = body_twist(ChartId.EULER_COM, ChartState(pose, u))
@@ -112,7 +111,7 @@ class TestChartInverse:
             assert np.linalg.norm(back.as_array() - nu.as_array()) < 1e-10
 
     def test_gimbal_lock_near_zero_nutation(self):
-        pose = Pose(euler_to_rotation(EulerAngles(0.0, 1e-9, 0.0)), np.zeros(3))
+        pose = Pose(euler_to_rotation((0.0, 1e-9, 0.0)), np.zeros(3))
         nu = Twist(np.array([0.1, 0.0, 0.0]), np.zeros(3))
         with pytest.raises(GimbalLockError):
             chart_from_body_twist(ChartId.EULER_COM, pose, nu)
@@ -126,7 +125,7 @@ class TestChartState:
         u[slot] = bad
         with pytest.raises(ValueError):
             ChartState(Pose.identity(), u)
-        pose = Pose(euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)), np.zeros(3))
+        pose = Pose(euler_to_rotation((0.3, 1.0, -0.4)), np.zeros(3))
         for chart in ALL_CHARTS:
             with pytest.raises(ValueError):
                 chart_eval(chart, pose, u)

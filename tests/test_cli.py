@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirigid.cli import CSV_HEADER, CSV_ROW, main
+from unirigid.cli import CSV_HEADER, CSV_ROW, build_parser, main
 from unirigid.geom3 import rotation_to_quaternion
 from unirigid.integrate import simulate
 from unirigid.scenario import load_scenario
@@ -267,6 +267,31 @@ class TestCompareCommand:
         )
         assert code == 2
         assert "aborted" in capsys.readouterr().err
+
+
+class TestRepeatedCalls:
+    # main reuses one parser per process; a call must not see the arguments of the one before.
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_compare_after_a_two_formulation_call_still_needs_two(self, capsys):
+        argv = ["compare", "--scenario", "euler-top", "--t-end", "0.01", "--formulation", "kirchhoff"]
+        assert main(argv + ["--formulation", "lagrange"]) == 0
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert "at least two" in capsys.readouterr().err
+        assert main(argv[:-2]) == 1
+        assert "at least two" in capsys.readouterr().err
+
+    def test_suites_and_overrides_do_not_accumulate(self, tmp_path, capsys):
+        for _ in range(2):
+            assert main(["validate", "--suite", "euler-roundtrip"]) == 0
+            assert capsys.readouterr().out.count("PASS") == 1
+        out = str(tmp_path / "o.csv")
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--dt", "0.005", "--output", out]) == 0
+        assert "samples=3 " in capsys.readouterr().out
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", out]) == 0
+        assert "samples=11 " in capsys.readouterr().out
 
 
 class TestValidateCommand:

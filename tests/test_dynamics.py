@@ -25,7 +25,7 @@ from unirigid.dynamics import (
     newton_euler_accel_fn,
 )
 from unirigid.errors import NotPositiveDefiniteError
-from unirigid.geom3 import EulerAngles, Pose, Rotation, as_rows, euler_to_rotation, hat
+from unirigid.geom3 import Pose, Rotation, as_rows, euler_to_rotation, hat
 
 NO_FORCES = ForceModel(gravity=np.zeros(3))
 EYE9 = Rotation.identity().flat
@@ -55,12 +55,12 @@ def random_body_twist(rng, scale=1.0):
 
 
 def random_valid_pose(rng):
-    e = EulerAngles(
+    angles = (
         rng.uniform(-math.pi, math.pi),
         rng.uniform(0.3, math.pi - 0.3),
         rng.uniform(-math.pi, math.pi),
     )
-    return Pose(euler_to_rotation(e), rng.normal(size=3))
+    return Pose(euler_to_rotation(angles), rng.normal(size=3))
 
 
 class TestAssembleInertia:
@@ -246,7 +246,7 @@ class TestChartEngine:
                     qdot[0] * ct + qdot[2],
                 ]
             )
-            r = euler_to_rotation(EulerAngles(phi_a, theta, psi)).m
+            r = euler_to_rotation((phi_a, theta, psi)).m
             v = r.T @ qdot[3:]
             t_kin = 0.5 * omega @ si.j @ omega + 0.5 * si.mass * v @ v
             t_kin += si.mass * omega @ np.cross(si.c, v)
@@ -263,8 +263,7 @@ class TestChartEngine:
 
             from unirigid.geom3 import rotation_to_euler
 
-            e = rotation_to_euler(pose.rotation)
-            q = np.concatenate([[e.phi, e.theta, e.psi], pose.position])
+            q = np.concatenate([rotation_to_euler(pose.rotation), pose.position])
 
             def p_of_t(si, q, u, u_dot, tau, i):
                 qt = q + tau * u + 0.5 * tau * tau * u_dot

@@ -207,11 +207,11 @@ class TestHeavyTopTrajectories:
     @staticmethod
     def _pinned_scenario(alpha=0.0, beta=0.0):
         from helpers import make_scenario
-        from unirigid.geom3 import EulerAngles, Pose, euler_to_rotation
+        from unirigid.geom3 import Pose, euler_to_rotation
         from unirigid.integrate import Formulation
 
         theta0, l = 0.6, 0.3
-        rot = euler_to_rotation(EulerAngles(0.0, theta0, 0.0))
+        rot = euler_to_rotation((0.0, theta0, 0.0))
         pose = Pose(rot, rot.m @ np.array([0.0, 0.0, l]))
         return make_scenario(
             "heavy-top-generic",

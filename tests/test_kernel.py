@@ -71,7 +71,7 @@ from unirigid.gauss import (
     fixed_point_rows,
 )
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
-from unirigid.geom3 import GIMBAL_EPS, EulerAngles, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
+from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
@@ -86,7 +86,7 @@ def bodies(draw, with_offset):
     moments = sorted(draw(st.tuples(*[st.floats(0.5, 2.0)] * 3)))
     if moments[2] > moments[0] + moments[1]:
         moments[2] = moments[0] + moments[1]
-    tilt = euler_to_rotation(EulerAngles(*draw(vec3))).m
+    tilt = euler_to_rotation(draw(vec3)).m
     j = tilt @ np.diag(moments) @ tilt.T
     # m |c|^2 <= 0.36 stays below the smallest moment, so M is positive definite.
     c = 0.2 * draw(vec3) if with_offset else np.zeros(3)
@@ -95,7 +95,7 @@ def bodies(draw, with_offset):
 
 @st.composite
 def euler_states(draw):
-    angles = EulerAngles(
+    angles = (
         draw(st.floats(-math.pi, math.pi)),
         draw(st.floats(0.5, math.pi - 0.5)),
         draw(st.floats(-math.pi, math.pi)),
@@ -254,13 +254,13 @@ def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force, dr
 def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     # The simulate route precomputes the Schur complement once per run.
     pin = FixedPointConstraint(0.5 * r_b, baumgarte_alpha=1.0, baumgarte_beta=2.0)
-    pose0 = Pose(euler_to_rotation(EulerAngles(*angles)), np.zeros(3))
+    pose0 = Pose(euler_to_rotation(angles), np.zeros(3))
     sc = make_scenario(
         "pin", si.mass, si.j, omega, com=si.c, gravity=[0.0, 0.0, -9.81], pose=pose0,
         constraint=pin, formulation=Formulation.GAUSS,
     )
     chart, rhs = make_rhs(Formulation.GAUSS, sc)
-    pose = Pose(euler_to_rotation(EulerAngles(*(angles + 0.1))), 0.1 * x)
+    pose = Pose(euler_to_rotation(angles + 0.1), 0.1 * x)
     u = np.concatenate([2.0 * omega, vel])
     nu = Twist(u[:3], u[3:])
     anchor = pose0.rotation.m @ pin.r_b

@@ -18,7 +18,6 @@ from helpers import shepperd_quaternion
 from unirigid.charts import ChartState, Twist
 from unirigid.errors import AngleNearPiError, GimbalLockError
 from unirigid.geom3 import (
-    EulerAngles,
     Pose,
     Rotation,
     adjoint,
@@ -34,8 +33,6 @@ from unirigid.geom3 import (
     rotation_to_euler,
     rotation_to_quaternion,
 )
-
-RNG = np.random.default_rng(20260809)
 
 
 def matrix_exp_oracle(w):
@@ -65,13 +62,15 @@ class TestHat:
         assert np.array_equal(hat([1.0, 0.0, 0.0]), expected)
 
     def test_matches_cross_product(self):
+        rng = np.random.default_rng(20260810)
         for _ in range(200):
-            w = RNG.normal(size=3)
-            u = RNG.normal(size=3)
+            w = rng.normal(size=3)
+            u = rng.normal(size=3)
             assert np.allclose(hat(w) @ u, np.cross(w, u), atol=1e-15)
 
     def test_skew(self):
-        w = RNG.normal(size=3)
+        rng = np.random.default_rng(20260811)
+        w = rng.normal(size=3)
         s = hat(w)
         assert np.array_equal(s.T, -s)
 
@@ -89,8 +88,9 @@ class TestExpSo3:
         assert np.allclose(r.m @ [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], atol=1e-12)
 
     def test_against_scaling_and_squaring(self):
+        rng = np.random.default_rng(20260812)
         for _ in range(200):
-            w = RNG.normal(size=3) * RNG.uniform(0.0, 2.0)
+            w = rng.normal(size=3) * rng.uniform(0.0, 2.0)
             assert np.allclose(exp_so3(w).m, matrix_exp_oracle(w), atol=1e-10)
 
     def test_small_angle_branch_continuity(self):
@@ -127,9 +127,10 @@ class TestLogSo3:
         assert np.allclose(log_so3(exp_so3(w)), w, atol=1e-10)
 
     def test_round_trip_random(self):
+        rng = np.random.default_rng(20260813)
         for _ in range(1000):
-            w = RNG.normal(size=3)
-            w *= RNG.uniform(0.0, 3.0) / np.linalg.norm(w)
+            w = rng.normal(size=3)
+            w *= rng.uniform(0.0, 3.0) / np.linalg.norm(w)
             assert np.linalg.norm(log_so3(exp_so3(w)) - w) < 1e-9
 
     def test_tiny_angle_round_trip(self):
@@ -143,14 +144,16 @@ class TestLogSo3:
             log_so3(r)
 
     def test_angle_in_range(self):
+        rng = np.random.default_rng(20260814)
         for _ in range(100):
-            w = log_so3(random_rotation(RNG, max_angle=3.1))
+            w = log_so3(random_rotation(rng, max_angle=3.1))
             assert 0.0 <= np.linalg.norm(w) < math.pi
 
 
 class TestGeodesicDistance:
     def test_coincident(self):
-        r = random_rotation(RNG)
+        rng = np.random.default_rng(20260815)
+        r = random_rotation(rng)
         assert geodesic_distance(r, r) == 0.0
 
     def test_exponential_coordinates(self):
@@ -172,14 +175,16 @@ class TestGeodesicDistance:
             assert math.isclose(geodesic_distance(a, b), angle, abs_tol=1e-9)
 
     def test_symmetry(self):
-        a, b = random_rotation(RNG), random_rotation(RNG)
+        rng = np.random.default_rng(20260816)
+        a, b = random_rotation(rng), random_rotation(rng)
         assert math.isclose(geodesic_distance(a, b), geodesic_distance(b, a), rel_tol=1e-12)
 
     def test_triangle_inequality(self):
+        rng = np.random.default_rng(20260817)
         for _ in range(1000):
-            a = random_rotation(RNG, 1.0)
-            b = random_rotation(RNG, 1.0)
-            c = random_rotation(RNG, 1.0)
+            a = random_rotation(rng, 1.0)
+            b = random_rotation(rng, 1.0)
+            c = random_rotation(rng, 1.0)
             assert geodesic_distance(a, c) <= (
                 geodesic_distance(a, b) + geodesic_distance(b, c) + 1e-12
             )
@@ -187,55 +192,70 @@ class TestGeodesicDistance:
 
 class TestEulerAngles:
     def test_zero_is_identity(self):
-        assert np.allclose(euler_to_rotation(EulerAngles(0.0, 0.0, 0.0)).m, np.eye(3))
+        assert np.allclose(euler_to_rotation((0.0, 0.0, 0.0)).m, np.eye(3))
 
     def test_degenerate_axis_composition(self):
         # With theta = 0 both z-rotations merge: R(phi, 0, psi) = Rz(phi + psi).
         phi, psi = 0.7, -0.4
-        r = euler_to_rotation(EulerAngles(phi, 0.0, psi))
-        expected = euler_to_rotation(EulerAngles(phi + psi, 0.0, 0.0))
+        r = euler_to_rotation((phi, 0.0, psi))
+        expected = euler_to_rotation((phi + psi, 0.0, 0.0))
         assert np.allclose(r.m, expected.m, atol=1e-15)
 
     def test_round_trip(self):
+        rng = np.random.default_rng(20260818)
         for _ in range(1000):
-            e = EulerAngles(
-                RNG.uniform(-math.pi, math.pi),
-                RNG.uniform(0.05, math.pi - 0.05),
-                RNG.uniform(-math.pi, math.pi),
+            phi, theta, psi = (
+                rng.uniform(-math.pi, math.pi),
+                rng.uniform(0.05, math.pi - 0.05),
+                rng.uniform(-math.pi, math.pi),
             )
-            back = rotation_to_euler(euler_to_rotation(e))
-            assert abs(back.theta - e.theta) < 1e-10
-            assert abs(math.remainder(back.phi - e.phi, 2 * math.pi)) < 1e-10
-            assert abs(math.remainder(back.psi - e.psi, 2 * math.pi)) < 1e-10
+            phi_b, theta_b, psi_b = rotation_to_euler(euler_to_rotation((phi, theta, psi)))
+            assert abs(theta_b - theta) < 1e-10
+            assert abs(math.remainder(phi_b - phi, 2 * math.pi)) < 1e-10
+            assert abs(math.remainder(psi_b - psi, 2 * math.pi)) < 1e-10
 
     def test_gimbal_lock_rejected(self):
         with pytest.raises(GimbalLockError):
             rotation_to_euler(Rotation.identity())
 
+    def test_angles_are_a_float_triple(self):
+        angles = rotation_to_euler(euler_to_rotation([0.3, 1.0, -0.4]))
+        assert type(angles) is tuple and len(angles) == 3 and all(type(a) is float for a in angles)
+        assert euler_to_rotation(np.array(angles)) == euler_to_rotation(angles)
+
+    @pytest.mark.parametrize("angles", [(math.nan, 1.0, 0.0), (0.0, math.inf, 0.0), [0.0, 1.0, -math.inf],
+                                        (0.3, 1.0), [0.3, 1.0, -0.4, 0.0]])
+    def test_non_finite_or_wrong_length_angles_rejected(self, angles):
+        with pytest.raises(ValueError, match="Euler angles"):
+            euler_to_rotation(angles)
+
     def test_resolves_nutation_down_to_the_gimbal_threshold(self):
         # sin(theta) >= GIMBAL_EPS = 1e-8 is the one rule; acos(R22) would round theta to 0 here.
-        back = rotation_to_euler(euler_to_rotation(EulerAngles(0.3, 2e-8, -0.4)))
-        assert math.isclose(back.theta, 2e-8, rel_tol=1e-12)
-        assert abs(back.phi - 0.3) <= 1e-6 and abs(back.psi + 0.4) <= 1e-6
+        phi, theta, psi = rotation_to_euler(euler_to_rotation((0.3, 2e-8, -0.4)))
+        assert math.isclose(theta, 2e-8, rel_tol=1e-12)
+        assert abs(phi - 0.3) <= 1e-6 and abs(psi + 0.4) <= 1e-6
         with pytest.raises(GimbalLockError):
-            rotation_to_euler(euler_to_rotation(EulerAngles(0.3, 5e-9, -0.4)))
+            rotation_to_euler(euler_to_rotation((0.3, 5e-9, -0.4)))
 
 
 class TestPose:
     def test_identity_neutral(self):
-        p = random_pose(RNG)
+        rng = np.random.default_rng(20260819)
+        p = random_pose(rng)
         q = pose_compose(Pose.identity(), p)
         assert np.allclose(q.rotation.m, p.rotation.m) and np.allclose(q.position, p.position)
 
     def test_inverse(self):
-        p = random_pose(RNG)
+        rng = np.random.default_rng(20260820)
+        p = random_pose(rng)
         q = pose_compose(p, pose_inverse(p))
         assert np.linalg.norm(q.rotation.m - np.eye(3)) <= 1e-12
         assert np.linalg.norm(q.position) <= 1e-12
 
     def test_associativity(self):
+        rng = np.random.default_rng(20260821)
         for _ in range(1000):
-            a, b, c = random_pose(RNG), random_pose(RNG), random_pose(RNG)
+            a, b, c = random_pose(rng), random_pose(rng), random_pose(rng)
             left = pose_compose(pose_compose(a, b), c)
             right = pose_compose(a, pose_compose(b, c))
             assert np.allclose(left.rotation.m, right.rotation.m, atol=1e-12)
@@ -262,8 +282,9 @@ class TestAdjoint:
         assert np.allclose(tw[3:], np.cross(x, omega), atol=1e-15)
 
     def test_homomorphism(self):
+        rng = np.random.default_rng(20260822)
         for _ in range(1000):
-            a, b = random_pose(RNG), random_pose(RNG)
+            a, b = random_pose(rng), random_pose(rng)
             lhs = adjoint(pose_compose(a, b))
             rhs = adjoint(a) @ adjoint(b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-11
@@ -271,8 +292,9 @@ class TestAdjoint:
 
 class TestQuaternion:
     def test_round_trip(self):
+        rng = np.random.default_rng(20260823)
         for _ in range(500):
-            r = random_rotation(RNG)
+            r = random_rotation(rng)
             q = rotation_to_quaternion(r)
             assert q[0] >= 0.0
             assert math.isclose(np.linalg.norm(q), 1.0, rel_tol=1e-14)
@@ -344,7 +366,7 @@ class TestRotationInvariants:
 
 # Each box from a value a, and the names of its read-only arrays.
 BOXES = {
-    "rotation": (lambda a: euler_to_rotation(EulerAngles(a, 1.0, -0.4)), ("m",)),
+    "rotation": (lambda a: euler_to_rotation((a, 1.0, -0.4)), ("m",)),
     "pose": (lambda a: Pose(Rotation.identity(), np.array([a, 0.0, -1.0])), ("position",)),
     "chart-state": (lambda a: ChartState(Pose.identity(), np.array([a, 0.0, 0.0, 0.0, 0.0, 1.0])), ("u",)),
     "twist": (lambda a: Twist(np.array([a, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])), ("omega", "vel")),
@@ -370,14 +392,14 @@ class TestBoxValues:
             assert a.flags.owndata and not a.flags.writeable
 
     def test_tuple_and_matrix_make_the_same_rotation(self):
-        m = euler_to_rotation(EulerAngles(0.3, 1.0, -0.4)).m
+        m = euler_to_rotation((0.3, 1.0, -0.4)).m
         assert Rotation(m) == Rotation(tuple(m.ravel().tolist()))
         assert Rotation(np.eye(3)) == Rotation.identity()
         with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
             Rotation(np.eye(3).ravel())
 
     def test_keyword_constructors_and_replace(self):
-        r = euler_to_rotation(EulerAngles(0.3, 1.0, -0.4))
+        r = euler_to_rotation((0.3, 1.0, -0.4))
         pose = Pose(r, (0.1, 0.2, 0.3))
         assert Rotation(m=r.m) == r
         assert Pose(rotation=r, position=[0.1, 0.2, 0.3]) == pose

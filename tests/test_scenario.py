@@ -249,3 +249,62 @@ class TestMalformedFields:
         code, lines, caught = run_simulate(mutated(SHIPPED[name], path, value), tmp_path)
         assert code == 1 and len(lines) == 1 and lines[0].startswith(f"error: {path[0]}"), lines
         assert "overflows float range" in lines[0] and not caught
+
+
+def _entries_replaced(value, entry):
+    """value, a (nested) number list, with every number replaced by entry(number)."""
+    return [_entries_replaced(v, entry) if isinstance(v, list) else entry(v) for v in value]
+
+
+# The number-list fields the shipped scenarios leave at their defaults, and a full inertia tensor.
+EXTRA_NUMBER_LISTS = [
+    ("euler-top", ("inertia", "com"), [0.0, 0.0, 0.1]),
+    ("euler-top", ("forces", "torque"), [0.0, 0.0, 0.1]),
+    ("euler-top", ("forces", "force"), [0.0, 0.0, 0.1]),
+    ("euler-top", ("inertia", "inertia"), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
+]
+NUMBER_LISTS = [(name, path, functools.reduce(dict.__getitem__, path, SHIPPED[name])) for name, path in SHIPPED_FIELDS
+                if isinstance(functools.reduce(dict.__getitem__, path, SHIPPED[name]), list)] + EXTRA_NUMBER_LISTS
+
+
+class TestNumberLists:
+    # Numbers spelled as strings parse in numpy, and booleans convert; JSON numbers are the only numbers.
+    @pytest.mark.parametrize("entry", [str, lambda v: True, lambda v: False], ids=["strings", "true", "false"])
+    @pytest.mark.parametrize("name, path, value", NUMBER_LISTS, ids=[f"{n}:{'.'.join(p)}" for n, p, _ in NUMBER_LISTS])
+    def test_string_or_boolean_entries_are_one_error_line(self, tmp_path, name, path, value, entry):
+        code, lines, caught = run_simulate(mutated(SHIPPED[name], path, _entries_replaced(value, entry)), tmp_path)
+        assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
+        named = lines[0].split(": ")[1]
+        assert ".".join(path).endswith(named), (named, path)
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_one_string_entry_is_refused(self):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, "initial": {"omega": [1.0, "2", 3.0]}})
+        assert exc.value.field == "initial.omega"
+
+
+class TestName:
+    @pytest.mark.parametrize(
+        "name",
+        [{"a": 1}, ["x"], 3, None, True, "", "sub/x", "/abs", "a\\b", ".", "..", "nul\0byte"],
+        ids=["object", "list", "number", "null", "bool", "empty", "slash", "absolute", "backslash", "dot", "dotdot",
+             "nul"],
+    )
+    def test_name_that_is_not_a_file_stem_is_refused(self, name):
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario({**MINIMAL, "name": name})
+        assert exc.value.field == "name"
+
+    @pytest.mark.parametrize("name", ["top", "my top", ".hidden", "a..b", "heavy-top_2"])
+    def test_plain_names_are_kept(self, name):
+        assert parse_scenario({**MINIMAL, "name": name}).name == name
+
+    def test_simulate_writes_nothing_for_a_path_name(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        path = write(tmp_path, {**MINIMAL, "name": "sub/x", "run": {"t_end": 0.01}})
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: name: "), err
+        assert list((tmp_path / "sub").iterdir()) == []

@@ -15,7 +15,9 @@ working directory:
 * ``compare --scenario euler-top`` over those three formulations;
 * ``compare`` over the same three on ``OFFSET_BODY``, a body falling under
   gravity with its frame origin off its CoM, written once to a temporary
-  file.
+  file;
+* ``validate`` of every suite (about 2 s), which writes no CSV: its printed
+  lines and exit code cover ``checks.py``.
 
 Prints "identical" when every CSV, printed line and exit code matches.
 Otherwise it prints, per run that differs, the largest absolute change and
@@ -57,7 +59,8 @@ def runs(src: Path, offset_body: Path) -> "list[tuple[str, list[str]]]":
     formulations = [arg for f in FORMULATIONS for arg in ("--formulation", f)]
     return out + [("compare euler-top", ["compare", "--scenario", "euler-top", *formulations]),
                   ("compare offset-body",
-                   ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations])]
+                   ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations]),
+                  ("validate", ["validate"])]
 
 
 def run(src: Path, argv: "list[str]") -> "tuple[int, str, str, str]":
