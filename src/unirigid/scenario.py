@@ -111,7 +111,7 @@ def _number(value, field: str) -> float:
         v = float(value)
     except OverflowError:
         raise ScenarioValidationError(field, "must be finite, got an integer past float range") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ScenarioValidationError(field, "must be finite")
     return v
 

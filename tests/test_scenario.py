@@ -278,11 +278,6 @@ class TestNumberLists:
         assert ".".join(path).endswith(named), (named, path)
         assert not (tmp_path / "o.csv").exists()
 
-    def test_one_string_entry_is_refused(self):
-        with pytest.raises(ScenarioValidationError) as exc:
-            parse_scenario({**MINIMAL, "initial": {"omega": [1.0, "2", 3.0]}})
-        assert exc.value.field == "initial.omega"
-
 
 class TestName:
     @pytest.mark.parametrize(
