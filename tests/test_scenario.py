@@ -263,14 +263,15 @@ EXTRA_NUMBER_LISTS = [
     ("euler-top", ("forces", "force"), [0.0, 0.0, 0.1]),
     ("euler-top", ("inertia", "inertia"), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]]),
 ]
-NUMBER_LISTS = [(name, path, functools.reduce(dict.__getitem__, path, SHIPPED[name])) for name, path in SHIPPED_FIELDS
-                if isinstance(functools.reduce(dict.__getitem__, path, SHIPPED[name]), list)] + EXTRA_NUMBER_LISTS
+SHIPPED_VALUES = [(name, path, functools.reduce(dict.__getitem__, path, SHIPPED[name])) for name, path in SHIPPED_FIELDS]
+NUMBER_LISTS = [field for field in SHIPPED_VALUES if isinstance(field[2], list)] + EXTRA_NUMBER_LISTS
+NUMBER_LIST_IDS = [f"{n}:{'.'.join(p)}{'-3x3' if isinstance(v[0], list) else ''}" for n, p, v in NUMBER_LISTS]
 
 
 class TestNumberLists:
     # Numbers spelled as strings parse in numpy, and booleans convert; JSON numbers are the only numbers.
     @pytest.mark.parametrize("entry", [str, lambda v: True, lambda v: False], ids=["strings", "true", "false"])
-    @pytest.mark.parametrize("name, path, value", NUMBER_LISTS, ids=[f"{n}:{'.'.join(p)}" for n, p, _ in NUMBER_LISTS])
+    @pytest.mark.parametrize("name, path, value", NUMBER_LISTS, ids=NUMBER_LIST_IDS)
     def test_string_or_boolean_entries_are_one_error_line(self, tmp_path, name, path, value, entry):
         code, lines, caught = run_simulate(mutated(SHIPPED[name], path, _entries_replaced(value, entry)), tmp_path)
         assert code == 1 and len(lines) == 1 and lines[0].startswith("error: "), lines
