@@ -51,8 +51,14 @@ def samples_to_csv(samples) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _com_position(scenario: Scenario, sample) -> np.ndarray:
-    return sample.pose.position + sample.pose.rotation.m @ scenario.inertia.c
+def formulation_gaps(scenario: Scenario, a, b) -> "tuple[float, float]":
+    """Largest geodesic distance and CoM distance |x + R c| over the first min(len) rows of two Trajectories."""
+    n, c = min(len(a), len(b)), scenario.inertia.c
+    ra, rb = (s.rows[:n, COL_R].reshape(n, 3, 3) for s in (a, b))
+    xa, xb = a.rows[:n, COL_X], b.rows[:n, COL_X]
+    gap = max(geodesic_distance(ra[k], rb[k]) for k in range(n))
+    com_gap = max(float(np.linalg.norm((xa[k] + ra[k] @ c) - (xb[k] + rb[k] @ c))) for k in range(n))
+    return gap, com_gap
 
 
 def cmd_simulate(args) -> int:
@@ -68,8 +74,17 @@ def cmd_simulate(args) -> int:
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
+        out = Path(args.output) if args.output else Path(f"{scenario.name}-{formulation.value}.csv")
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    try:
+        created = not out.exists()
+        out.open("a").close()  # an output that cannot be written fails here, before any stepping
+        if created:
+            out.unlink()
+    except OSError as err:
+        print(f"error: output: {err}", file=sys.stderr)
         return 1
     try:
         samples = simulate(scenario, formulation, integrator, dt, t_end, sample_every)
@@ -79,8 +94,13 @@ def cmd_simulate(args) -> int:
     except UniRigidError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    out = Path(args.output) if args.output else Path(f"{scenario.name}-{formulation.value}.csv")
-    out.write_text(samples_to_csv(samples))
+    try:
+        out.write_text(samples_to_csv(samples))
+    except OSError as err:
+        if created:
+            out.unlink(missing_ok=True)
+        print(f"error: output: {err}", file=sys.stderr)
+        return 1
     e_drift, l_drift = conservation_drifts(scenario, samples)
     print(
         f"t_end={samples[-1].t:.6g} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e} "
@@ -123,15 +143,7 @@ def cmd_compare(args) -> int:
     worst = 0.0
     for i, fa in enumerate(formulations):
         for fb in formulations[i + 1 :]:
-            sa, sb = runs[fa], runs[fb]
-            n = min(len(sa), len(sb))
-            gap = max(
-                geodesic_distance(sa[k].pose.rotation, sb[k].pose.rotation) for k in range(n)
-            )
-            com_gap = max(
-                float(np.linalg.norm(_com_position(scenario, sa[k]) - _com_position(scenario, sb[k])))
-                for k in range(n)
-            )
+            gap, com_gap = formulation_gaps(scenario, runs[fa], runs[fb])
             worst = max(worst, gap)
             print(f"{fa.value} vs {fb.value}: max_orientation_gap={gap:.6e} rad max_com_gap={com_gap:.6e} m")
     print(f"max_orientation_gap={worst:.6e} tol={args.tol:.6e}")
@@ -139,20 +151,15 @@ def cmd_compare(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    names = None
-    if args.suite:
-        unknown = [s for s in args.suite if s not in SUITES]
-        if unknown:
-            print(f"error: unknown suite(s) {unknown}; available: {sorted(SUITES)}", file=sys.stderr)
-            return 1
-        names = args.suite
-    results = run_suites(names)
+    unknown = [s for s in args.suite or () if s not in SUITES]
+    if unknown:
+        print(f"error: unknown suite(s) {unknown}; available: {sorted(SUITES)}", file=sys.stderr)
+        return 1
+    results = run_suites(args.suite)
     width = max(len(name) for name, _, _ in results)
-    all_ok = True
     for name, passed, detail in results:
-        all_ok &= passed
         print(f"{name:<{width}}  {'PASS' if passed else 'FAIL'}  {detail}")
-    return 0 if all_ok else 2
+    return 0 if all(passed for _, passed, _ in results) else 2
 
 
 @functools.cache

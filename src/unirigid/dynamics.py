@@ -26,8 +26,8 @@ per run: kirchhoff_accel_fn forms the applied wrench and the 6x6 solve
 inline, newton_euler_accel_fn the wrench about the CoM and the 3x3 solve
 with J_G, and chart_rhs_fn's Euler transport forms R, E u, E_dot u and E^-1
 from one sin/cos of each angle.  They do the operations of the layered forms
-(body_wrench_fn, charts.CHART_MAPS, and the references of the tests) in the
-same order, so every result is the same to the bit.
+(charts.CHART_MAPS and the references of the tests) in the same order, so
+every result is the same to the bit.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import NonFiniteStateError, NotPositiveDefiniteError
 from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _float_tuple, _readonly, check_rotation, cross
-from .geom3 import gimbal_guard, hat, mat3_vec, mat3t_vec, matvec
+from .geom3 import gimbal_guard, hat, mat3_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
@@ -281,27 +281,6 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
                 e6 / mass - (w1 * u2 - w2 * u1) - (a1 * c2 - a2 * c1))
 
     return accel
-
-
-def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
-    """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
-
-    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
-    kirchhoff_accel_fn forms the same wrench inline, operation for operation.
-    """
-    mass, callback = si.mass, forces.callback
-    (c1, c2, c3), gravity = si.c.tolist(), forces.gravity.tolist()
-    t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
-
-    def wrench(t, r, x, nu6):
-        g1, g2, g3 = mat3t_vec(r, gravity)
-        w = (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
-             mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
-        if callback is not None:
-            w = tuple([a + b for a, b in zip(w, _callback_wrench(callback, t, r, x, nu6))])
-        return w
-
-    return wrench
 
 
 def chart_rhs_fn(chart: ChartId, accel):

@@ -263,13 +263,13 @@ def log_so3(r: Rotation) -> np.ndarray:
     return scale * axis_sin
 
 
-def geodesic_distance(a: Rotation, b: Rotation) -> float:
+def geodesic_distance(a, b) -> float:
     """Rotation angle of a^T b in [0, pi]; the natural metric for comparing orientations.
 
-    atan2(|vee(C - C^T)| / 2, (tr C - 1) / 2) with C = a^T b has no cut at pi,
-    unlike the logarithm.
+    a and b are Rotations or 3x3 arrays.  atan2(|vee(C - C^T)| / 2, (tr C - 1) / 2)
+    with C = a^T b has no cut at pi, unlike the logarithm.
     """
-    c = a.m.T @ b.m
+    c = getattr(a, "m", a).T @ getattr(b, "m", b)
     s = c - c.T
     sin_theta = 0.5 * math.sqrt(s[2, 1] ** 2 + s[0, 2] ** 2 + s[1, 0] ** 2)
     return math.atan2(sin_theta, 0.5 * (c[0, 0] + c[1, 1] + c[2, 2] - 1.0))

@@ -63,6 +63,9 @@ RhsFn = Callable[[float, tuple], tuple]
 # about 18 minutes at 109 us per step when every step is sampled and written (pinned-csv).
 MAX_STEPS = 10_000_000
 
+# An Euler stage below sin(theta) = -UNDER_RESOLVED_SIN went over 0.01 rad past the singularity: a step too large.
+UNDER_RESOLVED_SIN = 1e-2
+
 
 class IntegratorId(Enum):
     RK4 = "rk4"
@@ -190,11 +193,11 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         stage = _advance(retract, g0, x0, u0, dt, s3, y3, k3)
         s4, y4, k4 = _slopes(rates, rhs, t + dt, *stage)
     except GimbalLockError as err:
-        # The base passed the gimbal rule: a stage that moved theta this far is under-resolved.
-        if chart is not ChartId.EULER_COM or abs(stage[3][1]) <= 0.5 * math.pi:
+        # The base passed the gimbal rule: a stage this far below it jumped the singularity, not approached it.
+        if chart is not ChartId.EULER_COM or math.sin(stage[0][1]) >= -UNDER_RESOLVED_SIN:
             raise
         raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
-                              f"within one stage (more than pi/2), to {err}") from None
+                              f"within one stage, to {err}") from None
     return _advance(
         retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
     )[:3]

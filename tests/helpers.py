@@ -7,9 +7,9 @@ an independent route against the constrained body-twist dynamics.
 
 The layered references (``layered_kirchhoff_accel``,
 ``layered_newton_euler_accel``, ``layered_chart_rhs_fn``) compose the
-right-hand side from its parts, one call per layer: the wrench (about the
-CoM for Newton-Euler), M nu or J_G omega, the bias, the inverse, and each
-chart's maps.  The engine evaluates each route in one flat function with the
+right-hand side from its parts, one call per layer: the wrench
+(``body_wrench_fn``, or ``com_wrench_fn`` about the CoM for Newton-Euler),
+M nu or J_G omega, the bias, the inverse, and each chart's maps.  The engine evaluates each route in one flat function with the
 same operations in the same order, so the two agree bit for bit.
 """
 
@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from unirigid.charts import CHART_MAPS, ChartId, _euler_rate_matrix_dot, chart_eval
-from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, body_wrench_fn, spd_factor
-from unirigid.errors import NonFiniteStateError
+from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, spd_factor
+from unirigid.errors import NonFiniteStateError, NotPositiveDefiniteError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import (
     Pose,
@@ -98,6 +98,27 @@ def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
     return wrench
 
 
+def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
+    """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
+
+    Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
+    kirchhoff_accel_fn forms the same wrench inline, operation for operation.
+    """
+    mass, callback = si.mass, forces.callback
+    (c1, c2, c3), gravity = si.c.tolist(), forces.gravity.tolist()
+    t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
+
+    def wrench(t, r, x, nu6):
+        g1, g2, g3 = mat3t_vec(r, gravity)
+        w = (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
+             mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
+        if callback is not None:
+            w = tuple([a + b for a, b in zip(w, _callback_wrench(callback, t, r, x, nu6))])
+        return w
+
+    return wrench
+
+
 def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
     """accel(t, r, x, nu6): body_wrench_fn, then kirchhoff_rhs6."""
     wrench, m6 = body_wrench_fn(forces, si), assemble_inertia(si)
@@ -145,6 +166,24 @@ def layered_chart_rhs_fn(chart: ChartId, accel):
         return from_body(g, r, x, a_ang, (nu_dot[3] + wv[0], nu_dot[4] + wv[1], nu_dot[5] + wv[2]))
 
     return rhs
+
+
+def random_inertia(rng, with_offset=False, unit_scale=False):
+    """Valid random body; retries draws whose CoM offset breaks definiteness."""
+    while True:
+        a = rng.normal(size=(3, 3))
+        j = a @ a.T + 0.5 * np.eye(3)
+        # Enforce the triangle inequality by mixing toward a sphere if needed.
+        lam = np.linalg.eigvalsh(j)
+        if lam[2] > lam[0] + lam[1]:
+            j = j + (lam[2] - lam[0] - lam[1] + 0.1) * np.eye(3)
+        if unit_scale:
+            j = j * (3.0 / np.trace(j))
+        c = rng.normal(size=3) * 0.2 if with_offset else np.zeros(3)
+        try:
+            return SpatialInertia(mass=float(rng.uniform(0.5, 3.0)), j=j, c=c)
+        except NotPositiveDefiniteError:
+            continue
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:

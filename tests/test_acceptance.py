@@ -5,13 +5,14 @@ criterion.  These tests are deliberately end-to-end: they drive the shipped
 scenario files, the public solver APIs, and the command line.
 """
 
+import itertools
 import json
 import math
 import time
 
 import numpy as np
 
-from helpers import make_scenario, reduced_heavy_top_rotations
+from helpers import make_scenario, random_inertia, reduced_heavy_top_rotations
 
 from unirigid.charts import Twist
 from unirigid.checks import (
@@ -20,8 +21,8 @@ from unirigid.checks import (
     check_structure_constants,
     conservation_drifts,
 )
-from unirigid.cli import main
-from unirigid.dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs
+from unirigid.cli import formulation_gaps, main
+from unirigid.dynamics import Wrench, assemble_inertia, kirchhoff_rhs
 from unirigid.gauss import AccelConstraint, constrained_accel, gauss_functional
 from unirigid.geom3 import Pose, geodesic_distance
 from unirigid.integrate import Formulation, IntegratorId, simulate
@@ -42,28 +43,6 @@ def report(criterion, passed, detail):
     assert passed, line
 
 
-def random_body(rng):
-    a = rng.normal(size=(3, 3))
-    j = a @ a.T + 0.5 * np.eye(3)
-    lam = np.linalg.eigvalsh(j)
-    if lam[2] > lam[0] + lam[1]:
-        j = j + (lam[2] - lam[0] - lam[1] + 0.1) * np.eye(3)
-    return SpatialInertia(mass=float(rng.uniform(0.5, 3.0)), j=j)
-
-
-def max_pairwise_orientation_gap(runs):
-    forms = list(runs)
-    worst = 0.0
-    for i, fa in enumerate(forms):
-        for fb in forms[i + 1 :]:
-            gap = max(
-                geodesic_distance(a.pose.rotation, b.pose.rotation)
-                for a, b in zip(runs[fa], runs[fb])
-            )
-            worst = max(worst, gap)
-    return worst
-
-
 def test_criterion_1_formulation_equivalence():
     sc = load_scenario("euler-top")
     gaps = {}
@@ -78,7 +57,7 @@ def test_criterion_1_formulation_equivalence():
             if dt == 1e-3:
                 runtimes.append(elapsed)
                 runtime_ok &= elapsed < 5.0
-        gaps[dt] = max_pairwise_orientation_gap(runs)
+        gaps[dt] = max(formulation_gaps(sc, runs[fa], runs[fb])[0] for fa, fb in itertools.combinations(runs, 2))
     shrink = gaps[1e-3] / gaps[5e-4]
     passed = gaps[1e-3] <= 1e-5 and shrink >= 8.0 and runtime_ok
     report(
@@ -95,7 +74,7 @@ def test_criterion_2_gauss_as_oracle():
     worst_decrease = 0.0
     m_pert = 1000
     for _ in range(1000):
-        si = random_body(RNG)
+        si = random_inertia(RNG)
         nu = Twist(RNG.normal(size=3), RNG.normal(size=3))
         w = Wrench(RNG.normal(size=3), RNG.normal(size=3))
         free = kirchhoff_rhs(si, nu, w)

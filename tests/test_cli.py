@@ -1,8 +1,10 @@
 """Command line behavior: exit codes, CSV schema and determinism, compare."""
 
+import errno
 import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,6 +143,46 @@ class TestSimulateCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("case", ["missing-directory", "directory", "long-name"])
+    def test_unwritable_output_is_one_error_line_before_stepping(self, tmp_path, capsys, monkeypatch, case):
+        def no_stepping(*args):
+            raise AssertionError("simulate ran before the output was checked")
+
+        monkeypatch.setattr("unirigid.cli.simulate", no_stepping)
+        monkeypatch.chdir(tmp_path)
+        argv = ["simulate", "--scenario", "euler-top", "--t-end", "0.01"]
+        if case == "missing-directory":
+            argv += ["--output", "missing/x.csv"]
+        elif case == "directory":
+            argv += ["--output", "."]
+        else:
+            argv[2] = write_scenario(tmp_path, {**OFFSET_SCENARIO, "name": "n" * 300})
+        assert main(argv) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: output: "), err
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["scenario.json"] if case == "long-name" else [])
+
+    def test_write_failure_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "o.csv"
+
+        def partial_write(path, text):
+            with open(path, "w") as f:
+                f.write(text[:10])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        monkeypatch.setattr(Path, "write_text", partial_write)
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", str(out)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: output: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]
+        assert not out.exists()
+
+    def test_existing_output_is_overwritten(self, tmp_path, capsys):
+        out = tmp_path / "o.csv"
+        out.write_text("old contents\n")
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", str(out)]) == 0
+        assert out.read_text().startswith(CSV_HEADER + "\n")
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     @pytest.mark.parametrize(

@@ -11,13 +11,14 @@ import math
 import numpy as np
 import pytest
 
+from helpers import body_wrench_fn, random_inertia
+
 from unirigid.charts import ChartId, ChartState, Twist, chart_eval, stage_state
 from unirigid.dynamics import (
     ForceModel,
     SpatialInertia,
     Wrench,
     assemble_inertia,
-    body_wrench_fn,
     chart_rhs_fn,
     conserved6,
     kirchhoff_accel_fn,
@@ -30,24 +31,6 @@ from unirigid.geom3 import Pose, Rotation, as_rows, euler_to_rotation, hat
 NO_FORCES = ForceModel(gravity=np.zeros(3))
 EYE9 = Rotation.identity().flat
 ZERO3 = (0.0, 0.0, 0.0)
-
-
-def random_inertia(rng, with_offset=False, unit_scale=False):
-    """Valid random body; retries draws whose CoM offset breaks definiteness."""
-    while True:
-        a = rng.normal(size=(3, 3))
-        j = a @ a.T + 0.5 * np.eye(3)
-        # Enforce the triangle inequality by mixing toward a sphere if needed.
-        lam = np.linalg.eigvalsh(j)
-        if lam[2] > lam[0] + lam[1]:
-            j = j + (lam[2] - lam[0] - lam[1] + 0.1) * np.eye(3)
-        if unit_scale:
-            j = j * (3.0 / np.trace(j))
-        c = rng.normal(size=3) * 0.2 if with_offset else np.zeros(3)
-        try:
-            return SpatialInertia(mass=float(rng.uniform(0.5, 3.0)), j=j, c=c)
-        except NotPositiveDefiniteError:
-            continue
 
 
 def random_body_twist(rng, scale=1.0):

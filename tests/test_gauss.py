@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import momentum_bias
+from helpers import body_wrench_fn, momentum_bias, random_inertia
 
 from unirigid.charts import Twist
 from unirigid.dynamics import (
@@ -30,15 +30,6 @@ from unirigid.gauss import (
     gauss_functional,
     steady_precession_rates,
 )
-
-
-def random_inertia(rng):
-    a = rng.normal(size=(3, 3))
-    j = a @ a.T + 0.5 * np.eye(3)
-    lam = np.linalg.eigvalsh(j)
-    if lam[2] > lam[0] + lam[1]:
-        j = j + (lam[2] - lam[0] - lam[1] + 0.1) * np.eye(3)
-    return SpatialInertia(mass=float(rng.uniform(0.5, 3.0)), j=j)
 
 
 def random_twist(rng):
@@ -269,7 +260,6 @@ class TestHeavyTopTrajectories:
         assert gap <= 1e-5
 
     def test_reaction_wrench_closes_balance_along_trajectory(self):
-        from unirigid.dynamics import body_wrench_fn
         from unirigid.integrate import Formulation, IntegratorId, simulate
 
         sc = self._pinned_scenario()

@@ -9,6 +9,7 @@ roundoff floor.
 
 import copy
 import gc
+import itertools
 import math
 import pickle
 import tracemalloc
@@ -17,14 +18,15 @@ import warnings
 import numpy as np
 import pytest
 
-from helpers import make_scenario, orientation_taking
+from helpers import body_wrench_fn, make_scenario, orientation_taking
 
 from unirigid.charts import ChartId, ChartState, Twist, chart_from_body_twist
+from unirigid.cli import formulation_gaps
 from unirigid.dynamics import ForceModel, SpatialInertia, chart_rhs_fn, kirchhoff_accel_fn
 from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import Pose, euler_to_rotation, geodesic_distance
-from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
+from unirigid.integrate import UNDER_RESOLVED_SIN, Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import load_scenario, parse_scenario
 
 # Asymmetric body tumbling fast enough that fourth-order errors dominate noise.
@@ -167,7 +169,7 @@ class TestConservation:
 
     def test_power_balance_under_gravity(self):
         # c = 0 torque-free-plus-gravity: dT/dt equals nu . F to the stencil floor.
-        from unirigid.dynamics import assemble_inertia, body_wrench_fn, conserved6
+        from unirigid.dynamics import assemble_inertia, conserved6
         from unirigid.geom3 import as_rows
 
         sc = make_scenario(
@@ -226,27 +228,19 @@ class TestFormulationEquivalence:
             Formulation.NEWTON_EULER: simulate(sc, Formulation.NEWTON_EULER, IntegratorId.LIE_RK4, dt, t_end, 10),
             Formulation.LAGRANGE: simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, dt, t_end, 10),
         }
-        forms = list(runs)
-        for i, fa in enumerate(forms):
-            for fb in forms[i + 1 :]:
-                gap = max(
-                    geodesic_distance(a.pose.rotation, b.pose.rotation)
-                    for a, b in zip(runs[fa], runs[fb])
-                )
-                com_gap = max(
-                    float(np.linalg.norm(a.pose.position - b.pose.position))
-                    for a, b in zip(runs[fa], runs[fb])
-                )
-                assert gap <= 1e-5
-                assert com_gap <= 1e-7
+        for fa, fb in itertools.combinations(runs, 2):
+            gap, com_gap = formulation_gaps(sc, runs[fa], runs[fb])
+            assert gap <= 1e-5
+            assert com_gap <= 1e-7
 
     def test_gap_shrinks_with_dt(self):
         sc = order_scenario(Formulation.KIRCHHOFF)
 
         def gap(dt):
-            a = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, 2.0, sample_every=10**9)[-1]
-            b = simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, dt, 2.0, sample_every=10**9)[-1]
-            return geodesic_distance(a.pose.rotation, b.pose.rotation)
+            # Rows 0 and end: the runs start from one pose, so this is the end-point gap.
+            a = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, 2.0, sample_every=10**9)
+            b = simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, dt, 2.0, sample_every=10**9)
+            return formulation_gaps(sc, a, b)[0]
 
         assert gap(2e-3) / gap(1e-3) >= 8.0
 
@@ -394,15 +388,19 @@ class TestSimulateContract:
         assert abs(exc.value.time - 0.25) <= 2e-3
         assert "gimbal lock at t=" in str(exc.value)
 
+    @staticmethod
+    def fast_euler_scenario(scale):
+        pose = Pose(euler_to_rotation((0.3, 1.0, -0.4)), np.zeros(3))
+        return make_scenario(
+            "fast", 1.0, np.diag([1.0, 1.6, 2.2]), [scale, 2.0 * scale, 0.5 * scale], pose=pose,
+            formulation=Formulation.LAGRANGE, integrator=IntegratorId.RK4,
+        )
+
     @pytest.mark.parametrize("scale", [1e3, 1e6, 1e100])
     def test_under_resolved_euler_step_names_dt_and_jump(self, scale):
         # At these rates one RK4 stage carries theta across 0 or pi from a base
         # at theta = 1; nothing approached the singularity.
-        pose = Pose(euler_to_rotation((0.3, 1.0, -0.4)), np.zeros(3))
-        sc = make_scenario(
-            "fast", 1.0, np.diag([1.0, 1.6, 2.2]), [scale, 2.0 * scale, 0.5 * scale], pose=pose,
-            formulation=Formulation.LAGRANGE, integrator=IntegratorId.RK4,
-        )
+        sc = self.fast_euler_scenario(scale)
         with pytest.raises(GimbalLockError) as exc:
             simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
         msg = str(exc.value)
@@ -410,6 +408,15 @@ class TestSimulateContract:
         jump = float(msg.split("moved theta by ")[1].split(" rad")[0])
         assert abs(jump) > 0.5 * math.pi
         assert exc.value.time == pytest.approx(2e-3 if scale == 1e3 else 1e-3)
+
+    def test_stage_landing_past_the_singularity_is_a_large_step(self):
+        # About 1.1 rad per step: a stage moves theta by 0.96 rad, less than pi/2, and lands
+        # at sin(theta) = -0.077, where the resolved motion comes no closer than sin(theta) = 0.014.
+        with pytest.raises(GimbalLockError) as exc:
+            simulate(self.fast_euler_scenario(500.0), Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        msg = str(exc.value)
+        assert msg.startswith("gimbal lock at t=0.007: step too large for the rates: dt = 0.001 moved theta by ")
+        assert float(msg.split("sin(theta) = ")[1].split()[0]) < -UNDER_RESOLVED_SIN
 
     def test_gimbal_lock_is_not_called_a_large_step(self):
         # theta(t) = 0.25 - t reaches the singularity in steps that move it by 1e-3.

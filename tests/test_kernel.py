@@ -36,6 +36,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    body_wrench_fn,
     layered_chart_rhs_fn,
     layered_kirchhoff_accel,
     layered_newton_euler_accel,
@@ -57,7 +58,6 @@ from unirigid.dynamics import (
     SpatialInertia,
     Wrench,
     assemble_inertia,
-    body_wrench_fn,
     chart_rhs_fn,
     conserved6,
     kirchhoff_accel_fn,
