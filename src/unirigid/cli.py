@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -30,11 +31,10 @@ CSV_HEADER = "t,qw,qx,qy,qz,x,y,z,wx,wy,wz,vx,vy,vz,energy,Lx,Ly,Lz"
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant whose usage failures exit 1, not 2."""
+    """argparse variant whose usage failures are one stderr line and exit 1, not 2."""
 
     def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
+        sys.stderr.write(f"{self.prog}: error: {message} (usage: {self.prog} -h)\n")
         raise SystemExit(1)
 
 
@@ -74,7 +74,9 @@ def cmd_simulate(args) -> int:
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
-        out = Path(args.output) if args.output else Path(f"{scenario.name}-{formulation.value}.csv")
+        if args.output == "":
+            raise ValueError("output: empty path")
+        out = Path(args.output) if args.output is not None else Path(f"{scenario.name}-{formulation.value}.csv")
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -121,6 +123,8 @@ def cmd_compare(args) -> int:
         dt = args.dt if args.dt is not None else scenario.run.dt
         t_end = args.t_end if args.t_end is not None else scenario.run.t_end
         run_steps(dt, t_end, args.sample_every)
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ValueError(f"tol: must be a nonnegative finite number, got {args.tol!r}")
         for f in formulations:
             check_route(f, integrators[f], scenario)
     except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
@@ -147,7 +151,10 @@ def cmd_compare(args) -> int:
             worst = max(worst, gap)
             print(f"{fa.value} vs {fb.value}: max_orientation_gap={gap:.6e} rad max_com_gap={com_gap:.6e} m")
     print(f"max_orientation_gap={worst:.6e} tol={args.tol:.6e}")
-    return 0 if worst <= args.tol else 2
+    if worst <= args.tol:
+        return 0
+    print(f"failed: max_orientation_gap={worst:.6e} exceeds tol={args.tol:.6e}", file=sys.stderr)
+    return 2
 
 
 def cmd_validate(args) -> int:

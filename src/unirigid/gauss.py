@@ -28,7 +28,7 @@ from .charts import _ZERO3, Twist
 from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench, kirchhoff_accel_fn
 from .dynamics import setup_arithmetic, spd_factor
 from .errors import RankDeficientConstraintError
-from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, as_rows, cross, hat, matvec
+from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, as_rows, hat, matvec
 
 # Relative singular-value threshold below which constraint rows count as dependent.
 RANK_TOL = 1e-10
@@ -96,14 +96,8 @@ def schur_factor(m6_inv: np.ndarray, a: np.ndarray) -> "tuple[tuple, tuple]":
 
 def constrained_accel6(nu_dot_free, a, b, m_inv_at, s_inv) -> "tuple[tuple, tuple]":
     """Float core of constrained_accel on tuples of rows; (m_inv_at, s_inv) = schur_factor(M^-1, a)."""
-    av = matvec(a, nu_dot_free)
-    if len(av) == 3:  # the pinned point
-        lam = matvec(s_inv, (b[0] - av[0], b[1] - av[1], b[2] - av[2]))
-    else:
-        lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, av)])
-    f1, f2, f3, f4, f5, f6 = nu_dot_free
-    d1, d2, d3, d4, d5, d6 = matvec(m_inv_at, lam)
-    return (f1 + d1, f2 + d2, f3 + d3, f4 + d4, f5 + d5, f6 + d6), lam
+    lam = matvec(s_inv, [bi - ai for bi, ai in zip(b, matvec(a, nu_dot_free))])
+    return tuple([f + d for f, d in zip(nu_dot_free, matvec(m_inv_at, lam))]), lam
 
 
 def constrained_accel(
@@ -133,22 +127,46 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
     return np.hstack([-hat(fp.r_b), np.eye(3)])
 
 
-def fixed_point_offset_fn(fp: FixedPointConstraint):
-    """Float core of the pinned-point constraint offset, ``b(nu6, position_drift)``; the pin is read once here."""
-    r_b = fp.r_b.tolist()
-    two_alpha, beta_sq = 2.0 * fp.baumgarte_alpha, fp.baumgarte_beta * fp.baumgarte_beta
+def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint, anchor):
+    """Body-chart stage function ``rhs(t, (r, x, nu6))`` of the point ``pin`` holds at the space point ``anchor``.
 
-    def offset(nu6, position_drift) -> tuple:
-        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 drift, c_v = v + omega x r_b.
-        omega = nu6[:3]
-        rw = cross(omega, r_b)
-        c1, c2, c3 = c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
-        a1, a2, a3 = cross(omega, c_v)
-        d1, d2, d3 = position_drift
-        return (-a1 - two_alpha * c1 - beta_sq * d1, -a2 - two_alpha * c2 - beta_sq * d2,
-                -a3 - two_alpha * c3 - beta_sq * d3)
+    free_accel(t, r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The pin drift, the offset b
+    and the solve of constrained_accel6 are written out, with A, S^-1, M^-1 A^T, r_b, the anchor and the gains
+    bound as floats once; every sum runs left to right, as in the layered form, so the result is the same to the bit.
+    """
+    a_rows = fixed_point_rows(pin)
+    m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
+    (a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26), (a31, a32, a33, a34, a35, a36) = as_rows(a_rows)
+    (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s_inv
+    (q11, q12, q13), (q21, q22, q23), (q31, q32, q33), (q41, q42, q43), (q51, q52, q53), (q61, q62, q63) = m_inv_at
+    (b1, b2, b3), (n1, n2, n3) = pin.r_b.tolist(), map(float, anchor)
+    two_alpha, beta_sq = 2.0 * pin.baumgarte_alpha, pin.baumgarte_beta * pin.baumgarte_beta
 
-    return offset
+    def rhs(t, s):
+        r, x, nu6 = s
+        r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
+        # Drift of the pin in body axes, d = R^T (x + R r_b - anchor).
+        p1, p2, p3 = r1 * b1 + r2 * b2 + r3 * b3, r4 * b1 + r5 * b2 + r6 * b3, r7 * b1 + r8 * b2 + r9 * b3
+        e1, e2, e3 = x[0] + p1 - n1, x[1] + p2 - n2, x[2] + p3 - n3
+        d1, d2, d3 = r1 * e1 + r4 * e2 + r7 * e3, r2 * e1 + r5 * e2 + r8 * e3, r3 * e1 + r6 * e2 + r9 * e3
+        f1, f2, f3, f4, f5, f6 = free_accel(t, r, x, nu6)
+        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 d, c_v = v + omega x r_b.
+        w1, w2, w3, v1, v2, v3 = nu6
+        c1, c2, c3 = v1 + (w2 * b3 - w3 * b2), v2 + (w3 * b1 - w1 * b3), v3 + (w1 * b2 - w2 * b1)
+        o1 = -(w2 * c3 - w3 * c2) - two_alpha * c1 - beta_sq * d1
+        o2 = -(w3 * c1 - w1 * c3) - two_alpha * c2 - beta_sq * d2
+        o3 = -(w1 * c2 - w2 * c1) - two_alpha * c3 - beta_sq * d3
+        # lambda = S^-1 (b - A a_free), the reaction; then a_free + M^-1 A^T lambda.
+        h1 = o1 - (a11 * f1 + a12 * f2 + a13 * f3 + a14 * f4 + a15 * f5 + a16 * f6)
+        h2 = o2 - (a21 * f1 + a22 * f2 + a23 * f3 + a24 * f4 + a25 * f5 + a26 * f6)
+        h3 = o3 - (a31 * f1 + a32 * f2 + a33 * f3 + a34 * f4 + a35 * f5 + a36 * f6)
+        lam1, lam2 = s11 * h1 + s12 * h2 + s13 * h3, s21 * h1 + s22 * h2 + s23 * h3
+        lam3 = s31 * h1 + s32 * h2 + s33 * h3
+        return (f1 + (q11 * lam1 + q12 * lam2 + q13 * lam3), f2 + (q21 * lam1 + q22 * lam2 + q23 * lam3),
+                f3 + (q31 * lam1 + q32 * lam2 + q33 * lam3), f4 + (q41 * lam1 + q42 * lam2 + q43 * lam3),
+                f5 + (q51 * lam1 + q52 * lam2 + q53 * lam3), f6 + (q61 * lam1 + q62 * lam2 + q63 * lam3))
+
+    return rhs
 
 
 def steady_precession_rates(

@@ -28,11 +28,11 @@ import numpy as np
 
 from .charts import (
     _ZERO3,
+    CHART_MAPS,
     CHART_STAGES,
     ChartId,
     ChartState,
     Twist,
-    body_twist,
     chart_from_body_twist,
     stage_pose,
     stage_state,
@@ -46,15 +46,11 @@ from .dynamics import (
 )
 from .dynamics import spd_factor  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
-from .gauss import (
-    constrained_accel6,
-    fixed_point_offset_fn,
-    fixed_point_rows,
-    schur_factor,
-)
+from .gauss import constrained_accel6  # noqa: F401  (perfbench/tracer.py wraps it under this module)
+from .gauss import fixed_point_rhs_fn
 # perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
 from .geom3 import Pose, Rotation, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
-from .geom3 import as_rows, mat3_vec, mat3t_vec
+from .geom3 import as_rows
 
 # rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
 RhsFn = Callable[[float, tuple], tuple]
@@ -233,28 +229,17 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
 
     The constant inertia is factored here, once per run.  The gauss route
     feeds the pinned-point constraint (when present) through the
-    least-constraint solver with its Schur complement precomputed, tracking
-    the pin anchor for drift stabilization; the other routes are
-    unconstrained.
+    least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur
+    complement precomputed, tracking the pin anchor for drift stabilization;
+    the other routes are unconstrained.
     """
     chart, _ = ROUTES[formulation]
     if formulation is Formulation.NEWTON_EULER:
         return chart, chart_rhs_fn(chart, newton_euler_accel_fn(scenario.inertia, scenario.forces))
 
     accel, m6_inv = kirchhoff_accel_fn(scenario.inertia, scenario.forces)
-    pin = scenario.constraint
-    if formulation is Formulation.GAUSS and pin is not None:
-        a_rows = fixed_point_rows(pin)
-        m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
-        a_rows, r_b, (a1, a2, a3) = as_rows(a_rows), pin.r_b.tolist(), pin_anchor(scenario).tolist()
-        offset, free_accel = fixed_point_offset_fn(pin), accel
-
-        def accel(t, r, x, nu6):
-            p1, p2, p3 = mat3_vec(r, r_b)
-            drift = mat3t_vec(r, (x[0] + p1 - a1, x[1] + p2 - a2, x[2] + p3 - a3))
-            nu_dot, _ = constrained_accel6(free_accel(t, r, x, nu6), a_rows, offset(nu6, drift), m_inv_at, s_inv)
-            return nu_dot
-
+    if formulation is Formulation.GAUSS and scenario.constraint is not None:
+        return chart, fixed_point_rhs_fn(accel, m6_inv, scenario.constraint, pin_anchor(scenario))
     return chart, chart_rhs_fn(chart, accel)
 
 
@@ -321,15 +306,19 @@ def simulate(
 
     m6 = as_rows(assemble_inertia(scenario.inertia))
     mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
-    gravity = scenario.forces.gravity.tolist()
+    gravity, to_body = scenario.forces.gravity.tolist(), CHART_MAPS[chart][0]
     # t = 0, every sample_every-th step, and the final step when the stride misses it.
     rows = np.empty((1 + n_steps // sample_every + (n_steps % sample_every > 0), 29))
 
     def sample(t: float, s: ChartState) -> tuple:
-        nu = body_twist(chart, s).flat
-        r, x = s.pose.rotation.flat, s.pose.flat
+        # nu = Phi u, as charts.body_twist maps it, without the Twist box; Phi u can overflow where u does not.
+        (g, x, u), r = stage_state(chart, s), s.pose.rotation.flat
+        omega, v = to_body(g, r, x, u)
+        nu = (*omega, *v)
+        if not all(map(math.isfinite, nu)):
+            raise NonFiniteStateError("body twist is not finite")
         kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu)
-        return (t, *r, *x, *s.flat, *nu, kinetic + potential, *l_spatial)
+        return (t, *r, *x, *u, *nu, kinetic + potential, *l_spatial)
 
     n_rows, t_next = 0, 0.0
     try:

@@ -237,12 +237,12 @@ def builtin_scenario_dir() -> Path:
 
 def resolve_scenario_path(spec: str) -> Path:
     """Interpret ``spec`` as a path, falling back to a shipped scenario name."""
-    path = Path(spec)
-    if path.exists():
-        return path
-    candidate = builtin_scenario_dir() / f"{spec}.json"
-    if candidate.exists():
-        return candidate
+    for path in (Path(spec), builtin_scenario_dir() / f"{spec}.json"):
+        try:
+            if path.exists():
+                return path
+        except OSError:  # a path the system cannot look up, such as an over-long name, is not found
+            pass
     raise ScenarioParseError(
         f"scenario file {spec!r} not found (and no built-in scenario has that name)"
     )

@@ -6,11 +6,14 @@ classical RK4; it reuses only the chart's angular kinematic blocks, so it is
 an independent route against the constrained body-twist dynamics.
 
 The layered references (``layered_kirchhoff_accel``,
-``layered_newton_euler_accel``, ``layered_chart_rhs_fn``) compose the
-right-hand side from its parts, one call per layer: the wrench
-(``body_wrench_fn``, or ``com_wrench_fn`` about the CoM for Newton-Euler),
-M nu or J_G omega, the bias, the inverse, and each chart's maps.  The engine evaluates each route in one flat function with the
-same operations in the same order, so the two agree bit for bit.
+``layered_newton_euler_accel``, ``layered_chart_rhs_fn``,
+``layered_fixed_point_rhs``) compose the right-hand side from its parts, one
+call per layer: the wrench (``body_wrench_fn``, or ``com_wrench_fn`` about the
+CoM for Newton-Euler), M nu or J_G omega, the bias, the inverse, each chart's
+maps, and for the pinned point the drift, the offset
+(``fixed_point_offset_fn``) and gauss.constrained_accel6.  The engine
+evaluates each route in one flat function with the same operations in the
+same order, so the two agree bit for bit.
 """
 
 import math
@@ -20,7 +23,7 @@ import numpy as np
 from unirigid.charts import CHART_MAPS, ChartId, _euler_rate_matrix_dot, chart_eval
 from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, spd_factor
 from unirigid.errors import NonFiniteStateError, NotPositiveDefiniteError
-from unirigid.gauss import FixedPointConstraint
+from unirigid.gauss import FixedPointConstraint, constrained_accel6, fixed_point_rows, schur_factor
 from unirigid.geom3 import (
     Pose,
     as_rows,
@@ -164,6 +167,40 @@ def layered_chart_rhs_fn(chart: ChartId, accel):
         wv = cross(omega, v)
         a_ang = (nu_dot[0] - e_dot_u[0], nu_dot[1] - e_dot_u[1], nu_dot[2] - e_dot_u[2])
         return from_body(g, r, x, a_ang, (nu_dot[3] + wv[0], nu_dot[4] + wv[1], nu_dot[5] + wv[2]))
+
+    return rhs
+
+
+def fixed_point_offset_fn(fp: FixedPointConstraint):
+    """Pinned-point constraint offset ``b(nu6, position_drift)``; the pin is read once here."""
+    r_b = fp.r_b.tolist()
+    two_alpha, beta_sq = 2.0 * fp.baumgarte_alpha, fp.baumgarte_beta * fp.baumgarte_beta
+
+    def offset(nu6, position_drift) -> tuple:
+        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 drift, c_v = v + omega x r_b.
+        omega = nu6[:3]
+        rw = cross(omega, r_b)
+        c1, c2, c3 = c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
+        a1, a2, a3 = cross(omega, c_v)
+        d1, d2, d3 = position_drift
+        return (-a1 - two_alpha * c1 - beta_sq * d1, -a2 - two_alpha * c2 - beta_sq * d2,
+                -a3 - two_alpha * c3 - beta_sq * d3)
+
+    return offset
+
+
+def layered_fixed_point_rhs(accel, m6_inv, fp: FixedPointConstraint, anchor):
+    """rhs(t, (r, x, nu6)) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel, the drift
+    R^T (x + R r_b - anchor), fixed_point_offset_fn and constrained_accel6 with the Schur complement of schur_factor."""
+    offset, a_rows = fixed_point_offset_fn(fp), fixed_point_rows(fp)
+    m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
+    a_rows, r_b, (a1, a2, a3) = as_rows(a_rows), fp.r_b.tolist(), anchor
+
+    def rhs(t, s):
+        r, x, nu6 = s
+        p1, p2, p3 = mat3_vec(r, r_b)
+        drift = mat3t_vec(r, (x[0] + p1 - a1, x[1] + p2 - a2, x[2] + p3 - a3))
+        return constrained_accel6(accel(t, r, x, nu6), a_rows, offset(nu6, drift), m_inv_at, s_inv)[0]
 
     return rhs
 

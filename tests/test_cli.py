@@ -1,6 +1,9 @@
 """Command line behavior: exit codes, CSV schema and determinism, compare."""
 
+import argparse
+import contextlib
 import errno
+import io
 import json
 import math
 import warnings
@@ -178,6 +181,13 @@ class TestSimulateCommand:
         assert err == [f"error: output: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]
         assert not out.exists()
 
+    def test_empty_output_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # '' names no file; read as an absent --output it would write <name>-<formulation>.csv here.
+        monkeypatch.chdir(tmp_path)
+        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", ""]) == 1
+        assert capsys.readouterr().err.splitlines() == ["error: output: empty path"]
+        assert list(tmp_path.iterdir()) == []
+
     def test_existing_output_is_overwritten(self, tmp_path, capsys):
         out = tmp_path / "o.csv"
         out.write_text("old contents\n")
@@ -293,6 +303,24 @@ class TestCompareCommand:
         assert gap <= 1e-5
         assert max_gap(offset, three, "2e-3") / gap >= 8.0
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e400"])
+    def test_bad_tolerance_is_one_error_line_before_stepping(self, capsys, monkeypatch, tol):
+        def no_stepping(*args):
+            raise AssertionError("simulate ran before the tolerance was checked")
+
+        monkeypatch.setattr("unirigid.cli.simulate", no_stepping)
+        code = main(["compare", "--scenario", "euler-top", "--formulation", "kirchhoff", "--formulation", "lagrange",
+                     "--t-end", "0.01", f"--tol={tol}"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.splitlines() == [f"error: tol: must be a nonnegative finite number, got {float(tol)!r}"]
+
+    def test_zero_tolerance_is_accepted(self, capsys):
+        argv = ["compare", "--scenario", "euler-top", "--formulation", "kirchhoff", "--formulation", "kirchhoff",
+                "--t-end", "0.01", "--tol", "0"]
+        assert main(argv) == 0
+        assert "max_orientation_gap=0.000000e+00 tol=0.000000e+00" in capsys.readouterr().out
+
     def test_tolerance_failure_exits_2(self, capsys):
         code = main(
             ["compare", "--scenario", "euler-top", "--dt", "0.001", "--t-end", "1.0",
@@ -334,6 +362,45 @@ class TestRepeatedCalls:
         assert "samples=3 " in capsys.readouterr().out
         assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", out]) == 0
         assert "samples=11 " in capsys.readouterr().out
+
+
+# Each option of each command is given each of these in turn, over a run that succeeds without it.
+FUZZ_BASE = {
+    "simulate": {"--scenario": ["euler-top"], "--t-end": ["0.01"], "--output": ["o.csv"]},
+    "compare": {"--scenario": ["euler-top"], "--t-end": ["0.01"], "--formulation": ["kirchhoff", "lagrange"]},
+    "validate": {"--suite": ["euler-roundtrip"]},
+}
+
+
+def command_options(command) -> "list[str]":
+    """Every option of a subcommand, read from the parser."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    return [a.option_strings[-1] for a in sub._actions if a.option_strings and a.dest != "help"]
+
+
+FUZZ_CASES = [(command, option) for command in FUZZ_BASE for option in command_options(command)]
+
+
+class TestCommandLineFuzz:
+    @pytest.mark.parametrize("command, option", FUZZ_CASES, ids=[" ".join(c) for c in FUZZ_CASES])
+    def test_every_bad_value_ends_in_one_line(self, tmp_path, monkeypatch, command, option):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        values = ["nan", "inf", "-1", "0", "1e400", "1" + "0" * 400, "", "no-such-name", str(tmp_path / "dir"),
+                  str(tmp_path / "missing.json")]
+        for value in values:
+            argv = [command]
+            for opt, base in FUZZ_BASE[command].items():
+                argv += [arg for v in base for arg in (opt, v)] if opt != option else []
+            argv += [option, value]
+            err = io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                    contextlib.redirect_stdout(io.StringIO()):
+                warnings.simplefilter("always")
+                code = main(argv)
+            lines = err.getvalue().splitlines()
+            assert code == 0 or (code in (1, 2) and len(lines) == 1), (argv, code, lines)
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
 
 
 class TestValidateCommand:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import body_wrench_fn, momentum_bias, random_inertia
+from helpers import body_wrench_fn, fixed_point_offset_fn, momentum_bias, random_inertia
 
 from unirigid.charts import Twist
 from unirigid.dynamics import (
@@ -25,7 +25,6 @@ from unirigid.gauss import (
     AccelConstraint,
     FixedPointConstraint,
     constrained_accel,
-    fixed_point_offset_fn,
     fixed_point_rows,
     gauss_functional,
     steady_precession_rates,

@@ -479,6 +479,19 @@ class TestSimulateContract:
         assert len(exc.value.samples) == 1
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
+    def test_overflowing_sampled_twist_aborts_with_context(self, monkeypatch):
+        # A finite Euler-chart state whose body twist nu = Phi u overflows: R^T u_lin has an entry of
+        # sqrt(3) * 1.5e308.  step() accepts it; the sample must stop as non-finite state, not a ValueError.
+        r = orientation_taking((1.0, 0.0, 0.0), (1.0, 1.0, 1.0))
+        huge = ChartState(Pose(r, np.zeros(3)), np.array([0.1, 0.2, 0.3, 1.5e308, 1.5e308, 1.5e308]))
+        monkeypatch.setattr("unirigid.integrate.step", lambda *args: huge)
+        sc = make_scenario("huge", 1.0, ORDER_J, ORDER_OMEGA, pose=Pose(r, np.zeros(3)),
+                           formulation=Formulation.LAGRANGE, integrator=IntegratorId.RK4)
+        with pytest.raises(NonFiniteStateError, match="body twist") as exc:
+            simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        assert exc.value.time == pytest.approx(1e-3)
+        assert exc.value.last_sample_index == 0
+
     def test_constraint_requires_gauss(self):
         sc = make_scenario(
             "pinned", 1.0, np.diag([0.4, 0.4, 0.3]), [0.0, 0.0, 5.0],

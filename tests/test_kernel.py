@@ -24,10 +24,15 @@ the suite is deterministic:
   layered reference composition of tests/helpers.py bit for bit on bodies
   with a CoM offset, compared by float.hex, and fails with the same error
   where the reference fails;
+* the pinned point's flat stage function, from make_rhs, equals the layered
+  free acceleration -> drift and offset -> constrained_accel6 bit for bit,
+  with off-axis pins and Baumgarte gains;
 * the Euler transport keeps the sign of an exactly zero output that only its
   products with E's zero entries decide.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -37,7 +42,9 @@ from hypothesis import strategies as st
 
 from helpers import (
     body_wrench_fn,
+    fixed_point_offset_fn,
     layered_chart_rhs_fn,
+    layered_fixed_point_rhs,
     layered_kirchhoff_accel,
     layered_newton_euler_accel,
     make_scenario,
@@ -62,17 +69,18 @@ from unirigid.dynamics import (
     conserved6,
     kirchhoff_accel_fn,
     newton_euler_accel_fn,
+    spd_factor,
 )
 from unirigid.gauss import (
     AccelConstraint,
     FixedPointConstraint,
     constrained_accel,
-    fixed_point_offset_fn,
+    fixed_point_rhs_fn,
     fixed_point_rows,
 )
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
 from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
-from unirigid.integrate import Formulation, IntegratorId, make_rhs, simulate, step
+from unirigid.integrate import Formulation, IntegratorId, make_rhs, pin_anchor, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -441,6 +449,39 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
         with pytest.raises(error) as layered_err:
             layered(0.5, s)
         assert str(flat_err.value) == str(layered_err.value)
+
+
+@SETTINGS
+@given(si=bodies(True), forces=force_models(), r_b=vec3, gains=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
+       angles=vec3, x0=vec3, s=raw_stage_states(ChartId.BODY_TWIST), t=st.floats(0.0, 10.0))
+def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, gains, angles, x0, s, t):
+    # Off-axis pins with both Baumgarte terms; the drawn stage state is away from the anchor, so the drift is not zero.
+    pin = FixedPointConstraint(0.5 * r_b + np.array([0.05, -0.05, 0.0]), baumgarte_alpha=gains[0],
+                               baumgarte_beta=gains[1])
+    sc = make_scenario("pin", si.mass, si.j, np.zeros(3), com=si.c, pose=Pose(euler_to_rotation(angles), x0),
+                       constraint=pin, formulation=Formulation.GAUSS)
+    sc = dataclasses.replace(sc, forces=forces)
+    chart, rhs = make_rhs(Formulation.GAUSS, sc)
+    assert chart is ChartId.BODY_TWIST
+    m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
+    layered = layered_fixed_point_rhs(layered_kirchhoff_accel(si, forces), m6_inv, pin, pin_anchor(sc).tolist())
+    assert outcome(rhs, t, s) == outcome(layered, t, s)
+
+
+def test_pinned_rhs_keeps_the_sign_of_zero():
+    # A's entries include -0.0, 0.0 and 1.0; their products decide only the sign of an exactly zero output, which
+    # no drawn state reaches.  Every sign pattern of a zero free acceleration and a zero twist, at zero drift,
+    # leaves those signs to the stage function.
+    si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]))
+    pin = FixedPointConstraint(np.array([0.3, -0.2, 0.5]), baumgarte_alpha=1.0, baumgarte_beta=2.0)
+    m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
+    s = (euler_matrix(0.0, 0.0, 0.0), tuple((-pin.r_b).tolist()), None)
+    zeros = list(itertools.product((0.0, -0.0), repeat=6))
+    for f in zeros:
+        flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
+        layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
+        for nu in zeros:
+            assert hexes(flat(0.0, s[:2] + (nu,))) == hexes(layered(0.0, s[:2] + (nu,))), (f, nu)
 
 
 def test_euler_transport_keeps_the_sign_of_zero():

@@ -16,6 +16,10 @@ working directory:
 * ``compare`` over the same three on ``OFFSET_BODY``, a body falling under
   gravity with its frame origin off its CoM, written once to a temporary
   file;
+* ``simulate`` of ``PINNED_BODY``, the same body pinned off its axes under
+  gravity with both Baumgarte gains non-zero and a pin velocity the gains
+  must damp (the shipped pinned scenarios have zero gains and a pin on the
+  body's z axis), written once to a temporary file too;
 * ``validate`` of every suite (about 2 s), which writes no CSV: its printed
   lines and exit code cover ``checks.py``.
 
@@ -45,8 +49,16 @@ OFFSET_BODY = {
     "run": {"dt": 0.001, "t_end": 10.0},
 }
 
+PINNED_BODY = {
+    **OFFSET_BODY,
+    "name": "pinned-body",
+    "initial": {"orientation": {"euler_zxz": [0.3, 1.0, -0.4]}, "omega": [0.4, -0.3, 6.0], "vel": [0.02, 0.01, -0.03]},
+    "constraint": {"point": [0.05, -0.1, -0.3], "alpha": 2.0, "beta": 3.0},
+    "run": {"formulation": "gauss", "integrator": "lie-rk4", "dt": 0.001, "t_end": 3.0, "sample_every": 5},
+}
 
-def runs(src: Path, offset_body: Path) -> "list[tuple[str, list[str]]]":
+
+def runs(src: Path, offset_body: Path, pinned_body: Path) -> "list[tuple[str, list[str]]]":
     """(label, cli arguments) of every compared run; the shipped scenarios are read from ``src``."""
     out = [(f"simulate {name}", ["simulate", "--scenario", name, "--output", "out.csv"])
            for name in sorted(p.stem for p in (src / "unirigid" / "scenarios").glob("*.json"))]
@@ -60,6 +72,7 @@ def runs(src: Path, offset_body: Path) -> "list[tuple[str, list[str]]]":
     return out + [("compare euler-top", ["compare", "--scenario", "euler-top", *formulations]),
                   ("compare offset-body",
                    ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations]),
+                  ("simulate pinned-body", ["simulate", "--scenario", str(pinned_body), "--output", "out.csv"]),
                   ("validate", ["validate"])]
 
 
@@ -95,9 +108,11 @@ def main(argv: "list[str]") -> int:
     base_src, head_src = Path(argv[0]), Path(argv[1])
     report = []
     with tempfile.TemporaryDirectory() as tmp:
-        offset_body = Path(tmp, "offset-body.json")
+        offset_body, pinned_body = Path(tmp, "offset-body.json"), Path(tmp, "pinned-body.json")
         offset_body.write_text(json.dumps(OFFSET_BODY))
-        pairs = [(label, run(base_src, args), run(head_src, args)) for label, args in runs(head_src, offset_body)]
+        pinned_body.write_text(json.dumps(PINNED_BODY))
+        pairs = [(label, run(base_src, args), run(head_src, args))
+                 for label, args in runs(head_src, offset_body, pinned_body)]
     for label, base, head in pairs:
         if base == head:
             continue
