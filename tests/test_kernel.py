@@ -475,13 +475,13 @@ def test_pinned_rhs_keeps_the_sign_of_zero():
     si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]))
     pin = FixedPointConstraint(np.array([0.3, -0.2, 0.5]), baumgarte_alpha=1.0, baumgarte_beta=2.0)
     m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
-    s = (euler_matrix(0.0, 0.0, 0.0), tuple((-pin.r_b).tolist()), None)
+    r, x = euler_matrix(0.0, 0.0, 0.0), tuple((-pin.r_b).tolist())
     zeros = list(itertools.product((0.0, -0.0), repeat=6))
     for f in zeros:
         flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
         layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
         for nu in zeros:
-            assert hexes(flat(0.0, s[:2] + (nu,))) == hexes(layered(0.0, s[:2] + (nu,))), (f, nu)
+            assert hexes(flat(0.0, (r, x, nu))) == hexes(layered(0.0, (r, x, nu))), (f, nu)
 
 
 def test_euler_transport_keeps_the_sign_of_zero():
