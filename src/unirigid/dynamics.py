@@ -284,35 +284,31 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
 
 
 def chart_rhs_fn(chart: ChartId, accel):
-    """Chart-velocity right-hand side ``rhs(t, (g, x, u)) -> u_dot`` on float stage states.
+    """Chart-velocity right-hand side ``rhs(t, g, x, u) -> u_dot`` on float stage states.
 
     ``accel(t, r, x, nu)`` is the body-twist acceleration nu_dot at rotation
     r (a row-major 9-tuple) and position x.  With Phi invertible, the unified
     equation times Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the
     body solve, read through the chart's closed-form maps (charts.CHART_MAPS)
-    as u_dot = Phi^-1 (nu_dot - Phi_dot u).  Every map returns a 6-tuple.  The
+    as u_dot = Phi^-1 (nu_dot - Phi_dot u).  On the body-twist chart (Phi = I)
+    that is accel itself, returned as it is.  Every map returns a 6-tuple.  The
     Euler chart's maps and E_dot (charts._euler_rate_matrix_dot) are written out here.
     """
-    if chart is ChartId.BODY_TWIST:  # Phi = I
-
-        def rhs(t, s):
-            r, x, u = s
-            return accel(t, r, x, u)
-
-    elif chart is ChartId.SPATIAL_TWIST:
+    if chart is ChartId.BODY_TWIST:
+        return accel
+    if chart is ChartId.SPATIAL_TWIST:
         to_body, from_body = CHART_MAPS[chart]
 
-        def rhs(t, s):
+        def rhs(t, r, x, u):
             # Phi_dot u = -ad_nu nu = 0, so u_dot = Phi^-1 nu_dot.
-            r, x, u = s
             omega, v = to_body(r, r, x, u)
             nu_dot = accel(t, r, x, (*omega, *v))
             return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
 
     else:
 
-        def rhs(t, s):
-            (phi, theta, psi), x, (u1, u2, u3, u4, u5, u6) = s
+        def rhs(t, g, x, u):
+            (phi, theta, psi), (u1, u2, u3, u4, u5, u6) = g, u
             if not math.isfinite(phi + theta + psi):
                 raise NonFiniteStateError("Euler angles are not finite")
             st = math.sin(theta)

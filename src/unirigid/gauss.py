@@ -128,7 +128,7 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
 
 
 def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint, anchor):
-    """Body-chart stage function ``rhs(t, (r, x, nu6))`` of the point ``pin`` holds at the space point ``anchor``.
+    """Body-chart stage function ``rhs(t, r, x, nu6)`` of the point ``pin`` holds at the space point ``anchor``.
 
     free_accel(t, r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The pin drift, the offset b
     and the solve of constrained_accel6 are written out, with A, S^-1, M^-1 A^T, r_b, the anchor and the gains
@@ -142,8 +142,7 @@ def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint
     (b1, b2, b3), (n1, n2, n3) = pin.r_b.tolist(), map(float, anchor)
     two_alpha, beta_sq = 2.0 * pin.baumgarte_alpha, pin.baumgarte_beta * pin.baumgarte_beta
 
-    def rhs(t, s):
-        r, x, nu6 = s
+    def rhs(t, r, x, nu6):
         r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
         # Drift of the pin in body axes, d = R^T (x + R r_b - anchor).
         p1, p2, p3 = r1 * b1 + r2 * b2 + r3 * b3, r4 * b1 + r5 * b2 + r6 * b3, r7 * b1 + r8 * b2 + r9 * b3

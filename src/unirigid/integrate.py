@@ -3,8 +3,9 @@
 One kernel, ``_rk_step``, advances every integrator on every chart over the
 float ``(g, x, u)`` tuples of ``charts.stage_state``: a row-major rotation on
 the twist charts, Z-X-Z angles on the Euler chart, through the chart's stage
-maps in ``charts.CHART_STAGES``.  Stage configurations are reached from the
-step's base by increments (``retract``); on the twist charts that is an
+maps in ``charts.CHART_STAGES``; its stages are written out, each calling the
+stage function as ``rhs(t, g, x, u)``.  Stage configurations are reached from
+the step's base by increments (``retract``); on the twist charts that is an
 exponential, so orthogonality holds by construction, is checked on every
 rotation formed and is never repaired.  ``step`` is the validated boundary,
 ChartState in and out; the boxes keep floats, so no array is built there.
@@ -52,15 +53,15 @@ from .gauss import fixed_point_rhs_fn
 from .geom3 import Pose, Rotation, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
 from .geom3 import as_rows
 
-# rhs(t, (g, x, u)) -> u_dot, a 6-tuple, on the float stage state of charts.stage_state.
-RhsFn = Callable[[float, tuple], tuple]
+# rhs(t, g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state.
+RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
 
 # Longest run simulate accepts: about 9 minutes at 53 us per step (compare-euler-top in BENCH_13.json),
 # about 18 minutes at 109 us per step when every step is sampled and written (pinned-csv).
 MAX_STEPS = 10_000_000
 
-# An Euler stage below sin(theta) = -UNDER_RESOLVED_SIN went over 0.01 rad past the singularity: a step too large.
-UNDER_RESOLVED_SIN = 1e-2
+# An Euler stage failing the gimbal rule after moving theta over this (rad) from its base jumped the singularity.
+UNDER_RESOLVED_JUMP = 1e-2
 
 
 class IntegratorId(Enum):
@@ -146,57 +147,59 @@ class Trajectory(tuple):
         return (self.rows,)
 
 
-def _slopes(rates, rhs: RhsFn, t: float, g, x, u, sigma) -> tuple:
-    """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment."""
-    u_dot = rhs(t, (g, x, u))
-    # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
-    if not all(map(math.isfinite, u_dot)):
-        raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
-    return (*rates(g, x, u, sigma), u_dot)
-
-
-def _advance(retract, g0, x0, u0, h: float, s, y, k) -> tuple:
-    """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h."""
-    sigma = (h * s[0], h * s[1], h * s[2])
-    u1, u2, u3, u4, u5, u6 = u0
-    return (retract(g0, sigma), (x0[0] + h * y[0], x0[1] + h * y[1], x0[2] + h * y[2]),
-            (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma)
-
-
-def _rk4_sum(a, b, c, d) -> tuple:
-    """a + 2 b + 2 c + d, entrywise, for 3- or 6-wide slopes."""
-    head = (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0], a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1],
-            a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2])
-    return head if len(a) == 3 else (*head, a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3],
-                                     a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4], a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5])
-
-
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
     """One step of every integrator on float stage states; returns the new (g, x, u).
 
-    Every stage starts from the base; RK4 then advances it by (dt / 6) (k1 + 2 k2 + 2 k3 + k4).
+    Every stage starts from the base, calls rhs(t, g, x, u) and takes (sigma_dot, x_dot) from the chart's rates;
+    RK4 then advances the base by (dt / 6) (k1 + 2 k2 + 2 k3 + k4), every sum left to right.
     """
     rates, retract = CHART_STAGES[chart]
-    s1, y1, k1 = _slopes(rates, rhs, t, g0, x0, u0, _ZERO3)
+    (x1, x2, x3), (u1, u2, u3, u4, u5, u6) = x0, u0
+    ka1, ka2, ka3, ka4, ka5, ka6 = k = rhs(t, g0, x0, u0)
+    # Float arithmetic overflows silently to inf or nan, so each stage's acceleration is checked.
+    if not all(map(math.isfinite, k)):
+        raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
+    (sa1, sa2, sa3), (ya1, ya2, ya3) = rates(g0, x0, u0, _ZERO3)
     if integrator is IntegratorId.LIE_EULER:
-        return _advance(retract, g0, x0, u0, dt, s1, y1, k1)[:3]
-    h = 0.5 * dt
+        return (retract(g0, (dt * sa1, dt * sa2, dt * sa3)), (x1 + dt * ya1, x2 + dt * ya2, x3 + dt * ya3),
+                (u1 + dt * ka1, u2 + dt * ka2, u3 + dt * ka3, u4 + dt * ka4, u5 + dt * ka5, u6 + dt * ka6))
+    h, th = 0.5 * dt, t + 0.5 * dt
     try:
-        stage = _advance(retract, g0, x0, u0, h, s1, y1, k1)
-        s2, y2, k2 = _slopes(rates, rhs, t + h, *stage)
-        stage = _advance(retract, g0, x0, u0, h, s2, y2, k2)
-        s3, y3, k3 = _slopes(rates, rhs, t + h, *stage)
-        stage = _advance(retract, g0, x0, u0, dt, s3, y3, k3)
-        s4, y4, k4 = _slopes(rates, rhs, t + dt, *stage)
+        sigma = (h * sa1, h * sa2, h * sa3)
+        g, x = retract(g0, sigma), (x1 + h * ya1, x2 + h * ya2, x3 + h * ya3)
+        u = (u1 + h * ka1, u2 + h * ka2, u3 + h * ka3, u4 + h * ka4, u5 + h * ka5, u6 + h * ka6)
+        kb1, kb2, kb3, kb4, kb5, kb6 = k = rhs(th, g, x, u)
+        if not all(map(math.isfinite, k)):
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
+        (sb1, sb2, sb3), (yb1, yb2, yb3) = rates(g, x, u, sigma)
+        sigma = (h * sb1, h * sb2, h * sb3)
+        g, x = retract(g0, sigma), (x1 + h * yb1, x2 + h * yb2, x3 + h * yb3)
+        u = (u1 + h * kb1, u2 + h * kb2, u3 + h * kb3, u4 + h * kb4, u5 + h * kb5, u6 + h * kb6)
+        kc1, kc2, kc3, kc4, kc5, kc6 = k = rhs(th, g, x, u)
+        if not all(map(math.isfinite, k)):
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
+        (sc1, sc2, sc3), (yc1, yc2, yc3) = rates(g, x, u, sigma)
+        sigma = (dt * sc1, dt * sc2, dt * sc3)
+        g, x = retract(g0, sigma), (x1 + dt * yc1, x2 + dt * yc2, x3 + dt * yc3)
+        u = (u1 + dt * kc1, u2 + dt * kc2, u3 + dt * kc3, u4 + dt * kc4, u5 + dt * kc5, u6 + dt * kc6)
+        kd1, kd2, kd3, kd4, kd5, kd6 = k = rhs(t + dt, g, x, u)
+        if not all(map(math.isfinite, k)):
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={t + dt:.6g}")
+        (sd1, sd2, sd3), (yd1, yd2, yd3) = rates(g, x, u, sigma)
     except GimbalLockError as err:
-        # The base passed the gimbal rule: a stage this far below it jumped the singularity, not approached it.
-        if chart is not ChartId.EULER_COM or math.sin(stage[0][1]) >= -UNDER_RESOLVED_SIN:
+        # The base passed the gimbal rule: a stage that moved theta this far from it jumped the singularity.
+        if chart is not ChartId.EULER_COM or not abs(sigma[1]) > UNDER_RESOLVED_JUMP:
             raise
-        raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
+        raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {sigma[1]:.3g} rad "
                               f"within one stage, to {err}") from None
-    return _advance(
-        retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
-    )[:3]
+    h = dt / 6.0
+    return (retract(g0, (h * (sa1 + 2.0 * sb1 + 2.0 * sc1 + sd1), h * (sa2 + 2.0 * sb2 + 2.0 * sc2 + sd2),
+                         h * (sa3 + 2.0 * sb3 + 2.0 * sc3 + sd3))),
+            (x1 + h * (ya1 + 2.0 * yb1 + 2.0 * yc1 + yd1), x2 + h * (ya2 + 2.0 * yb2 + 2.0 * yc2 + yd2),
+             x3 + h * (ya3 + 2.0 * yb3 + 2.0 * yc3 + yd3)),
+            (u1 + h * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1), u2 + h * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
+             u3 + h * (ka3 + 2.0 * kb3 + 2.0 * kc3 + kd3), u4 + h * (ka4 + 2.0 * kb4 + 2.0 * kc4 + kd4),
+             u5 + h * (ka5 + 2.0 * kb5 + 2.0 * kc5 + kd5), u6 + h * (ka6 + 2.0 * kb6 + 2.0 * kc6 + kd6)))
 
 
 def step(
@@ -209,7 +212,7 @@ def step(
 ) -> ChartState:
     """Advance one fixed step; pure function of its arguments.
 
-    ``rhs(t, (g, x, u))`` is the chart acceleration on the raw stage state of
+    ``rhs(t, g, x, u)`` is the chart acceleration on the raw stage state of
     ``charts.stage_state``, as returned by make_rhs.
     """
     if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t)):

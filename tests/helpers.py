@@ -11,18 +11,20 @@ The layered references (``layered_kirchhoff_accel``,
 call per layer: the wrench (``body_wrench_fn``, or ``com_wrench_fn`` about the
 CoM for Newton-Euler), M nu or J_G omega, the bias, the inverse, each chart's
 maps, and for the pinned point the drift, the offset
-(``fixed_point_offset_fn``) and gauss.constrained_accel6.  The engine
-evaluates each route in one flat function with the same operations in the
-same order, so the two agree bit for bit.
+(``fixed_point_offset_fn``) and gauss.constrained_accel6.  ``layered_rk_step``
+composes the step kernel the same way: one call per stage for its slopes, its
+increments and the RK4 sum.  The engine evaluates each route and the kernel in
+one flat function with the same operations in the same order, so the two agree
+bit for bit.
 """
 
 import math
 
 import numpy as np
 
-from unirigid.charts import CHART_MAPS, ChartId, _euler_rate_matrix_dot, chart_eval
+from unirigid.charts import _ZERO3, CHART_MAPS, CHART_STAGES, ChartId, _euler_rate_matrix_dot, chart_eval
 from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, spd_factor
-from unirigid.errors import NonFiniteStateError, NotPositiveDefiniteError
+from unirigid.errors import GimbalLockError, NonFiniteStateError, NotPositiveDefiniteError
 from unirigid.gauss import FixedPointConstraint, constrained_accel6, fixed_point_rows, schur_factor
 from unirigid.geom3 import (
     Pose,
@@ -38,7 +40,7 @@ from unirigid.geom3 import (
     mat3t_vec,
     matvec,
 )
-from unirigid.integrate import Formulation, IntegratorId
+from unirigid.integrate import UNDER_RESOLVED_JUMP, Formulation, IntegratorId
 from unirigid.scenario import RunConfig, Scenario
 from unirigid.charts import Twist
 
@@ -139,22 +141,20 @@ def layered_newton_euler_accel(si: SpatialInertia, forces: ForceModel):
 
 
 def layered_chart_rhs_fn(chart: ChartId, accel):
-    """rhs(t, (g, x, u)): u_dot = Phi^-1 (nu_dot - Phi_dot u) through charts.CHART_MAPS, one call per map."""
+    """rhs(t, g, x, u): u_dot = Phi^-1 (nu_dot - Phi_dot u) through charts.CHART_MAPS, one call per map."""
     to_body, from_body = CHART_MAPS[chart]
     if chart is ChartId.BODY_TWIST:
-        return lambda t, s: accel(t, *s)
+        return lambda t, r, x, u: accel(t, r, x, u)
     if chart is ChartId.SPATIAL_TWIST:
 
-        def rhs(t, s):
-            r, x, u = s
+        def rhs(t, r, x, u):
             omega, v = to_body(r, r, x, u)
             nu_dot = accel(t, r, x, (*omega, *v))
             return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
 
         return rhs
 
-    def rhs(t, s):
-        g, x, u = s
+    def rhs(t, g, x, u):
         phi, theta, psi = g
         if not math.isfinite(phi + theta + psi):
             raise NonFiniteStateError("Euler angles are not finite")
@@ -190,19 +190,71 @@ def fixed_point_offset_fn(fp: FixedPointConstraint):
 
 
 def layered_fixed_point_rhs(accel, m6_inv, fp: FixedPointConstraint, anchor):
-    """rhs(t, (r, x, nu6)) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel, the drift
+    """rhs(t, r, x, nu6) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel, the drift
     R^T (x + R r_b - anchor), fixed_point_offset_fn and constrained_accel6 with the Schur complement of schur_factor."""
     offset, a_rows = fixed_point_offset_fn(fp), fixed_point_rows(fp)
     m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
     a_rows, r_b, (a1, a2, a3) = as_rows(a_rows), fp.r_b.tolist(), anchor
 
-    def rhs(t, s):
-        r, x, nu6 = s
+    def rhs(t, r, x, nu6):
         p1, p2, p3 = mat3_vec(r, r_b)
         drift = mat3t_vec(r, (x[0] + p1 - a1, x[1] + p2 - a2, x[2] + p3 - a3))
         return constrained_accel6(accel(t, r, x, nu6), a_rows, offset(nu6, drift), m_inv_at, s_inv)[0]
 
     return rhs
+
+
+def _slopes(rates, rhs, t: float, g, x, u, sigma) -> tuple:
+    """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment."""
+    u_dot = rhs(t, g, x, u)
+    # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
+    if not all(map(math.isfinite, u_dot)):
+        raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
+    return (*rates(g, x, u, sigma), u_dot)
+
+
+def _advance(retract, g0, x0, u0, h: float, s, y, k) -> tuple:
+    """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h."""
+    sigma = (h * s[0], h * s[1], h * s[2])
+    u1, u2, u3, u4, u5, u6 = u0
+    return (retract(g0, sigma), (x0[0] + h * y[0], x0[1] + h * y[1], x0[2] + h * y[2]),
+            (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma)
+
+
+def _rk4_sum(a, b, c, d) -> tuple:
+    """a + 2 b + 2 c + d, entrywise, for 3- or 6-wide slopes."""
+    head = (a[0] + 2.0 * b[0] + 2.0 * c[0] + d[0], a[1] + 2.0 * b[1] + 2.0 * c[1] + d[1],
+            a[2] + 2.0 * b[2] + 2.0 * c[2] + d[2])
+    return head if len(a) == 3 else (*head, a[3] + 2.0 * b[3] + 2.0 * c[3] + d[3],
+                                     a[4] + 2.0 * b[4] + 2.0 * c[4] + d[4], a[5] + 2.0 * b[5] + 2.0 * c[5] + d[5])
+
+
+def layered_rk_step(integrator: IntegratorId, chart: ChartId, rhs, g0, x0, u0, t: float, dt: float):
+    """integrate._rk_step composed from one call per stage layer: _slopes, _advance and _rk4_sum.
+
+    Every stage starts from the base; RK4 then advances it by (dt / 6) (k1 + 2 k2 + 2 k3 + k4).  An Euler
+    stage that fails the gimbal rule after moving theta more than UNDER_RESOLVED_JUMP is a step too large.
+    """
+    rates, retract = CHART_STAGES[chart]
+    s1, y1, k1 = _slopes(rates, rhs, t, g0, x0, u0, _ZERO3)
+    if integrator is IntegratorId.LIE_EULER:
+        return _advance(retract, g0, x0, u0, dt, s1, y1, k1)[:3]
+    h = 0.5 * dt
+    try:
+        stage = _advance(retract, g0, x0, u0, h, s1, y1, k1)
+        s2, y2, k2 = _slopes(rates, rhs, t + h, *stage)
+        stage = _advance(retract, g0, x0, u0, h, s2, y2, k2)
+        s3, y3, k3 = _slopes(rates, rhs, t + h, *stage)
+        stage = _advance(retract, g0, x0, u0, dt, s3, y3, k3)
+        s4, y4, k4 = _slopes(rates, rhs, t + dt, *stage)
+    except GimbalLockError as err:
+        if chart is not ChartId.EULER_COM or not abs(stage[3][1]) > UNDER_RESOLVED_JUMP:
+            raise
+        raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
+                              f"within one stage, to {err}") from None
+    return _advance(
+        retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
+    )[:3]
 
 
 def random_inertia(rng, with_offset=False, unit_scale=False):

@@ -139,7 +139,7 @@ class TestKirchhoffRhs:
             direct = kirchhoff_rhs(si, nu, w)
             forces = ForceModel(gravity=np.zeros(3), constant_wrench=w)
             rhs = chart_rhs_fn(ChartId.BODY_TWIST, kirchhoff_accel_fn(si, forces)[0])
-            via_chart = np.array(rhs(0.0, stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
+            via_chart = np.array(rhs(0.0, *stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
             assert np.max(np.abs(direct - via_chart)) <= 1e-12
 
 
@@ -203,7 +203,7 @@ class TestChartEngine:
             u = rng.normal(size=6)
             state = ChartState(pose, u)
             rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, NO_FORCES)[0])
-            u_dot = rhs(0.0, stage_state(ChartId.EULER_COM, state))
+            u_dot = rhs(0.0, *stage_state(ChartId.EULER_COM, state))
             theta = math.acos(pose.rotation.m[2, 2])
             spin_rate_dot = (
                 u_dot[0] * math.cos(theta) - u[0] * math.sin(theta) * u[1] + u_dot[2]
@@ -242,7 +242,7 @@ class TestChartEngine:
             u = rng.normal(size=6) * 0.5
             state = ChartState(pose, u)
             rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, ForceModel(gravity=gravity))[0])
-            u_dot = np.array(rhs(0.0, stage_state(ChartId.EULER_COM, state)))
+            u_dot = np.array(rhs(0.0, *stage_state(ChartId.EULER_COM, state)))
 
             from unirigid.geom3 import rotation_to_euler
 

@@ -26,7 +26,7 @@ from unirigid.dynamics import ForceModel, SpatialInertia, chart_rhs_fn, kirchhof
 from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import Pose, euler_to_rotation, geodesic_distance
-from unirigid.integrate import UNDER_RESOLVED_SIN, Formulation, IntegratorId, make_rhs, simulate, step
+from unirigid.integrate import UNDER_RESOLVED_JUMP, Formulation, IntegratorId, make_rhs, simulate, step
 from unirigid.scenario import load_scenario, parse_scenario
 
 # Asymmetric body tumbling fast enough that fourth-order errors dominate noise.
@@ -77,7 +77,7 @@ class TestStepBasics:
     def test_zero_rhs_zero_velocity_fixed_point(self, chart, integrator):
         pose = Pose(orientation_taking([0.3, 0.2, 0.91], [0, 0, 1]), np.array([0.1, -0.2, 0.3]))
         state = ChartState(pose, np.zeros(6))
-        out = step(integrator, chart, lambda t, s: np.zeros(6), state, 0.0, 0.01)
+        out = step(integrator, chart, lambda t, g, x, u: np.zeros(6), state, 0.0, 0.01)
         assert np.allclose(out.pose.rotation.m, pose.rotation.m)
         assert np.allclose(out.pose.position, pose.position)
         assert np.array_equal(out.u, np.zeros(6))
@@ -85,7 +85,7 @@ class TestStepBasics:
     def test_rejects_nonpositive_dt(self):
         state = ChartState(Pose.identity(), np.zeros(6))
         with pytest.raises(ValueError):
-            step(IntegratorId.RK4, ChartId.BODY_TWIST, lambda t, s: np.zeros(6), state, 0.0, 0.0)
+            step(IntegratorId.RK4, ChartId.BODY_TWIST, lambda t, g, x, u: np.zeros(6), state, 0.0, 0.0)
 
     @pytest.mark.parametrize("t, dt", [(0.0, math.inf), (0.0, math.nan), (0.0, -1e-3), (math.nan, 1e-3),
                                        (math.inf, 1e-3), (-math.inf, 1e-3)])
@@ -109,7 +109,7 @@ class TestStepBasics:
     def test_rejects_rk4_on_twist_chart(self, chart):
         state = ChartState(Pose.identity(), np.zeros(6))
         with pytest.raises(ValueError, match="rk4"):
-            step(IntegratorId.RK4, chart, lambda t, s: np.zeros(6), state, 0.0, 0.01)
+            step(IntegratorId.RK4, chart, lambda t, g, x, u: np.zeros(6), state, 0.0, 0.01)
 
 
 class TestConvergenceOrders:
@@ -409,14 +409,18 @@ class TestSimulateContract:
         assert abs(jump) > 0.5 * math.pi
         assert exc.value.time == pytest.approx(2e-3 if scale == 1e3 else 1e-3)
 
-    def test_stage_landing_past_the_singularity_is_a_large_step(self):
-        # About 1.1 rad per step: a stage moves theta by 0.96 rad, less than pi/2, and lands
+    @pytest.mark.parametrize("scale, t, below", [(500.0, "0.007", -1e-2), (100.0, "0.035", -3e-3),
+                                                  (200.0, "0.018", -5e-3)])
+    def test_stage_landing_past_the_singularity_is_a_large_step(self, scale, t, below):
+        # At s = 500, about 1.1 rad per step: a stage moves theta by 0.96 rad, less than pi/2, and lands
         # at sin(theta) = -0.077, where the resolved motion comes no closer than sin(theta) = 0.014.
+        # At s = 100 and 200 a stage moves theta by about 0.2 rad and lands only at -3.9e-3 and -6.0e-3.
         with pytest.raises(GimbalLockError) as exc:
-            simulate(self.fast_euler_scenario(500.0), Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+            simulate(self.fast_euler_scenario(scale), Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.05)
         msg = str(exc.value)
-        assert msg.startswith("gimbal lock at t=0.007: step too large for the rates: dt = 0.001 moved theta by ")
-        assert float(msg.split("sin(theta) = ")[1].split()[0]) < -UNDER_RESOLVED_SIN
+        assert msg.startswith(f"gimbal lock at t={t}: step too large for the rates: dt = 0.001 moved theta by ")
+        assert abs(float(msg.split("moved theta by ")[1].split(" rad")[0])) > UNDER_RESOLVED_JUMP
+        assert float(msg.split("sin(theta) = ")[1].split()[0]) < below
 
     def test_gimbal_lock_is_not_called_a_large_step(self):
         # theta(t) = 0.25 - t reaches the singularity in steps that move it by 1e-3.

@@ -27,6 +27,10 @@ the suite is deterministic:
 * the pinned point's flat stage function, from make_rhs, equals the layered
   free acceleration -> drift and offset -> constrained_accel6 bit for bit,
   with off-axis pins and Baumgarte gains;
+* the step kernel, its four stages written out, equals the layered
+  composition of tests/helpers.py (one call per stage for the slopes, the
+  increments and the RK4 sum) bit for bit on every chart and integrator, and
+  aborts with the same error and text, the gimbal rule included;
 * the Euler transport keeps the sign of an exactly zero output that only its
   products with E's zero entries decide.
 """
@@ -47,6 +51,7 @@ from helpers import (
     layered_fixed_point_rhs,
     layered_kirchhoff_accel,
     layered_newton_euler_accel,
+    layered_rk_step,
     make_scenario,
     momentum_bias,
 )
@@ -80,7 +85,7 @@ from unirigid.gauss import (
 )
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
 from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
-from unirigid.integrate import Formulation, IntegratorId, make_rhs, pin_anchor, simulate, step
+from unirigid.integrate import Formulation, IntegratorId, _rk_step, make_rhs, pin_anchor, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -145,7 +150,7 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     def check(si, state, g, torque, force):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
         expected = reference_u_dot(chart, si, state, forces)
-        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])(0.0, stage_state(chart, state)))
+        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])(0.0, *stage_state(chart, state)))
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
     check()
@@ -276,7 +281,7 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     w6 = body_wrench_fn(sc.forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat)
     con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat, drift.tolist()))
     nu_dot_ref, _ = kkt_reference(si, nu, Wrench(w6[:3], w6[3:]), con)
-    got = rhs(0.0, stage_state(chart, ChartState(pose, u)))
+    got = rhs(0.0, *stage_state(chart, ChartState(pose, u)))
     assert np.linalg.norm(got - nu_dot_ref) <= 1e-12 * max(1.0, np.linalg.norm(nu_dot_ref))
 
 
@@ -398,7 +403,7 @@ def raw_stage_states(draw, chart):
 def outcome(rhs, t, s):
     """The hex of each u_dot entry, or the type and text of the error rhs raises."""
     try:
-        return hexes(rhs(t, s))
+        return hexes(rhs(t, *s))
     except UniRigidError as err:
         return type(err).__name__, str(err)
 
@@ -445,9 +450,9 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
         ]
     for s, error, text in cases:
         with pytest.raises(error, match=text) as flat_err:
-            flat(0.5, s)
+            flat(0.5, *s)
         with pytest.raises(error) as layered_err:
-            layered(0.5, s)
+            layered(0.5, *s)
         assert str(flat_err.value) == str(layered_err.value)
 
 
@@ -468,6 +473,39 @@ def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, gains
     assert outcome(rhs, t, s) == outcome(layered, t, s)
 
 
+@st.composite
+def step_states(draw, chart):
+    """A raw_stage_states draw, or the same with its infinite u entries set to +-1.5, so that most steps complete."""
+    g, x, u = draw(raw_stage_states(chart))
+    if draw(st.booleans()):
+        u = tuple([v if math.isfinite(v) else math.copysign(1.5, v) for v in u])
+    return g, x, u
+
+
+def step_outcome(kernel, integrator, chart, rhs, s, t, dt):
+    """The hex of each entry of the step's (g, x, u), or the type and text of the error the kernel raises."""
+    try:
+        g, x, u = kernel(integrator, chart, rhs, *s, t, dt)
+    except (UniRigidError, ValueError) as err:
+        return type(err).__name__, str(err)
+    return hexes((*g, *x, *u))
+
+
+@pytest.mark.parametrize("integrator, chart", STEP_PAIRS)
+def test_rk_step_matches_layered_reference_bit_for_bit(integrator, chart):
+    # Huge steps overflow a later stage's acceleration or increment, which reaches each stage's finite check;
+    # on the Euler chart, bases near and past the singularities reach both sides of the gimbal rule.
+    @SETTINGS
+    @given(si=bodies(True), forces=force_models(), s=step_states(chart), t=st.floats(0.0, 10.0),
+           dt=st.one_of(st.floats(1e-3, 5e-2), st.floats(0.0, 300.0).map(lambda e: 10.0 ** e)))
+    def check(si, forces, s, t, dt):
+        rhs = chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])
+        want = step_outcome(layered_rk_step, integrator, chart, rhs, s, t, dt)
+        assert step_outcome(_rk_step, integrator, chart, rhs, s, t, dt) == want
+
+    check()
+
+
 def test_pinned_rhs_keeps_the_sign_of_zero():
     # A's entries include -0.0, 0.0 and 1.0; their products decide only the sign of an exactly zero output, which
     # no drawn state reaches.  Every sign pattern of a zero free acceleration and a zero twist, at zero drift,
@@ -481,7 +519,7 @@ def test_pinned_rhs_keeps_the_sign_of_zero():
         flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
         layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
         for nu in zeros:
-            assert hexes(flat(0.0, (r, x, nu))) == hexes(layered(0.0, (r, x, nu))), (f, nu)
+            assert hexes(flat(0.0, r, x, nu)) == hexes(layered(0.0, r, x, nu)), (f, nu)
 
 
 def test_euler_transport_keeps_the_sign_of_zero():
@@ -493,6 +531,6 @@ def test_euler_transport_keeps_the_sign_of_zero():
         return (-0.0,) * 6
 
     s = ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (-1.0, -0.0, 1.0, -0.0, -0.0, -0.0))
-    got = chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, s)
-    assert hexes(got) == hexes(layered_chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, s))
+    got = chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, *s)
+    assert hexes(got) == hexes(layered_chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, *s))
     assert hexes((got[2], got[4])) == hexes((-0.0, -0.0))
