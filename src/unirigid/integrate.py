@@ -56,8 +56,8 @@ from .geom3 import as_rows
 # rhs(t, g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state.
 RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
 
-# Longest run simulate accepts: about 9 minutes at 53 us per step (compare-euler-top in BENCH_13.json),
-# about 18 minutes at 109 us per step when every step is sampled and written (pinned-csv).
+# Longest run simulate accepts: about 8 minutes at 49 us per step (compare-euler-top in BENCH_18.json),
+# about 15 minutes at 88 us per step when every step is sampled and written (pinned-csv).
 MAX_STEPS = 10_000_000
 
 # An Euler stage failing the gimbal rule after moving theta over this (rad) from its base jumped the singularity.
