@@ -112,8 +112,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    if len(args.formulation) < 2:
-        print("error: need at least two --formulation flags to compare", file=sys.stderr)
+    if len(set(args.formulation)) < max(2, len(args.formulation)):
+        print("error: need at least two --formulation flags to compare, each formulation given once", file=sys.stderr)
         return 1
     try:
         scenario = load_scenario(args.scenario)

@@ -90,25 +90,11 @@ def mat3_mul(m, n) -> tuple:
 
 
 def matvec(rows, v) -> tuple:
-    """rows @ v for a tuple of rows, each summed left to right; written out for 3x3, 6x3, 3x6, 6x6 (3-vectors: 3 or 6 rows)."""
-    if len(v) == 3:
-        v0, v1, v2 = v
-        if len(rows) == 3:
-            (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rows
-            return a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2
-        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2), (d0, d1, d2), (e0, e1, e2), (f0, f1, f2) = rows
-        return (a0 * v0 + a1 * v1 + a2 * v2, b0 * v0 + b1 * v1 + b2 * v2, c0 * v0 + c1 * v1 + c2 * v2,
-                d0 * v0 + d1 * v1 + d2 * v2, e0 * v0 + e1 * v1 + e2 * v2, f0 * v0 + f1 * v1 + f2 * v2)
-    if len(v) != 6:  # constrained_accel with 1, 2, 4 or 5 constraint rows; each sum starts from its first product
+    """rows @ v for a tuple of rows, each summed left to right from its first product."""
+    if len(rows) != 6 or len(v) != 6:
         return tuple([reduce(operator.add, map(operator.mul, row, v)) for row in rows])
+    # Written out: conserved6 forms M nu once per sample, where the loop would cost ~4x per call (~2% of a step).
     v0, v1, v2, v3, v4, v5 = v
-    if len(rows) == 3:
-        (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5) = rows
-        return (a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5,
-                b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5,
-                c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5)
-    if len(rows) != 6:
-        return tuple([a * v0 + b * v1 + c * v2 + d * v3 + e * v4 + f * v5 for a, b, c, d, e, f in rows])
     (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5), \
         (d0, d1, d2, d3, d4, d5), (e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5) = rows
     return (

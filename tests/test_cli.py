@@ -273,9 +273,19 @@ class TestSimulateCommand:
 
 
 class TestCompareCommand:
-    def test_requires_two_formulations(self, capsys):
-        assert main(["compare", "--scenario", "euler-top", "--formulation", "kirchhoff"]) == 1
-        assert "at least two" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "formulations", [["kirchhoff"], ["kirchhoff", "kirchhoff"], ["kirchhoff", "lagrange", "kirchhoff"]]
+    )
+    def test_requires_two_formulations(self, formulations, capsys, monkeypatch):
+        def no_stepping(*args):
+            raise AssertionError("simulate ran before the formulations were checked")
+
+        monkeypatch.setattr("unirigid.cli.simulate", no_stepping)
+        flags = [a for f in formulations for a in ("--formulation", f)]
+        assert main(["compare", "--scenario", "euler-top", "--t-end", "0.01", *flags]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert "at least two" in err
 
     def test_euler_top_three_formulations(self, capsys):
         code = main(
@@ -316,7 +326,8 @@ class TestCompareCommand:
         assert err.splitlines() == [f"error: tol: must be a nonnegative finite number, got {float(tol)!r}"]
 
     def test_zero_tolerance_is_accepted(self, capsys):
-        argv = ["compare", "--scenario", "euler-top", "--formulation", "kirchhoff", "--formulation", "kirchhoff",
+        # Kirchhoff and Newton-Euler agree bit for bit on euler-top over this run, so the gap is exactly 0.
+        argv = ["compare", "--scenario", "euler-top", "--formulation", "kirchhoff", "--formulation", "newton-euler",
                 "--t-end", "0.01", "--tol", "0"]
         assert main(argv) == 0
         assert "max_orientation_gap=0.000000e+00 tol=0.000000e+00" in capsys.readouterr().out

@@ -14,8 +14,8 @@ the suite is deterministic:
 * one step() of every integrator/chart pair equals an independent numpy
   step built from that generic solve and a numpy Rodrigues formula;
 * simulate() is bit for bit the same as repeated public step() calls;
-* geom3.matvec, written out per width, sums each row left to right, bit for
-  bit;
+* geom3.matvec, its 6x6 written out and every other shape one loop, sums
+  each row left to right from its first product, bit for bit;
 * stage_state reads the floats the boxes kept, bit for bit the tuples the
   numpy arrays give, and keeps the gimbal rule;
 * the float conserved6 equals a numpy evaluation of T, V and L;
@@ -303,7 +303,9 @@ def test_simulate_is_repeated_step(name):
 
 
 @pytest.mark.parametrize(
-    "n_rows, n_cols", [(6, 6), (3, 6), (3, 3), (6, 3), (1, 1), (2, 2), (4, 4), (5, 5), (6, 1), (6, 2), (6, 4), (6, 5)]
+    "n_rows, n_cols",
+    [(6, 6), (3, 6), (3, 3), (6, 3), (1, 1), (2, 2), (4, 4), (5, 5), (6, 1), (6, 2), (6, 4), (6, 5),
+     (1, 6), (2, 6), (4, 6), (5, 6)],
 )
 def test_matvec_sums_rows_left_to_right(n_rows, n_cols):
     entry = st.floats(-1e3, 1e3)
