@@ -15,7 +15,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .charts import ChartId, Twist, hamel_coefficients
-from .dynamics import SpatialInertia, Wrench, assemble_inertia, kirchhoff_rhs
+from .dynamics import SpatialInertia, Wrench, kirchhoff_rhs
 from .gauss import (
     AccelConstraint,
     FixedPointConstraint,
@@ -88,12 +88,11 @@ def check_gauss_minimality() -> Tuple[bool, str]:
         k = int(rng.integers(1, 6))
         con = AccelConstraint(rng.normal(size=(k, 6)), rng.normal(size=k))
         nu_dot, _ = constrained_accel(si, nu, w, con)
-        m6 = assemble_inertia(si)
-        g_star = gauss_functional(m6, nu_dot, free)
+        g_star = gauss_functional(si.m6, nu_dot, free)
         proj = np.eye(6) - con.a.T @ np.linalg.solve(con.a @ con.a.T, con.a)
         for _ in range(200):
             delta = proj @ rng.normal(size=6)
-            dg = gauss_functional(m6, nu_dot + delta, free) - g_star
+            dg = gauss_functional(si.m6, nu_dot + delta, free) - g_star
             worst_decrease = min(worst_decrease, float(dg))
     ok = worst_decrease >= -1e-12 and worst_free <= 1e-12
     return ok, (
@@ -168,7 +167,7 @@ def conservation_drifts(scenario: Scenario, samples) -> Tuple[float, float]:
     if scenario.constraint is not None:
         # Space-frame linear momentum R (M nu)[3:] of every sample, as one stacked product.
         r = rows[:, COL_R].reshape(-1, 3, 3)
-        body_p = rows[:, COL_NU] @ assemble_inertia(scenario.inertia)[3:].T
+        body_p = rows[:, COL_NU] @ scenario.inertia.m6[3:].T
         l = l - np.cross(pin_anchor(scenario), np.einsum("nij,nj->ni", r, body_p))
     gravity = scenario.forces.gravity
     if gravity.any():

@@ -10,6 +10,7 @@ import argparse
 import functools
 import math
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -206,7 +207,15 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    return args.func(args)
+    def show(message, category, *where, show_other=warnings.showwarning):
+        # A scenario's UserWarning is one stderr line that names its field, not the library's source line.
+        if category is not UserWarning:
+            return show_other(message, category, *where)
+        print(f"warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        return args.func(args)
 
 
 if __name__ == "__main__":

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -56,6 +57,8 @@ class SpatialInertia:
     """Mass, inertia tensor about the body origin (body axes), CoM offset.
 
     The one inertia validation; each NotPositiveDefiniteError names its scenario field.
+    ``m6`` (M, assemble_inertia) and ``m6_inv`` (M^-1, spd_factor) are read-only
+    arrays built at most once per body and shared by every route, sample and check.
     """
 
     mass: float
@@ -86,11 +89,14 @@ class SpatialInertia:
             object.__setattr__(self, "c", _as_vec3(self.c, "c"))
             # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
             try:
-                np.linalg.cholesky(assemble_inertia(self))
+                np.linalg.cholesky(self.m6)
             except np.linalg.LinAlgError:
                 raise NotPositiveDefiniteError(
                     "assembled 6x6 inertia is not positive definite (CoM offset too large)"
                 ) from None
+
+    m6 = cached_property(lambda self: _readonly(assemble_inertia(self)))
+    m6_inv = cached_property(lambda self: _readonly(spd_factor(self.m6, "generalized inertia")))
 
 
 @dataclass(frozen=True)
@@ -192,17 +198,16 @@ def _callback_wrench(callback, t, r, x, nu6) -> list:
     return callback(t, Pose(Rotation(r), x), Twist(nu6[:3], nu6[3:])).as_array().tolist()
 
 
-def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> "tuple[Callable, np.ndarray]":
-    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``, and M^-1 (factored once).
+def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
+    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``.
 
-    nu_dot = M^-1 (w - bias(nu)) with M and M^-1 bound as 36 floats each; every sum runs left to right.
+    nu_dot = M^-1 (w - bias(nu)) with the body's si.m6 and si.m6_inv bound as 36 floats each; every sum
+    runs left to right.
     """
-    m6 = assemble_inertia(si)
-    m6_inv = spd_factor(m6, "generalized inertia")
     (m11, m12, m13, m14, m15, m16, m21, m22, m23, m24, m25, m26, m31, m32, m33, m34, m35, m36,
-     m41, m42, m43, m44, m45, m46, m51, m52, m53, m54, m55, m56, m61, m62, m63, m64, m65, m66) = m6.ravel().tolist()
+     m41, m42, m43, m44, m45, m46, m51, m52, m53, m54, m55, m56, m61, m62, m63, m64, m65, m66) = si.m6.ravel().tolist()
     (i11, i12, i13, i14, i15, i16, i21, i22, i23, i24, i25, i26, i31, i32, i33, i34, i35, i36,
-     i41, i42, i43, i44, i45, i46, i51, i52, i53, i54, i55, i56, i61, i62, i63, i64, i65, i66) = m6_inv.ravel().tolist()
+     i41, i42, i43, i44, i45, i46, i51, i52, i53, i54, i55, i56, i61, i62, i63, i64, i65, i66) = si.m6_inv.ravel().tolist()
     mass, callback, (c1, c2, c3), (gx, gy, gz) = si.mass, forces.callback, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
@@ -235,12 +240,12 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> "tuple[Callabl
             i61 * e1 + i62 * e2 + i63 * e3 + i64 * e4 + i65 * e5 + i66 * e6,
         )
 
-    return accel, m6_inv
+    return accel
 
 
 def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p)."""
-    accel, _ = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
+    accel = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
     return np.array(accel(0.0, _EYE9, _ZERO3, nu.flat))
 
 

@@ -114,11 +114,11 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    accel, m6_inv = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=wrench))
+    accel = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=wrench))
     free = accel(0.0, _EYE9, _ZERO3, nu.flat)
     if con.k == 0:
         return np.array(free), np.zeros(0)
-    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(m6_inv, con.a))
+    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(si.m6_inv, con.a))
     return np.array(nu_dot), np.array(lam)
 
 

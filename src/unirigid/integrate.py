@@ -38,13 +38,7 @@ from .charts import (
     stage_pose,
     stage_state,
 )
-from .dynamics import (
-    assemble_inertia,
-    chart_rhs_fn,
-    conserved6,
-    kirchhoff_accel_fn,
-    newton_euler_accel_fn,
-)
+from .dynamics import chart_rhs_fn, conserved6, kirchhoff_accel_fn, newton_euler_accel_fn
 from .dynamics import spd_factor  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import constrained_accel6  # noqa: F401  (perfbench/tracer.py wraps it under this module)
@@ -230,7 +224,7 @@ def step(
 def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     """Chart and raw-state right-hand side for one formulation of a scenario.
 
-    The constant inertia is factored here, once per run.  The gauss route
+    Every route but newton-euler reads the body's one factor, scenario.inertia.m6_inv.  The gauss route
     feeds the pinned-point constraint (when present) through the
     least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur
     complement precomputed, tracking the pin anchor for drift stabilization;
@@ -240,9 +234,9 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     if formulation is Formulation.NEWTON_EULER:
         return chart, chart_rhs_fn(chart, newton_euler_accel_fn(scenario.inertia, scenario.forces))
 
-    accel, m6_inv = kirchhoff_accel_fn(scenario.inertia, scenario.forces)
+    accel = kirchhoff_accel_fn(scenario.inertia, scenario.forces)
     if formulation is Formulation.GAUSS and scenario.constraint is not None:
-        return chart, fixed_point_rhs_fn(accel, m6_inv, scenario.constraint, pin_anchor(scenario))
+        return chart, fixed_point_rhs_fn(accel, scenario.inertia.m6_inv, scenario.constraint, pin_anchor(scenario))
     return chart, chart_rhs_fn(chart, accel)
 
 
@@ -304,10 +298,7 @@ def simulate(
     check_route(formulation, integrator, scenario)
 
     chart, rhs = make_rhs(formulation, scenario)
-    u0 = chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist)
-    state = ChartState(scenario.initial_pose, u0)
-
-    m6 = as_rows(assemble_inertia(scenario.inertia))
+    m6 = as_rows(scenario.inertia.m6)
     mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
     gravity, to_body = scenario.forces.gravity.tolist(), CHART_MAPS[chart][0]
     # t = 0, every sample_every-th step, and the final step when the stride misses it.
@@ -326,6 +317,9 @@ def simulate(
     n_rows, t_next = 0, 0.0
     try:
         with np.errstate(over="raise", invalid="raise"):
+            # The start's chart conversion can fail as a step does (an Euler start at gimbal lock): at t = 0.
+            state = ChartState(scenario.initial_pose,
+                               chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist))
             rows[0], n_rows = sample(0.0, state), 1
             for k in range(n_steps):
                 t_next = (k + 1) * dt

@@ -144,7 +144,7 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
             raise ScenarioValidationError(field, str(err)) from None
         deviation = abs(math.hypot(*q) - 1.0)
         if deviation > 1e-6:
-            warnings.warn(f"orientation quaternion deviates from unit norm by {deviation:.3e}; renormalizing", stacklevel=2)
+            warnings.warn(f"{field}: deviates from unit norm by {deviation:.3e}; renormalizing", stacklevel=2)
     else:
         angles = _floats(orientation["euler_zxz"], "initial.orientation.euler_zxz", 3)
         rotation = euler_to_rotation(angles)

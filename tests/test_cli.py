@@ -123,6 +123,25 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert "aborted: gimbal lock at t=0.002" in err
 
+    @pytest.mark.parametrize("command, prefix", [("simulate", "aborted: "), ("compare", "aborted: lagrange: ")])
+    def test_gimbal_lock_at_the_start_exits_2_at_t_0(self, tmp_path, capsys, command, prefix):
+        # The default (identity) orientation has theta = 0, where the Euler chart has no rates.
+        path = write_scenario(tmp_path, {**OFFSET_SCENARIO, "initial": {"omega": [0.1, 0.2, 0.3]}})
+        more = ["--output", str(tmp_path / "s.csv")] if command == "simulate" else ["--formulation", "kirchhoff"]
+        assert main([command, "--scenario", path, "--formulation", "lagrange", *more]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"{prefix}gimbal lock at t=0: sin(theta) = 0.000e+00 below 1e-08"]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_scenario_warning_is_one_line(self, tmp_path, capsys, command):
+        data = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [2.0, 0.0, 0.0, 0.0]}}}
+        path = write_scenario(tmp_path, data)
+        more = (["--output", str(tmp_path / "w.csv")] if command == "simulate"
+                else ["--formulation", "kirchhoff", "--formulation", "newton-euler"])
+        assert main([command, "--scenario", path, *more]) == 0
+        assert capsys.readouterr().err.splitlines() == [
+            "warning: initial.orientation.quaternion: deviates from unit norm by 1.000e+00; renormalizing"]
+
     @pytest.mark.parametrize("scenario", ["heavy-top-generic", "heavy-top-steady"])
     def test_pinned_momentum_drift_is_integration_error(self, tmp_path, capsys, scenario):
         # The vertical component of L about the pin is conserved; the rest is gravity's torque.

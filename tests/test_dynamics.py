@@ -6,6 +6,7 @@ route must satisfy the Euler-Lagrange equations assembled purely from nested
 central differences of a hand-built scalar Lagrangian.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -24,9 +25,12 @@ from unirigid.dynamics import (
     kirchhoff_accel_fn,
     kirchhoff_rhs,
     newton_euler_accel_fn,
+    spd_factor,
 )
 from unirigid.errors import NotPositiveDefiniteError
 from unirigid.geom3 import Pose, Rotation, as_rows, euler_to_rotation, hat
+from unirigid.integrate import Formulation, IntegratorId, simulate
+from unirigid.scenario import load_scenario
 
 NO_FORCES = ForceModel(gravity=np.zeros(3))
 EYE9 = Rotation.identity().flat
@@ -70,6 +74,43 @@ class TestAssembleInertia:
         # CoM-shifted inertia goes indefinite when m ||c||^2 outgrows J.
         with pytest.raises(NotPositiveDefiniteError):
             SpatialInertia(mass=10.0, j=np.diag([0.1, 0.1, 0.1]), c=np.array([1.0, 0.0, 0.0]))
+
+
+class TestInertiaFactor:
+    SI = SpatialInertia(mass=2.0, j=np.diag([1.0, 1.5, 2.0]), c=np.array([0.05, -0.02, 0.1]))
+
+    @pytest.mark.parametrize("name", ["m6", "m6_inv"])
+    def test_read_only(self, name):
+        si = dataclasses.replace(self.SI)
+        value = getattr(si, name)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(si, name, np.eye(6))
+        with pytest.raises(ValueError):
+            value[0, 0] = 1.0
+        assert getattr(si, name) is value
+
+    def test_built_by_the_public_builders(self):
+        si = dataclasses.replace(self.SI)
+        assert np.array_equal(si.m6, assemble_inertia(si))
+        assert np.array_equal(si.m6_inv, spd_factor(assemble_inertia(si), "generalized inertia"))
+
+    def test_replace_builds_a_fresh_factor(self):
+        moved = dataclasses.replace(self.SI, c=np.array([0.0, 0.1, 0.0]))
+        assert moved.m6 is not self.SI.m6 and moved.m6_inv is not self.SI.m6_inv
+        assert not np.array_equal(moved.m6_inv, self.SI.m6_inv)
+        assert np.array_equal(moved.m6_inv, spd_factor(assemble_inertia(moved), "generalized inertia"))
+
+    def test_routes_share_one_factor(self, monkeypatch):
+        sc, calls = load_scenario("euler-top"), []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return spd_factor(*args, **kwargs)
+
+        monkeypatch.setattr("unirigid.dynamics.spd_factor", counted)
+        simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.01)
+        simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        assert calls == ["generalized inertia"]
 
 
 class TestMomentum:
@@ -138,7 +179,7 @@ class TestKirchhoffRhs:
             w = Wrench(rng.normal(size=3), rng.normal(size=3))
             direct = kirchhoff_rhs(si, nu, w)
             forces = ForceModel(gravity=np.zeros(3), constant_wrench=w)
-            rhs = chart_rhs_fn(ChartId.BODY_TWIST, kirchhoff_accel_fn(si, forces)[0])
+            rhs = chart_rhs_fn(ChartId.BODY_TWIST, kirchhoff_accel_fn(si, forces))
             via_chart = np.array(rhs(0.0, *stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
             assert np.max(np.abs(direct - via_chart)) <= 1e-12
 
@@ -162,7 +203,7 @@ class TestNewtonEulerRhs:
             w = Wrench(rng.normal(size=3), rng.normal(size=3))
             forces = ForceModel(gravity=10.0 * rng.normal(size=3), constant_wrench=w, callback=drag)
             state = (0.5, pose.rotation.flat, pose.flat, nu.flat)
-            expected = np.array(kirchhoff_accel_fn(si, forces)[0](*state))
+            expected = np.array(kirchhoff_accel_fn(si, forces)(*state))
             nu_dot = np.array(newton_euler_accel_fn(si, forces)(*state))
             assert np.linalg.norm(nu_dot - expected) <= 1e-12 * np.linalg.norm(expected)
 
@@ -202,7 +243,7 @@ class TestChartEngine:
             pose = random_valid_pose(rng)
             u = rng.normal(size=6)
             state = ChartState(pose, u)
-            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, NO_FORCES)[0])
+            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, NO_FORCES))
             u_dot = rhs(0.0, *stage_state(ChartId.EULER_COM, state))
             theta = math.acos(pose.rotation.m[2, 2])
             spin_rate_dot = (
@@ -241,7 +282,7 @@ class TestChartEngine:
             pose = Pose(random_valid_pose(rng).rotation, rng.normal(size=3) * 0.3)
             u = rng.normal(size=6) * 0.5
             state = ChartState(pose, u)
-            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, ForceModel(gravity=gravity))[0])
+            rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, ForceModel(gravity=gravity)))
             u_dot = np.array(rhs(0.0, *stage_state(ChartId.EULER_COM, state)))
 
             from unirigid.geom3 import rotation_to_euler

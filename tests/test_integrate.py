@@ -248,7 +248,7 @@ class TestFormulationEquivalence:
         # No formulation runs the spatial chart, so step() drives it directly:
         # an offset-CoM body, translating under gravity, from the same body twist.
         si = SpatialInertia(1.3, ORDER_J, np.array([0.05, -0.1, 0.2]))
-        accel, _ = kirchhoff_accel_fn(si, ForceModel(gravity=np.array([0.0, 0.0, -9.81])))
+        accel = kirchhoff_accel_fn(si, ForceModel(gravity=np.array([0.0, 0.0, -9.81])))
         pose0 = Pose(orientation_taking(ORDER_J @ ORDER_OMEGA, [0.0, 0.0, 1.0]), np.array([0.1, -0.2, 0.3]))
         nu0 = Twist(np.array([0.8, -0.5, 1.2]), np.array([0.4, -0.2, 0.3]))
 
@@ -387,6 +387,14 @@ class TestSimulateContract:
         assert exc.value.time is not None
         assert abs(exc.value.time - 0.25) <= 2e-3
         assert "gimbal lock at t=" in str(exc.value)
+
+    def test_gimbal_lock_at_the_start_is_at_t_0(self):
+        # The identity orientation has theta = 0: the start state has no Euler rates.
+        sc = make_scenario("start", 1.0, np.diag([1.0, 1.2, 1.5]), [0.1, 0.2, 0.3])
+        with pytest.raises(GimbalLockError) as exc:
+            simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        assert exc.value.time == 0.0
+        assert str(exc.value).startswith("gimbal lock at t=0: sin(theta) = ")
 
     @staticmethod
     def fast_euler_scenario(scale):

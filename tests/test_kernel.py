@@ -150,7 +150,7 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     def check(si, state, g, torque, force):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
         expected = reference_u_dot(chart, si, state, forces)
-        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])(0.0, *stage_state(chart, state)))
+        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces))(0.0, *stage_state(chart, state)))
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
     check()
@@ -224,7 +224,7 @@ def test_step_matches_numpy_reference(integrator, chart):
     )
     def check(si, state, g, torque, force, dt):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
-        accel, _ = kirchhoff_accel_fn(si, forces)
+        accel = kirchhoff_accel_fn(si, forces)
         got = step(integrator, chart, chart_rhs_fn(chart, accel), state, 0.0, dt)
         r1, x1, u1 = reference_step(integrator, chart, si, forces, state, dt)
         for a, b in ((got.pose.rotation.m, r1), (got.pose.position, x1), (got.u, u1)):
@@ -411,7 +411,7 @@ def outcome(rhs, t, s):
 
 
 FLAT_ROUTES = {
-    "kirchhoff": (lambda si, forces: kirchhoff_accel_fn(si, forces)[0], layered_kirchhoff_accel),
+    "kirchhoff": (kirchhoff_accel_fn, layered_kirchhoff_accel),
     "newton-euler": (newton_euler_accel_fn, layered_newton_euler_accel),
 }
 
@@ -501,7 +501,7 @@ def test_rk_step_matches_layered_reference_bit_for_bit(integrator, chart):
     @given(si=bodies(True), forces=force_models(), s=step_states(chart), t=st.floats(0.0, 10.0),
            dt=st.one_of(st.floats(1e-3, 5e-2), st.floats(0.0, 300.0).map(lambda e: 10.0 ** e)))
     def check(si, forces, s, t, dt):
-        rhs = chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces)[0])
+        rhs = chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces))
         want = step_outcome(layered_rk_step, integrator, chart, rhs, s, t, dt)
         assert step_outcome(_rk_step, integrator, chart, rhs, s, t, dt) == want
 
