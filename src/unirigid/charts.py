@@ -112,8 +112,8 @@ def stage_state(chart: ChartId, state: ChartState) -> tuple:
 
     ``g`` is the rotation matrix as a row-major 9-tuple on the twist charts
     and the Z-X-Z angles (phi, theta, psi) on the Euler chart; ``x`` is the
-    position 3-tuple, ``u`` the chart-velocity 6-tuple.  stage_pose is the
-    inverse of its pose part.  Every part is a tuple the boxes kept when they validated it.
+    position 3-tuple, ``u`` the chart-velocity 6-tuple.  stage_pose is its
+    inverse.  Every part is a tuple the boxes kept when they validated it.
     """
     pose = state.pose
     return _configuration(chart, pose), pose.flat, state.flat
@@ -265,19 +265,21 @@ def _angle_rates(g, x, u, sigma):
     return u[:3], u[3:]
 
 
-def _body_retract(g0, d_sigma):
+def _body_retract(g0, d_sigma, check=True):
     r = mat3_mul(g0, exp_so3_matrix(d_sigma))
-    check_rotation(r)
+    if check:
+        check_rotation(r)
     return r
 
 
-def _spatial_retract(g0, d_sigma):
+def _spatial_retract(g0, d_sigma, check=True):
     r = mat3_mul(exp_so3_matrix(d_sigma), g0)
-    check_rotation(r)
+    if check:
+        check_rotation(r)
     return r
 
 
-def _angle_retract(g0, d_sigma):
+def _angle_retract(g0, d_sigma, check=True):
     return g0[0] + d_sigma[0], g0[1] + d_sigma[1], g0[2] + d_sigma[2]
 
 
@@ -286,8 +288,9 @@ def _angle_retract(g0, d_sigma):
 # being the stage's rotation increment from the step's base: on the twist charts
 # sigma_dot is dexpinv(sigma, omega) truncated after its double-commutator Bernoulli
 # term, which fourth-order Lie-RK4 requires; on the Euler chart, the angle rates.
-# retract(g0, d_sigma) -> g applies an increment: twist charts multiply by exp(d_sigma),
-# on the right (body) or left (spatial), and check the product; the Euler chart adds angles.
+# retract(g0, d_sigma, check=True) -> g applies an increment: twist charts multiply by
+# exp(d_sigma), on the right (body) or left (spatial), and check the product unless check is
+# false (the step's end rotation, which its Rotation box checks); the Euler chart adds angles.
 CHART_STAGES = {
     ChartId.BODY_TWIST: (_body_rates, _body_retract),
     ChartId.SPATIAL_TWIST: (_spatial_rates, _spatial_retract),
@@ -295,11 +298,16 @@ CHART_STAGES = {
 }
 
 
-def stage_pose(chart: ChartId, g, x) -> Pose:
-    """Validated Pose of a float configuration (inverse of stage_state's pose part)."""
-    if chart is ChartId.EULER_COM:
-        return Pose(Rotation(euler_matrix(*g)), x)
-    return Pose(Rotation(g), x)
+def stage_pose(chart: ChartId, g, x, u) -> ChartState:
+    """The ChartState of a float (g, x, u) that integrate.step checked finite: the inverse of stage_state.
+
+    The end rotation's one check is Rotation's validating constructor; x and u are stored as Python floats.
+    """
+    pose, state = object.__new__(Pose), object.__new__(ChartState)
+    p, s = pose.__dict__, state.__dict__
+    p["rotation"], p["flat"] = Rotation(euler_matrix(*g) if chart is ChartId.EULER_COM else g), (*map(float, x),)
+    s["pose"], s["flat"] = pose, (*map(float, u),)
+    return state
 
 
 def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:

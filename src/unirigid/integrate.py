@@ -5,10 +5,10 @@ float ``(g, x, u)`` tuples of ``charts.stage_state``: a row-major rotation on
 the twist charts, Z-X-Z angles on the Euler chart, through the chart's stage
 maps in ``charts.CHART_STAGES``; its stages are written out, each calling the
 stage function as ``rhs(t, g, x, u)``.  Stage configurations are reached from
-the step's base by increments (``retract``); on the twist charts that is an
-exponential, so orthogonality holds by construction, is checked on every
-rotation formed and is never repaired.  ``step`` is the validated boundary,
-ChartState in and out; the boxes keep floats, so no array is built there.
+the step's base by increments (``retract``); on the twist charts that is an exponential, so
+orthogonality holds by construction, is checked once per rotation formed (the end one by the
+Rotation box ``step`` builds) and is never repaired.  ``step`` is the validated boundary,
+ChartState in and out: it checks each float of its result finite once; no array is built there.
 
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
 in the rotation algebra (``rates``) and the pose is updated by a
@@ -155,7 +155,7 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
     (sa1, sa2, sa3), (ya1, ya2, ya3) = rates(g0, x0, u0, _ZERO3)
     if integrator is IntegratorId.LIE_EULER:
-        return (retract(g0, (dt * sa1, dt * sa2, dt * sa3)), (x1 + dt * ya1, x2 + dt * ya2, x3 + dt * ya3),
+        return (retract(g0, (dt * sa1, dt * sa2, dt * sa3), False), (x1 + dt * ya1, x2 + dt * ya2, x3 + dt * ya3),
                 (u1 + dt * ka1, u2 + dt * ka2, u3 + dt * ka3, u4 + dt * ka4, u5 + dt * ka5, u6 + dt * ka6))
     h, th = 0.5 * dt, t + 0.5 * dt
     try:
@@ -188,7 +188,7 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
                               f"within one stage, to {err}") from None
     h = dt / 6.0
     return (retract(g0, (h * (sa1 + 2.0 * sb1 + 2.0 * sc1 + sd1), h * (sa2 + 2.0 * sb2 + 2.0 * sc2 + sd2),
-                         h * (sa3 + 2.0 * sb3 + 2.0 * sc3 + sd3))),
+                         h * (sa3 + 2.0 * sb3 + 2.0 * sc3 + sd3)), False),
             (x1 + h * (ya1 + 2.0 * yb1 + 2.0 * yc1 + yd1), x2 + h * (ya2 + 2.0 * yb2 + 2.0 * yc2 + yd2),
              x3 + h * (ya3 + 2.0 * yb3 + 2.0 * yc3 + yd3)),
             (u1 + h * (ka1 + 2.0 * kb1 + 2.0 * kc1 + kd1), u2 + h * (ka2 + 2.0 * kb2 + 2.0 * kc2 + kd2),
@@ -218,7 +218,7 @@ def step(
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
     if not all(map(math.isfinite, (*g, *x, *u))):
         raise NonFiniteStateError(f"non-finite state after the step from t={t:.6g}", time=t + dt)
-    return ChartState(stage_pose(chart, g, x), u)
+    return stage_pose(chart, g, x, u)
 
 
 def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":

@@ -213,11 +213,15 @@ def _slopes(rates, rhs, t: float, g, x, u, sigma) -> tuple:
     return (*rates(g, x, u, sigma), u_dot)
 
 
-def _advance(retract, g0, x0, u0, h: float, s, y, k) -> tuple:
-    """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h."""
+def _advance(retract, g0, x0, u0, h: float, s, y, k, check=True) -> tuple:
+    """(g, x, u, sigma) reached from the base (g0, x0, u0) along the slopes (s, y, k) over h.
+
+    A stage's rotation is checked by its retraction; the step's end rotation (check false) is left to the
+    Rotation box that integrate.step builds.
+    """
     sigma = (h * s[0], h * s[1], h * s[2])
     u1, u2, u3, u4, u5, u6 = u0
-    return (retract(g0, sigma), (x0[0] + h * y[0], x0[1] + h * y[1], x0[2] + h * y[2]),
+    return (retract(g0, sigma, check), (x0[0] + h * y[0], x0[1] + h * y[1], x0[2] + h * y[2]),
             (u1 + h * k[0], u2 + h * k[1], u3 + h * k[2], u4 + h * k[3], u5 + h * k[4], u6 + h * k[5]), sigma)
 
 
@@ -238,7 +242,7 @@ def layered_rk_step(integrator: IntegratorId, chart: ChartId, rhs, g0, x0, u0, t
     rates, retract = CHART_STAGES[chart]
     s1, y1, k1 = _slopes(rates, rhs, t, g0, x0, u0, _ZERO3)
     if integrator is IntegratorId.LIE_EULER:
-        return _advance(retract, g0, x0, u0, dt, s1, y1, k1)[:3]
+        return _advance(retract, g0, x0, u0, dt, s1, y1, k1, False)[:3]
     h = 0.5 * dt
     try:
         stage = _advance(retract, g0, x0, u0, h, s1, y1, k1)
@@ -252,9 +256,8 @@ def layered_rk_step(integrator: IntegratorId, chart: ChartId, rhs, g0, x0, u0, t
             raise
         raise GimbalLockError(f"step too large for the rates: dt = {dt:g} moved theta by {stage[3][1]:.3g} rad "
                               f"within one stage, to {err}") from None
-    return _advance(
-        retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4), _rk4_sum(k1, k2, k3, k4)
-    )[:3]
+    return _advance(retract, g0, x0, u0, dt / 6.0, _rk4_sum(s1, s2, s3, s4), _rk4_sum(y1, y2, y3, y4),
+                    _rk4_sum(k1, k2, k3, k4), False)[:3]
 
 
 def random_inertia(rng, with_offset=False, unit_scale=False):

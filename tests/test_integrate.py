@@ -20,13 +20,22 @@ import pytest
 
 from helpers import body_wrench_fn, make_scenario, orientation_taking
 
-from unirigid.charts import ChartId, ChartState, Twist, chart_from_body_twist
+from unirigid import geom3
+from unirigid.charts import ChartId, ChartState, Twist, chart_from_body_twist, stage_state
 from unirigid.cli import formulation_gaps
 from unirigid.dynamics import ForceModel, SpatialInertia, chart_rhs_fn, kirchhoff_accel_fn
 from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from unirigid.gauss import FixedPointConstraint
-from unirigid.geom3 import Pose, euler_to_rotation, geodesic_distance
-from unirigid.integrate import UNDER_RESOLVED_JUMP, Formulation, IntegratorId, make_rhs, simulate, step
+from unirigid.geom3 import Pose, Rotation, euler_matrix, euler_to_rotation, geodesic_distance
+from unirigid.integrate import (
+    UNDER_RESOLVED_JUMP,
+    Formulation,
+    IntegratorId,
+    _rk_step,
+    make_rhs,
+    simulate,
+    step,
+)
 from unirigid.scenario import load_scenario, parse_scenario
 
 # Asymmetric body tumbling fast enough that fourth-order errors dominate noise.
@@ -110,6 +119,64 @@ class TestStepBasics:
         state = ChartState(Pose.identity(), np.zeros(6))
         with pytest.raises(ValueError, match="rk4"):
             step(IntegratorId.RK4, chart, lambda t, g, x, u: np.zeros(6), state, 0.0, 0.01)
+
+
+class TestStepBoundary:
+    """Every rotation a step forms is checked once; the ChartState step returns is the validated one."""
+
+    # (scenario, formulation, integrator) -> check_rotation calls in one step: lie-rk4 checks its three stage
+    # rotations in the retraction and the end rotation in its Rotation box; the Euler chart's stage function
+    # checks the rotation of each of its stages' angles.
+    @pytest.mark.parametrize("scenario, formulation, integrator, checks", [
+        ("euler-top", Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 4),
+        ("heavy-top-generic", Formulation.GAUSS, IntegratorId.LIE_RK4, 4),
+        ("euler-top", Formulation.KIRCHHOFF, IntegratorId.LIE_EULER, 1),
+        ("euler-top", Formulation.LAGRANGE, IntegratorId.RK4, 5),
+        ("euler-top", Formulation.LAGRANGE, IntegratorId.LIE_EULER, 2),
+    ])
+    def test_one_check_per_rotation_formed(self, monkeypatch, scenario, formulation, integrator, checks):
+        sc = load_scenario(scenario)
+        chart, rhs = make_rhs(formulation, sc)
+        state = ChartState(sc.initial_pose, chart_from_body_twist(chart, sc.initial_pose, sc.initial_twist))
+        calls, check = [], geom3.check_rotation
+
+        def counted(m):
+            calls.append(m)
+            check(m)
+
+        for module in ("geom3", "charts", "dynamics"):
+            monkeypatch.setattr(f"unirigid.{module}.check_rotation", counted)
+        step(integrator, chart, rhs, state, 0.0, 1e-3)
+        assert len(calls) == checks
+
+    @pytest.mark.parametrize("numpy_rhs", [False, True])
+    @pytest.mark.parametrize("chart, integrator", STEP_ROUTES)
+    def test_result_is_the_validated_chart_state(self, chart, integrator, numpy_rhs):
+        # The zero rhs returns numpy scalars, which the stage arithmetic carries into x and u.
+        sc = load_scenario("euler-top")
+        rhs = (lambda t, g, x, u: np.zeros(6)) if numpy_rhs else chart_rhs_fn(
+            chart, kirchhoff_accel_fn(sc.inertia, sc.forces))
+        state = ChartState(sc.initial_pose, np.full(6, 0.4))
+        g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), 0.0, 1e-2)
+        want = ChartState(Pose(Rotation(euler_matrix(*g) if chart is ChartId.EULER_COM else g), x), u)
+        out = step(integrator, chart, rhs, state, 0.0, 1e-2)
+        assert pickle.dumps(out) == pickle.dumps(want)
+        for other in (out, pickle.loads(pickle.dumps(out)), copy.deepcopy(out)):
+            assert other == want and hash(other) == hash(want)
+            assert other.pose == want.pose and hash(other.pose) == hash(want.pose)
+        for got, ref in ((out.flat, want.flat), (out.pose.flat, want.pose.flat),
+                         (out.pose.rotation.flat, want.pose.rotation.flat)):
+            assert [v.hex() for v in got] == [v.hex() for v in ref]
+            assert all(type(v) is float for v in got)
+
+    @pytest.mark.parametrize("chart", [ChartId.BODY_TWIST, ChartId.SPATIAL_TWIST])
+    def test_end_rotation_is_checked(self, monkeypatch, chart):
+        # lie-euler's one retraction forms the end rotation, which only its Rotation box checks.
+        monkeypatch.setattr("unirigid.charts.exp_so3_matrix", lambda w: (2.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0))
+        state = ChartState(Pose.identity(), np.full(6, 0.1))
+        text = r"^matrix is not orthogonal \(or not finite\): \|\|R\^T R - I\|\|_F\^2 = 9\.0$"
+        with pytest.raises(ValueError, match=text):
+            step(IntegratorId.LIE_EULER, chart, lambda t, g, x, u: (0.0,) * 6, state, 0.0, 1e-3)
 
 
 class TestConvergenceOrders:

@@ -12,6 +12,8 @@ working directory:
   euler-top and dzhanibekov;
 * ``simulate --scenario dzhanibekov --sample-every 7``, whose final row
   falls off the stride;
+* ``simulate --scenario euler-top --integrator lie-euler`` with kirchhoff
+  and lagrange: lie-euler's one retraction forms the step's end rotation;
 * ``compare --scenario euler-top`` over those three formulations;
 * ``compare`` over the same three on ``OFFSET_BODY``, a body falling under
   gravity with its frame origin off its CoM, written once to a temporary
@@ -68,6 +70,9 @@ def runs(src: Path, offset_body: Path, pinned_body: Path) -> "list[tuple[str, li
     # 20,000 steps do not divide by 7: the last row is the final step, off the stride.
     out.append(("simulate dzhanibekov --sample-every 7",
                 ["simulate", "--scenario", "dzhanibekov", "--sample-every", "7", "--output", "out.csv"]))
+    out += [(f"simulate euler-top --formulation {f} --integrator lie-euler",
+             ["simulate", "--scenario", "euler-top", "--formulation", f, "--integrator", "lie-euler",
+              "--output", "out.csv"]) for f in ("kirchhoff", "lagrange")]
     formulations = [arg for f in FORMULATIONS for arg in ("--formulation", f)]
     return out + [("compare euler-top", ["compare", "--scenario", "euler-top", *formulations]),
                   ("compare offset-body",
