@@ -299,9 +299,9 @@ CHART_STAGES = {
 
 
 def stage_pose(chart: ChartId, g, x, u) -> ChartState:
-    """The ChartState of a float (g, x, u) that integrate.step checked finite: the inverse of stage_state.
+    """The ChartState of a float (g, x, u) whose x, u and Euler angles integrate.step tested finite.
 
-    The end rotation's one check is Rotation's validating constructor; x and u are stored as Python floats.
+    Inverse of stage_state; the rotation's one test, finiteness included, is its Rotation box.  x, u stay floats.
     """
     pose, state = object.__new__(Pose), object.__new__(ChartState)
     p, s = pose.__dict__, state.__dict__

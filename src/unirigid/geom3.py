@@ -30,9 +30,9 @@ GIMBAL_EPS = 1e-8
 _EYE9 = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
 
 
-def _float_tuple(v, n: int, name: str, shape: tuple = None) -> tuple:
-    """The n floats of v as a flat tuple, checked finite; an n-tuple goes through float() alone,
-    anything else through numpy, where it must have ``shape`` (default (n,))."""
+def _float_tuple(v, n: int, name: str, shape: tuple = None, finite: bool = True) -> tuple:
+    """The n floats of v as a flat tuple, checked finite unless ``finite`` is false; an n-tuple goes through
+    float() alone, anything else through numpy, where it must have ``shape`` (default (n,))."""
     if type(v) is tuple and len(v) == n:
         # Not tuple(map(...)): that tuple bypasses CPython's tuple free list, which the freed ones then fill.
         flat = (*map(float, v),)
@@ -41,7 +41,7 @@ def _float_tuple(v, n: int, name: str, shape: tuple = None) -> tuple:
         if a.shape != (shape or (n,)):
             raise ValueError(f"{name} must have shape {shape or (n,)}, got {a.shape}")
         flat = tuple(a.ravel().tolist())
-    if not all(map(math.isfinite, flat)):
+    if finite and not all(map(math.isfinite, flat)):
         raise ValueError(f"{name} must be finite, got {flat}")
     return flat
 
@@ -126,8 +126,8 @@ def vee(s: np.ndarray) -> np.ndarray:
 def check_rotation(m) -> None:
     """Raise ValueError unless the row-major 9-sequence m is orthogonal with det 1 to ORTHO_TOL.
 
-    The one orthogonality check: ``Rotation`` runs it on construction and the
-    integration kernel on every rotation it forms.
+    The one orthogonality check, and the one finiteness test of a Rotation's entries (NaN or +-inf fails it):
+    ``Rotation`` runs it on construction and the integration kernel on every stage rotation it forms.
     """
     a, b, c, d, e, f, g, h, i = m
     # Entries of R^T R - I: dot products of the columns (a, d, g), (b, e, h), (c, f, i).
@@ -152,22 +152,21 @@ def check_rotation(m) -> None:
 class Rotation:
     """Proper rotation, from a 3x3 array-like or its row-major 9-tuple; re-checked on construction.
 
-    ``flat`` is the float 9-tuple the check ran on.  Every box (Rotation, Pose,
-    charts.Twist, charts.ChartState) stores its validated float tuple ``flat``,
-    compares and hashes on it, and builds its read-only arrays from it on first read.
+    ``flat`` is the float 9-tuple the check ran on: its entries are converted once and tested once, finiteness
+    included, by check_rotation.  Every box (Rotation, Pose, charts.Twist, charts.ChartState) stores its
+    validated float tuple ``flat``, compares and hashes on it, and builds its read-only arrays from it on first read.
     """
 
     flat: tuple = field(init=False)
 
     def __init__(self, m):
         # Validation stays in __post_init__, run once per construction: perfbench counts Rotations through it.
-        object.__setattr__(self, "flat", m)
+        self.__dict__["flat"] = m
         self.__post_init__()
 
     def __post_init__(self):
-        flat = _float_tuple(self.flat, 9, "rotation matrix", (3, 3))
+        self.__dict__["flat"] = flat = _float_tuple(self.__dict__["flat"], 9, "rotation matrix", (3, 3), False)
         check_rotation(flat)
-        object.__setattr__(self, "flat", flat)
 
     @cached_property
     def m(self) -> np.ndarray:

@@ -7,8 +7,8 @@ maps in ``charts.CHART_STAGES``; its stages are written out, each calling the
 stage function as ``rhs(t, g, x, u)``.  Stage configurations are reached from
 the step's base by increments (``retract``); on the twist charts that is an exponential, so
 orthogonality holds by construction, is checked once per rotation formed (the end one by the
-Rotation box ``step`` builds) and is never repaired.  ``step`` is the validated boundary,
-ChartState in and out: it checks each float of its result finite once; no array is built there.
+Rotation box ``step`` builds) and is never repaired.  ``step`` is the validated boundary, ChartState in
+and out: each float is tested finite once, a twist chart's end rotation by that box alone; no array is built.
 
 ``LIE_RK4`` is a four-stage Munthe-Kaas style stepper: stage increments live
 in the rotation algebra (``rates``) and the pose is updated by a
@@ -50,9 +50,11 @@ from .geom3 import as_rows
 # rhs(t, g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state.
 RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
 
-# Longest run simulate accepts: about 8 minutes at 49 us per step (compare-euler-top in BENCH_18.json),
-# about 15 minutes at 88 us per step when every step is sampled and written (pinned-csv).
+# Longest run simulate accepts: about 7.5 minutes at 44 us per step (perfbench compare-euler-top, reference
+# seconds); one sampling every step stops at MAX_SAMPLES, about 1.5 minutes at 86 us per step (pinned-csv).
 MAX_STEPS = 10_000_000
+# Most rows a run records: about 1.8 GB with its CSV (432 B held per row, 1,390 B more while writing; tracemalloc).
+MAX_SAMPLES = 1_000_000
 
 # An Euler stage failing the gimbal rule after moving theta over this (rad) from its base jumped the singularity.
 UNDER_RESOLVED_JUMP = 1e-2
@@ -147,11 +149,11 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
     Every stage starts from the base, calls rhs(t, g, x, u) and takes (sigma_dot, x_dot) from the chart's rates;
     RK4 then advances the base by (dt / 6) (k1 + 2 k2 + 2 k3 + k4), every sum left to right.
     """
-    rates, retract = CHART_STAGES[chart]
+    (rates, retract), finite = CHART_STAGES[chart], math.isfinite
     (x1, x2, x3), (u1, u2, u3, u4, u5, u6) = x0, u0
-    ka1, ka2, ka3, ka4, ka5, ka6 = k = rhs(t, g0, x0, u0)
-    # Float arithmetic overflows silently to inf or nan, so each stage's acceleration is checked.
-    if not all(map(math.isfinite, k)):
+    ka1, ka2, ka3, ka4, ka5, ka6 = rhs(t, g0, x0, u0)
+    # Float arithmetic overflows silently to inf or nan, so each stage's acceleration is checked, float by float.
+    if not (finite(ka1) and finite(ka2) and finite(ka3) and finite(ka4) and finite(ka5) and finite(ka6)):
         raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
     (sa1, sa2, sa3), (ya1, ya2, ya3) = rates(g0, x0, u0, _ZERO3)
     if integrator is IntegratorId.LIE_EULER:
@@ -162,22 +164,22 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
         sigma = (h * sa1, h * sa2, h * sa3)
         g, x = retract(g0, sigma), (x1 + h * ya1, x2 + h * ya2, x3 + h * ya3)
         u = (u1 + h * ka1, u2 + h * ka2, u3 + h * ka3, u4 + h * ka4, u5 + h * ka5, u6 + h * ka6)
-        kb1, kb2, kb3, kb4, kb5, kb6 = k = rhs(th, g, x, u)
-        if not all(map(math.isfinite, k)):
+        kb1, kb2, kb3, kb4, kb5, kb6 = rhs(th, g, x, u)
+        if not (finite(kb1) and finite(kb2) and finite(kb3) and finite(kb4) and finite(kb5) and finite(kb6)):
             raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
         (sb1, sb2, sb3), (yb1, yb2, yb3) = rates(g, x, u, sigma)
         sigma = (h * sb1, h * sb2, h * sb3)
         g, x = retract(g0, sigma), (x1 + h * yb1, x2 + h * yb2, x3 + h * yb3)
         u = (u1 + h * kb1, u2 + h * kb2, u3 + h * kb3, u4 + h * kb4, u5 + h * kb5, u6 + h * kb6)
-        kc1, kc2, kc3, kc4, kc5, kc6 = k = rhs(th, g, x, u)
-        if not all(map(math.isfinite, k)):
+        kc1, kc2, kc3, kc4, kc5, kc6 = rhs(th, g, x, u)
+        if not (finite(kc1) and finite(kc2) and finite(kc3) and finite(kc4) and finite(kc5) and finite(kc6)):
             raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
         (sc1, sc2, sc3), (yc1, yc2, yc3) = rates(g, x, u, sigma)
         sigma = (dt * sc1, dt * sc2, dt * sc3)
         g, x = retract(g0, sigma), (x1 + dt * yc1, x2 + dt * yc2, x3 + dt * yc3)
         u = (u1 + dt * kc1, u2 + dt * kc2, u3 + dt * kc3, u4 + dt * kc4, u5 + dt * kc5, u6 + dt * kc6)
-        kd1, kd2, kd3, kd4, kd5, kd6 = k = rhs(t + dt, g, x, u)
-        if not all(map(math.isfinite, k)):
+        kd1, kd2, kd3, kd4, kd5, kd6 = rhs(t + dt, g, x, u)
+        if not (finite(kd1) and finite(kd2) and finite(kd3) and finite(kd4) and finite(kd5) and finite(kd6)):
             raise NonFiniteStateError(f"non-finite chart acceleration at t={t + dt:.6g}")
         (sd1, sd2, sd3), (yd1, yd2, yd3) = rates(g, x, u, sigma)
     except GimbalLockError as err:
@@ -206,8 +208,9 @@ def step(
 ) -> ChartState:
     """Advance one fixed step; pure function of its arguments.
 
-    ``rhs(t, g, x, u)`` is the chart acceleration on the raw stage state of
-    ``charts.stage_state``, as returned by make_rhs.
+    ``rhs(t, g, x, u)`` is the chart acceleration on the raw stage state of ``charts.stage_state``, as returned
+    by make_rhs.  Each float formed is tested finite once: stage accelerations in _rk_step, the end x, u and Euler
+    angles here, and a twist chart's end rotation by its Rotation box (check_rotation).
     """
     if not (math.isfinite(dt) and dt > 0.0 and math.isfinite(t)):
         raise ValueError(f"dt must be positive and finite and t finite, got dt={dt!r}, t={t!r}")
@@ -216,7 +219,12 @@ def step(
     if integrator is IntegratorId.RK4 and chart is not ChartId.EULER_COM:
         raise ValueError(f"rk4 steps the Euler chart only, not {chart.value}; use lie-rk4")
     g, x, u = _rk_step(integrator, chart, rhs, *stage_state(chart, state), t, dt)
-    if not all(map(math.isfinite, (*g, *x, *u))):
+    (x1, x2, x3), (u1, u2, u3, u4, u5, u6), finite = x, u, math.isfinite
+    # A twist chart's end rotation is finite by construction (exp_so3_matrix refuses a non-finite increment and is
+    # bounded on a finite one): its Rotation box alone tests it.  Euler angles are tested here, before euler_matrix.
+    if not (finite(x1) and finite(x2) and finite(x3) and finite(u1) and finite(u2) and finite(u3) and finite(u4)
+            and finite(u5) and finite(u6)) or chart is ChartId.EULER_COM and not (
+            finite(g[0]) and finite(g[1]) and finite(g[2])):
         raise NonFiniteStateError(f"non-finite state after the step from t={t:.6g}", time=t + dt)
     return stage_pose(chart, g, x, u)
 
@@ -250,9 +258,9 @@ def run_steps(dt, t_end, sample_every, where: str = "") -> int:
     """Validate run parameters and return the number of steps of dt that reach t_end.
 
     The one validation path for a scenario's run block, command-line
-    overrides and simulate().  A t_end that whole steps miss, and runs
-    longer than MAX_STEPS, are rejected.  Errors name the field as
-    ``where + name``.
+    overrides and simulate().  A t_end that whole steps miss, runs longer
+    than MAX_STEPS and runs recording more than MAX_SAMPLES rows are
+    rejected.  Errors name the field as ``where + name``.
     """
     if not (math.isfinite(dt) and dt > 0.0):
         raise ScenarioValidationError(f"{where}dt", f"must be a positive finite number, got {dt!r}")
@@ -275,6 +283,10 @@ def run_steps(dt, t_end, sample_every, where: str = "") -> int:
             f"{where}t_end",
             f"{t_end!r} is not a whole number of steps of dt = {dt!r} (nearest {n * dt!r})",
         )
+    rows = 1 + n // sample_every + (n % sample_every > 0)  # as simulate records them
+    if rows > MAX_SAMPLES:
+        raise ScenarioValidationError(f"{where}sample_every", f"{n} steps sampled every {sample_every} record "
+                                      f"{rows} rows, past the limit of {MAX_SAMPLES}")
     return n
 
 
@@ -300,17 +312,17 @@ def simulate(
     chart, rhs = make_rhs(formulation, scenario)
     m6 = as_rows(scenario.inertia.m6)
     mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
-    gravity, to_body = scenario.forces.gravity.tolist(), CHART_MAPS[chart][0]
+    gravity, to_body, finite = scenario.forces.gravity.tolist(), CHART_MAPS[chart][0], math.isfinite
     # t = 0, every sample_every-th step, and the final step when the stride misses it.
     rows = np.empty((1 + n_steps // sample_every + (n_steps % sample_every > 0), 29))
 
     def sample(t: float, s: ChartState) -> tuple:
         # nu = Phi u, as charts.body_twist maps it, without the Twist box; Phi u can overflow where u does not.
         (g, x, u), r = stage_state(chart, s), s.pose.rotation.flat
-        omega, v = to_body(g, r, x, u)
-        nu = (*omega, *v)
-        if not all(map(math.isfinite, nu)):
+        (w1, w2, w3), (v1, v2, v3) = to_body(g, r, x, u)
+        if not (finite(w1) and finite(w2) and finite(w3) and finite(v1) and finite(v2) and finite(v3)):
             raise NonFiniteStateError("body twist is not finite")
+        nu = (w1, w2, w3, v1, v2, v3)
         kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu)
         return (t, *r, *x, *u, *nu, kinetic + potential, *l_spatial)
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from unirigid.cli import CSV_HEADER, CSV_ROW, build_parser, main
 from unirigid.geom3 import rotation_to_quaternion
-from unirigid.integrate import simulate
+from unirigid.integrate import MAX_SAMPLES, simulate
 from unirigid.scenario import load_scenario
 
 GIMBAL_SCENARIO = {
@@ -235,6 +235,21 @@ class TestSimulateCommand:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: "), err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_over_sample_bound_is_one_error_line_before_stepping(self, tmp_path, capsys, monkeypatch, command):
+        def no_stepping(*args):
+            raise AssertionError("a step ran past the sample bound")
+
+        monkeypatch.setattr("unirigid.integrate.step", no_stepping)
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--scenario", "euler-top", "--dt", "1e-6", "--t-end", "2", "--sample-every", "2"]
+        argv += ["--output", "o.csv"] if command == "simulate" else ["--formulation", "kirchhoff", "--formulation",
+                                                                     "lagrange"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: sample_every: 2000000 steps sampled every 2 record 1000001 rows, past the limit of {MAX_SAMPLES}"]
+        assert list(tmp_path.iterdir()) == []
 
     def test_missing_scenario_flag_usage_error(self, capsys):
         assert main(["simulate"]) == 1

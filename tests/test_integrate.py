@@ -28,11 +28,14 @@ from unirigid.errors import GimbalLockError, NonFiniteStateError, ScenarioValida
 from unirigid.gauss import FixedPointConstraint
 from unirigid.geom3 import Pose, Rotation, euler_matrix, euler_to_rotation, geodesic_distance
 from unirigid.integrate import (
+    MAX_SAMPLES,
+    MAX_STEPS,
     UNDER_RESOLVED_JUMP,
     Formulation,
     IntegratorId,
     _rk_step,
     make_rhs,
+    run_steps,
     simulate,
     step,
 )
@@ -177,6 +180,56 @@ class TestStepBoundary:
         text = r"^matrix is not orthogonal \(or not finite\): \|\|R\^T R - I\|\|_F\^2 = 9\.0$"
         with pytest.raises(ValueError, match=text):
             step(IntegratorId.LIE_EULER, chart, lambda t, g, x, u: (0.0,) * 6, state, 0.0, 1e-3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("chart, integrator", STEP_ROUTES)
+    def test_every_stage_guard_covers_every_component(self, chart, integrator, bad):
+        # Call s of the stage function returns `bad` in component j; that stage's own guard must name its time.
+        # A guard that skipped j would let the value on, to a different error or none.
+        t, dt = 0.25, 0.5
+        times = [t] if integrator is IntegratorId.LIE_EULER else [t, t + 0.5 * dt, t + 0.5 * dt, t + dt]
+        state = ChartState(Pose(euler_to_rotation((0.3, 1.1, -0.4)), (0.1, -0.2, 0.3)),
+                           (0.2, -0.1, 0.3, 0.5, 0.1, -0.2))
+        for s, time in enumerate(times):
+            for j in range(6):
+                calls = []
+
+                def rhs(t, g, x, u):
+                    calls.append(t)
+                    return tuple(bad if len(calls) == s + 1 and i == j else 0.0 for i in range(6))
+
+                with pytest.raises(NonFiniteStateError) as err:
+                    step(integrator, chart, rhs, state, t, dt)
+                assert str(err.value) == f"non-finite chart acceleration at t={time:.6g}", (s, j)
+                assert calls == times[:s + 1], (s, j)
+
+    # Slots of (g, x, u) that step's end check tests: x and u on every chart, the angles on the Euler chart.
+    @pytest.mark.parametrize("chart, integrator", STEP_ROUTES)
+    def test_end_check_covers_x_u_and_euler_angles(self, monkeypatch, chart, integrator):
+        state = ChartState(Pose(euler_to_rotation((0.3, 1.1, -0.4)), (0.1, -0.2, 0.3)), np.full(6, 0.2))
+        base = stage_state(chart, state)
+        parts = (1, 2) + ((0,) if chart is ChartId.EULER_COM else ())
+        for part, slot, bad in itertools.product(parts, range(6), (math.nan, math.inf, -math.inf)):
+            if slot >= len(base[part]):
+                continue
+            out = [list(p) for p in base]
+            out[part][slot] = bad
+            monkeypatch.setattr("unirigid.integrate._rk_step", lambda *args, out=out: tuple(map(tuple, out)))
+            with pytest.raises(NonFiniteStateError) as err:
+                step(integrator, chart, lambda *a: (0.0,) * 6, state, 0.5, 0.25)
+            assert err.value.time == 0.75 and str(err.value) == "non-finite state after the step from t=0.5"
+
+    @pytest.mark.parametrize("chart, integrator, overflow", [(c, i, "u") for c, i in STEP_ROUTES] + [
+        (ChartId.EULER_COM, i, "angles") for i in IntegratorId])
+    def test_overflowing_end_state_is_non_finite_state(self, chart, integrator, overflow):
+        # Finite stage accelerations whose sum overflows u, or Euler angle rates whose step overflows the angles:
+        # NonFiniteStateError at t + dt, not the ValueError of euler_matrix or of the Rotation box.
+        u0 = (1e308, 0.0, 0.0, 0.0, 0.0, 0.0) if overflow == "angles" else (0.0,) * 6
+        accel = (0.0,) * 6 if overflow == "angles" else (0.0, 0.0, 0.0, 1e308, 0.0, 0.0)
+        state = ChartState(Pose(euler_to_rotation((0.3, 1.1, -0.4)), (0.1, -0.2, 0.3)), u0)
+        with pytest.raises(NonFiniteStateError) as err:
+            step(integrator, chart, lambda *a: accel, state, 1.0, 10.0)
+        assert err.value.time == 11.0
 
 
 class TestConvergenceOrders:
@@ -409,6 +462,7 @@ class TestSimulateContract:
             (1e-3, 1.0, 0, "sample_every"),
             (1e-3, 0.0105, 1, "t_end"),  # 10.5 steps: whole steps miss t_end
             (1e-12, 1.0, 1, "t_end"),  # 1e12 steps, past MAX_STEPS; rejected before stepping
+            (1e-6, 2.0, 2, "sample_every"),  # 1e6 + 1 rows, past MAX_SAMPLES; rejected before stepping
         ],
     )
     def test_run_parameters_rejected(self, dt, t_end, sample_every, field):
@@ -416,6 +470,16 @@ class TestSimulateContract:
         with pytest.raises(ScenarioValidationError) as exc:
             simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, dt, t_end, sample_every)
         assert exc.value.field == field
+
+    def test_sample_bound_counts_the_rows_simulate_records(self):
+        # Rows are t = 0 plus one per stride begun: MAX_SAMPLES rows are accepted, one more is refused.
+        for every in (1, 3):
+            n = (MAX_SAMPLES - 1) * every
+            assert run_steps(1.0, float(n), every) == n
+            with pytest.raises(ScenarioValidationError, match=f"past the limit of {MAX_SAMPLES}$") as exc:
+                run_steps(1.0, float(n + 1), every, where="run.")
+            assert exc.value.field == "run.sample_every" and "\n" not in str(exc.value)
+        assert run_steps(1.0, float(MAX_STEPS), 10**6) == MAX_STEPS  # 11 rows
 
     def test_determinism(self):
         sc = make_scenario("det", 1.0, ORDER_J, ORDER_OMEGA)

@@ -354,6 +354,18 @@ class TestRotationInvariants:
         with pytest.raises(ValueError):
             Rotation(m)
 
+    @pytest.mark.parametrize("form", ["9-tuple", "3x3 array"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_check_rotation_is_the_one_finiteness_guard(self, bad, form):
+        # Every entry of either form is refused by check_rotation's one-line error, not by a separate pass.
+        for slot in range(9):
+            flat = list(euler_to_rotation((0.3, 1.1, -0.4)).flat)
+            flat[slot] = bad
+            m = tuple(flat) if form == "9-tuple" else np.reshape(flat, (3, 3))
+            with pytest.raises(ValueError, match=r"^matrix is not orthogonal \(or not finite\): ") as err:
+                Rotation(m)
+            assert "\n" not in str(err.value), slot
+
     def test_construction_rejects_scaled_identity(self):
         with pytest.raises(ValueError):
             Rotation(1.001 * np.eye(3))
