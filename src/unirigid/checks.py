@@ -189,7 +189,7 @@ SUITES: Dict[str, Callable[[], Tuple[bool, str]]] = {
 
 
 def run_suites(names=None):
-    """Run the named suites (all when None); yields (name, passed, detail)."""
+    """Run the named suites (all when None); returns a list of (name, passed, detail)."""
     selected = list(SUITES) if names is None else list(names)
     results = []
     for name in selected:

@@ -16,13 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .checks import SUITES, conservation_drifts, run_suites
-from .errors import (
-    GimbalLockError,
-    NonFiniteStateError,
-    ScenarioParseError,
-    ScenarioValidationError,
-    UniRigidError,
-)
+from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError, UniRigidError
 from .geom3 import geodesic_distance, quaternion_from_matrix
 from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, COL_X, ROUTES, Formulation, IntegratorId
 from .integrate import check_route, run_steps, simulate
@@ -62,48 +56,50 @@ def formulation_gaps(scenario: Scenario, a, b) -> "tuple[float, float]":
     return gap, com_gap
 
 
+def _runs(args, scenario: Scenario, formulations) -> "tuple[dict, float, float, int]":
+    """Each formulation's integrator, and dt, t_end and sample_every: a command's flags over the scenario's run block.
+
+    The run settings and every formulation's route are checked here, before an output path is tried or a step taken.
+    """
+    pick = IntegratorId(args.integrator) if args.integrator else None
+    integrators = {f: pick or (ROUTES[f][1] if args.formulation else scenario.run.integrator) for f in formulations}
+    dt = args.dt if args.dt is not None else scenario.run.dt
+    t_end = args.t_end if args.t_end is not None else scenario.run.t_end
+    sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
+    run_steps(dt, t_end, sample_every)
+    for f in formulations:
+        check_route(f, integrators[f], scenario)
+    return integrators, dt, t_end, sample_every
+
+
+def _report(err: UniRigidError, prefix: str = "") -> int:
+    """Print a failed command's one stderr line; exit 2 for an aborted integration, 1 for any other error."""
+    aborted = isinstance(err, (GimbalLockError, NonFiniteStateError))
+    print(f"{'aborted' if aborted else 'error'}: {prefix}{err}", file=sys.stderr)
+    return 2 if aborted else 1
+
+
 def cmd_simulate(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-        formulation = Formulation(args.formulation) if args.formulation else scenario.run.formulation
-        if args.integrator:
-            integrator = IntegratorId(args.integrator)
-        elif args.formulation:
-            integrator = ROUTES[formulation][1]
-        else:
-            integrator = scenario.run.integrator
-        dt = args.dt if args.dt is not None else scenario.run.dt
-        t_end = args.t_end if args.t_end is not None else scenario.run.t_end
-        sample_every = args.sample_every if args.sample_every is not None else scenario.run.sample_every
-        if args.output == "":
-            raise ValueError("output: empty path")
-        out = Path(args.output) if args.output is not None else Path(f"{scenario.name}-{formulation.value}.csv")
-    except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+    scenario = load_scenario(args.scenario)
+    formulation = Formulation(args.formulation) if args.formulation else scenario.run.formulation
+    integrators, dt, t_end, sample_every = _runs(args, scenario, [formulation])
+    if args.output == "":
+        raise ScenarioValidationError("output", "empty path")
+    out = Path(args.output) if args.output is not None else Path(f"{scenario.name}-{formulation.value}.csv")
     try:
         created = not out.exists()
         out.open("a").close()  # an output that cannot be written fails here, before any stepping
         if created:
             out.unlink()
     except OSError as err:
-        print(f"error: output: {err}", file=sys.stderr)
-        return 1
-    try:
-        samples = simulate(scenario, formulation, integrator, dt, t_end, sample_every)
-    except (GimbalLockError, NonFiniteStateError) as err:
-        print(f"aborted: {err}", file=sys.stderr)
-        return 2
-    except UniRigidError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise ScenarioValidationError("output", str(err)) from err
+    samples = simulate(scenario, formulation, integrators[formulation], dt, t_end, sample_every)
     try:
         out.write_text(samples_to_csv(samples))
     except OSError as err:
         if created:
             out.unlink(missing_ok=True)
-        print(f"error: output: {err}", file=sys.stderr)
-        return 1
+        raise ScenarioValidationError("output", str(err)) from err
     e_drift, l_drift = conservation_drifts(scenario, samples)
     print(
         f"t_end={samples[-1].t:.6g} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e} "
@@ -114,34 +110,19 @@ def cmd_simulate(args) -> int:
 
 def cmd_compare(args) -> int:
     if len(set(args.formulation)) < max(2, len(args.formulation)):
-        print("error: need at least two --formulation flags to compare, each formulation given once", file=sys.stderr)
-        return 1
-    try:
-        scenario = load_scenario(args.scenario)
-        formulations = [Formulation(f) for f in args.formulation]
-        pick = IntegratorId(args.integrator) if args.integrator else None
-        integrators = {f: pick or ROUTES[f][1] for f in formulations}
-        dt = args.dt if args.dt is not None else scenario.run.dt
-        t_end = args.t_end if args.t_end is not None else scenario.run.t_end
-        run_steps(dt, t_end, args.sample_every)
-        if not (math.isfinite(args.tol) and args.tol >= 0.0):
-            raise ValueError(f"tol: must be a nonnegative finite number, got {args.tol!r}")
-        for f in formulations:
-            check_route(f, integrators[f], scenario)
-    except (ScenarioParseError, ScenarioValidationError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
+        raise UniRigidError("need at least two --formulation flags to compare, each formulation given once")
+    scenario = load_scenario(args.scenario)
+    formulations = [Formulation(f) for f in args.formulation]
+    integrators, dt, t_end, sample_every = _runs(args, scenario, formulations)
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ScenarioValidationError("tol", f"must be a nonnegative finite number, got {args.tol!r}")
 
     runs = {}
     for f in formulations:
         try:
-            runs[f] = simulate(scenario, f, integrators[f], dt, t_end, args.sample_every)
-        except (GimbalLockError, NonFiniteStateError) as err:
-            print(f"aborted: {f.value}: {err}", file=sys.stderr)
-            return 2
+            runs[f] = simulate(scenario, f, integrators[f], dt, t_end, sample_every)
         except UniRigidError as err:
-            print(f"error: {f.value}: {err}", file=sys.stderr)
-            return 1
+            return _report(err, f"{f.value}: ")
         e_drift, l_drift = conservation_drifts(scenario, runs[f])
         print(f"{f.value}: integrator={integrators[f].value} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e}")
 
@@ -161,8 +142,7 @@ def cmd_compare(args) -> int:
 def cmd_validate(args) -> int:
     unknown = [s for s in args.suite or () if s not in SUITES]
     if unknown:
-        print(f"error: unknown suite(s) {unknown}; available: {sorted(SUITES)}", file=sys.stderr)
-        return 1
+        raise UniRigidError(f"unknown suite(s) {unknown}; available: {sorted(SUITES)}")
     results = run_suites(args.suite)
     width = max(len(name) for name, _, _ in results)
     for name, passed, detail in results:
@@ -215,7 +195,10 @@ def main(argv=None) -> int:
 
     with warnings.catch_warnings():
         warnings.showwarning = show
-        return args.func(args)
+        try:
+            return args.func(args)
+        except UniRigidError as err:
+            return _report(err)
 
 
 if __name__ == "__main__":

@@ -24,11 +24,15 @@ class RankDeficientConstraintError(UniRigidError):
 class NonFiniteStateError(UniRigidError):
     """Integration produced NaN or Inf; carries the abort context."""
 
-    def __init__(self, message: str, time=None, last_sample_index: int = -1, samples=None):
+    def __init__(self, message: str, time=None, samples=None):
         super().__init__(message)
         self.time = time
-        self.last_sample_index = last_sample_index
         self.samples = samples if samples is not None else []
+
+    @property
+    def last_sample_index(self) -> int:
+        """Index of the last row recorded before the abort; -1 with none."""
+        return len(self.samples) - 1
 
 
 class ScenarioParseError(UniRigidError):

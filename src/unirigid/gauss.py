@@ -24,11 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _ZERO3, Twist
-from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench, kirchhoff_accel_fn
+from .charts import Twist
+from .dynamics import STANDARD_GRAVITY, SpatialInertia, Wrench, kirchhoff_rhs
 from .dynamics import setup_arithmetic, spd_factor
 from .errors import RankDeficientConstraintError
-from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, as_rows, hat, matvec
+from .geom3 import _as_vec3, _float_tuple, _readonly, as_rows, hat, matvec
 
 # Relative singular-value threshold below which constraint rows count as dependent.
 RANK_TOL = 1e-10
@@ -114,11 +114,10 @@ def constrained_accel(
 
     With no rows the free acceleration is returned untouched.
     """
-    accel = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=wrench))
-    free = accel(0.0, _EYE9, _ZERO3, nu.flat)
+    free = kirchhoff_rhs(si, nu, wrench)
     if con.k == 0:
-        return np.array(free), np.zeros(0)
-    nu_dot, lam = constrained_accel6(free, as_rows(con.a), con.b.tolist(), *schur_factor(si.m6_inv, con.a))
+        return free, np.zeros(0)
+    nu_dot, lam = constrained_accel6(free.tolist(), as_rows(con.a), con.b.tolist(), *schur_factor(si.m6_inv, con.a))
     return np.array(nu_dot), np.array(lam)
 
 

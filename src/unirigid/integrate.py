@@ -345,7 +345,6 @@ def simulate(
         raise NonFiniteStateError(
             f"state became non-finite at t={t_next:.6g}: {err}",
             time=t_next,
-            last_sample_index=n_rows - 1,
             samples=Trajectory(rows[:n_rows]),
         ) from None
     return Trajectory(rows)

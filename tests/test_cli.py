@@ -251,6 +251,19 @@ class TestSimulateCommand:
             f"error: sample_every: 2000000 steps sampled every 2 record 1000001 rows, past the limit of {MAX_SAMPLES}"]
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "run, line",
+        [
+            (["--scenario", "euler-top", "--dt", "-1"], "error: dt: must be a positive finite number, got -1.0"),
+            (["--scenario", "heavy-top-generic", "--formulation", "kirchhoff"],
+             "error: formulation: scenarios with a constraint must run gauss, not kirchhoff"),
+        ],
+    )
+    def test_run_settings_are_checked_before_the_output(self, tmp_path, capsys, run, line):
+        # Both the run and the output path are bad: the run's error is the one line.
+        assert main(["simulate", *run, "--output", str(tmp_path / "missing" / "x.csv")]) == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
     def test_missing_scenario_flag_usage_error(self, capsys):
         assert main(["simulate"]) == 1
         assert "usage" in capsys.readouterr().err

@@ -23,7 +23,16 @@ working directory:
   must damp (the shipped pinned scenarios have zero gains and a pin on the
   body's z axis), written once to a temporary file too;
 * ``validate`` of every suite (about 2 s), which writes no CSV: its printed
-  lines and exit code cover ``checks.py``.
+  lines and exit code cover ``checks.py``;
+* failing runs, whose stderr lines and exit codes are compared: ``simulate``
+  with ``--dt -1``, with a refused route (kirchhoff on the pinned
+  heavy-top-generic) and with ``--output ""`` (exit 1); ``simulate`` of
+  ``GIMBAL_BODY``, criterion 8's body that crosses gimbal lock, written to a
+  temporary file like ``OFFSET_BODY`` (exit 2); ``compare`` with one
+  formulation and with ``--tol -1`` (exit 1); ``compare`` of kirchhoff and
+  lagrange on euler-top with ``--tol 1e-20``, which ends in a ``failed:`` line,
+  and on ``GIMBAL_BODY``, where the lagrange run aborts (exit 2);
+  ``validate --suite nope`` (exit 1).
 
 Prints "identical" when every CSV, printed line and exit code matches.
 Otherwise it prints, per run that differs, the largest absolute change and
@@ -59,8 +68,17 @@ PINNED_BODY = {
     "run": {"formulation": "gauss", "integrator": "lie-rk4", "dt": 0.001, "t_end": 3.0, "sample_every": 5},
 }
 
+# Criterion 8's body: it tips through theta = 0, where the lagrange (Euler) chart stops.
+GIMBAL_BODY = {
+    "name": "gimbal-crossing",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 1.2, 1.5]},
+    "initial": {"orientation": {"euler_zxz": [0.0, 0.25, 0.0]}, "omega": [-1.0, 0.0, 0.0]},
+    "forces": {"gravity": [0.0, 0.0, 0.0]},
+    "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 1.0},
+}
 
-def runs(src: Path, offset_body: Path, pinned_body: Path) -> "list[tuple[str, list[str]]]":
+
+def runs(src: Path, offset_body: Path, pinned_body: Path, gimbal_body: Path) -> "list[tuple[str, list[str]]]":
     """(label, cli arguments) of every compared run; the shipped scenarios are read from ``src``."""
     out = [(f"simulate {name}", ["simulate", "--scenario", name, "--output", "out.csv"])
            for name in sorted(p.stem for p in (src / "unirigid" / "scenarios").glob("*.json"))]
@@ -78,7 +96,25 @@ def runs(src: Path, offset_body: Path, pinned_body: Path) -> "list[tuple[str, li
                   ("compare offset-body",
                    ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations]),
                   ("simulate pinned-body", ["simulate", "--scenario", str(pinned_body), "--output", "out.csv"]),
-                  ("validate", ["validate"])]
+                  ("validate", ["validate"])] + failing_runs(gimbal_body)
+
+
+def failing_runs(gimbal_body: Path) -> "list[tuple[str, list[str]]]":
+    """(label, cli arguments) of the runs that fail: their stderr lines and exit codes are compared."""
+    pair = ["--formulation", "kirchhoff", "--formulation", "lagrange"]
+    return [("simulate euler-top --dt -1",
+             ["simulate", "--scenario", "euler-top", "--dt", "-1", "--output", "out.csv"]),
+            ("simulate heavy-top-generic --formulation kirchhoff",
+             ["simulate", "--scenario", "heavy-top-generic", "--formulation", "kirchhoff", "--output", "out.csv"]),
+            ('simulate euler-top --output ""', ["simulate", "--scenario", "euler-top", "--output", ""]),
+            ("simulate gimbal-body", ["simulate", "--scenario", str(gimbal_body), "--output", "out.csv"]),
+            ("compare euler-top --formulation kirchhoff",
+             ["compare", "--scenario", "euler-top", "--formulation", "kirchhoff"]),
+            ("compare euler-top --tol -1", ["compare", "--scenario", "euler-top", *pair, "--tol", "-1"]),
+            ("compare euler-top --t-end 1 --tol 1e-20",
+             ["compare", "--scenario", "euler-top", *pair, "--t-end", "1", "--tol", "1e-20"]),
+            ("compare gimbal-body", ["compare", "--scenario", str(gimbal_body), *pair]),
+            ("validate --suite nope", ["validate", "--suite", "nope"])]
 
 
 def run(src: Path, argv: "list[str]") -> "tuple[int, str, str, str]":
@@ -113,11 +149,11 @@ def main(argv: "list[str]") -> int:
     base_src, head_src = Path(argv[0]), Path(argv[1])
     report = []
     with tempfile.TemporaryDirectory() as tmp:
-        offset_body, pinned_body = Path(tmp, "offset-body.json"), Path(tmp, "pinned-body.json")
-        offset_body.write_text(json.dumps(OFFSET_BODY))
-        pinned_body.write_text(json.dumps(PINNED_BODY))
-        pairs = [(label, run(base_src, args), run(head_src, args))
-                 for label, args in runs(head_src, offset_body, pinned_body)]
+        bodies = (OFFSET_BODY, PINNED_BODY, GIMBAL_BODY)
+        paths = [Path(tmp, f"{body['name']}.json") for body in bodies]
+        for path, body in zip(paths, bodies):
+            path.write_text(json.dumps(body))
+        pairs = [(label, run(base_src, args), run(head_src, args)) for label, args in runs(head_src, *paths)]
     for label, base, head in pairs:
         if base == head:
             continue
