@@ -169,14 +169,18 @@ def conservation_drifts(scenario: Scenario, samples) -> Tuple[float, float]:
         r = rows[:, COL_R].reshape(-1, 3, 3)
         body_p = rows[:, COL_NU] @ scenario.inertia.m6[3:].T
         l = l - np.cross(pin_anchor(scenario), np.einsum("nij,nj->ni", r, body_p))
-    gravity = scenario.forces.gravity
+    (e, e_floor), (l, l_floor), (gravity, _) = _scaled(e), _scaled(l), _scaled(scenario.forces.gravity)
     if gravity.any():
         l = (l @ (gravity / np.linalg.norm(gravity)))[:, None]
-    e_scale = max(abs(e[0]), 1e-30)
-    l_scale = max(float(np.linalg.norm(l[0])), 1e-30)
-    e_drift = float(np.max(np.abs(e - e[0]))) / e_scale
-    l_drift = float(np.max(np.linalg.norm(l - l[0], axis=1))) / l_scale
+    e_drift = float(np.max(np.abs(e - e[0]))) / max(abs(e[0]), e_floor)
+    l_drift = float(np.max(np.linalg.norm(l - l[0], axis=1))) / max(float(np.linalg.norm(l[0])), l_floor)
     return e_drift, l_drift
+
+
+def _scaled(a: np.ndarray) -> "tuple[np.ndarray, float]":
+    """a times 2^-k, its largest |entry| below 1, and the floor 1e-30 times 2^-k: exact, so ratios keep their bits."""
+    k = math.frexp(float(np.max(np.abs(a))))[1]
+    return np.ldexp(a, -k), math.ldexp(1e-30, -k)
 
 
 SUITES: Dict[str, Callable[[], Tuple[bool, str]]] = {

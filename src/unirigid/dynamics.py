@@ -36,14 +36,14 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import NonFiniteStateError, NotPositiveDefiniteError
-from .geom3 import _EYE9, Pose, Rotation, _as_vec3, _float_tuple, _readonly, check_rotation, cross
+from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, check_rotation, cross
 from .geom3 import gimbal_guard, hat, mat3_vec, matvec
 
 # Symmetry / triangle-inequality slack for inertia validation.
@@ -120,14 +120,10 @@ class Wrench:
 
 @dataclass(frozen=True)
 class ForceModel:
-    """Applied-force description: uniform gravity plus optional wrenches.
-
-    ``callback`` must be a pure function (t, pose, twist) -> Wrench.
-    """
+    """Applied-force description: uniform gravity plus a constant body wrench."""
 
     gravity: np.ndarray = field(default_factory=lambda: STANDARD_GRAVITY.copy())
     constant_wrench: Wrench = field(default_factory=Wrench.zero)
-    callback: Optional[Callable[[float, Pose, Twist], Wrench]] = None
 
     def __post_init__(self):
         object.__setattr__(self, "gravity", _as_vec3(self.gravity, "gravity"))
@@ -191,13 +187,6 @@ def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
     )
 
 
-def _callback_wrench(callback, t, r, x, nu6) -> list:
-    """The force callback's wrench at a float state, checked finite first; Pose and Twist are built only here."""
-    if not all(map(math.isfinite, (*nu6, *x))):
-        raise NonFiniteStateError("state passed to the force callback is not finite")
-    return callback(t, Pose(Rotation(r), x), Twist(nu6[:3], nu6[3:])).as_array().tolist()
-
-
 def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
     """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``.
 
@@ -208,7 +197,7 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
      m41, m42, m43, m44, m45, m46, m51, m52, m53, m54, m55, m56, m61, m62, m63, m64, m65, m66) = si.m6.ravel().tolist()
     (i11, i12, i13, i14, i15, i16, i21, i22, i23, i24, i25, i26, i31, i32, i33, i34, i35, i36,
      i41, i42, i43, i44, i45, i46, i51, i52, i53, i54, i55, i56, i61, i62, i63, i64, i65, i66) = si.m6_inv.ravel().tolist()
-    mass, callback, (c1, c2, c3), (gx, gy, gz) = si.mass, forces.callback, si.c.tolist(), forces.gravity.tolist()
+    mass, (c1, c2, c3), (gx, gy, gz) = si.mass, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
     def accel(t, r, x, nu6):
@@ -216,9 +205,6 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
         g1, g2, g3 = r1 * gx + r4 * gy + r7 * gz, r2 * gx + r5 * gy + r8 * gz, r3 * gx + r6 * gy + r9 * gz
         e1, e2, e3 = mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3
         e4, e5, e6 = mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
-        if callback is not None:
-            k1, k2, k3, k4, k5, k6 = _callback_wrench(callback, t, r, x, nu6)
-            e1, e2, e3, e4, e5, e6 = e1 + k1, e2 + k2, e3 + k3, e4 + k4, e5 + k5, e6 + k6
         w1, w2, w3, v1, v2, v3 = nu6
         # (pi, p) = M nu, then w - bias with bias = (omega x pi + v x p, omega x p).
         a1 = m11 * w1 + m12 * w2 + m13 * w3 + m14 * v1 + m15 * v2 + m16 * v3
@@ -261,7 +247,7 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
     j_g = si.j + si.mass * (hat_c @ hat_c)
     j11, j12, j13, j21, j22, j23, j31, j32, j33 = j_g.ravel().tolist()
     i11, i12, i13, i21, i22, i23, i31, i32, i33 = spd_factor(j_g, "inertia tensor about the CoM").ravel().tolist()
-    mass, callback, (c1, c2, c3), (gx, gy, gz) = si.mass, forces.callback, si.c.tolist(), forces.gravity.tolist()
+    mass, (c1, c2, c3), (gx, gy, gz) = si.mass, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
     t1, t2, t3 = t1 - (c2 * f3 - c3 * f2), t2 - (c3 * f1 - c1 * f3), t3 - (c1 * f2 - c2 * f1)
 
@@ -269,12 +255,6 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
         r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
         g1, g2, g3 = r1 * gx + r4 * gy + r7 * gz, r2 * gx + r5 * gy + r8 * gz, r3 * gx + r6 * gy + r9 * gz
         e1, e2, e3, e4, e5, e6 = t1, t2, t3, mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
-        if callback is not None:
-            k1, k2, k3, k4, k5, k6 = _callback_wrench(callback, t, r, x, nu6)
-            # The callback's torque about the CoM is k_tau - c x k_f.
-            e1, e2, e3 = (e1 + (k1 - (c2 * k6 - c3 * k5)), e2 + (k2 - (c3 * k4 - c1 * k6)),
-                          e3 + (k3 - (c1 * k5 - c2 * k4)))
-            e4, e5, e6 = e4 + k4, e5 + k5, e6 + k6
         w1, w2, w3, v1, v2, v3 = nu6
         h1, h2, h3 = j11 * w1 + j12 * w2 + j13 * w3, j21 * w1 + j22 * w2 + j23 * w3, j31 * w1 + j32 * w2 + j33 * w3
         e1, e2, e3 = e1 - (w2 * h3 - w3 * h2), e2 - (w3 * h1 - w1 * h3), e3 - (w1 * h2 - w2 * h1)

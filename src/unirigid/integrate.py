@@ -300,11 +300,9 @@ def simulate(
 ) -> Trajectory:
     """Run one scenario with fixed steps; samples include t = 0 and the final step.
 
-    Run parameters go through run_steps and the route through check_route,
-    before any stepping.  Gimbal-lock and non-finite failures abort with
-    time-stamped exceptions; partial samples ride along on the exception
-    object as the rows recorded before the abort.  Floating-point overflow or
-    invalid operations while stepping or sampling count as non-finite state.
+    Run parameters go through run_steps and the route through check_route, before any stepping.  Gimbal-lock and
+    non-finite failures abort with time-stamped exceptions, a non-finite one carrying a copy of the rows recorded
+    before it.  Each stage, step end and sample tests the floats it forms for finiteness: the one failure check.
     """
     n_steps = run_steps(dt, t_end, sample_every)
     check_route(formulation, integrator, scenario)
@@ -317,34 +315,36 @@ def simulate(
     rows = np.empty((1 + n_steps // sample_every + (n_steps % sample_every > 0), 29))
 
     def sample(t: float, s: ChartState) -> tuple:
-        # nu = Phi u, as charts.body_twist maps it, without the Twist box; Phi u can overflow where u does not.
+        # nu = Phi u, as charts.body_twist maps it, without the Twist box; nu, the energy and L can overflow.
         (g, x, u), r = stage_state(chart, s), s.pose.rotation.flat
         (w1, w2, w3), (v1, v2, v3) = to_body(g, r, x, u)
         if not (finite(w1) and finite(w2) and finite(w3) and finite(v1) and finite(v2) and finite(v3)):
             raise NonFiniteStateError("body twist is not finite")
         nu = (w1, w2, w3, v1, v2, v3)
-        kinetic, potential, l_spatial = conserved6(m6, mass, com, gravity, r, x, nu)
-        return (t, *r, *x, *u, *nu, kinetic + potential, *l_spatial)
+        kinetic, potential, (l1, l2, l3) = conserved6(m6, mass, com, gravity, r, x, nu)
+        energy = kinetic + potential
+        if not (finite(energy) and finite(l1) and finite(l2) and finite(l3)):
+            raise NonFiniteStateError("energy or angular momentum is not finite")
+        return (t, *r, *x, *u, *nu, energy, l1, l2, l3)
 
     n_rows, t_next = 0, 0.0
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            # The start's chart conversion can fail as a step does (an Euler start at gimbal lock): at t = 0.
-            state = ChartState(scenario.initial_pose,
-                               chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist))
-            rows[0], n_rows = sample(0.0, state), 1
-            for k in range(n_steps):
-                t_next = (k + 1) * dt
-                state = step(integrator, chart, rhs, state, k * dt, dt)
-                if (k + 1) % sample_every == 0 or k + 1 == n_steps:
-                    rows[n_rows] = sample(t_next, state)
-                    n_rows += 1
+        # The start's chart conversion can fail as a step does (an Euler start at gimbal lock): at t = 0.
+        state = ChartState(scenario.initial_pose,
+                           chart_from_body_twist(chart, scenario.initial_pose, scenario.initial_twist))
+        rows[0], n_rows = sample(0.0, state), 1
+        for k in range(n_steps):
+            t_next = (k + 1) * dt
+            state = step(integrator, chart, rhs, state, k * dt, dt)
+            if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+                rows[n_rows] = sample(t_next, state)
+                n_rows += 1
     except GimbalLockError as err:
         raise GimbalLockError(f"gimbal lock at t={t_next:.6g}: {err}", time=t_next) from None
-    except (FloatingPointError, OverflowError, NonFiniteStateError) as err:
+    except NonFiniteStateError as err:
         raise NonFiniteStateError(
             f"state became non-finite at t={t_next:.6g}: {err}",
             time=t_next,
-            samples=Trajectory(rows[:n_rows]),
+            samples=Trajectory(rows[:n_rows].copy()),
         ) from None
     return Trajectory(rows)

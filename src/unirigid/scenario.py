@@ -15,17 +15,13 @@ Schema (defaults in brackets):
         "omega": [0, 0, 0],       # body twist, angular part
         "vel": [0, 0, 0]          # body twist, linear part
       },
-      "forces": {
-        "gravity": [0, 0, -9.81], # dynamics.STANDARD_GRAVITY
-        "torque": [0, 0, 0],      # constant body wrench
-        "force": [0, 0, 0],
-        "builtin": {"name": "linear-damping", "coeff": 0.1}   # optional named force
-      },
+      "forces": {"gravity": [0, 0, -9.81], "torque": [0, 0, 0], "force": [0, 0, 0]},   # torque, force: body wrench
       "constraint": {"point": [0, 0, -0.3], "alpha": 0, "beta": 0},   # optional pin
       "run": {"formulation": "kirchhoff", "integrator": "lie-rk4",
               "dt": 1e-3, "t_end": 1.0, "sample_every": 1}
     }
 
+Every block, and the top level, refuses a field it does not read (FIELDS).
 Quaternions are normalized exactly on ingestion; deviations above 1e-6 warn.
 """
 
@@ -69,14 +65,10 @@ class Scenario:
     run: RunConfig
 
 
-def _linear_damping(coeff: float):
-    def wrench(t, pose, nu):
-        return Wrench(-coeff * nu.omega, -coeff * nu.vel)
-
-    return wrench
-
-
-BUILTIN_FORCES = {"linear-damping": _linear_damping}
+# The fields each block reads, and those of the top level (""); any other field is an input error.
+FIELDS = {"": ("name", "inertia", "initial", "forces", "constraint", "run"), "inertia": ("mass", "inertia", "com"),
+          "initial": ("orientation", "position", "omega", "vel"), "forces": ("gravity", "torque", "force"),
+          "constraint": ("point", "alpha", "beta"), "run": ("formulation", "integrator", "dt", "t_end", "sample_every")}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -85,12 +77,21 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _known(block: dict, where: str) -> dict:
+    """The block at ``where`` ("" for the top level), once each of its fields is one that FIELDS lists."""
+    for key in block:
+        if key not in FIELDS[where]:
+            raise ScenarioValidationError(f"{where}.{key}" if where else key,
+                                          f"unknown field; {where or 'the top level'} reads {list(FIELDS[where])}")
+    return block
+
+
 def _block(data: dict, key: str, required: bool = False) -> dict:
-    """The JSON object under ``key`` ({} when absent); a missing required block is a parse error."""
+    """The JSON object under ``key`` ({} when absent), its fields checked; a missing required block is a parse error."""
     block = _require(data, key, "") if required else data.get(key, {})
     if not isinstance(block, dict):
         raise ScenarioValidationError(key, f"expected an object, got {block!r}")
-    return block
+    return _known(block, key)
 
 
 def _floats(value, field: str, n: int, shape: tuple = None) -> tuple:
@@ -158,23 +159,7 @@ def _parse_forces(block: dict) -> ForceModel:
     gravity = _floats(block.get("gravity", STANDARD_GRAVITY), "forces.gravity", 3)
     torque = _floats(block.get("torque", [0.0, 0.0, 0.0]), "forces.torque", 3)
     force = _floats(block.get("force", [0.0, 0.0, 0.0]), "forces.force", 3)
-    callback = None
-    builtin = block.get("builtin")
-    if builtin is not None:
-        if not isinstance(builtin, dict) or "name" not in builtin:
-            raise ScenarioValidationError("forces.builtin", "expected an object with a 'name'")
-        name = builtin["name"]
-        if name not in sorted(BUILTIN_FORCES):  # a list: an unhashable name compares unequal, not raises
-            raise ScenarioValidationError(
-                "forces.builtin", f"unknown force {name!r}; available: {sorted(BUILTIN_FORCES)}"
-            )
-        coeff = _number(builtin.get("coeff", 0.0), "forces.builtin.coeff")
-        callback = BUILTIN_FORCES[name](coeff)
-    return ForceModel(
-        gravity=gravity,
-        constant_wrench=Wrench(torque, force),
-        callback=callback,
-    )
+    return ForceModel(gravity=gravity, constant_wrench=Wrench(torque, force))
 
 
 def _parse_constraint(block: dict) -> FixedPointConstraint:
@@ -215,6 +200,7 @@ def parse_scenario(data: dict, name_hint: str = "scenario") -> Scenario:
     """Validate a decoded JSON object into a Scenario."""
     if not isinstance(data, dict):
         raise ScenarioParseError(f"top level must be an object, got {type(data).__name__}")
+    _known(data, "")
     inertia = _parse_inertia(_block(data, "inertia", required=True))
     pose, twist = _parse_initial(_block(data, "initial"))
     scenario = Scenario(

@@ -23,7 +23,7 @@ import math
 import numpy as np
 
 from unirigid.charts import _ZERO3, CHART_MAPS, CHART_STAGES, ChartId, _euler_rate_matrix_dot, chart_eval
-from unirigid.dynamics import ForceModel, SpatialInertia, _callback_wrench, assemble_inertia, spd_factor
+from unirigid.dynamics import ForceModel, SpatialInertia, assemble_inertia, spd_factor
 from unirigid.errors import GimbalLockError, NonFiniteStateError, NotPositiveDefiniteError
 from unirigid.gauss import FixedPointConstraint, constrained_accel6, fixed_point_rows, schur_factor
 from unirigid.geom3 import (
@@ -83,22 +83,16 @@ def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
     """w(t, r, x, nu6): the applied wrench about the CoM in body axes, (tau_G, f).
 
     Gravity has no torque about the CoM.  The constant wrench's torque is
-    moved there once, t - c x f, and the callback's on every call.
+    moved there once, t - c x f.
     """
-    mass, c, gravity, callback = si.mass, si.c.tolist(), forces.gravity.tolist(), forces.callback
+    mass, c, gravity = si.mass, si.c.tolist(), forces.gravity.tolist()
     t, f = forces.constant_wrench.torque.tolist(), forces.constant_wrench.force.tolist()
     cf = cross(c, f)
     tau = (t[0] - cf[0], t[1] - cf[1], t[2] - cf[2])
 
     def wrench(time, r, x, nu6):
         g = mat3t_vec(r, gravity)
-        w = (*tau, mass * g[0] + f[0], mass * g[1] + f[1], mass * g[2] + f[2])
-        if callback is None:
-            return w
-        k = _callback_wrench(callback, time, r, x, nu6)
-        ck = cross(c, k[3:])
-        return (w[0] + (k[0] - ck[0]), w[1] + (k[1] - ck[1]), w[2] + (k[2] - ck[2]),
-                w[3] + k[3], w[4] + k[4], w[5] + k[5])
+        return (*tau, mass * g[0] + f[0], mass * g[1] + f[1], mass * g[2] + f[2])
 
     return wrench
 
@@ -109,17 +103,13 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
     kirchhoff_accel_fn forms the same wrench inline, operation for operation.
     """
-    mass, callback = si.mass, forces.callback
-    (c1, c2, c3), gravity = si.c.tolist(), forces.gravity.tolist()
+    mass, (c1, c2, c3), gravity = si.mass, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
     def wrench(t, r, x, nu6):
         g1, g2, g3 = mat3t_vec(r, gravity)
-        w = (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
-             mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
-        if callback is not None:
-            w = tuple([a + b for a, b in zip(w, _callback_wrench(callback, t, r, x, nu6))])
-        return w
+        return (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
+                mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
 
     return wrench
 

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import errno
+import functools
 import io
 import json
 import math
@@ -51,12 +52,30 @@ OFFSET_SCENARIO = {
     "run": {"dt": 0.001, "t_end": 0.01},
 }
 
+# The gyroscopic terms of a 1e150 rad/s spin overflow inside the first step.
 BLOWUP_SCENARIO = {
     "name": "blowup",
-    "inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0]},
-    "initial": {"omega": [0.1, 0.0, 0.0]},
-    "forces": {"gravity": [0.0, 0.0, 0.0], "builtin": {"name": "linear-damping", "coeff": -2000.0}},
+    "inertia": {"mass": 1.0, "inertia": [1.0, 1.6, 2.2]},
+    "initial": {"omega": [1e150, 2e150, 5e149]},
+    "forces": {"gravity": [0.0, 0.0, 0.0]},
     "run": {"formulation": "kirchhoff", "dt": 0.001, "t_end": 2.0},
+}
+
+# A body moving at 1e160 m/s: its twist is finite, its kinetic energy overflows float range.
+FAST_SCENARIO = {
+    "name": "fast",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 2.0, 2.5]},
+    "initial": {"vel": [1e160, 0.0, 0.0]},
+    "run": {"t_end": 0.05},
+}
+
+# A body 1e160 m from the space origin: L is finite, its squared norm overflows float range.
+DISTANT_SCENARIO = {
+    "name": "distant",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 2.0, 2.5]},
+    "initial": {"position": [1e160, 1.0, 0.0], "omega": [0.1, 0.2, 0.3], "vel": [0.1, 0.2, 0.3]},
+    "forces": {"gravity": [0.0, 0.0, 0.0]},
+    "run": {"t_end": 0.05},
 }
 
 
@@ -166,6 +185,26 @@ class TestSimulateCommand:
         assert "non-finite" in capsys.readouterr().err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not (tmp_path / "b.csv").exists()
+
+    @pytest.mark.parametrize("formulation", ["newton-euler", "kirchhoff"])
+    def test_overflowing_energy_aborts_at_the_start(self, tmp_path, capsys, formulation):
+        path = write_scenario(tmp_path, FAST_SCENARIO)
+        code = main(["simulate", "--scenario", path, "--formulation", formulation, "--output", str(tmp_path / "f.csv")])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 2
+        assert err == ["aborted: state became non-finite at t=0: energy or angular momentum is not finite"]
+        assert not (tmp_path / "f.csv").exists()
+
+    def test_momentum_drift_of_a_distant_body_is_computed_without_overflow(self, tmp_path, capsys):
+        out_csv = tmp_path / "d.csv"
+        path = write_scenario(tmp_path, DISTANT_SCENARIO)
+        assert main(["simulate", "--scenario", path, "--output", str(out_csv)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        # Scaled by 2^-532 (about 1e-160), which is exact, as test_free_momentum_drift_is_full_l computes it.
+        l = np.ldexp(np.loadtxt(out_csv, delimiter=",", skiprows=1)[:, 15:18], -532)
+        drift = np.max(np.linalg.norm(l - l[0], axis=1)) / np.linalg.norm(l[0])
+        assert out.split("momentum_drift=")[1].split()[0] == f"{drift:.6e}"
 
     @pytest.mark.parametrize("case", ["missing-directory", "directory", "long-name"])
     def test_unwritable_output_is_one_error_line_before_stepping(self, tmp_path, capsys, monkeypatch, case):
@@ -459,6 +498,77 @@ class TestCommandLineFuzz:
             lines = err.getvalue().splitlines()
             assert code == 0 or (code in (1, 2) and len(lines) == 1), (argv, code, lines)
             assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (argv, caught)
+
+
+# Every number of a swept field is multiplied by each of these in turn, or set to it where it is 0.
+SWEEP_FACTORS = (1e150, 1e200, 1e250, 1e300, 1e-150, 1e-200, 1e-250, 1e-300)
+# A free body and a pinned one, with every numeric scenario field given, each with the formulations it accepts.
+SWEEP_BASES = {
+    "free": ({
+        "name": "sweep",
+        "inertia": {"mass": 1.3, "inertia": [1.0, 1.5, 2.0], "com": [0.05, -0.1, 0.2]},
+        "initial": {"orientation": {"euler_zxz": [0.3, 1.0, -0.4]}, "position": [0.1, 0.2, 0.3],
+                    "omega": [0.4, -0.3, 1.1], "vel": [0.2, -0.1, 0.3]},
+        "forces": {"gravity": [0.0, 0.0, 0.0], "torque": [0.3, -0.2, 0.5], "force": [0.4, 0.1, -0.3]},
+        "run": {"dt": 0.001, "t_end": 0.05, "sample_every": 1},
+    }, ["newton-euler", "kirchhoff", "lagrange", "gauss"]),
+    "pinned": ({
+        "name": "sweep",
+        "inertia": {"mass": 1.0, "inertia": [0.4, 0.4, 0.3], "com": [0.01, -0.02, 0.03]},
+        "initial": {"orientation": {"quaternion": [0.5, 0.5, 0.5, 0.5]}, "position": [0.1, -0.2, 0.25],
+                    "omega": [0.3, 0.4, 8.0], "vel": [0.12, -0.09, 0.05]},
+        "forces": {"gravity": [0.0, 0.0, -9.81], "torque": [0.3, -0.2, 0.5], "force": [0.4, 0.1, -0.3]},
+        "constraint": {"point": [0.05, -0.1, -0.3], "alpha": 2.0, "beta": 3.0},
+        "run": {"formulation": "gauss", "dt": 0.001, "t_end": 0.05, "sample_every": 1},
+    }, ["gauss"]),
+}
+
+
+def number_fields(data, prefix=()):
+    """The key path of every number or number list of a scenario."""
+    for key, value in data.items():
+        if isinstance(value, dict):
+            yield from number_fields(value, prefix + (key,))
+        elif not isinstance(value, str):
+            yield prefix + (key,)
+
+
+def scaled(value, factor):
+    """A number or (nested) number list with every number multiplied by factor, or set to it where it is 0."""
+    return [scaled(v, factor) for v in value] if isinstance(value, list) else value * factor if value else factor
+
+
+SWEEP_CASES = [(base, path) for base, (data, _) in SWEEP_BASES.items() for path in number_fields(data)]
+
+
+class TestScenarioValueSweep:
+    @pytest.mark.parametrize("base, path", SWEEP_CASES, ids=[f"{b}:{'.'.join(p)}" for b, p in SWEEP_CASES])
+    def test_every_extreme_value_ends_in_at_most_one_line(self, tmp_path, base, path):
+        data, formulations = SWEEP_BASES[base]
+        out = tmp_path / "o.csv"
+        for factor in SWEEP_FACTORS:
+            mutated = json.loads(json.dumps(data))
+            *parents, key = path
+            block = functools.reduce(dict.__getitem__, parents, mutated)
+            block[key] = scaled(block[key], factor)
+            scenario = write_scenario(tmp_path, mutated)
+            for formulation in formulations:
+                argv = ["simulate", "--scenario", scenario, "--formulation", formulation, "--t-end", "0.05",
+                        "--output", str(out)]
+                err = io.StringIO()
+                with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("always")
+                    code = main(argv)
+                lines, where = err.getvalue().splitlines(), (path, factor, formulation)
+                assert code in (0, 1, 2), (where, code)
+                assert len(lines) <= 1 and not any("Warning" in line or "Traceback" in line for line in lines), \
+                    (where, lines)
+                assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], (where, caught)
+                assert out.exists() == (code == 0), where
+                if code == 0:
+                    assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all(), where
+                    out.unlink()
 
 
 class TestValidateCommand:

@@ -194,14 +194,13 @@ class TestNewtonEulerRhs:
             accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
             nu_dot = np.array(accel(0.0, EYE9, ZERO3, nu.flat))
             assert np.max(np.abs(nu_dot - kirchhoff_rhs(si, nu, w))) <= 1e-12
-        # Off the CoM, under gravity, a constant wrench and a callback, the balance about the CoM
+        # Off the CoM, under gravity and a constant wrench, the balance about the CoM
         # gives the same body-twist rate, to 1e-12 relative.
-        drag = lambda t, pose, nu: Wrench(-0.3 * nu.omega + 0.1 * pose.position, -0.5 * nu.vel)
         for _ in range(1000):
             si = random_inertia(rng, with_offset=True)
             nu, pose = random_body_twist(rng), random_valid_pose(rng)
             w = Wrench(rng.normal(size=3), rng.normal(size=3))
-            forces = ForceModel(gravity=10.0 * rng.normal(size=3), constant_wrench=w, callback=drag)
+            forces = ForceModel(gravity=10.0 * rng.normal(size=3), constant_wrench=w)
             state = (0.5, pose.rotation.flat, pose.flat, nu.flat)
             expected = np.array(kirchhoff_accel_fn(si, forces)(*state))
             nu_dot = np.array(newton_euler_accel_fn(si, forces)(*state))
@@ -352,12 +351,3 @@ class TestForceAssembly:
         g_body = pose.rotation.m.T @ forces.gravity
         assert np.allclose(w[3:], 2.0 * g_body)
         assert np.allclose(w[:3], 2.0 * np.cross(si.c, g_body))
-
-    def test_callback_wrench_added(self):
-        si = SpatialInertia(mass=1.0, j=np.eye(3))
-        drag = lambda t, pose, nu: Wrench(-0.5 * nu.omega, -0.5 * nu.vel)
-        forces = ForceModel(gravity=np.zeros(3), callback=drag)
-        nu = Twist(np.array([1.0, 0.0, 0.0]), np.array([0.0, 2.0, 0.0]))
-        w = np.array(body_wrench_fn(forces, si)(0.0, EYE9, ZERO3, nu.flat))
-        assert np.allclose(w[:3], [-0.5, 0.0, 0.0])
-        assert np.allclose(w[3:], [0.0, -1.0, 0.0])

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from unirigid.cli import main
 from unirigid.errors import ScenarioParseError, ScenarioValidationError
 from unirigid.integrate import Formulation, IntegratorId
-from unirigid.scenario import builtin_scenario_dir, load_scenario, parse_scenario
+from unirigid.scenario import FIELDS, builtin_scenario_dir, load_scenario, parse_scenario
 
 MINIMAL = {"inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0]}}
 
@@ -171,6 +171,51 @@ class TestBlocks:
 
     def test_null_constraint_is_no_pin(self):
         assert parse_scenario({**MINIMAL, "constraint": None}).constraint is None
+
+
+# Every field FIELDS lists, each with a valid value.
+FULL = {
+    "name": "full",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 1.0, 1.0], "com": [0.0, 0.0, 0.1]},
+    "initial": {"orientation": {"euler_zxz": [0.0, 1.0, 0.0]}, "position": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 1.0],
+                "vel": [0.0, 0.0, 0.0]},
+    "forces": {"gravity": [0.0, 0.0, -9.81], "torque": [0.0, 0.0, 0.0], "force": [0.0, 0.0, 0.0]},
+    "constraint": {"point": [0.0, 0.0, -0.3], "alpha": 0.0, "beta": 0.0},
+    "run": {"formulation": "gauss", "integrator": "lie-rk4", "dt": 0.001, "t_end": 0.01, "sample_every": 1},
+}
+KNOWN_FIELDS = [(block, field) for block, names in FIELDS.items() for field in names]
+
+
+class TestUnknownFields:
+    def test_the_table_lists_every_field_and_a_file_of_them_all_parses(self):
+        assert {block: tuple(FULL[block] if block else FULL) for block in FIELDS} == FIELDS
+        assert parse_scenario(FULL).constraint is not None
+
+    @pytest.mark.parametrize("block, field", KNOWN_FIELDS, ids=[f"{b or 'top'}.{f}" for b, f in KNOWN_FIELDS])
+    def test_every_listed_field_is_read(self, block, field):
+        # A bad value is refused under the field's own name: the parser reads every field the table lists.
+        data = copy.deepcopy(FULL)
+        (data[block] if block else data)[field] = True
+        with pytest.raises(ScenarioValidationError) as exc:
+            parse_scenario(data)
+        assert exc.value.field.endswith(field) and "unknown field" not in str(exc.value), exc.value
+
+    @pytest.mark.parametrize("block, field", [("", "scenario"), ("inertia", "moments"), ("initial", "velocity"),
+                                              ("forces", "builtin"), ("constraint", "gain"), ("run", "tend")])
+    def test_a_field_no_block_reads_is_one_error_line_before_stepping(self, tmp_path, capsys, monkeypatch, block,
+                                                                      field):
+        def no_stepping(*args):
+            raise AssertionError("a step ran")
+
+        monkeypatch.setattr("unirigid.integrate.step", no_stepping)
+        data = copy.deepcopy(FULL)
+        (data[block] if block else data)[field] = {"name": "linear-damping", "coeff": 0.1}
+        out = tmp_path / "o.csv"
+        assert main(["simulate", "--scenario", str(write(tmp_path, data)), "--output", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        named = f"{block}.{field}" if block else field
+        assert len(err) == 1 and err[0].startswith(f"error: {named}: unknown field; "), err
+        assert not out.exists()
 
 
 # Replaced by an integer literal past float range (1 and 400 zeros) when a file is written.

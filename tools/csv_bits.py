@@ -32,7 +32,10 @@ working directory:
   formulation and with ``--tol -1`` (exit 1); ``compare`` of kirchhoff and
   lagrange on euler-top with ``--tol 1e-20``, which ends in a ``failed:`` line,
   and on ``GIMBAL_BODY``, where the lagrange run aborts (exit 2);
-  ``validate --suite nope`` (exit 1).
+  ``validate --suite nope`` (exit 1); ``simulate`` of ``DAMPED_BODY``, which
+  names the field ``forces.builtin`` that no block reads (exit 1), and
+  newton-euler on ``FAST_BODY``, whose kinetic energy overflows float range
+  at t = 0 (exit 2), each written to a temporary file like ``OFFSET_BODY``.
 
 Prints "identical" when every CSV, printed line and exit code matches.
 Otherwise it prints, per run that differs, the largest absolute change and
@@ -77,8 +80,21 @@ GIMBAL_BODY = {
     "run": {"formulation": "lagrange", "integrator": "rk4", "dt": 0.001, "t_end": 1.0},
 }
 
+# GIMBAL_BODY with a field that scenario files no longer take.
+DAMPED_BODY = {**GIMBAL_BODY, "name": "damped-body",
+               "forces": {"gravity": [0.0, 0.0, 0.0], "builtin": {"name": "linear-damping", "coeff": 0.1}}}
 
-def runs(src: Path, offset_body: Path, pinned_body: Path, gimbal_body: Path) -> "list[tuple[str, list[str]]]":
+# A body moving at 1e160 m/s: its twist is finite, its kinetic energy is not.
+FAST_BODY = {
+    "name": "fast-body",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 2.0, 2.5]},
+    "initial": {"vel": [1e160, 0.0, 0.0]},
+    "run": {"t_end": 0.05},
+}
+
+
+def runs(src: Path, offset_body: Path, pinned_body: Path, gimbal_body: Path, damped_body: Path,
+         fast_body: Path) -> "list[tuple[str, list[str]]]":
     """(label, cli arguments) of every compared run; the shipped scenarios are read from ``src``."""
     out = [(f"simulate {name}", ["simulate", "--scenario", name, "--output", "out.csv"])
            for name in sorted(p.stem for p in (src / "unirigid" / "scenarios").glob("*.json"))]
@@ -96,10 +112,10 @@ def runs(src: Path, offset_body: Path, pinned_body: Path, gimbal_body: Path) -> 
                   ("compare offset-body",
                    ["compare", "--scenario", str(offset_body), "--sample-every", "20", *formulations]),
                   ("simulate pinned-body", ["simulate", "--scenario", str(pinned_body), "--output", "out.csv"]),
-                  ("validate", ["validate"])] + failing_runs(gimbal_body)
+                  ("validate", ["validate"])] + failing_runs(gimbal_body, damped_body, fast_body)
 
 
-def failing_runs(gimbal_body: Path) -> "list[tuple[str, list[str]]]":
+def failing_runs(gimbal_body: Path, damped_body: Path, fast_body: Path) -> "list[tuple[str, list[str]]]":
     """(label, cli arguments) of the runs that fail: their stderr lines and exit codes are compared."""
     pair = ["--formulation", "kirchhoff", "--formulation", "lagrange"]
     return [("simulate euler-top --dt -1",
@@ -114,7 +130,10 @@ def failing_runs(gimbal_body: Path) -> "list[tuple[str, list[str]]]":
             ("compare euler-top --t-end 1 --tol 1e-20",
              ["compare", "--scenario", "euler-top", *pair, "--t-end", "1", "--tol", "1e-20"]),
             ("compare gimbal-body", ["compare", "--scenario", str(gimbal_body), *pair]),
-            ("validate --suite nope", ["validate", "--suite", "nope"])]
+            ("validate --suite nope", ["validate", "--suite", "nope"]),
+            ("simulate damped-body", ["simulate", "--scenario", str(damped_body), "--output", "out.csv"]),
+            ("simulate fast-body --formulation newton-euler",
+             ["simulate", "--scenario", str(fast_body), "--formulation", "newton-euler", "--output", "out.csv"])]
 
 
 def run(src: Path, argv: "list[str]") -> "tuple[int, str, str, str]":
@@ -149,7 +168,7 @@ def main(argv: "list[str]") -> int:
     base_src, head_src = Path(argv[0]), Path(argv[1])
     report = []
     with tempfile.TemporaryDirectory() as tmp:
-        bodies = (OFFSET_BODY, PINNED_BODY, GIMBAL_BODY)
+        bodies = (OFFSET_BODY, PINNED_BODY, GIMBAL_BODY, DAMPED_BODY, FAST_BODY)
         paths = [Path(tmp, f"{body['name']}.json") for body in bodies]
         for path, body in zip(paths, bodies):
             path.write_text(json.dumps(body))
