@@ -21,13 +21,17 @@ quasi-velocities (omega, v_G), with v_G = v + omega x c, map to the body twist
 by the constant Phi = [[I, 0], [hat(c), I]]; Phi^T M Phi = diag(J_G, m I), so
 the balance splits into its rotation about the CoM and its translation.
 
-Each route's stage right-hand side is one flat float function, built once
-per run: kirchhoff_accel_fn forms the applied wrench and the 6x6 solve
-inline, newton_euler_accel_fn the wrench about the CoM and the 3x3 solve
-with J_G, and chart_rhs_fn's Euler transport forms R, E u, E_dot u and E^-1
-from one sin/cos of each angle.  They do the operations of the layered forms
-(charts.CHART_MAPS and the references of the tests) in the same order, so
-every result is the same to the bit.
+M is solved through its blocks on every route: the Schur complement of its
+m I block is J + m hat(c)^2 = J_G, so J_G^-1 is the angular block of M^-1
+(SpatialInertia.m6_inv), the one factor each body builds.  Each route's stage
+right-hand side is one flat float function, built once per run:
+newton_euler_accel_fn (the newton-euler, lagrange and gauss routes) solves
+the split balance with J_G; kirchhoff_accel_fn solves the momentum form about
+the origin by block elimination, an independent check on it; chart_rhs_fn's
+Euler transport forms R, E u, E_dot u and E^-1 from one sin/cos of each
+angle.  They do the operations of the layered forms (charts.CHART_MAPS and
+the references of the tests) in the same order, so every result is the same
+to the bit.
 """
 
 from __future__ import annotations
@@ -188,16 +192,16 @@ def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
 
 
 def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
-    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``.
+    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``: M nu_dot = w - bias(nu) about the origin.
 
-    nu_dot = M^-1 (w - bias(nu)) with the body's si.m6 and si.m6_inv bound as 36 floats each; every sum
-    runs left to right.
+    The momenta are (pi, p) = (J omega + m c x v, m v - m c x omega) and bias(nu) = (omega x pi + v x p, omega x p).
+    M^-1 is applied by block elimination: alpha = J_G^-1 (e_ang - c x e_lin), a_lin = e_lin / m + c x alpha, with
+    J, m c and J_G^-1 (si.m6_inv's angular block) bound as floats; every sum runs left to right.
     """
-    (m11, m12, m13, m14, m15, m16, m21, m22, m23, m24, m25, m26, m31, m32, m33, m34, m35, m36,
-     m41, m42, m43, m44, m45, m46, m51, m52, m53, m54, m55, m56, m61, m62, m63, m64, m65, m66) = si.m6.ravel().tolist()
-    (i11, i12, i13, i14, i15, i16, i21, i22, i23, i24, i25, i26, i31, i32, i33, i34, i35, i36,
-     i41, i42, i43, i44, i45, i46, i51, i52, i53, i54, i55, i56, i61, i62, i63, i64, i65, i66) = si.m6_inv.ravel().tolist()
+    j11, j12, j13, j21, j22, j23, j31, j32, j33 = si.j.ravel().tolist()
+    i11, i12, i13, i21, i22, i23, i31, i32, i33 = si.m6_inv[:3, :3].ravel().tolist()
     mass, (c1, c2, c3), (gx, gy, gz) = si.mass, si.c.tolist(), forces.gravity.tolist()
+    k1, k2, k3 = mass * c1, mass * c2, mass * c3
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
     def accel(t, r, x, nu6):
@@ -206,25 +210,19 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
         e1, e2, e3 = mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3
         e4, e5, e6 = mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
         w1, w2, w3, v1, v2, v3 = nu6
-        # (pi, p) = M nu, then w - bias with bias = (omega x pi + v x p, omega x p).
-        a1 = m11 * w1 + m12 * w2 + m13 * w3 + m14 * v1 + m15 * v2 + m16 * v3
-        a2 = m21 * w1 + m22 * w2 + m23 * w3 + m24 * v1 + m25 * v2 + m26 * v3
-        a3 = m31 * w1 + m32 * w2 + m33 * w3 + m34 * v1 + m35 * v2 + m36 * v3
-        p1 = m41 * w1 + m42 * w2 + m43 * w3 + m44 * v1 + m45 * v2 + m46 * v3
-        p2 = m51 * w1 + m52 * w2 + m53 * w3 + m54 * v1 + m55 * v2 + m56 * v3
-        p3 = m61 * w1 + m62 * w2 + m63 * w3 + m64 * v1 + m65 * v2 + m66 * v3
+        # (pi, p) = M nu, then w - bias.
+        a1 = j11 * w1 + j12 * w2 + j13 * w3 + (k2 * v3 - k3 * v2)
+        a2 = j21 * w1 + j22 * w2 + j23 * w3 + (k3 * v1 - k1 * v3)
+        a3 = j31 * w1 + j32 * w2 + j33 * w3 + (k1 * v2 - k2 * v1)
+        p1, p2, p3 = mass * v1 - (k2 * w3 - k3 * w2), mass * v2 - (k3 * w1 - k1 * w3), mass * v3 - (k1 * w2 - k2 * w1)
         e1 = e1 - ((w2 * a3 - w3 * a2) + (v2 * p3 - v3 * p2))
         e2 = e2 - ((w3 * a1 - w1 * a3) + (v3 * p1 - v1 * p3))
         e3 = e3 - ((w1 * a2 - w2 * a1) + (v1 * p2 - v2 * p1))
         e4, e5, e6 = e4 - (w2 * p3 - w3 * p2), e5 - (w3 * p1 - w1 * p3), e6 - (w1 * p2 - w2 * p1)
-        return (
-            i11 * e1 + i12 * e2 + i13 * e3 + i14 * e4 + i15 * e5 + i16 * e6,
-            i21 * e1 + i22 * e2 + i23 * e3 + i24 * e4 + i25 * e5 + i26 * e6,
-            i31 * e1 + i32 * e2 + i33 * e3 + i34 * e4 + i35 * e5 + i36 * e6,
-            i41 * e1 + i42 * e2 + i43 * e3 + i44 * e4 + i45 * e5 + i46 * e6,
-            i51 * e1 + i52 * e2 + i53 * e3 + i54 * e4 + i55 * e5 + i56 * e6,
-            i61 * e1 + i62 * e2 + i63 * e3 + i64 * e4 + i65 * e5 + i66 * e6,
-        )
+        e1, e2, e3 = e1 - (c2 * e6 - c3 * e5), e2 - (c3 * e4 - c1 * e6), e3 - (c1 * e5 - c2 * e4)
+        a1, a2, a3 = i11 * e1 + i12 * e2 + i13 * e3, i21 * e1 + i22 * e2 + i23 * e3, i31 * e1 + i32 * e2 + i33 * e3
+        return (a1, a2, a3, e4 / mass + (c2 * a3 - c3 * a2), e5 / mass + (c3 * a1 - c1 * a3),
+                e6 / mass + (c1 * a2 - c2 * a1))
 
     return accel
 
@@ -240,13 +238,13 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
 
     The quasi-velocities (omega, v_G), with v_G = v + omega x c the CoM velocity in body axes, give the
     block-diagonal mass diag(J_G, m I), J_G = J + m hat(c)^2.  So omega_dot = J_G^-1 (tau_G - omega x J_G omega)
-    and v_dot = f/m - omega x v_G - omega_dot x c, with J_G and J_G^-1 bound as 9 floats each.  Gravity has no
-    torque about the CoM; the constant wrench's tau_G = t - c x f is formed here, once.
+    and v_dot = f/m - omega x v_G - omega_dot x c, with J_G and J_G^-1 bound as 9 floats each; J_G^-1 is the
+    angular block of si.m6_inv, the Schur complement of M's m I block being J + m hat(c)^2 = J_G.  Gravity has
+    no torque about the CoM; the constant wrench's tau_G = t - c x f is formed here, once.
     """
     hat_c = hat(si.c)
-    j_g = si.j + si.mass * (hat_c @ hat_c)
-    j11, j12, j13, j21, j22, j23, j31, j32, j33 = j_g.ravel().tolist()
-    i11, i12, i13, i21, i22, i23, i31, i32, i33 = spd_factor(j_g, "inertia tensor about the CoM").ravel().tolist()
+    j11, j12, j13, j21, j22, j23, j31, j32, j33 = (si.j + si.mass * (hat_c @ hat_c)).ravel().tolist()
+    i11, i12, i13, i21, i22, i23, i31, i32, i33 = si.m6_inv[:3, :3].ravel().tolist()
     mass, (c1, c2, c3), (gx, gy, gz) = si.mass, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
     t1, t2, t3 = t1 - (c2 * f3 - c3 * f2), t2 - (c3 * f1 - c1 * f3), t3 - (c1 * f2 - c2 * f1)

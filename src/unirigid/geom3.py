@@ -327,12 +327,14 @@ def se3_ad(omega, vel) -> np.ndarray:
 
 
 def quaternion_to_rotation(q) -> Rotation:
-    """Quaternion (w, x, y, z) to rotation matrix, normalized first; a norm below 1e-12 or not finite is refused."""
+    """Quaternion (w, x, y, z) to rotation matrix, normalized first; a norm below 1e-12 or a non-finite entry is refused."""
     q = _float_tuple(q, 4, "quaternion")
-    with np.errstate(over="ignore"):  # an overflowing norm is refused below
-        n = float(np.linalg.norm(q))
-    if not 1e-12 <= n < math.inf:
-        raise ValueError(f"quaternion norm {n!r} is zero or not finite")
+    # Scaled by 2^-k, its largest |entry| below 1: exact, so the norm cannot overflow and q / n keeps its bits.
+    k = math.frexp(max(map(abs, q)))[1]
+    q = [math.ldexp(c, -k) for c in q]
+    n = float(np.linalg.norm(q))
+    if not math.ldexp(n, min(k, 0)) >= 1e-12:  # the unscaled norm, when it is below 1
+        raise ValueError(f"quaternion norm {math.ldexp(n, k)!r} is zero or not finite")
     w, x, y, z = (c / n for c in q)
     return Rotation((1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
                      2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),

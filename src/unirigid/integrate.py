@@ -232,17 +232,16 @@ def step(
 def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     """Chart and raw-state right-hand side for one formulation of a scenario.
 
-    Every route but newton-euler reads the body's one factor, scenario.inertia.m6_inv.  The gauss route
-    feeds the pinned-point constraint (when present) through the
-    least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur
-    complement precomputed, tracking the pin anchor for drift stabilization;
-    the other routes are unconstrained.
+    newton-euler, lagrange and gauss take the body acceleration from newton_euler_accel_fn, the balance on M's
+    block-diagonal Newton-Euler form, which lagrange reads through its chart; kirchhoff keeps the momentum form
+    about the body origin (kirchhoff_accel_fn), the independent check.  Both read the body's one factor,
+    scenario.inertia.m6_inv.  The gauss route feeds the pinned-point constraint (when present) through the
+    least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur complement precomputed, tracking the pin
+    anchor for drift stabilization; the other routes are unconstrained.
     """
     chart, _ = ROUTES[formulation]
-    if formulation is Formulation.NEWTON_EULER:
-        return chart, chart_rhs_fn(chart, newton_euler_accel_fn(scenario.inertia, scenario.forces))
-
-    accel = kirchhoff_accel_fn(scenario.inertia, scenario.forces)
+    accel_fn = kirchhoff_accel_fn if formulation is Formulation.KIRCHHOFF else newton_euler_accel_fn
+    accel = accel_fn(scenario.inertia, scenario.forces)
     if formulation is Formulation.GAUSS and scenario.constraint is not None:
         return chart, fixed_point_rhs_fn(accel, scenario.inertia.m6_inv, scenario.constraint, pin_anchor(scenario))
     return chart, chart_rhs_fn(chart, accel)

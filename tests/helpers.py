@@ -9,7 +9,8 @@ The layered references (``layered_kirchhoff_accel``,
 ``layered_newton_euler_accel``, ``layered_chart_rhs_fn``,
 ``layered_fixed_point_rhs``) compose the right-hand side from its parts, one
 call per layer: the wrench (``body_wrench_fn``, or ``com_wrench_fn`` about the
-CoM for Newton-Euler), M nu or J_G omega, the bias, the inverse, each chart's
+CoM for Newton-Euler), M nu or J_G omega, the bias, the block solve with J_G^-1
+read from M^-1's angular block, each chart's
 maps, and for the pinned point the drift, the offset
 (``fixed_point_offset_fn``) and gauss.constrained_accel6.  ``layered_rk_step``
 composes the step kernel the same way: one call per stage for its slopes, its
@@ -59,11 +60,23 @@ def momentum_bias(nu6, mom6) -> tuple:
     )
 
 
-def kirchhoff_rhs6(nu6, w6, m6, m6_inv) -> tuple:
-    """M^-1 (w - bias(nu)) with M nu and M^-1 as row products; m6 and m6_inv as tuples of rows."""
-    b1, b2, b3, b4, b5, b6 = momentum_bias(nu6, matvec(m6, nu6))
+def kirchhoff_rhs6(nu6, w6, j, c, j_g_inv, mass: float) -> tuple:
+    """M^-1 (w - bias(nu)) in Kirchhoff's momentum form about the body origin; j and j_g_inv as tuples of rows.
+
+    (pi, p) = (J omega + m c x v, m v - m c x omega), then M^-1 by block elimination:
+    alpha = J_G^-1 (e_ang - c x e_lin) and a_lin = e_lin / m + c x alpha.
+    """
+    omega, v, mc = nu6[:3], nu6[3:], (mass * c[0], mass * c[1], mass * c[2])
+    j_omega, mc_v, mc_omega = matvec(j, omega), cross(mc, v), cross(mc, omega)
+    mom6 = (j_omega[0] + mc_v[0], j_omega[1] + mc_v[1], j_omega[2] + mc_v[2],
+            mass * v[0] - mc_omega[0], mass * v[1] - mc_omega[1], mass * v[2] - mc_omega[2])
+    b1, b2, b3, b4, b5, b6 = momentum_bias(nu6, mom6)
     t1, t2, t3, f1, f2, f3 = w6
-    return matvec(m6_inv, (t1 - b1, t2 - b2, t3 - b3, f1 - b4, f2 - b5, f3 - b6))
+    e_lin = (f1 - b4, f2 - b5, f3 - b6)
+    c_e = cross(c, e_lin)
+    alpha = matvec(j_g_inv, ((t1 - b1) - c_e[0], (t2 - b2) - c_e[1], (t3 - b3) - c_e[2]))
+    c_alpha = cross(c, alpha)
+    return (*alpha, e_lin[0] / mass + c_alpha[0], e_lin[1] / mass + c_alpha[1], e_lin[2] / mass + c_alpha[2])
 
 
 def newton_euler_rhs6(nu6, w6, c, j_g, j_g_inv, mass: float) -> tuple:
@@ -114,11 +127,16 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     return wrench
 
 
+def angular_block_of_inverse(si: SpatialInertia) -> tuple:
+    """J_G^-1 as the angular block of M^-1 = spd_factor(assemble_inertia(si)), as a tuple of rows."""
+    return as_rows(spd_factor(assemble_inertia(si), "generalized inertia")[:3, :3])
+
+
 def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
     """accel(t, r, x, nu6): body_wrench_fn, then kirchhoff_rhs6."""
-    wrench, m6 = body_wrench_fn(forces, si), assemble_inertia(si)
-    m6_rows, m6_inv_rows = as_rows(m6), as_rows(spd_factor(m6, "generalized inertia"))
-    return lambda t, r, x, nu6: kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), m6_rows, m6_inv_rows)
+    wrench, j_rows, c, j_g_inv_rows = body_wrench_fn(forces, si), as_rows(si.j), si.c.tolist(), \
+        angular_block_of_inverse(si)
+    return lambda t, r, x, nu6: kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), j_rows, c, j_g_inv_rows, si.mass)
 
 
 def layered_newton_euler_accel(si: SpatialInertia, forces: ForceModel):
@@ -126,7 +144,7 @@ def layered_newton_euler_accel(si: SpatialInertia, forces: ForceModel):
     hat_c = hat(si.c)
     j_g = si.j + si.mass * (hat_c @ hat_c)
     wrench, c = com_wrench_fn(forces, si), si.c.tolist()
-    j_g_rows, j_g_inv_rows = as_rows(j_g), as_rows(spd_factor(j_g, "inertia tensor about the CoM"))
+    j_g_rows, j_g_inv_rows = as_rows(j_g), angular_block_of_inverse(si)
     return lambda t, r, x, nu6: newton_euler_rhs6(nu6, wrench(t, r, x, nu6), c, j_g_rows, j_g_inv_rows, si.mass)
 
 

@@ -161,6 +161,21 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.splitlines() == [
             "warning: initial.orientation.quaternion: deviates from unit norm by 1.000e+00; renormalizing"]
 
+    @pytest.mark.parametrize("factor", [1e150, 1e200, 1e300])
+    def test_quaternion_whose_norm_overflows_runs(self, tmp_path, capsys, factor):
+        # The norm of 0.5 * factor * (1, 1, 1, 1) is factor, or past float range: each is renormalized alike.
+        data = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [0.5 * factor] * 4}}}
+        path = write_scenario(tmp_path, data)
+        assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "q.csv")]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("warning: initial.orientation.quaternion: deviates from unit norm")
+        unit = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [0.5] * 4}}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = load_scenario(path).initial_pose.rotation.flat
+        want = load_scenario(write_scenario(tmp_path, unit, "unit.json")).initial_pose.rotation.flat
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
+
     @pytest.mark.parametrize("scenario", ["heavy-top-generic", "heavy-top-steady"])
     def test_pinned_momentum_drift_is_integration_error(self, tmp_path, capsys, scenario):
         # The vertical component of L about the pin is conserved; the rest is gravity's torque.

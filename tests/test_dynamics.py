@@ -110,6 +110,7 @@ class TestInertiaFactor:
         monkeypatch.setattr("unirigid.dynamics.spd_factor", counted)
         simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.01)
         simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
+        simulate(sc, Formulation.NEWTON_EULER, IntegratorId.LIE_RK4, 1e-3, 0.01)
         assert calls == ["generalized inertia"]
 
 
@@ -221,6 +222,35 @@ class TestNewtonEulerRhs:
         nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         accel = newton_euler_accel_fn(si, NO_FORCES)
         assert math.isclose(accel(0.0, EYE9, ZERO3, nu.flat)[0], -1.0, rel_tol=1e-14)
+
+
+class TestDenseSolveOracle:
+    """The block solves of both accel functions against numpy's dense solve of M nu_dot = w - bias(nu)."""
+
+    def test_accel_matches_dense_solve(self):
+        rng = np.random.default_rng(31830997)
+        for _ in range(250):
+            si = random_inertia(rng, with_offset=True)
+            nu, pose = random_body_twist(rng), random_valid_pose(rng)
+            torque, force, gravity = rng.normal(size=3), rng.normal(size=3), 10.0 * rng.normal(size=3)
+            forces = ForceModel(gravity=gravity, constant_wrench=Wrench(torque, force))
+            # w and bias(nu) in numpy: gravity acts at the CoM; (pi, p) = M nu.
+            m6, g_body, omega, v = assemble_inertia(si), pose.rotation.m.T @ gravity, nu.omega, nu.vel
+            w = np.concatenate([si.mass * np.cross(si.c, g_body) + torque, si.mass * g_body + force])
+            mom = m6 @ nu.as_array()
+            bias = np.concatenate([np.cross(omega, mom[:3]) + np.cross(v, mom[3:]), np.cross(omega, mom[3:])])
+            want = np.linalg.solve(m6, w - bias)
+            state = (0.5, pose.rotation.flat, pose.position.tolist(), nu.flat)
+            for accel_fn in (kirchhoff_accel_fn, newton_euler_accel_fn):
+                got = np.array(accel_fn(si, forces)(*state))
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), accel_fn.__name__
+
+    def test_angular_block_of_the_factor_is_the_inverse_about_the_com(self):
+        rng = np.random.default_rng(31830998)
+        for _ in range(250):
+            si = random_inertia(rng, with_offset=True)
+            want = np.linalg.inv(si.j + si.mass * (hat(si.c) @ hat(si.c)))
+            assert np.linalg.norm(si.m6_inv[:3, :3] - want) <= 1e-12 * np.linalg.norm(want)
 
 
 class TestChartEngine:

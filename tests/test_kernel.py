@@ -463,7 +463,7 @@ def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, gains
     chart, rhs = make_rhs(Formulation.GAUSS, sc)
     assert chart is ChartId.BODY_TWIST
     m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
-    layered = layered_fixed_point_rhs(layered_kirchhoff_accel(si, forces), m6_inv, pin, pin_anchor(sc).tolist())
+    layered = layered_fixed_point_rhs(layered_newton_euler_accel(si, forces), m6_inv, pin, pin_anchor(sc).tolist())
     assert outcome(rhs, t, s) == outcome(layered, t, s)
 
 

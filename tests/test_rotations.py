@@ -307,12 +307,21 @@ class TestQuaternion:
         with pytest.raises(ValueError):
             quaternion_to_rotation([0.0, 0.0, 0.0, 0.0])
 
-    @pytest.mark.parametrize("q", [[1e308, 1e308, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0]])
+    @pytest.mark.parametrize("q", [[5e-324, 0.0, 0.0, 0.0], [1e-200, 0.0, 0.0, 0.0], [1.0, math.inf, 0.0, 0.0]])
     def test_norm_past_float_range_rejected_without_warnings(self, q):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
                 quaternion_to_rotation(q)
+
+    @pytest.mark.parametrize("entry", [5e149, 5e199, 5e299, 1.7e308])
+    def test_norm_that_overflows_is_taken_after_scaling(self, entry):
+        # The norm of entry * (1, 1, 1, 1) is 2 entry, past float range for the last; its power-of-two scaling is exact.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = quaternion_to_rotation([entry] * 4).flat
+        want = quaternion_to_rotation([0.5] * 4).flat
+        assert max(abs(a - b) for a, b in zip(got, want)) <= 1e-15
 
 
 NEAR_PI = math.pi - 1e-9
