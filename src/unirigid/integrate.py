@@ -50,8 +50,8 @@ from .geom3 import as_rows
 # rhs(t, g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state.
 RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
 
-# Longest run simulate accepts: about 7.5 minutes at 44 us per step (perfbench compare-euler-top, reference
-# seconds); one sampling every step stops at MAX_SAMPLES, about 1.5 minutes at 86 us per step (pinned-csv).
+# Longest run simulate accepts: about 7 minutes at 41 us per step (perfbench compare-euler-top, reference
+# seconds); one sampling every step stops at MAX_SAMPLES, about 1.3 minutes at 77 us per step (pinned-csv).
 MAX_STEPS = 10_000_000
 # Most rows a run records: about 1.8 GB with its CSV (432 B held per row, 1,390 B more while writing; tracemalloc).
 MAX_SAMPLES = 1_000_000

@@ -134,8 +134,8 @@ def angular_block_of_inverse(si: SpatialInertia) -> tuple:
 
 def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
     """accel(t, r, x, nu6): body_wrench_fn, then kirchhoff_rhs6."""
-    wrench, j_rows, c, j_g_inv_rows = body_wrench_fn(forces, si), as_rows(si.j), si.c.tolist(), \
-        angular_block_of_inverse(si)
+    wrench, c = body_wrench_fn(forces, si), si.c.tolist()
+    j_rows, j_g_inv_rows = as_rows(si.j), angular_block_of_inverse(si)
     return lambda t, r, x, nu6: kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), j_rows, c, j_g_inv_rows, si.mass)
 
 
