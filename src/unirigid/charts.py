@@ -5,7 +5,7 @@ body twist is nu = Phi(q) u, where u are the chart velocities.  The dynamics
 engine is written once against (Phi, dPhi/dt); picking a chart picks a
 formulation.  Each chart states its two maps nu = Phi u and u = Phi^-1 nu
 once, in closed form (``CHART_MAPS``); the matrices themselves (``chart_eval``)
-serve as the reference for the Hamel coefficients and the tests.
+give the Hamel coefficients in closed form and serve as the tests' reference.
 
 * ``BODY_TWIST``    u is the body twist itself (Phi = I).  The Kirchhoff
                     route, and the state of the Newton-Euler route, whose
@@ -37,21 +37,28 @@ from .geom3 import (
     check_rotation,
     cross,
     euler_matrix,
-    exp_so3,
     exp_so3_matrix,
     hat,
-    log_so3,
     mat3_mul,
     mat3_vec,
     mat3t_vec,
-    pose_compose,
     pose_inverse,
     rotation_to_euler,
     se3_ad,
 )
 
-# Step for the finite-difference commutators behind hamel_coefficients.
-HAMEL_FD_STEP = 1e-5
+
+def _se3_structure_constants() -> np.ndarray:
+    """C[c, a, b] with [E_a, E_b] = C^c_ab E_c on (omega, v) twists: [w1, w2] = w1 x w2, linear part w1 x v2 - w2 x v1."""
+    i, j, k = np.indices((3, 3, 3))
+    eps = (i - j) * (j - k) * (k - i) / 2  # cyclic, so eps[k, i, j] = eps_ijk
+    c = np.zeros((6, 6, 6))
+    c[:3, :3, :3] = c[3:, :3, 3:] = c[3:, 3:, :3] = eps
+    c.setflags(write=False)
+    return c
+
+
+SE3_STRUCTURE_CONSTANTS = _se3_structure_constants()
 
 _ZERO3 = (0.0, 0.0, 0.0)
 
@@ -310,49 +317,18 @@ def stage_pose(chart: ChartId, g, x, u) -> ChartState:
     return state
 
 
-def _local_field_columns(chart: ChartId, base: Pose, z: np.ndarray) -> np.ndarray:
-    """Chart basis fields written in the product local chart around ``base``.
-
-    The local chart is z = (w, s) -> base * (exp_so3(w), s).  Column i is the
-    z-velocity of the motion generated by unit chart velocity e_i at that
-    configuration; its rotational part comes from a central difference of the
-    log map, its translational part is exact.
-    """
-    h = HAMEL_FD_STEP
-    rot_z = exp_so3(z[:3])
-    g = pose_compose(base, Pose(rot_z, z[3:]))
-    phi = _phi(chart, g)
-    cols = np.zeros((6, 6))
-    for i in range(6):
-        omega, vel = phi[:3, i], phi[3:, i]
-        plus = log_so3(rot_z.compose(exp_so3(h * omega)))
-        minus = log_so3(rot_z.compose(exp_so3(-h * omega)))
-        cols[:3, i] = (plus - minus) / (2.0 * h)
-        cols[3:, i] = rot_z.m @ vel
-    return cols
-
-
 def hamel_coefficients(chart: ChartId, pose: Pose) -> np.ndarray:
-    """Bracket coefficients gamma[k, i, j] of the chart basis fields.
+    """Bracket coefficients gamma[k, i, j] of the chart basis fields, [X_i, X_j] = -gamma^k_ij X_k, in closed form.
 
-    Defined through [X_i, X_j] = -gamma^k_ij X_k and computed numerically:
-    the fields are differentiated in a local chart by central differences and
-    the commutator is re-expressed in the chart basis.  For the body-twist
-    chart this reproduces (minus) the structure constants of the rigid-motion
-    algebra; for the Euler coordinate chart it vanishes.
+    X_i has body twist Phi e_i, and the left-invariant frame brackets as
+    [E_a, E_b] = C^c_ab E_c (``SE3_STRUCTURE_CONSTANTS``), so
+    [X_i, X_j] = (Phi_ai Phi_bj C^c_ab + X_i(Phi_cj) - X_j(Phi_ci)) E_c, where
+    X_i(Phi) is dPhi/dt at u = e_i; gamma is minus that bracket in the chart
+    basis.  The body-twist chart gives -C, the spatial-twist chart +C (right-
+    invariant fields bracket with the opposite sign), the Euler chart 0.
     """
-    h = HAMEL_FD_STEP
-    x0 = _local_field_columns(chart, pose, np.zeros(6))
-    jac = np.zeros((6, 6, 6))  # jac[k, i, a] = d (X_i)_k / d z_a
-    for a in range(6):
-        dz = np.zeros(6)
-        dz[a] = h
-        jac[:, :, a] = (
-            _local_field_columns(chart, pose, dz) - _local_field_columns(chart, pose, -dz)
-        ) / (2.0 * h)
-    # [X_i, X_j] = DX_j . X_i - DX_i . X_j, evaluated at z = 0.
-    bracket = np.einsum("kja,ai->kij", jac, x0) - np.einsum("kia,aj->kij", jac, x0)
-    phi0 = _phi(chart, pose)
-    gamma = -np.linalg.solve(phi0, bracket.reshape(6, 36)).reshape(6, 6, 6)
-    # Enforce the exact antisymmetry the construction carries up to roundoff.
-    return 0.5 * (gamma - np.transpose(gamma, (0, 2, 1)))
+    phi = _phi(chart, pose)
+    dphi = np.array([_phi_dot(chart, pose, e, phi) for e in np.eye(6)])  # dphi[i, c, j] = X_i(Phi_cj)
+    bracket = np.einsum("cab,ai,bj->cij", SE3_STRUCTURE_CONSTANTS, phi, phi)
+    bracket += dphi.transpose(1, 0, 2) - dphi.transpose(1, 2, 0)
+    return -np.linalg.solve(phi, bracket.reshape(6, 36)).reshape(6, 6, 6)

@@ -14,7 +14,7 @@ from typing import Callable, Dict, Tuple
 
 import numpy as np
 
-from .charts import ChartId, Twist, hamel_coefficients
+from .charts import SE3_STRUCTURE_CONSTANTS, ChartId, Twist, hamel_coefficients
 from .dynamics import SpatialInertia, Wrench, kirchhoff_rhs
 from .gauss import (
     AccelConstraint,
@@ -34,22 +34,6 @@ from .integrate import COL_ENERGY, COL_L, COL_NU, COL_R, COL_T, Formulation, Int
 from .scenario import Scenario, load_scenario
 
 
-def _levi_civita(i, j, k):
-    return ((i - j) * (j - k) * (k - i)) // 2
-
-
-def _structure_constant_table() -> np.ndarray:
-    c = np.zeros((6, 6, 6))
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                eps = _levi_civita(i, j, k)
-                c[k, i, j] = eps
-                c[k + 3, i, j + 3] = eps
-                c[k + 3, i + 3, j] = eps
-    return c
-
-
 def _random_valid_pose(rng) -> Pose:
     angles = (
         rng.uniform(-math.pi, math.pi),
@@ -60,13 +44,16 @@ def _random_valid_pose(rng) -> Pose:
 
 
 def check_structure_constants(rng: np.random.Generator, poses: int) -> Tuple[bool, str]:
-    """Body-twist Hamel coefficients against the rigid-motion algebra table at random poses."""
-    expected = -_structure_constant_table()
+    """Each chart's Hamel coefficients at random poses against its signature: body -C, spatial +C, Euler 0."""
+    c = SE3_STRUCTURE_CONSTANTS
+    signatures = {ChartId.BODY_TWIST: -c, ChartId.SPATIAL_TWIST: c, ChartId.EULER_COM: 0.0 * c}
     worst = 0.0
     for _ in range(poses):
-        gamma = hamel_coefficients(ChartId.BODY_TWIST, _random_valid_pose(rng))
-        worst = max(worst, float(np.max(np.abs(gamma - expected))))
-    return worst <= 1e-6, f"max deviation from algebra table {worst:.3e} over {poses} poses (tol 1e-6)"
+        pose = _random_valid_pose(rng)
+        for chart, expected in signatures.items():
+            worst = max(worst, float(np.max(np.abs(hamel_coefficients(chart, pose) - expected))))
+    detail = f"max deviation from the chart signatures (body -C, spatial +C, euler 0) {worst:.3e} over {poses} poses"
+    return worst <= 1e-6, detail + " (tol 1e-6)"
 
 
 def check_gauss_minimality() -> Tuple[bool, str]:
