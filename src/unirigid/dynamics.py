@@ -39,7 +39,6 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -61,8 +60,8 @@ class SpatialInertia:
     """Mass, inertia tensor about the body origin (body axes), CoM offset.
 
     The one inertia validation; each NotPositiveDefiniteError names its scenario field.
-    ``m6`` (M, assemble_inertia) and ``m6_inv`` (M^-1, spd_factor) are read-only
-    arrays built at most once per body and shared by every route, sample and check.
+    ``m6`` (M, assemble_inertia) and ``m6_inv`` (M^-1, spd_factor, whose Cholesky factor is the test that M is
+    positive definite) are read-only arrays built once per body and shared by every route, sample and check.
     """
 
     mass: float
@@ -91,16 +90,8 @@ class SpatialInertia:
                 )
             object.__setattr__(self, "j", _readonly(j))
             object.__setattr__(self, "c", _as_vec3(self.c, "c"))
-            # The assembled 6x6 must itself be positive definite (CoM-shifted inertia).
-            try:
-                np.linalg.cholesky(self.m6)
-            except np.linalg.LinAlgError:
-                raise NotPositiveDefiniteError(
-                    "assembled 6x6 inertia is not positive definite (CoM offset too large)"
-                ) from None
-
-    m6 = cached_property(lambda self: _readonly(assemble_inertia(self)))
-    m6_inv = cached_property(lambda self: _readonly(spd_factor(self.m6, "generalized inertia")))
+            object.__setattr__(self, "m6", _readonly(assemble_inertia(self)))
+            object.__setattr__(self, "m6_inv", _readonly(spd_factor(self.m6, "6x6 inertia (CoM offset too large?)")))
 
 
 @dataclass(frozen=True)

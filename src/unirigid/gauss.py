@@ -67,16 +67,12 @@ class AccelConstraint:
 
 @dataclass(frozen=True)
 class FixedPointConstraint:
-    """Body point r_b pinned in space, with optional Baumgarte gains (1/s)."""
+    """Body point r_b pinned in space: its spatial acceleration is held at zero, with no drift feedback."""
 
     r_b: np.ndarray
-    baumgarte_alpha: float = 0.0
-    baumgarte_beta: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "r_b", _as_vec3(self.r_b, "r_b"))
-        if not (math.isfinite(self.baumgarte_alpha) and math.isfinite(self.baumgarte_beta)):
-            raise ValueError("Baumgarte gains must be finite")
 
 
 def gauss_functional(m6: np.ndarray, nu_dot_candidate, nu_dot_free) -> float:
@@ -126,38 +122,29 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
     return np.hstack([-hat(fp.r_b), np.eye(3)])
 
 
-def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint, anchor):
-    """Body-chart stage function ``rhs(t, r, x, nu6)`` of the point ``pin`` holds at the space point ``anchor``.
+def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint):
+    """Body-chart stage function ``rhs(t, r, x, nu6)`` of the point ``pin`` holds still in space.
 
-    free_accel(t, r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The pin drift, the offset b
-    and the solve of constrained_accel6 are written out, with A, S^-1, M^-1 A^T, r_b, the anchor and the gains
-    bound as floats once; every sum runs left to right, as in the layered form, so the result is the same to the bit.
+    free_accel(t, r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The offset b and the solve
+    of constrained_accel6 are written out, with A, S^-1, M^-1 A^T and r_b bound as floats once; every sum runs
+    left to right, as in the layered form, so the result is the same to the bit.
     """
     a_rows = fixed_point_rows(pin)
     m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
     (a11, a12, a13, a14, a15, a16), (a21, a22, a23, a24, a25, a26), (a31, a32, a33, a34, a35, a36) = as_rows(a_rows)
     (s11, s12, s13), (s21, s22, s23), (s31, s32, s33) = s_inv
     (q11, q12, q13), (q21, q22, q23), (q31, q32, q33), (q41, q42, q43), (q51, q52, q53), (q61, q62, q63) = m_inv_at
-    (b1, b2, b3), (n1, n2, n3) = pin.r_b.tolist(), map(float, anchor)
-    two_alpha, beta_sq = 2.0 * pin.baumgarte_alpha, pin.baumgarte_beta * pin.baumgarte_beta
+    b1, b2, b3 = pin.r_b.tolist()
 
     def rhs(t, r, x, nu6):
-        r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
-        # Drift of the pin in body axes, d = R^T (x + R r_b - anchor).
-        p1, p2, p3 = r1 * b1 + r2 * b2 + r3 * b3, r4 * b1 + r5 * b2 + r6 * b3, r7 * b1 + r8 * b2 + r9 * b3
-        e1, e2, e3 = x[0] + p1 - n1, x[1] + p2 - n2, x[2] + p3 - n3
-        d1, d2, d3 = r1 * e1 + r4 * e2 + r7 * e3, r2 * e1 + r5 * e2 + r8 * e3, r3 * e1 + r6 * e2 + r9 * e3
         f1, f2, f3, f4, f5, f6 = free_accel(t, r, x, nu6)
-        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 d, c_v = v + omega x r_b.
+        # Zero spatial pin acceleration: b = -omega x c_v, c_v = v + omega x r_b.
         w1, w2, w3, v1, v2, v3 = nu6
         c1, c2, c3 = v1 + (w2 * b3 - w3 * b2), v2 + (w3 * b1 - w1 * b3), v3 + (w1 * b2 - w2 * b1)
-        o1 = -(w2 * c3 - w3 * c2) - two_alpha * c1 - beta_sq * d1
-        o2 = -(w3 * c1 - w1 * c3) - two_alpha * c2 - beta_sq * d2
-        o3 = -(w1 * c2 - w2 * c1) - two_alpha * c3 - beta_sq * d3
         # lambda = S^-1 (b - A a_free), the reaction; then a_free + M^-1 A^T lambda.
-        h1 = o1 - (a11 * f1 + a12 * f2 + a13 * f3 + a14 * f4 + a15 * f5 + a16 * f6)
-        h2 = o2 - (a21 * f1 + a22 * f2 + a23 * f3 + a24 * f4 + a25 * f5 + a26 * f6)
-        h3 = o3 - (a31 * f1 + a32 * f2 + a33 * f3 + a34 * f4 + a35 * f5 + a36 * f6)
+        h1 = -(w2 * c3 - w3 * c2) - (a11 * f1 + a12 * f2 + a13 * f3 + a14 * f4 + a15 * f5 + a16 * f6)
+        h2 = -(w3 * c1 - w1 * c3) - (a21 * f1 + a22 * f2 + a23 * f3 + a24 * f4 + a25 * f5 + a26 * f6)
+        h3 = -(w1 * c2 - w2 * c1) - (a31 * f1 + a32 * f2 + a33 * f3 + a34 * f4 + a35 * f5 + a36 * f6)
         lam1, lam2 = s11 * h1 + s12 * h2 + s13 * h3, s21 * h1 + s22 * h2 + s23 * h3
         lam3 = s31 * h1 + s32 * h2 + s33 * h3
         return (f1 + (q11 * lam1 + q12 * lam2 + q13 * lam3), f2 + (q21 * lam1 + q22 * lam2 + q23 * lam3),

@@ -326,8 +326,8 @@ def se3_ad(omega, vel) -> np.ndarray:
     return out
 
 
-def quaternion_to_rotation(q) -> Rotation:
-    """Quaternion (w, x, y, z) to rotation matrix, normalized first; a norm below 1e-12 or a non-finite entry is refused."""
+def normalize_quaternion(q) -> "tuple[list, float, int]":
+    """(q / |q|, n, k) of a quaternion whose norm |q| is n 2^k; a norm below 1e-12 or a non-finite entry is refused."""
     q = _float_tuple(q, 4, "quaternion")
     # Scaled by 2^-k, its largest |entry| below 1: exact, so the norm cannot overflow and q / n keeps its bits.
     k = math.frexp(max(map(abs, q)))[1]
@@ -335,7 +335,12 @@ def quaternion_to_rotation(q) -> Rotation:
     n = float(np.linalg.norm(q))
     if not math.ldexp(n, min(k, 0)) >= 1e-12:  # the unscaled norm, when it is below 1
         raise ValueError(f"quaternion norm {math.ldexp(n, k)!r} is zero or not finite")
-    w, x, y, z = (c / n for c in q)
+    return [c / n for c in q], n, k
+
+
+def quaternion_to_rotation(q) -> Rotation:
+    """Quaternion (w, x, y, z) to rotation matrix, normalized first by normalize_quaternion."""
+    (w, x, y, z), _, _ = normalize_quaternion(q)
     return Rotation((1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y),
                      2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x),
                      2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)))

@@ -236,14 +236,14 @@ def make_rhs(formulation: Formulation, scenario) -> "tuple[ChartId, RhsFn]":
     block-diagonal Newton-Euler form, which lagrange reads through its chart; kirchhoff keeps the momentum form
     about the body origin (kirchhoff_accel_fn), the independent check.  Both read the body's one factor,
     scenario.inertia.m6_inv.  The gauss route feeds the pinned-point constraint (when present) through the
-    least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur complement precomputed, tracking the pin
-    anchor for drift stabilization; the other routes are unconstrained.
+    least-constraint solve of gauss.fixed_point_rhs_fn, with its Schur complement precomputed and the exact
+    offset b = -omega x c_v (no drift feedback); the other routes are unconstrained.
     """
     chart, _ = ROUTES[formulation]
     accel_fn = kirchhoff_accel_fn if formulation is Formulation.KIRCHHOFF else newton_euler_accel_fn
     accel = accel_fn(scenario.inertia, scenario.forces)
     if formulation is Formulation.GAUSS and scenario.constraint is not None:
-        return chart, fixed_point_rhs_fn(accel, scenario.inertia.m6_inv, scenario.constraint, pin_anchor(scenario))
+        return chart, fixed_point_rhs_fn(accel, scenario.inertia.m6_inv, scenario.constraint)
     return chart, chart_rhs_fn(chart, accel)
 
 

@@ -16,7 +16,7 @@ Schema (defaults in brackets):
         "vel": [0, 0, 0]          # body twist, linear part
       },
       "forces": {"gravity": [0, 0, -9.81], "torque": [0, 0, 0], "force": [0, 0, 0]},   # torque, force: body wrench
-      "constraint": {"point": [0, 0, -0.3], "alpha": 0, "beta": 0},   # optional pin
+      "constraint": {"point": [0, 0, -0.3]},   # optional pin, held exactly: start at vel = -omega x point
       "run": {"formulation": "kirchhoff", "integrator": "lie-rk4",
               "dt": 1e-3, "t_end": 1.0, "sample_every": 1}
     }
@@ -31,6 +31,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -41,7 +42,7 @@ from .charts import Twist
 from .dynamics import STANDARD_GRAVITY, ForceModel, SpatialInertia, Wrench
 from .errors import ScenarioParseError, ScenarioValidationError
 from .gauss import FixedPointConstraint
-from .geom3 import Pose, _float_tuple, euler_to_rotation, quaternion_to_rotation
+from .geom3 import Pose, _float_tuple, euler_to_rotation, normalize_quaternion, quaternion_to_rotation
 from .integrate import ROUTES, Formulation, IntegratorId, check_route, run_steps
 
 
@@ -68,7 +69,7 @@ class Scenario:
 # The fields each block reads, and those of the top level (""); any other field is an input error.
 FIELDS = {"": ("name", "inertia", "initial", "forces", "constraint", "run"), "inertia": ("mass", "inertia", "com"),
           "initial": ("orientation", "position", "omega", "vel"), "forces": ("gravity", "torque", "force"),
-          "constraint": ("point", "alpha", "beta"), "run": ("formulation", "integrator", "dt", "t_end", "sample_every")}
+          "constraint": ("point",), "run": ("formulation", "integrator", "dt", "t_end", "sample_every")}
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -140,12 +141,13 @@ def _parse_initial(block: dict) -> "tuple[Pose, Twist]":
         field = "initial.orientation.quaternion"
         q = _floats(orientation["quaternion"], field, 4)
         try:
-            rotation = quaternion_to_rotation(q)
+            rotation, (_, n, k) = quaternion_to_rotation(q), normalize_quaternion(q)
         except ValueError as err:
             raise ScenarioValidationError(field, str(err)) from None
-        deviation = abs(math.hypot(*q) - 1.0)
+        deviation = abs(Decimal(n) * Decimal(2) ** k - 1)  # a Decimal stays finite past float range
         if deviation > 1e-6:
-            warnings.warn(f"{field}: deviates from unit norm by {deviation:.3e}; renormalizing", stacklevel=2)
+            sig, exp10 = f"{deviation:.3e}".split("e")  # a float's format: two exponent digits at least
+            warnings.warn(f"{field}: deviates from unit norm by {sig}e{int(exp10):+03d}; renormalizing", stacklevel=2)
     else:
         angles = _floats(orientation["euler_zxz"], "initial.orientation.euler_zxz", 3)
         rotation = euler_to_rotation(angles)
@@ -163,10 +165,7 @@ def _parse_forces(block: dict) -> ForceModel:
 
 
 def _parse_constraint(block: dict) -> FixedPointConstraint:
-    point = _floats(_require(block, "point", "constraint"), "constraint.point", 3)
-    alpha = _number(block.get("alpha", 0.0), "constraint.alpha")
-    beta = _number(block.get("beta", 0.0), "constraint.beta")
-    return FixedPointConstraint(point, baumgarte_alpha=alpha, baumgarte_beta=beta)
+    return FixedPointConstraint(_floats(_require(block, "point", "constraint"), "constraint.point", 3))
 
 
 def _choice(enum, value, name: str):

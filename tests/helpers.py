@@ -11,8 +11,8 @@ The layered references (``layered_kirchhoff_accel``,
 call per layer: the wrench (``body_wrench_fn``, or ``com_wrench_fn`` about the
 CoM for Newton-Euler), M nu or J_G omega, the bias, the block solve with J_G^-1
 read from M^-1's angular block, each chart's
-maps, and for the pinned point the drift, the offset
-(``fixed_point_offset_fn``) and gauss.constrained_accel6.  ``layered_rk_step``
+maps, and for the pinned point the offset (``fixed_point_offset_fn``) and
+gauss.constrained_accel6.  ``layered_rk_step``
 composes the step kernel the same way: one call per stage for its slopes, its
 increments and the RK4 sum.  The engine evaluates each route and the kernel in
 one flat function with the same operations in the same order, so the two agree
@@ -180,34 +180,28 @@ def layered_chart_rhs_fn(chart: ChartId, accel):
 
 
 def fixed_point_offset_fn(fp: FixedPointConstraint):
-    """Pinned-point constraint offset ``b(nu6, position_drift)``; the pin is read once here."""
+    """Pinned-point constraint offset ``b(nu6)``; the pin is read once here."""
     r_b = fp.r_b.tolist()
-    two_alpha, beta_sq = 2.0 * fp.baumgarte_alpha, fp.baumgarte_beta * fp.baumgarte_beta
 
-    def offset(nu6, position_drift) -> tuple:
-        # Zero spatial pin acceleration: b = -omega x c_v - 2 alpha c_v - beta^2 drift, c_v = v + omega x r_b.
+    def offset(nu6) -> tuple:
+        # Zero spatial pin acceleration: b = -omega x c_v, c_v = v + omega x r_b.
         omega = nu6[:3]
         rw = cross(omega, r_b)
-        c1, c2, c3 = c_v = (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2])
-        a1, a2, a3 = cross(omega, c_v)
-        d1, d2, d3 = position_drift
-        return (-a1 - two_alpha * c1 - beta_sq * d1, -a2 - two_alpha * c2 - beta_sq * d2,
-                -a3 - two_alpha * c3 - beta_sq * d3)
+        a1, a2, a3 = cross(omega, (nu6[3] + rw[0], nu6[4] + rw[1], nu6[5] + rw[2]))
+        return -a1, -a2, -a3
 
     return offset
 
 
-def layered_fixed_point_rhs(accel, m6_inv, fp: FixedPointConstraint, anchor):
-    """rhs(t, r, x, nu6) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel, the drift
-    R^T (x + R r_b - anchor), fixed_point_offset_fn and constrained_accel6 with the Schur complement of schur_factor."""
+def layered_fixed_point_rhs(accel, m6_inv, fp: FixedPointConstraint):
+    """rhs(t, r, x, nu6) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel,
+    fixed_point_offset_fn and constrained_accel6 with the Schur complement of schur_factor."""
     offset, a_rows = fixed_point_offset_fn(fp), fixed_point_rows(fp)
     m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
-    a_rows, r_b, (a1, a2, a3) = as_rows(a_rows), fp.r_b.tolist(), anchor
+    a_rows = as_rows(a_rows)
 
     def rhs(t, r, x, nu6):
-        p1, p2, p3 = mat3_vec(r, r_b)
-        drift = mat3t_vec(r, (x[0] + p1 - a1, x[1] + p2 - a2, x[2] + p3 - a3))
-        return constrained_accel6(accel(t, r, x, nu6), a_rows, offset(nu6, drift), m_inv_at, s_inv)[0]
+        return constrained_accel6(accel(t, r, x, nu6), a_rows, offset(nu6), m_inv_at, s_inv)[0]
 
     return rhs
 

@@ -161,14 +161,17 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.splitlines() == [
             "warning: initial.orientation.quaternion: deviates from unit norm by 1.000e+00; renormalizing"]
 
-    @pytest.mark.parametrize("factor", [1e150, 1e200, 1e300])
-    def test_quaternion_whose_norm_overflows_runs(self, tmp_path, capsys, factor):
-        # The norm of 0.5 * factor * (1, 1, 1, 1) is factor, or past float range: each is renormalized alike.
-        data = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [0.5 * factor] * 4}}}
+    @pytest.mark.parametrize("entry, deviation", [(0.5e150, "1.000e+150"), (0.5e200, "1.000e+200"),
+                                                  (0.5e300, "1.000e+300"), (1.7e308, "3.400e+308")],
+                             ids=["1e+150", "1e+200", "1e+300", "3.4e+308"])
+    def test_quaternion_whose_norm_overflows_runs(self, tmp_path, capsys, entry, deviation):
+        # The norm of entry * (1, 1, 1, 1), the test's id, is in float range or past it: each is renormalized
+        # alike, and its deviation from 1 is printed as a finite number.
+        data = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [entry] * 4}}}
         path = write_scenario(tmp_path, data)
         assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "q.csv")]) == 0
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("warning: initial.orientation.quaternion: deviates from unit norm")
+        assert capsys.readouterr().err.splitlines() == [
+            f"warning: initial.orientation.quaternion: deviates from unit norm by {deviation}; renormalizing"]
         unit = {**OFFSET_SCENARIO, "initial": {"orientation": {"quaternion": [0.5] * 4}}}
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -533,7 +536,7 @@ SWEEP_BASES = {
         "initial": {"orientation": {"quaternion": [0.5, 0.5, 0.5, 0.5]}, "position": [0.1, -0.2, 0.25],
                     "omega": [0.3, 0.4, 8.0], "vel": [0.12, -0.09, 0.05]},
         "forces": {"gravity": [0.0, 0.0, -9.81], "torque": [0.3, -0.2, 0.5], "force": [0.4, 0.1, -0.3]},
-        "constraint": {"point": [0.05, -0.1, -0.3], "alpha": 2.0, "beta": 3.0},
+        "constraint": {"point": [0.05, -0.1, -0.3]},
         "run": {"formulation": "gauss", "dt": 0.001, "t_end": 0.05, "sample_every": 1},
     }, ["gauss"]),
 }

@@ -101,17 +101,19 @@ class TestInertiaFactor:
         assert np.array_equal(moved.m6_inv, spd_factor(assemble_inertia(moved), "generalized inertia"))
 
     def test_routes_share_one_factor(self, monkeypatch):
-        sc, calls = load_scenario("euler-top"), []
+        calls = []
 
         def counted(*args, **kwargs):
             calls.append(args[1])
             return spd_factor(*args, **kwargs)
 
+        # The body's one factor is built as the scenario loads.
         monkeypatch.setattr("unirigid.dynamics.spd_factor", counted)
+        sc = load_scenario("euler-top")
         simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_RK4, 1e-3, 0.01)
         simulate(sc, Formulation.LAGRANGE, IntegratorId.RK4, 1e-3, 0.01)
         simulate(sc, Formulation.NEWTON_EULER, IntegratorId.LIE_RK4, 1e-3, 0.01)
-        assert calls == ["generalized inertia"]
+        assert calls == ["6x6 inertia (CoM offset too large?)"]
 
 
 class TestMomentum:

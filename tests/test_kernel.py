@@ -25,8 +25,8 @@ the suite is deterministic:
   with a CoM offset, compared by float.hex, and fails with the same error
   where the reference fails;
 * the pinned point's flat stage function, from make_rhs, equals the layered
-  free acceleration -> drift and offset -> constrained_accel6 bit for bit,
-  with off-axis pins and Baumgarte gains;
+  free acceleration -> offset -> constrained_accel6 bit for bit, with
+  off-axis pins;
 * the step kernel, its four stages written out, equals the layered
   composition of tests/helpers.py (one call per stage for the slopes, the
   increments and the RK4 sum) bit for bit on every chart and integrator, and
@@ -85,7 +85,7 @@ from unirigid.gauss import (
 )
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
 from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
-from unirigid.integrate import Formulation, IntegratorId, _rk_step, make_rhs, pin_anchor, simulate, step
+from unirigid.integrate import Formulation, IntegratorId, _rk_step, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -247,14 +247,13 @@ def kkt_reference(si, nu, w, con):
 
 @SETTINGS
 @given(
-    si=bodies(True), r_b=vec3, omega=vec3, vel=vec3, torque=vec3, force=vec3, drift=vec3,
-    gains=st.tuples(st.floats(0.0, 5.0), st.floats(0.0, 5.0)),
+    si=bodies(True), r_b=vec3, omega=vec3, vel=vec3, torque=vec3, force=vec3,
 )
-def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force, drift, gains):
-    pin = FixedPointConstraint(0.5 * r_b, baumgarte_alpha=gains[0], baumgarte_beta=gains[1])
+def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force):
+    pin = FixedPointConstraint(0.5 * r_b)
     nu = Twist(2.0 * omega, vel)
     w = Wrench(torque, force)
-    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat, (1e-3 * drift).tolist()))
+    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat))
     nu_dot_ref, lam_ref = kkt_reference(si, nu, w, con)
     nu_dot, lam = constrained_accel(si, nu, w, con)
     scale = max(1.0, np.linalg.norm(nu_dot_ref), np.linalg.norm(lam_ref))
@@ -266,7 +265,7 @@ def test_pin_schur_complement_matches_kkt(si, r_b, omega, vel, torque, force, dr
 @given(si=bodies(True), r_b=vec3, omega=vec3, vel=vec3, angles=vec3, x=vec3)
 def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     # The simulate route precomputes the Schur complement once per run.
-    pin = FixedPointConstraint(0.5 * r_b, baumgarte_alpha=1.0, baumgarte_beta=2.0)
+    pin = FixedPointConstraint(0.5 * r_b)
     pose0 = Pose(euler_to_rotation(angles), np.zeros(3))
     sc = make_scenario(
         "pin", si.mass, si.j, omega, com=si.c, gravity=[0.0, 0.0, -9.81], pose=pose0,
@@ -276,10 +275,8 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     pose = Pose(euler_to_rotation(angles + 0.1), 0.1 * x)
     u = np.concatenate([2.0 * omega, vel])
     nu = Twist(u[:3], u[3:])
-    anchor = pose0.rotation.m @ pin.r_b
-    drift = pose.rotation.m.T @ (pose.position + pose.rotation.m @ pin.r_b - anchor)
     w6 = body_wrench_fn(sc.forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat)
-    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat, drift.tolist()))
+    con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat))
     nu_dot_ref, _ = kkt_reference(si, nu, Wrench(w6[:3], w6[3:]), con)
     got = rhs(0.0, *stage_state(chart, ChartState(pose, u)))
     assert np.linalg.norm(got - nu_dot_ref) <= 1e-12 * max(1.0, np.linalg.norm(nu_dot_ref))
@@ -451,19 +448,16 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
 
 
 @SETTINGS
-@given(si=bodies(True), forces=force_models(), r_b=vec3, gains=st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
-       angles=vec3, x0=vec3, s=raw_stage_states(ChartId.BODY_TWIST), t=st.floats(0.0, 10.0))
-def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, gains, angles, x0, s, t):
-    # Off-axis pins with both Baumgarte terms; the drawn stage state is away from the anchor, so the drift is not zero.
-    pin = FixedPointConstraint(0.5 * r_b + np.array([0.05, -0.05, 0.0]), baumgarte_alpha=gains[0],
-                               baumgarte_beta=gains[1])
-    sc = make_scenario("pin", si.mass, si.j, np.zeros(3), com=si.c, pose=Pose(euler_to_rotation(angles), x0),
-                       constraint=pin, formulation=Formulation.GAUSS)
+@given(si=bodies(True), forces=force_models(), r_b=vec3, s=raw_stage_states(ChartId.BODY_TWIST), t=st.floats(0.0, 10.0))
+def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, s, t):
+    # Off-axis pins; the stage function reads the drawn stage state and the pin, not the initial pose.
+    pin = FixedPointConstraint(0.5 * r_b + np.array([0.05, -0.05, 0.0]))
+    sc = make_scenario("pin", si.mass, si.j, np.zeros(3), com=si.c, constraint=pin, formulation=Formulation.GAUSS)
     sc = dataclasses.replace(sc, forces=forces)
     chart, rhs = make_rhs(Formulation.GAUSS, sc)
     assert chart is ChartId.BODY_TWIST
     m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
-    layered = layered_fixed_point_rhs(layered_newton_euler_accel(si, forces), m6_inv, pin, pin_anchor(sc).tolist())
+    layered = layered_fixed_point_rhs(layered_newton_euler_accel(si, forces), m6_inv, pin)
     assert outcome(rhs, t, s) == outcome(layered, t, s)
 
 
@@ -502,16 +496,16 @@ def test_rk_step_matches_layered_reference_bit_for_bit(integrator, chart):
 
 def test_pinned_rhs_keeps_the_sign_of_zero():
     # A's entries include -0.0, 0.0 and 1.0; their products decide only the sign of an exactly zero output, which
-    # no drawn state reaches.  Every sign pattern of a zero free acceleration and a zero twist, at zero drift,
-    # leaves those signs to the stage function.
+    # no drawn state reaches.  Every sign pattern of a zero free acceleration and a zero twist leaves those
+    # signs to the stage function.
     si = SpatialInertia(1.3, np.diag([1.0, 1.5, 2.0]), np.array([0.05, -0.1, 0.2]))
-    pin = FixedPointConstraint(np.array([0.3, -0.2, 0.5]), baumgarte_alpha=1.0, baumgarte_beta=2.0)
+    pin = FixedPointConstraint(np.array([0.3, -0.2, 0.5]))
     m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
     r, x = euler_matrix(0.0, 0.0, 0.0), tuple((-pin.r_b).tolist())
     zeros = list(itertools.product((0.0, -0.0), repeat=6))
     for f in zeros:
-        flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
-        layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin, (0.0, 0.0, 0.0))
+        flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin)
+        layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin)
         for nu in zeros:
             assert hexes(flat(0.0, r, x, nu)) == hexes(layered(0.0, r, x, nu)), (f, nu)
 

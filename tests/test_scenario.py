@@ -180,7 +180,7 @@ FULL = {
     "initial": {"orientation": {"euler_zxz": [0.0, 1.0, 0.0]}, "position": [0.0, 0.0, 0.0], "omega": [0.0, 0.0, 1.0],
                 "vel": [0.0, 0.0, 0.0]},
     "forces": {"gravity": [0.0, 0.0, -9.81], "torque": [0.0, 0.0, 0.0], "force": [0.0, 0.0, 0.0]},
-    "constraint": {"point": [0.0, 0.0, -0.3], "alpha": 0.0, "beta": 0.0},
+    "constraint": {"point": [0.0, 0.0, -0.3]},
     "run": {"formulation": "gauss", "integrator": "lie-rk4", "dt": 0.001, "t_end": 0.01, "sample_every": 1},
 }
 KNOWN_FIELDS = [(block, field) for block, names in FIELDS.items() for field in names]
@@ -201,7 +201,8 @@ class TestUnknownFields:
         assert exc.value.field.endswith(field) and "unknown field" not in str(exc.value), exc.value
 
     @pytest.mark.parametrize("block, field", [("", "scenario"), ("inertia", "moments"), ("initial", "velocity"),
-                                              ("forces", "builtin"), ("constraint", "gain"), ("run", "tend")])
+                                              ("forces", "builtin"), ("constraint", "gain"), ("run", "tend"),
+                                              ("constraint", "alpha"), ("constraint", "beta")])
     def test_a_field_no_block_reads_is_one_error_line_before_stepping(self, tmp_path, capsys, monkeypatch, block,
                                                                       field):
         def no_stepping(*args):

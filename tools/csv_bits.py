@@ -19,9 +19,9 @@ working directory:
   gravity with its frame origin off its CoM, written once to a temporary
   file;
 * ``simulate`` of ``PINNED_BODY``, the same body pinned off its axes under
-  gravity with both Baumgarte gains non-zero and a pin velocity the gains
-  must damp (the shipped pinned scenarios have zero gains and a pin on the
-  body's z axis), written once to a temporary file too;
+  gravity (the shipped pinned scenarios pin a point on the body's z axis),
+  started on the velocity manifold, vel = -omega x point, written once to a
+  temporary file too;
 * ``validate`` of every suite (about 2 s), which writes no CSV: its printed
   lines and exit code cover ``checks.py``;
 * failing runs, whose stderr lines and exit codes are compared: ``simulate``
@@ -66,8 +66,9 @@ OFFSET_BODY = {
 PINNED_BODY = {
     **OFFSET_BODY,
     "name": "pinned-body",
-    "initial": {"orientation": {"euler_zxz": [0.3, 1.0, -0.4]}, "omega": [0.4, -0.3, 6.0], "vel": [0.02, 0.01, -0.03]},
-    "constraint": {"point": [0.05, -0.1, -0.3], "alpha": 2.0, "beta": 3.0},
+    "initial": {"orientation": {"euler_zxz": [0.3, 1.0, -0.4]}, "omega": [0.4, -0.3, 6.0],
+                "vel": [-0.69, -0.42, 0.025]},  # -omega x point: the pin starts at rest
+    "constraint": {"point": [0.05, -0.1, -0.3]},
     "run": {"formulation": "gauss", "integrator": "lie-rk4", "dt": 0.001, "t_end": 3.0, "sample_every": 5},
 }
 
