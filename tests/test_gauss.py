@@ -162,6 +162,18 @@ class TestFixedPointConstraint:
         con = AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.flat))
         assert np.max(np.abs(con.b)) <= 1e-15
 
+    def test_offset_off_the_velocity_manifold(self):
+        # A pin that moves (c_v != 0) gets the exact offset b = -omega x c_v and no term in c_v alone.
+        r_b = np.array([0.0, 0.0, -0.3])
+        fp = FixedPointConstraint(r_b)
+        omega = np.array([0.1, 0.0, 0.5])
+        vel = np.array([0.2, -0.1, 0.0])
+        nu = Twist(omega, vel)
+        con = AccelConstraint(fixed_point_rows(fp), fixed_point_offset_fn(fp)(nu.flat))
+        c_v = vel + np.cross(omega, r_b)
+        assert np.max(np.abs(c_v)) > 0.1
+        assert np.allclose(con.b, -np.cross(omega, c_v), rtol=0.0, atol=1e-15)
+
 
 class TestSteadyPrecession:
     def test_roots_satisfy_quadratic(self):
@@ -215,6 +227,25 @@ class TestHeavyTopTrajectories:
         sc = self._pinned_scenario()
         samples = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 5.0, sample_every=10)
         assert max(self._pin_speed(samples, sc.constraint.r_b)) <= 1e-6
+
+    def test_off_manifold_start_moves_the_pin_at_constant_velocity(self):
+        # With no drift feedback, A nu_dot = b holds the pin's spatial acceleration at zero: a start with
+        # c_v != 0 keeps its pin velocity R c_v, and the pin moves from the anchor in a straight line.
+        import dataclasses
+
+        from unirigid.integrate import Formulation, IntegratorId, pin_anchor, simulate
+
+        sc = self._pinned_scenario()
+        tw = sc.initial_twist
+        sc = dataclasses.replace(sc, initial_twist=Twist(tw.omega, tw.vel + np.array([0.05, -0.02, 0.03])))
+        r_b, anchor, tw = sc.constraint.r_b, pin_anchor(sc), sc.initial_twist
+        v_pin = sc.initial_pose.rotation.m @ (tw.vel + np.cross(tw.omega, r_b))
+        assert np.linalg.norm(v_pin) > 0.05
+        samples = simulate(sc, Formulation.GAUSS, IntegratorId.LIE_RK4, 1e-3, 2.0, sample_every=10)
+        for s in samples:
+            r = s.pose.rotation.m
+            assert np.linalg.norm(r @ (s.nu.vel + np.cross(s.nu.omega, r_b)) - v_pin) <= 1e-9
+            assert np.linalg.norm(s.pose.position + r @ r_b - anchor - s.t * v_pin) <= 1e-9
 
     def test_gauss_route_matches_reduced_lagrange_route(self):
         from helpers import reduced_heavy_top_rotations

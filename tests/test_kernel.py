@@ -510,6 +510,23 @@ def test_pinned_rhs_keeps_the_sign_of_zero():
             assert hexes(flat(0.0, r, x, nu)) == hexes(layered(0.0, r, x, nu)), (f, nu)
 
 
+def test_pinned_rhs_does_not_read_the_initial_pose():
+    # The offset has no anchor: two runs of one body and pin from different initial poses and twists share
+    # their stage function bit for bit.
+    pin = FixedPointConstraint(np.array([0.05, -0.1, -0.3]))
+    common = dict(mass=1.2, j=np.diag([0.4, 0.5, 0.3]), com=[0.02, 0.01, 0.0], gravity=[0.0, 0.0, -9.81],
+                  constraint=pin, formulation=Formulation.GAUSS)
+    at_rest = make_scenario("pin", omega=np.zeros(3), **common)
+    moved = make_scenario("pin", omega=[0.3, 0.4, 8.0], vel=[0.1, 0.2, -0.3],
+                          pose=Pose(euler_to_rotation((0.4, 0.7, -0.2)), np.array([1.0, -2.0, 0.5])), **common)
+    (_, rhs_a), (_, rhs_b) = make_rhs(Formulation.GAUSS, at_rest), make_rhs(Formulation.GAUSS, moved)
+    for angles, x, nu in [((0.0, 0.0, 0.0), (0.0, 0.0, 0.0), (0.0,) * 6),
+                          ((0.3, -0.5, 1.1), (0.2, 0.7, -0.4), (0.5, -1.0, 3.0, 0.2, 0.1, -0.6)),
+                          ((1.2, 0.9, -2.0), (-3.0, 1.0, 2.0), (-2.0, 0.4, 0.1, 1.5, -0.3, 0.8))]:
+        r = euler_matrix(*angles)
+        assert hexes(rhs_a(0.5, r, x, nu)) == hexes(rhs_b(0.5, r, x, nu))
+
+
 def test_euler_transport_keeps_the_sign_of_zero():
     # The products with E's zero entries (0.0 * u3 in omega_1; 0.0 * u2 + 0.0 * u3 in E_dot u) decide
     # only the sign of an exactly zero output, which no drawn state reaches.  A body acceleration of -0.0
