@@ -160,6 +160,10 @@ def conservation_drifts(scenario: Scenario, samples) -> Tuple[float, float]:
     if gravity.any():
         l = (l @ (gravity / np.linalg.norm(gravity)))[:, None]
     e_drift = float(np.max(np.abs(e - e[0]))) / max(abs(e[0]), e_floor)
+    if abs(e[0]) <= e_floor:  # a start at zero energy: relative to the run's largest kinetic energy, when not 0
+        nu, energy = rows[:, COL_NU], rows[:, COL_ENERGY]
+        kinetic = 0.5 * float(np.max(np.einsum("ni,ij,nj->n", nu, scenario.inertia.m6, nu)))
+        e_drift = float(np.max(np.abs(energy - energy[0]))) / kinetic if kinetic > 0.0 else e_drift
     l_drift = float(np.max(np.linalg.norm(l - l[0], axis=1))) / max(float(np.linalg.norm(l[0])), l_floor)
     return e_drift, l_drift
 

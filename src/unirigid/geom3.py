@@ -346,31 +346,32 @@ def quaternion_to_rotation(q) -> Rotation:
                      2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)))
 
 
-def quaternion_from_matrix(m) -> tuple:
-    """Unit quaternion (w, x, y, z) with w >= 0 of a row-major 9-sequence, via Shepperd's method.
+def quaternion_from_matrix(m) -> np.ndarray:
+    """Unit quaternions (w, x, y, z), w >= 0, of row-major rotations, (..., 9) -> (..., 4), by Shepperd's method.
 
-    Float arithmetic throughout; the norm is summed left to right, so the bits
-    do not depend on the BLAS build.
+    Each branch runs on its own rows alone, so no square root sees a negative radicand, and does a row's float
+    operations in the order of the one-row formula; the norm is summed left to right, so the bits do not depend
+    on the BLAS build or on the other rows.
     """
-    a, b, c, d, e, f, g, h, i = m
-    t = a + e + i
-    if t > 0.0:
-        s = math.sqrt(t + 1.0) * 2.0
-        q = (0.25 * s, (h - f) / s, (c - g) / s, (d - b) / s)
-    elif a >= e and a >= i:
-        s = math.sqrt(1.0 + a - e - i) * 2.0
-        q = ((h - f) / s, 0.25 * s, (b + d) / s, (c + g) / s)
-    elif e >= i:
-        s = math.sqrt(1.0 + e - a - i) * 2.0
-        q = ((c - g) / s, (b + d) / s, 0.25 * s, (f + h) / s)
-    else:
-        s = math.sqrt(1.0 + i - a - e) * 2.0
-        q = ((d - b) / s, (c + g) / s, (f + h) / s, 0.25 * s)
-    w, x, y, z = (-q[0], -q[1], -q[2], -q[3]) if q[0] < 0.0 else q
-    n = math.sqrt(w * w + x * x + y * y + z * z)
-    return w / n, x / n, y / n, z / n
+    m = np.asarray(m, dtype=float)
+    flat = m.reshape(-1, 9)
+    a, e, i = flat[:, 0], flat[:, 4], flat[:, 8]
+    trace = a + e + i > 0.0
+    big_x = ~trace & (a >= e) & (a >= i)
+    big_y = ~trace & ~big_x & (e >= i)
+    q = np.empty((len(flat), 4))
+    for j, rows in enumerate((trace, big_x, big_y, ~(trace | big_x | big_y))):
+        if not rows.any():
+            continue
+        a, b, c, d, e, f, g, h, i = flat[rows].T
+        s = np.sqrt((a + e + i + 1.0, 1.0 + a - e - i, 1.0 + e - a - i, 1.0 + i - a - e)[j]) * 2.0
+        over = {(0, 1): h - f, (0, 2): c - g, (0, 3): d - b, (1, 2): b + d, (1, 3): c + g, (2, 3): f + h}
+        q[rows] = np.stack([0.25 * s if k == j else over[min(j, k), max(j, k)] / s for k in range(4)], axis=1)
+    q[q[:, 0] < 0.0] *= -1.0
+    n = np.sqrt(q[:, 0] * q[:, 0] + q[:, 1] * q[:, 1] + q[:, 2] * q[:, 2] + q[:, 3] * q[:, 3])
+    return (q / n[:, None]).reshape(m.shape[:-1] + (4,))
 
 
 def rotation_to_quaternion(r: Rotation) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0 as an array; see quaternion_from_matrix."""
-    return np.array(quaternion_from_matrix(r.flat))
+    """Unit quaternion (w, x, y, z) with w >= 0; see quaternion_from_matrix."""
+    return quaternion_from_matrix(r.flat)

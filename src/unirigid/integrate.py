@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import operator
+from collections.abc import Sequence
 from enum import Enum
 from functools import cached_property
 from typing import Callable
@@ -53,7 +55,7 @@ RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
 # Longest run simulate accepts: about 7 minutes at 41 us per step (perfbench compare-euler-top, reference
 # seconds); one sampling every step stops at MAX_SAMPLES, about 1.3 minutes at 77 us per step (pinned-csv).
 MAX_STEPS = 10_000_000
-# Most rows a run records: about 1.8 GB with its CSV (432 B held per row, 1,390 B more while writing; tracemalloc).
+# Most rows a run records: about 232 MB (232 B held per row); writing its CSV adds about 2.5 MB (tracemalloc).
 MAX_SAMPLES = 1_000_000
 
 # An Euler stage failing the gimbal rule after moving theta over this (rad) from its base jumped the singularity.
@@ -130,17 +132,24 @@ class TrajectorySample:
         return Pose(Rotation(tuple(r[COL_R])), tuple(r[COL_X]))
 
 
-class Trajectory(tuple):
-    """The samples of one run: a TrajectorySample per row of one read-only float array ``rows`` (columns COL_*)."""
+class Trajectory(Sequence):
+    """The samples of one run: one read-only float array ``rows`` (columns COL_*), whose TrajectorySample views
+    are built on read.  A slice is the Trajectory of its rows."""
 
-    def __new__(cls, rows: np.ndarray):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: np.ndarray):
         rows.setflags(write=False)
-        self = super().__new__(cls, map(TrajectorySample, rows))
         self.rows = rows
-        return self
 
-    def __getnewargs__(self):  # copy and pickle rebuild the samples from the rows
-        return (self.rows,)
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, k):
+        return Trajectory(self.rows[k]) if isinstance(k, slice) else TrajectorySample(self.rows[operator.index(k)])
+
+    def __reduce__(self):  # copy, deepcopy and pickle rebuild from the rows, which __init__ makes read-only again
+        return Trajectory, (self.rows,)
 
 
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):

@@ -4,9 +4,12 @@ import argparse
 import contextlib
 import errno
 import functools
+import gc
 import io
 import json
 import math
+import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,9 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from unirigid.cli import CSV_HEADER, CSV_ROW, build_parser, main
+from unirigid.cli import CSV_HEADER, CSV_ROW, build_parser, main, samples_to_csv
 from unirigid.geom3 import rotation_to_quaternion
-from unirigid.integrate import MAX_SAMPLES, simulate
+from unirigid.integrate import MAX_SAMPLES, Formulation, IntegratorId, simulate
 from unirigid.scenario import load_scenario
 
 GIMBAL_SCENARIO = {
@@ -67,6 +70,14 @@ FAST_SCENARIO = {
     "inertia": {"mass": 1.0, "inertia": [1.0, 2.0, 2.5]},
     "initial": {"vel": [1e160, 0.0, 0.0]},
     "run": {"t_end": 0.05},
+}
+
+# Released at rest at the origin under gravity: the energy at t = 0 is exactly 0.
+ZERO_ENERGY_SCENARIO = {
+    "name": "zero-energy",
+    "inertia": {"mass": 1.0, "inertia": [1.0, 2.0, 2.5]},
+    "forces": {"gravity": [0.0, 0.0, -9.81]},
+    "run": {"t_end": 0.01},
 }
 
 # A body 1e160 m from the space origin: L is finite, its squared norm overflows float range.
@@ -126,6 +137,22 @@ class TestSimulateCommand:
         assert len(rows) == len(samples)
         for row, s in zip(rows, samples):
             assert [float(v) for v in row[1:5]] == rotation_to_quaternion(s.pose.rotation).tolist()
+
+    def test_writing_the_csv_raises_the_peak_by_at_most_5_mb(self):
+        # The CSV is streamed a block of rows at a time: written whole, 60,001 rows raised the peak by 83.5 MB.
+        sc = load_scenario("euler-top")
+        traj = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_EULER, 1e-3, 60.0)
+        for rows in (20_001, 60_001):
+            with open(os.devnull, "w") as out:
+                gc.collect()
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    samples_to_csv(traj[:rows], out)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+            assert peak <= 5e6, (rows, peak)
 
     def test_gimbal_lock_exits_2_with_time(self, tmp_path, capsys):
         path = write_scenario(tmp_path, GIMBAL_SCENARIO)
@@ -194,6 +221,12 @@ class TestSimulateCommand:
         drift = np.max(np.linalg.norm(l - l[0], axis=1)) / np.linalg.norm(l[0])
         assert printed == f"{drift:.6e}"
 
+    def test_zero_energy_start_drifts_relative_to_the_kinetic_energy(self, tmp_path, capsys):
+        # Divided by the floor 1e-30, a 1e-18 J rounding error read as a drift near 1e12.
+        path = write_scenario(tmp_path, ZERO_ENERGY_SCENARIO)
+        assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "z.csv")]) == 0
+        assert float(capsys.readouterr().out.split("energy_drift=")[1].split()[0]) <= 1e-12
+
     def test_blowup_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, BLOWUP_SCENARIO)
         with warnings.catch_warnings(record=True) as caught:
@@ -246,12 +279,18 @@ class TestSimulateCommand:
     def test_write_failure_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "o.csv"
 
-        def partial_write(path, text):
-            with open(path, "w") as f:
-                f.write(text[:10])
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+        def full_disk_open(path, mode="r", *args, open_=Path.open, **kwargs):
+            f = open_(path, mode, *args, **kwargs)
+            if mode == "w":  # the streamed CSV: its first write lands 10 characters, then the disk is full
 
-        monkeypatch.setattr(Path, "write_text", partial_write)
+                def partial_write(text, write=f.write):
+                    write(text[:10])
+                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+                f.write = partial_write
+            return f
+
+        monkeypatch.setattr(Path, "open", full_disk_open)
         assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", str(out)]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: output: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]

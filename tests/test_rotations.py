@@ -347,6 +347,50 @@ def test_quaternion_matches_numpy_reference(axis, angle):
     assert rotation_to_quaternion(r).tolist() == list(q)
 
 
+def one_row_shepperd(m) -> tuple:
+    """Shepperd's method on the 9 Python floats of one row-major rotation, in the float operations, and their order,
+    that quaternion_from_matrix does on each row."""
+    a, b, c, d, e, f, g, h, i = m
+    t = a + e + i
+    if t > 0.0:
+        s = math.sqrt(t + 1.0) * 2.0
+        q = (0.25 * s, (h - f) / s, (c - g) / s, (d - b) / s)
+    elif a >= e and a >= i:
+        s = math.sqrt(1.0 + a - e - i) * 2.0
+        q = ((h - f) / s, 0.25 * s, (b + d) / s, (c + g) / s)
+    elif e >= i:
+        s = math.sqrt(1.0 + e - a - i) * 2.0
+        q = ((c - g) / s, (b + d) / s, 0.25 * s, (f + h) / s)
+    else:
+        s = math.sqrt(1.0 + i - a - e) * 2.0
+        q = ((d - b) / s, (c + g) / s, (f + h) / s, 0.25 * s)
+    w, x, y, z = (-q[0], -q[1], -q[2], -q[3]) if q[0] < 0.0 else q
+    n = math.sqrt(w * w + x * x + y * y + z * z)
+    return w / n, x / n, y / n, z / n
+
+
+def test_quaternion_of_a_stack_is_its_rows_quaternions_bit_for_bit():
+    # Rotations at Shepperd's branch edges: trace 0 (2 pi / 3), near and at pi about each axis and about
+    # diagonals, where two diagonal entries tie; every branch gets rows, and no square root sees a negative.
+    axes = [*np.eye(3), *-np.eye(3), (1.0, 1.0, 0.0), (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 1.0),
+            (1.0, -1.0, 1e-9), (0.3, -0.2, 0.5)]
+    angles = [0.0, 1e-9, 2.0 * math.pi / 3.0, 2.0 * math.pi / 3.0 + 1e-12, math.pi / 2.0, NEAR_PI,
+              math.pi - 1e-15, math.pi]
+    rng = np.random.default_rng(29)  # and past trace 0, where the three diagonal branches run, at random
+    stack = np.array([exp_so3(np.array(a) / np.linalg.norm(a) * t).flat for a in axes for t in angles]
+                     + [random_rotation(rng, math.pi).flat for _ in range(400)])
+    a, e, i = stack[:, 0], stack[:, 4], stack[:, 8]
+    trace = a + e + i > 0.0
+    assert trace.any() and (~trace & (a >= e) & (a >= i)).any() and (~trace & (e > a) & (e >= i)).any()
+    assert (~trace & (i > a) & (i > e)).any()
+    q = quaternion_from_matrix(stack)
+    assert q.shape == (len(stack), 4)
+    assert quaternion_from_matrix(stack.reshape(-1, 2, 9)).shape == (len(stack) // 2, 2, 4)
+    for k, m in enumerate(stack):
+        one_row = np.array(one_row_shepperd(m.tolist())).tobytes()
+        assert q[k].tobytes() == quaternion_from_matrix(m).tobytes() == one_row, k
+
+
 class TestRotationInvariants:
     def test_construction_rejects_non_orthogonal(self):
         with pytest.raises(ValueError):

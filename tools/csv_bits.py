@@ -12,6 +12,9 @@ working directory:
   euler-top and dzhanibekov;
 * ``simulate --scenario dzhanibekov --sample-every 7``, whose final row
   falls off the stride;
+* ``simulate --scenario dzhanibekov --t-end 9.001 --sample-every 1``: 9,002
+  rows, which cross the CSV writer's block seams (blocks of 2,048 rows) four
+  times and end in a partial block;
 * ``simulate --scenario euler-top --integrator lie-euler`` with kirchhoff
   and lagrange: lie-euler's one retraction forms the step's end rotation;
 * ``compare --scenario euler-top`` over those three formulations;
@@ -36,6 +39,8 @@ working directory:
   names the field ``forces.builtin`` that no block reads (exit 1), and
   newton-euler on ``FAST_BODY``, whose kinetic energy overflows float range
   at t = 0 (exit 2), each written to a temporary file like ``OFFSET_BODY``.
+  An aborted ``simulate`` writes no CSV; that the file is absent is compared
+  too.
 
 Prints "identical" when every CSV, printed line and exit code matches.
 Otherwise it prints, per run that differs, the largest absolute change and
@@ -105,6 +110,10 @@ def runs(src: Path, offset_body: Path, pinned_body: Path, gimbal_body: Path, dam
     # 20,000 steps do not divide by 7: the last row is the final step, off the stride.
     out.append(("simulate dzhanibekov --sample-every 7",
                 ["simulate", "--scenario", "dzhanibekov", "--sample-every", "7", "--output", "out.csv"]))
+    # 9,001 steps, each sampled: 9,002 rows, not a whole number of the CSV writer's blocks.
+    out.append(("simulate dzhanibekov --t-end 9.001 --sample-every 1",
+                ["simulate", "--scenario", "dzhanibekov", "--t-end", "9.001", "--sample-every", "1",
+                 "--output", "out.csv"]))
     out += [(f"simulate euler-top --formulation {f} --integrator lie-euler",
              ["simulate", "--scenario", "euler-top", "--formulation", f, "--integrator", "lie-euler",
               "--output", "out.csv"]) for f in ("kirchhoff", "lagrange")]
