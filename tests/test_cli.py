@@ -139,7 +139,7 @@ class TestSimulateCommand:
             assert [float(v) for v in row[1:5]] == rotation_to_quaternion(s.pose.rotation).tolist()
 
     def test_writing_the_csv_raises_the_peak_by_at_most_5_mb(self):
-        # The CSV is streamed a block of rows at a time: written whole, 60,001 rows raised the peak by 83.5 MB.
+        # The CSV is streamed a block of rows at a time, so what writing it adds does not grow with the rows.
         sc = load_scenario("euler-top")
         traj = simulate(sc, Formulation.KIRCHHOFF, IntegratorId.LIE_EULER, 1e-3, 60.0)
         for rows in (20_001, 60_001):
@@ -222,7 +222,7 @@ class TestSimulateCommand:
         assert printed == f"{drift:.6e}"
 
     def test_zero_energy_start_drifts_relative_to_the_kinetic_energy(self, tmp_path, capsys):
-        # Divided by the floor 1e-30, a 1e-18 J rounding error read as a drift near 1e12.
+        # Divided by the 1e-30 floor, a 1e-18 J rounding error would read as a drift near 1e12.
         path = write_scenario(tmp_path, ZERO_ENERGY_SCENARIO)
         assert main(["simulate", "--scenario", path, "--output", str(tmp_path / "z.csv")]) == 0
         assert float(capsys.readouterr().out.split("energy_drift=")[1].split()[0]) <= 1e-12
