@@ -194,42 +194,38 @@ def chart_eval(chart: ChartId, pose: Pose, u) -> ChartEval:
     return ChartEval(phi=phi, phi_dot=_phi_dot(chart, pose, u, phi))
 
 
-def _body_to_body(g, r, x, u):
-    return u[:3], u[3:]
-
-
-def _body_from_body(g, r, x, omega, v):
-    return (*omega, *v)
+def _body_map(g, r, x, v):
+    return v
 
 
 def _spatial_to_body(g, r, x, u):
     # Ad(q)^-1 (omega_s, v_s) = (R^T omega_s, R^T (v_s - x cross omega_s)).
     omega_s = u[:3]
     xw = cross(x, omega_s)
-    return mat3t_vec(r, omega_s), mat3t_vec(r, (u[3] - xw[0], u[4] - xw[1], u[5] - xw[2]))
+    return (*mat3t_vec(r, omega_s), *mat3t_vec(r, (u[3] - xw[0], u[4] - xw[1], u[5] - xw[2])))
 
 
-def _spatial_from_body(g, r, x, omega, v):
+def _spatial_from_body(g, r, x, nu):
     # Ad(q) (omega, v) = (R omega, x cross R omega + R v).
-    omega_s = mat3_vec(r, omega)
-    xw, rv = cross(x, omega_s), mat3_vec(r, v)
+    omega_s = mat3_vec(r, nu[:3])
+    xw, rv = cross(x, omega_s), mat3_vec(r, nu[3:])
     return (*omega_s, xw[0] + rv[0], xw[1] + rv[1], xw[2] + rv[2])
 
 
 def _euler_to_body(g, r, x, u):
-    return mat3_vec(euler_rate_matrix(g[1], g[2]), u[:3]), mat3t_vec(r, u[3:])
+    return (*mat3_vec(euler_rate_matrix(g[1], g[2]), u[:3]), *mat3t_vec(r, u[3:]))
 
 
-def _euler_from_body(g, r, x, omega, v):
-    return (*euler_rates(g[1], g[2], omega), *mat3_vec(r, v))
+def _euler_from_body(g, r, x, nu):
+    return (*euler_rates(g[1], g[2], nu[:3]), *mat3_vec(r, nu[3:]))
 
 
 # Per chart, nu = Phi u and u = Phi^-1 nu in closed form on the blocks of Phi, on
-# floats: to_body(g, r, x, u) -> (omega, v) and from_body(g, r, x, omega, v) -> u,
-# with g the stage configuration of stage_state, r the rotation as a row-major
-# 9-tuple and x the position.
+# float 6-tuples: to_body(g, r, x, u) -> nu and from_body(g, r, x, nu) -> u, with g
+# the stage configuration of stage_state, r the rotation as a row-major 9-tuple and
+# x the position.  The body chart's maps (Phi = I) return their argument.
 CHART_MAPS = {
-    ChartId.BODY_TWIST: (_body_to_body, _body_from_body),
+    ChartId.BODY_TWIST: (_body_map, _body_map),
     ChartId.SPATIAL_TWIST: (_spatial_to_body, _spatial_from_body),
     ChartId.EULER_COM: (_euler_to_body, _euler_from_body),
 }
@@ -238,13 +234,14 @@ CHART_MAPS = {
 def body_twist(chart: ChartId, state: ChartState) -> Twist:
     """nu = Phi(q) u."""
     g, x, u = stage_state(chart, state)
-    return Twist(*CHART_MAPS[chart][0](g, state.pose.rotation.flat, x, u))
+    nu = CHART_MAPS[chart][0](g, state.pose.rotation.flat, x, u)
+    return Twist(nu[:3], nu[3:])
 
 
 def chart_from_body_twist(chart: ChartId, pose: Pose, nu: Twist) -> np.ndarray:
     """u = Phi(q)^-1 nu; the common entry point for starting any formulation."""
     g, r, x = _configuration(chart, pose), pose.rotation.flat, pose.flat
-    return np.array(CHART_MAPS[chart][1](g, r, x, nu.flat[:3], nu.flat[3:]))
+    return np.array(CHART_MAPS[chart][1](g, r, x, nu.flat))
 
 
 def _dexpinv(half: float, u, sigma) -> tuple:

@@ -109,7 +109,8 @@ def cmd_simulate(args) -> int:
     except OSError as err:
         if created:
             out.unlink(missing_ok=True)
-        raise ScenarioValidationError("output", str(err)) from err
+        # A failed write's OSError names no file; name it as a failed open does.
+        raise ScenarioValidationError("output", f"{err}: {str(out)!r}" if err.filename is None else str(err)) from err
     e_drift, l_drift = conservation_drifts(scenario, samples)
     print(
         f"t_end={samples[-1].t:.6g} energy_drift={e_drift:.6e} momentum_drift={l_drift:.6e} "

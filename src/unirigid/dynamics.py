@@ -47,7 +47,7 @@ from .charts import _ZERO3, CHART_MAPS, ChartId, Twist
 from .charts import euler_rate_matrix  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import NonFiniteStateError, NotPositiveDefiniteError
 from .geom3 import _EYE9, _as_vec3, _float_tuple, _readonly, check_rotation, cross
-from .geom3 import gimbal_guard, hat, mat3_vec, matvec
+from .geom3 import gimbal_guard, hat, mat3_vec
 
 # Symmetry / triangle-inequality slack for inertia validation.
 INERTIA_TOL = 1e-12
@@ -162,28 +162,39 @@ def assemble_inertia(si: SpatialInertia) -> np.ndarray:
     return m
 
 
-def conserved6(m6, mass, c, gravity, r, x, nu6) -> "tuple[float, float, tuple]":
-    """Float (kinetic energy, gravitational potential, angular momentum about the space origin).
+def conserved_fn(si: SpatialInertia, gravity) -> Callable:
+    """Float ``conserved(r, x, nu6)``: (kinetic energy, gravitational potential, angular momentum about the origin).
 
     T = 1/2 nu^T M nu,  V = -m g . (x + R c),  L = R pi + x cross (R p)
     with (pi, p) = M nu, for the body twist nu6 at the row-major rotation r
-    and position x; M is a tuple of rows, and every sum runs left to right.
+    and position x; M's 36 entries, c and g are bound as floats once, and every sum runs left to right.
     """
-    mom6 = matvec(m6, nu6)
-    n1, n2, n3, n4, n5, n6 = nu6
-    a1, a2, a3, p1, p2, p3 = mom6
-    (x1, x2, x3), (g1, g2, g3), (rc1, rc2, rc3) = x, gravity, mat3_vec(r, c)
-    l1, l2, l3 = mat3_vec(r, (a1, a2, a3))
-    xp1, xp2, xp3 = cross(x, mat3_vec(r, (p1, p2, p3)))
-    return (
-        0.5 * (n1 * a1 + n2 * a2 + n3 * a3 + n4 * p1 + n5 * p2 + n6 * p3),
-        -mass * (g1 * (x1 + rc1) + g2 * (x2 + rc2) + g3 * (x3 + rc3)),
-        (l1 + xp1, l2 + xp2, l3 + xp3),
-    )
+    m11, m12, m13, m14, m15, m16, m21, m22, m23, m24, m25, m26, m31, m32, m33, m34, m35, m36, m41, \
+        m42, m43, m44, m45, m46, m51, m52, m53, m54, m55, m56, m61, m62, m63, m64, m65, m66 = si.m6.ravel().tolist()
+    mass, c, (g1, g2, g3) = si.mass, si.c.tolist(), map(float, gravity)
+
+    def conserved(r, x, nu6):
+        n1, n2, n3, n4, n5, n6 = nu6
+        a1 = m11 * n1 + m12 * n2 + m13 * n3 + m14 * n4 + m15 * n5 + m16 * n6
+        a2 = m21 * n1 + m22 * n2 + m23 * n3 + m24 * n4 + m25 * n5 + m26 * n6
+        a3 = m31 * n1 + m32 * n2 + m33 * n3 + m34 * n4 + m35 * n5 + m36 * n6
+        p1 = m41 * n1 + m42 * n2 + m43 * n3 + m44 * n4 + m45 * n5 + m46 * n6
+        p2 = m51 * n1 + m52 * n2 + m53 * n3 + m54 * n4 + m55 * n5 + m56 * n6
+        p3 = m61 * n1 + m62 * n2 + m63 * n3 + m64 * n4 + m65 * n5 + m66 * n6
+        (x1, x2, x3), (rc1, rc2, rc3) = x, mat3_vec(r, c)
+        l1, l2, l3 = mat3_vec(r, (a1, a2, a3))
+        xp1, xp2, xp3 = cross(x, mat3_vec(r, (p1, p2, p3)))
+        return (
+            0.5 * (n1 * a1 + n2 * a2 + n3 * a3 + n4 * p1 + n5 * p2 + n6 * p3),
+            -mass * (g1 * (x1 + rc1) + g2 * (x2 + rc2) + g3 * (x3 + rc3)),
+            (l1 + xp1, l2 + xp2, l3 + xp3),
+        )
+
+    return conserved
 
 
 def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
-    """Float Kirchhoff acceleration ``accel(t, r, x, nu6)`` under ``forces``: M nu_dot = w - bias(nu) about the origin.
+    """Float Kirchhoff acceleration ``accel(r, x, nu6)`` under ``forces``: M nu_dot = w - bias(nu) about the origin.
 
     The momenta are (pi, p) = (J omega + m c x v, m v - m c x omega) and bias(nu) = (omega x pi + v x p, omega x p).
     M^-1 is applied by block elimination: alpha = J_G^-1 (e_ang - c x e_lin), a_lin = e_lin / m + c x alpha, with
@@ -195,7 +206,7 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
     k1, k2, k3 = mass * c1, mass * c2, mass * c3
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
-    def accel(t, r, x, nu6):
+    def accel(r, x, nu6):
         r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
         g1, g2, g3 = r1 * gx + r4 * gy + r7 * gz, r2 * gx + r5 * gy + r8 * gz, r3 * gx + r6 * gy + r9 * gz
         e1, e2, e3 = mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3
@@ -221,11 +232,11 @@ def kirchhoff_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
 def kirchhoff_rhs(si: SpatialInertia, nu: Twist, w: Wrench) -> np.ndarray:
     """Body-twist acceleration from M nu_dot = (tau - omega x pi - v x p, f - omega x p)."""
     accel = kirchhoff_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
-    return np.array(accel(0.0, _EYE9, _ZERO3, nu.flat))
+    return np.array(accel(_EYE9, _ZERO3, nu.flat))
 
 
 def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
-    """Float Newton-Euler acceleration ``accel(t, r, x, nu6)`` under ``forces``, from the balance about the CoM.
+    """Float Newton-Euler acceleration ``accel(r, x, nu6)`` under ``forces``, from the balance about the CoM.
 
     The quasi-velocities (omega, v_G), with v_G = v + omega x c the CoM velocity in body axes, give the
     block-diagonal mass diag(J_G, m I), J_G = J + m hat(c)^2.  So omega_dot = J_G^-1 (tau_G - omega x J_G omega)
@@ -240,7 +251,7 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
     t1, t2, t3 = t1 - (c2 * f3 - c3 * f2), t2 - (c3 * f1 - c1 * f3), t3 - (c1 * f2 - c2 * f1)
 
-    def accel(t, r, x, nu6):
+    def accel(r, x, nu6):
         r1, r2, r3, r4, r5, r6, r7, r8, r9 = r
         g1, g2, g3 = r1 * gx + r4 * gy + r7 * gz, r2 * gx + r5 * gy + r8 * gz, r3 * gx + r6 * gy + r9 * gz
         e1, e2, e3, e4, e5, e6 = t1, t2, t3, mass * g1 + f1, mass * g2 + f2, mass * g3 + f3
@@ -258,30 +269,28 @@ def newton_euler_accel_fn(si: SpatialInertia, forces: ForceModel) -> Callable:
 
 
 def chart_rhs_fn(chart: ChartId, accel):
-    """Chart-velocity right-hand side ``rhs(t, g, x, u) -> u_dot`` on float stage states.
+    """Chart-velocity right-hand side ``rhs(g, x, u) -> u_dot`` on float stage states.
 
-    ``accel(t, r, x, nu)`` is the body-twist acceleration nu_dot at rotation
+    ``accel(r, x, nu)`` is the body-twist acceleration nu_dot at rotation
     r (a row-major 9-tuple) and position x.  With Phi invertible, the unified
     equation times Phi^-T is M (Phi u_dot + Phi_dot u) = F - bias(nu): the
     body solve, read through the chart's closed-form maps (charts.CHART_MAPS)
     as u_dot = Phi^-1 (nu_dot - Phi_dot u).  On the body-twist chart (Phi = I)
-    that is accel itself, returned as it is.  Every map returns a 6-tuple.  The
-    Euler chart's maps and E_dot (charts._euler_rate_matrix_dot) are written out here.
+    that is accel itself, returned as it is; the spatial chart composes its maps around accel.  The Euler
+    chart's maps and E_dot (charts._euler_rate_matrix_dot) are written out here.
     """
     if chart is ChartId.BODY_TWIST:
         return accel
     if chart is ChartId.SPATIAL_TWIST:
         to_body, from_body = CHART_MAPS[chart]
 
-        def rhs(t, r, x, u):
+        def rhs(r, x, u):
             # Phi_dot u = -ad_nu nu = 0, so u_dot = Phi^-1 nu_dot.
-            omega, v = to_body(r, r, x, u)
-            nu_dot = accel(t, r, x, (*omega, *v))
-            return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
+            return from_body(r, r, x, accel(r, x, to_body(r, r, x, u)))
 
     else:
 
-        def rhs(t, g, x, u):
+        def rhs(g, x, u):
             (phi, theta, psi), (u1, u2, u3, u4, u5, u6) = g, u
             if not math.isfinite(phi + theta + psi):
                 raise NonFiniteStateError("Euler angles are not finite")
@@ -296,7 +305,7 @@ def chart_rhs_fn(chart: ChartId, accel):
             w1, w2, w3 = (st * sp * u1 + cp * u2 + 0.0 * u3, st * cp * u1 + -sp * u2 + 0.0 * u3,
                           ct * u1 + 0.0 * u2 + 1.0 * u3)
             v1, v2, v3 = r1 * u4 + r4 * u5 + r7 * u6, r2 * u4 + r5 * u5 + r8 * u6, r3 * u4 + r6 * u5 + r9 * u6
-            n1, n2, n3, n4, n5, n6 = accel(t, r, x, (w1, w2, w3, v1, v2, v3))
+            n1, n2, n3, n4, n5, n6 = accel(r, x, (w1, w2, w3, v1, v2, v3))
             # a = nu_dot - Phi_dot u, with Phi_dot u = (E_dot u_ang, -omega x v).
             a1 = n1 - ((ct * sp * u2 + st * cp * u3) * u1 + -sp * u3 * u2 + 0.0 * u3)
             a2 = n2 - ((ct * cp * u2 - st * sp * u3) * u1 + -cp * u3 * u2 + 0.0 * u3)

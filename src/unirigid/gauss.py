@@ -123,9 +123,9 @@ def fixed_point_rows(fp: FixedPointConstraint) -> np.ndarray:
 
 
 def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint):
-    """Body-chart stage function ``rhs(t, r, x, nu6)`` of the point ``pin`` holds still in space.
+    """Body-chart stage function ``rhs(r, x, nu6)`` of the point ``pin`` holds still in space.
 
-    free_accel(t, r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The offset b and the solve
+    free_accel(r, x, nu6) is the unconstrained acceleration and m6_inv = M^-1.  The offset b and the solve
     of constrained_accel6 are written out, with A, S^-1, M^-1 A^T and r_b bound as floats once; every sum runs
     left to right, as in the layered form, so the result is the same to the bit.
     """
@@ -136,8 +136,8 @@ def fixed_point_rhs_fn(free_accel, m6_inv: np.ndarray, pin: FixedPointConstraint
     (q11, q12, q13), (q21, q22, q23), (q31, q32, q33), (q41, q42, q43), (q51, q52, q53), (q61, q62, q63) = m_inv_at
     b1, b2, b3 = pin.r_b.tolist()
 
-    def rhs(t, r, x, nu6):
-        f1, f2, f3, f4, f5, f6 = free_accel(t, r, x, nu6)
+    def rhs(r, x, nu6):
+        f1, f2, f3, f4, f5, f6 = free_accel(r, x, nu6)
         # Zero spatial pin acceleration: b = -omega x c_v, c_v = v + omega x r_b.
         w1, w2, w3, v1, v2, v3 = nu6
         c1, c2, c3 = v1 + (w2 * b3 - w3 * b2), v2 + (w3 * b1 - w1 * b3), v3 + (w1 * b2 - w2 * b1)

@@ -91,20 +91,7 @@ def mat3_mul(m, n) -> tuple:
 
 def matvec(rows, v) -> tuple:
     """rows @ v for a tuple of rows, each summed left to right from its first product."""
-    if len(rows) != 6 or len(v) != 6:
-        return tuple([reduce(operator.add, map(operator.mul, row, v)) for row in rows])
-    # Written out: conserved6 forms M nu once per sample, where the loop would cost ~4x per call (~2% of a step).
-    v0, v1, v2, v3, v4, v5 = v
-    (a0, a1, a2, a3, a4, a5), (b0, b1, b2, b3, b4, b5), (c0, c1, c2, c3, c4, c5), \
-        (d0, d1, d2, d3, d4, d5), (e0, e1, e2, e3, e4, e5), (f0, f1, f2, f3, f4, f5) = rows
-    return (
-        a0 * v0 + a1 * v1 + a2 * v2 + a3 * v3 + a4 * v4 + a5 * v5,
-        b0 * v0 + b1 * v1 + b2 * v2 + b3 * v3 + b4 * v4 + b5 * v5,
-        c0 * v0 + c1 * v1 + c2 * v2 + c3 * v3 + c4 * v4 + c5 * v5,
-        d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3 + d4 * v4 + d5 * v5,
-        e0 * v0 + e1 * v1 + e2 * v2 + e3 * v3 + e4 * v4 + e5 * v5,
-        f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3 + f4 * v4 + f5 * v5,
-    )
+    return tuple([reduce(operator.add, map(operator.mul, row, v)) for row in rows])
 
 
 def as_rows(a) -> tuple:

@@ -4,7 +4,7 @@ One kernel, ``_rk_step``, advances every integrator on every chart over the
 float ``(g, x, u)`` tuples of ``charts.stage_state``: a row-major rotation on
 the twist charts, Z-X-Z angles on the Euler chart, through the chart's stage
 maps in ``charts.CHART_STAGES``; its stages are written out, each calling the
-stage function as ``rhs(t, g, x, u)``.  Stage configurations are reached from
+autonomous stage function as ``rhs(g, x, u)``.  Stage configurations are reached from
 the step's base by increments (``retract``); on the twist charts that is an exponential, so
 orthogonality holds by construction, is checked once per rotation formed (the end one by the
 Rotation box ``step`` builds) and is never repaired.  ``step`` is the validated boundary, ChartState in
@@ -40,17 +40,16 @@ from .charts import (
     stage_pose,
     stage_state,
 )
-from .dynamics import chart_rhs_fn, conserved6, kirchhoff_accel_fn, newton_euler_accel_fn
+from .dynamics import chart_rhs_fn, conserved_fn, kirchhoff_accel_fn, newton_euler_accel_fn
 from .dynamics import spd_factor  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .errors import GimbalLockError, NonFiniteStateError, ScenarioValidationError
 from .gauss import constrained_accel6  # noqa: F401  (perfbench/tracer.py wraps it under this module)
 from .gauss import fixed_point_rhs_fn
 # perfbench/tracer.py wraps exp_so3, euler_to_rotation and rotation_to_euler under this module.
 from .geom3 import Pose, Rotation, euler_to_rotation, exp_so3, rotation_to_euler  # noqa: F401
-from .geom3 import as_rows
 
-# rhs(t, g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state.
-RhsFn = Callable[[float, tuple, tuple, tuple], tuple]
+# rhs(g, x, u) -> u_dot, a 6-tuple, on the float stage state (g, x, u) of charts.stage_state; no time argument.
+RhsFn = Callable[[tuple, tuple, tuple], tuple]
 
 # Longest run simulate accepts: about 7 minutes at 41 us per step (perfbench compare-euler-top, reference
 # seconds); one sampling every step stops at MAX_SAMPLES, about 1.3 minutes at 77 us per step (pinned-csv).
@@ -153,14 +152,14 @@ class Trajectory(Sequence):
 
 
 def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t: float, dt: float):
-    """One step of every integrator on float stage states; returns the new (g, x, u).
+    """One step of every integrator on float stage states; returns the new (g, x, u); t dates its errors only.
 
-    Every stage starts from the base, calls rhs(t, g, x, u) and takes (sigma_dot, x_dot) from the chart's rates;
+    Every stage starts from the base, calls rhs(g, x, u) and takes (sigma_dot, x_dot) from the chart's rates;
     RK4 then advances the base by (dt / 6) (k1 + 2 k2 + 2 k3 + k4), every sum left to right.
     """
     (rates, retract), finite = CHART_STAGES[chart], math.isfinite
     (x1, x2, x3), (u1, u2, u3, u4, u5, u6) = x0, u0
-    ka1, ka2, ka3, ka4, ka5, ka6 = rhs(t, g0, x0, u0)
+    ka1, ka2, ka3, ka4, ka5, ka6 = rhs(g0, x0, u0)
     # Float arithmetic overflows silently to inf or nan, so each stage's acceleration is checked, float by float.
     if not (finite(ka1) and finite(ka2) and finite(ka3) and finite(ka4) and finite(ka5) and finite(ka6)):
         raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")
@@ -168,26 +167,26 @@ def _rk_step(integrator: IntegratorId, chart: ChartId, rhs: RhsFn, g0, x0, u0, t
     if integrator is IntegratorId.LIE_EULER:
         return (retract(g0, (dt * sa1, dt * sa2, dt * sa3), False), (x1 + dt * ya1, x2 + dt * ya2, x3 + dt * ya3),
                 (u1 + dt * ka1, u2 + dt * ka2, u3 + dt * ka3, u4 + dt * ka4, u5 + dt * ka5, u6 + dt * ka6))
-    h, th = 0.5 * dt, t + 0.5 * dt
+    h = 0.5 * dt
     try:
         sigma = (h * sa1, h * sa2, h * sa3)
         g, x = retract(g0, sigma), (x1 + h * ya1, x2 + h * ya2, x3 + h * ya3)
         u = (u1 + h * ka1, u2 + h * ka2, u3 + h * ka3, u4 + h * ka4, u5 + h * ka5, u6 + h * ka6)
-        kb1, kb2, kb3, kb4, kb5, kb6 = rhs(th, g, x, u)
+        kb1, kb2, kb3, kb4, kb5, kb6 = rhs(g, x, u)
         if not (finite(kb1) and finite(kb2) and finite(kb3) and finite(kb4) and finite(kb5) and finite(kb6)):
-            raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={t + h:.6g}")
         (sb1, sb2, sb3), (yb1, yb2, yb3) = rates(g, x, u, sigma)
         sigma = (h * sb1, h * sb2, h * sb3)
         g, x = retract(g0, sigma), (x1 + h * yb1, x2 + h * yb2, x3 + h * yb3)
         u = (u1 + h * kb1, u2 + h * kb2, u3 + h * kb3, u4 + h * kb4, u5 + h * kb5, u6 + h * kb6)
-        kc1, kc2, kc3, kc4, kc5, kc6 = rhs(th, g, x, u)
+        kc1, kc2, kc3, kc4, kc5, kc6 = rhs(g, x, u)
         if not (finite(kc1) and finite(kc2) and finite(kc3) and finite(kc4) and finite(kc5) and finite(kc6)):
-            raise NonFiniteStateError(f"non-finite chart acceleration at t={th:.6g}")
+            raise NonFiniteStateError(f"non-finite chart acceleration at t={t + h:.6g}")
         (sc1, sc2, sc3), (yc1, yc2, yc3) = rates(g, x, u, sigma)
         sigma = (dt * sc1, dt * sc2, dt * sc3)
         g, x = retract(g0, sigma), (x1 + dt * yc1, x2 + dt * yc2, x3 + dt * yc3)
         u = (u1 + dt * kc1, u2 + dt * kc2, u3 + dt * kc3, u4 + dt * kc4, u5 + dt * kc5, u6 + dt * kc6)
-        kd1, kd2, kd3, kd4, kd5, kd6 = rhs(t + dt, g, x, u)
+        kd1, kd2, kd3, kd4, kd5, kd6 = rhs(g, x, u)
         if not (finite(kd1) and finite(kd2) and finite(kd3) and finite(kd4) and finite(kd5) and finite(kd6)):
             raise NonFiniteStateError(f"non-finite chart acceleration at t={t + dt:.6g}")
         (sd1, sd2, sd3), (yd1, yd2, yd3) = rates(g, x, u, sigma)
@@ -217,7 +216,7 @@ def step(
 ) -> ChartState:
     """Advance one fixed step; pure function of its arguments.
 
-    ``rhs(t, g, x, u)`` is the chart acceleration on the raw stage state of ``charts.stage_state``, as returned
+    ``rhs(g, x, u)`` is the chart acceleration on the raw stage state of ``charts.stage_state``, as returned
     by make_rhs.  Each float formed is tested finite once: stage accelerations in _rk_step, the end x, u and Euler
     angles here, and a twist chart's end rotation by its Rotation box (check_rotation).
     """
@@ -316,20 +315,18 @@ def simulate(
     check_route(formulation, integrator, scenario)
 
     chart, rhs = make_rhs(formulation, scenario)
-    m6 = as_rows(scenario.inertia.m6)
-    mass, com = scenario.inertia.mass, scenario.inertia.c.tolist()
-    gravity, to_body, finite = scenario.forces.gravity.tolist(), CHART_MAPS[chart][0], math.isfinite
+    conserved, to_body = conserved_fn(scenario.inertia, scenario.forces.gravity), CHART_MAPS[chart][0]
+    finite = math.isfinite
     # t = 0, every sample_every-th step, and the final step when the stride misses it.
     rows = np.empty((1 + n_steps // sample_every + (n_steps % sample_every > 0), 29))
 
     def sample(t: float, s: ChartState) -> tuple:
         # nu = Phi u, as charts.body_twist maps it, without the Twist box; nu, the energy and L can overflow.
         (g, x, u), r = stage_state(chart, s), s.pose.rotation.flat
-        (w1, w2, w3), (v1, v2, v3) = to_body(g, r, x, u)
+        w1, w2, w3, v1, v2, v3 = nu = to_body(g, r, x, u)
         if not (finite(w1) and finite(w2) and finite(w3) and finite(v1) and finite(v2) and finite(v3)):
             raise NonFiniteStateError("body twist is not finite")
-        nu = (w1, w2, w3, v1, v2, v3)
-        kinetic, potential, (l1, l2, l3) = conserved6(m6, mass, com, gravity, r, x, nu)
+        kinetic, potential, (l1, l2, l3) = conserved(r, x, nu)
         energy = kinetic + potential
         if not (finite(energy) and finite(l1) and finite(l2) and finite(l3)):
             raise NonFiniteStateError("energy or angular momentum is not finite")

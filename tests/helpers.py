@@ -7,16 +7,17 @@ an independent route against the constrained body-twist dynamics.
 
 The layered references (``layered_kirchhoff_accel``,
 ``layered_newton_euler_accel``, ``layered_chart_rhs_fn``,
-``layered_fixed_point_rhs``) compose the right-hand side from its parts, one
+``layered_fixed_point_rhs``) compose the stage function from its parts, one
 call per layer: the wrench (``body_wrench_fn``, or ``com_wrench_fn`` about the
 CoM for Newton-Euler), M nu or J_G omega, the bias, the block solve with J_G^-1
 read from M^-1's angular block, each chart's
 maps, and for the pinned point the offset (``fixed_point_offset_fn``) and
 gauss.constrained_accel6.  ``layered_rk_step``
 composes the step kernel the same way: one call per stage for its slopes, its
-increments and the RK4 sum.  The engine evaluates each route and the kernel in
-one flat function with the same operations in the same order, so the two agree
-bit for bit.
+increments and the RK4 sum, and ``layered_conserved`` a sample's energy and
+momentum from matvec's loop, mat3_vec and cross.  The engine evaluates each
+route, the kernel and the sample in one flat function with the same operations
+in the same order, so the two agree bit for bit.
 """
 
 import math
@@ -93,7 +94,7 @@ def newton_euler_rhs6(nu6, w6, c, j_g, j_g_inv, mass: float) -> tuple:
 
 
 def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
-    """w(t, r, x, nu6): the applied wrench about the CoM in body axes, (tau_G, f).
+    """w(r, x, nu6): the applied wrench about the CoM in body axes, (tau_G, f).
 
     Gravity has no torque about the CoM.  The constant wrench's torque is
     moved there once, t - c x f.
@@ -103,7 +104,7 @@ def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
     cf = cross(c, f)
     tau = (t[0] - cf[0], t[1] - cf[1], t[2] - cf[2])
 
-    def wrench(time, r, x, nu6):
+    def wrench(r, x, nu6):
         g = mat3t_vec(r, gravity)
         return (*tau, mass * g[0] + f[0], mass * g[1] + f[1], mass * g[2] + f[2])
 
@@ -111,7 +112,7 @@ def com_wrench_fn(forces: ForceModel, si: SpatialInertia):
 
 
 def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
-    """Float total applied wrench ``w(t, r, x, nu6)`` in body axes about the body origin.
+    """Float total applied wrench ``w(r, x, nu6)`` in body axes about the body origin.
 
     Gravity acts at the CoM: force m R^T g, torque m c x (R^T g).
     kirchhoff_accel_fn forms the same wrench inline, operation for operation.
@@ -119,7 +120,7 @@ def body_wrench_fn(forces: ForceModel, si: SpatialInertia):
     mass, (c1, c2, c3), gravity = si.mass, si.c.tolist(), forces.gravity.tolist()
     t1, t2, t3, f1, f2, f3 = forces.constant_wrench.as_array().tolist()
 
-    def wrench(t, r, x, nu6):
+    def wrench(r, x, nu6):
         g1, g2, g3 = mat3t_vec(r, gravity)
         return (mass * (c2 * g3 - c3 * g2) + t1, mass * (c3 * g1 - c1 * g3) + t2, mass * (c1 * g2 - c2 * g1) + t3,
                 mass * g1 + f1, mass * g2 + f2, mass * g3 + f3)
@@ -133,50 +134,61 @@ def angular_block_of_inverse(si: SpatialInertia) -> tuple:
 
 
 def layered_kirchhoff_accel(si: SpatialInertia, forces: ForceModel):
-    """accel(t, r, x, nu6): body_wrench_fn, then kirchhoff_rhs6."""
+    """accel(r, x, nu6): body_wrench_fn, then kirchhoff_rhs6."""
     wrench, c = body_wrench_fn(forces, si), si.c.tolist()
     j_rows, j_g_inv_rows = as_rows(si.j), angular_block_of_inverse(si)
-    return lambda t, r, x, nu6: kirchhoff_rhs6(nu6, wrench(t, r, x, nu6), j_rows, c, j_g_inv_rows, si.mass)
+    return lambda r, x, nu6: kirchhoff_rhs6(nu6, wrench(r, x, nu6), j_rows, c, j_g_inv_rows, si.mass)
 
 
 def layered_newton_euler_accel(si: SpatialInertia, forces: ForceModel):
-    """accel(t, r, x, nu6): com_wrench_fn, then newton_euler_rhs6 with J_G = J + m hat(c)^2."""
+    """accel(r, x, nu6): com_wrench_fn, then newton_euler_rhs6 with J_G = J + m hat(c)^2."""
     hat_c = hat(si.c)
     j_g = si.j + si.mass * (hat_c @ hat_c)
     wrench, c = com_wrench_fn(forces, si), si.c.tolist()
     j_g_rows, j_g_inv_rows = as_rows(j_g), angular_block_of_inverse(si)
-    return lambda t, r, x, nu6: newton_euler_rhs6(nu6, wrench(t, r, x, nu6), c, j_g_rows, j_g_inv_rows, si.mass)
+    return lambda r, x, nu6: newton_euler_rhs6(nu6, wrench(r, x, nu6), c, j_g_rows, j_g_inv_rows, si.mass)
 
 
 def layered_chart_rhs_fn(chart: ChartId, accel):
-    """rhs(t, g, x, u): u_dot = Phi^-1 (nu_dot - Phi_dot u) through charts.CHART_MAPS, one call per map."""
+    """rhs(g, x, u): u_dot = Phi^-1 (nu_dot - Phi_dot u) through charts.CHART_MAPS, one call per map."""
     to_body, from_body = CHART_MAPS[chart]
     if chart is ChartId.BODY_TWIST:
-        return lambda t, r, x, u: accel(t, r, x, u)
+        return lambda r, x, u: from_body(r, r, x, accel(r, x, to_body(r, r, x, u)))
     if chart is ChartId.SPATIAL_TWIST:
 
-        def rhs(t, r, x, u):
-            omega, v = to_body(r, r, x, u)
-            nu_dot = accel(t, r, x, (*omega, *v))
-            return from_body(r, r, x, nu_dot[:3], nu_dot[3:])
+        def rhs(r, x, u):
+            nu = to_body(r, r, x, u)
+            nu_dot = accel(r, x, nu)
+            return from_body(r, r, x, nu_dot)
 
         return rhs
 
-    def rhs(t, g, x, u):
+    def rhs(g, x, u):
         phi, theta, psi = g
         if not math.isfinite(phi + theta + psi):
             raise NonFiniteStateError("Euler angles are not finite")
         gimbal_guard(math.sin(theta))
         r = euler_matrix(phi, theta, psi)
         check_rotation(r)
-        omega, v = to_body(g, r, x, u)
-        nu_dot = accel(t, r, x, (*omega, *v))
+        nu = to_body(g, r, x, u)
+        nu_dot = accel(r, x, nu)
         e_dot_u = mat3_vec(_euler_rate_matrix_dot(theta, psi, u[1], u[2]), u[:3])
-        wv = cross(omega, v)
-        a_ang = (nu_dot[0] - e_dot_u[0], nu_dot[1] - e_dot_u[1], nu_dot[2] - e_dot_u[2])
-        return from_body(g, r, x, a_ang, (nu_dot[3] + wv[0], nu_dot[4] + wv[1], nu_dot[5] + wv[2]))
+        wv = cross(nu[:3], nu[3:])
+        return from_body(g, r, x, (nu_dot[0] - e_dot_u[0], nu_dot[1] - e_dot_u[1], nu_dot[2] - e_dot_u[2],
+                                   nu_dot[3] + wv[0], nu_dot[4] + wv[1], nu_dot[5] + wv[2]))
 
     return rhs
+
+
+def layered_conserved(si: SpatialInertia, gravity, r, x, nu6) -> tuple:
+    """(T, V, L) of dynamics.conserved_fn, with (pi, p) = M nu from matvec's row loop."""
+    mom6 = matvec(as_rows(si.m6), nu6)
+    rc, l_ang = mat3_vec(r, si.c.tolist()), mat3_vec(r, mom6[:3])
+    xp = cross(x, mat3_vec(r, mom6[3:]))
+    kinetic = 0.5 * (nu6[0] * mom6[0] + nu6[1] * mom6[1] + nu6[2] * mom6[2] + nu6[3] * mom6[3]
+                     + nu6[4] * mom6[4] + nu6[5] * mom6[5])
+    potential = -si.mass * (gravity[0] * (x[0] + rc[0]) + gravity[1] * (x[1] + rc[1]) + gravity[2] * (x[2] + rc[2]))
+    return kinetic, potential, (l_ang[0] + xp[0], l_ang[1] + xp[1], l_ang[2] + xp[2])
 
 
 def fixed_point_offset_fn(fp: FixedPointConstraint):
@@ -194,21 +206,21 @@ def fixed_point_offset_fn(fp: FixedPointConstraint):
 
 
 def layered_fixed_point_rhs(accel, m6_inv, fp: FixedPointConstraint):
-    """rhs(t, r, x, nu6) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel,
+    """rhs(r, x, nu6) of the pinned point, as gauss.fixed_point_rhs_fn takes its arguments: accel,
     fixed_point_offset_fn and constrained_accel6 with the Schur complement of schur_factor."""
     offset, a_rows = fixed_point_offset_fn(fp), fixed_point_rows(fp)
     m_inv_at, s_inv = schur_factor(m6_inv, a_rows)
     a_rows = as_rows(a_rows)
 
-    def rhs(t, r, x, nu6):
-        return constrained_accel6(accel(t, r, x, nu6), a_rows, offset(nu6), m_inv_at, s_inv)[0]
+    def rhs(r, x, nu6):
+        return constrained_accel6(accel(r, x, nu6), a_rows, offset(nu6), m_inv_at, s_inv)[0]
 
     return rhs
 
 
 def _slopes(rates, rhs, t: float, g, x, u, sigma) -> tuple:
-    """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment."""
-    u_dot = rhs(t, g, x, u)
+    """(sigma_dot, x_dot, u_dot) of one stage; sigma is the stage's rotation increment, t dates the error only."""
+    u_dot = rhs(g, x, u)
     # Float arithmetic overflows silently to inf or nan, so each stage's slope is checked.
     if not all(map(math.isfinite, u_dot)):
         raise NonFiniteStateError(f"non-finite chart acceleration at t={t:.6g}")

@@ -46,7 +46,7 @@ def random_valid_pose(rng):
     return Pose(euler_to_rotation(angles), rng.normal(size=3))
 
 
-def zero_rhs(t, g, x, u):
+def zero_rhs(g, x, u):
     """Zero chart acceleration: a LIE_EULER step then holds the chart velocities fixed over dt."""
     return (0.0,) * 6
 

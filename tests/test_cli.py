@@ -277,7 +277,7 @@ class TestSimulateCommand:
         assert sorted(p.name for p in tmp_path.iterdir()) == (["scenario.json"] if case == "long-name" else [])
 
     def test_write_failure_is_one_error_line_and_leaves_no_file(self, tmp_path, capsys, monkeypatch):
-        out = tmp_path / "o.csv"
+        out, filename = tmp_path / "o.csv", []
 
         def full_disk_open(path, mode="r", *args, open_=Path.open, **kwargs):
             f = open_(path, mode, *args, **kwargs)
@@ -285,16 +285,20 @@ class TestSimulateCommand:
 
                 def partial_write(text, write=f.write):
                     write(text[:10])
-                    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+                    raise OSError(errno.ENOSPC, "No space left on device", *filename)
 
                 f.write = partial_write
             return f
 
         monkeypatch.setattr(Path, "open", full_disk_open)
-        assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", str(out)]) == 1
-        err = capsys.readouterr().err.strip().splitlines()
-        assert err == [f"error: output: [Errno {errno.ENOSPC}] No space left on device: '{out}'"]
-        assert not out.exists()
+        # With the path, and without a filename, as the OSError of a real file.write (/dev/full) comes: the line
+        # names the path either way.
+        for named in (True, False):
+            filename[:] = [str(out)] if named else []
+            assert main(["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", str(out)]) == 1
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err == [f"error: output: [Errno {errno.ENOSPC}] No space left on device: '{out}'"], named
+            assert list(tmp_path.iterdir()) == [], named
 
     def test_empty_output_is_one_error_line(self, tmp_path, capsys, monkeypatch):
         # '' names no file; read as an absent --output it would write <name>-<formulation>.csv here.

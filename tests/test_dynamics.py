@@ -21,14 +21,14 @@ from unirigid.dynamics import (
     Wrench,
     assemble_inertia,
     chart_rhs_fn,
-    conserved6,
+    conserved_fn,
     kirchhoff_accel_fn,
     kirchhoff_rhs,
     newton_euler_accel_fn,
     spd_factor,
 )
 from unirigid.errors import NotPositiveDefiniteError
-from unirigid.geom3 import Pose, Rotation, as_rows, euler_to_rotation, hat
+from unirigid.geom3 import Pose, Rotation, euler_to_rotation, hat
 from unirigid.integrate import Formulation, IntegratorId, simulate
 from unirigid.scenario import load_scenario
 
@@ -137,8 +137,7 @@ class TestMomentum:
         for _ in range(50):
             si = random_inertia(rng, with_offset=True)
             nu = random_body_twist(rng)
-            m6 = assemble_inertia(si)
-            rows, c = as_rows(m6), si.c.tolist()
+            m6, conserved = assemble_inertia(si), conserved_fn(si, ZERO3)
             grad = m6 @ nu.as_array()
             fd = np.zeros(6)
             base = nu.as_array()
@@ -146,8 +145,7 @@ class TestMomentum:
                 dp, dm = base.copy(), base.copy()
                 dp[i] += h
                 dm[i] -= h
-                tp = conserved6(rows, si.mass, c, ZERO3, EYE9, ZERO3, dp.tolist())[0]
-                tm = conserved6(rows, si.mass, c, ZERO3, EYE9, ZERO3, dm.tolist())[0]
+                tp, tm = conserved(EYE9, ZERO3, dp.tolist())[0], conserved(EYE9, ZERO3, dm.tolist())[0]
                 fd[i] = (tp - tm) / (2.0 * h)
             assert np.max(np.abs(fd - grad)) <= 1e-6
 
@@ -155,8 +153,7 @@ class TestMomentum:
         rng = np.random.default_rng(31830991)
         for _ in range(100):
             si = random_inertia(rng, with_offset=True)
-            m6_rows, nu6 = as_rows(assemble_inertia(si)), random_body_twist(rng).flat
-            assert conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu6)[0] >= 0.0
+            assert conserved_fn(si, ZERO3)(EYE9, ZERO3, random_body_twist(rng).flat)[0] >= 0.0
 
 
 class TestKirchhoffRhs:
@@ -183,7 +180,7 @@ class TestKirchhoffRhs:
             direct = kirchhoff_rhs(si, nu, w)
             forces = ForceModel(gravity=np.zeros(3), constant_wrench=w)
             rhs = chart_rhs_fn(ChartId.BODY_TWIST, kirchhoff_accel_fn(si, forces))
-            via_chart = np.array(rhs(0.0, *stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
+            via_chart = np.array(rhs(*stage_state(ChartId.BODY_TWIST, ChartState(Pose.identity(), nu.as_array()))))
             assert np.max(np.abs(direct - via_chart)) <= 1e-12
 
 
@@ -195,7 +192,7 @@ class TestNewtonEulerRhs:
             nu = random_body_twist(rng)
             w = Wrench(rng.normal(size=3), rng.normal(size=3))
             accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
-            nu_dot = np.array(accel(0.0, EYE9, ZERO3, nu.flat))
+            nu_dot = np.array(accel(EYE9, ZERO3, nu.flat))
             assert np.max(np.abs(nu_dot - kirchhoff_rhs(si, nu, w))) <= 1e-12
         # Off the CoM, under gravity and a constant wrench, the balance about the CoM
         # gives the same body-twist rate, to 1e-12 relative.
@@ -204,7 +201,7 @@ class TestNewtonEulerRhs:
             nu, pose = random_body_twist(rng), random_valid_pose(rng)
             w = Wrench(rng.normal(size=3), rng.normal(size=3))
             forces = ForceModel(gravity=10.0 * rng.normal(size=3), constant_wrench=w)
-            state = (0.5, pose.rotation.flat, pose.flat, nu.flat)
+            state = (pose.rotation.flat, pose.flat, nu.flat)
             expected = np.array(kirchhoff_accel_fn(si, forces)(*state))
             nu_dot = np.array(newton_euler_accel_fn(si, forces)(*state))
             assert np.linalg.norm(nu_dot - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -215,7 +212,7 @@ class TestNewtonEulerRhs:
         nu = Twist(np.zeros(3), np.zeros(3))
         w = Wrench(np.zeros(3), si.mass * g)  # R = I
         accel = newton_euler_accel_fn(si, ForceModel(gravity=np.zeros(3), constant_wrench=w))
-        nu_dot = np.array(accel(0.0, EYE9, ZERO3, nu.flat))
+        nu_dot = np.array(accel(EYE9, ZERO3, nu.flat))
         assert np.allclose(nu_dot[3:], g)
         assert np.allclose(nu_dot[:3], 0.0)
 
@@ -223,7 +220,7 @@ class TestNewtonEulerRhs:
         si = SpatialInertia(mass=1.0, j=np.diag([1.0, 2.0, 3.0]))
         nu = Twist(np.array([0.0, 1.0, 1.0]), np.zeros(3))
         accel = newton_euler_accel_fn(si, NO_FORCES)
-        assert math.isclose(accel(0.0, EYE9, ZERO3, nu.flat)[0], -1.0, rel_tol=1e-14)
+        assert math.isclose(accel(EYE9, ZERO3, nu.flat)[0], -1.0, rel_tol=1e-14)
 
 
 class TestDenseSolveOracle:
@@ -242,7 +239,7 @@ class TestDenseSolveOracle:
             mom = m6 @ nu.as_array()
             bias = np.concatenate([np.cross(omega, mom[:3]) + np.cross(v, mom[3:]), np.cross(omega, mom[3:])])
             want = np.linalg.solve(m6, w - bias)
-            state = (0.5, pose.rotation.flat, pose.position.tolist(), nu.flat)
+            state = (pose.rotation.flat, pose.position.tolist(), nu.flat)
             for accel_fn in (kirchhoff_accel_fn, newton_euler_accel_fn):
                 got = np.array(accel_fn(si, forces)(*state))
                 assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), accel_fn.__name__
@@ -275,7 +272,7 @@ class TestChartEngine:
             u = rng.normal(size=6)
             state = ChartState(pose, u)
             rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, NO_FORCES))
-            u_dot = rhs(0.0, *stage_state(ChartId.EULER_COM, state))
+            u_dot = rhs(*stage_state(ChartId.EULER_COM, state))
             theta = math.acos(pose.rotation.m[2, 2])
             spin_rate_dot = (
                 u_dot[0] * math.cos(theta) - u[0] * math.sin(theta) * u[1] + u_dot[2]
@@ -314,7 +311,7 @@ class TestChartEngine:
             u = rng.normal(size=6) * 0.5
             state = ChartState(pose, u)
             rhs = chart_rhs_fn(ChartId.EULER_COM, kirchhoff_accel_fn(si, ForceModel(gravity=gravity)))
-            u_dot = np.array(rhs(0.0, *stage_state(ChartId.EULER_COM, state)))
+            u_dot = np.array(rhs(*stage_state(ChartId.EULER_COM, state)))
 
             from unirigid.geom3 import rotation_to_euler
 
@@ -342,14 +339,13 @@ class TestChartEngine:
 
 
 class TestEnergyAndMomentum:
-    """conserved6's (T, V, L) at hand-computed states."""
+    """conserved_fn's (T, V, L) at hand-computed states."""
 
     def test_zero_twist(self):
         rng = np.random.default_rng(31830997)
         si = random_inertia(rng, with_offset=True)
         nu = Twist(np.zeros(3), np.zeros(3))
-        m6_rows = as_rows(assemble_inertia(si))
-        kin, _, l_spatial = conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu.flat)
+        kin, _, l_spatial = conserved_fn(si, ZERO3)(EYE9, ZERO3, nu.flat)
         assert kin == 0.0
         assert np.array_equal(np.array(l_spatial), np.zeros(3))
 
@@ -357,8 +353,7 @@ class TestEnergyAndMomentum:
         lam, w = 2.0, 1.5
         si = SpatialInertia(mass=1.0, j=lam * np.eye(3))
         nu = Twist(np.array([0.0, 0.0, w]), np.zeros(3))
-        m6_rows = as_rows(assemble_inertia(si))
-        kin, _, l_spatial = conserved6(m6_rows, si.mass, si.c.tolist(), ZERO3, EYE9, ZERO3, nu.flat)
+        kin, _, l_spatial = conserved_fn(si, ZERO3)(EYE9, ZERO3, nu.flat)
         assert math.isclose(kin, 0.5 * lam * w * w, rel_tol=1e-15)
         assert np.allclose(np.array(l_spatial), [0.0, 0.0, lam * w])
 
@@ -366,9 +361,7 @@ class TestEnergyAndMomentum:
         si = SpatialInertia(mass=2.0, j=np.eye(3), c=np.array([0.0, 0.0, 0.25]))
         pose = Pose(Rotation.identity(), np.array([0.0, 0.0, 3.0]))
         expected = 2.0 * 9.81 * 3.25
-        m6_rows = as_rows(assemble_inertia(si))
-        gravity = (0.0, 0.0, -9.81)
-        pot = conserved6(m6_rows, si.mass, si.c.tolist(), gravity, pose.rotation.flat, pose.flat, (0.0,) * 6)[1]
+        pot = conserved_fn(si, (0.0, 0.0, -9.81))(pose.rotation.flat, pose.flat, (0.0,) * 6)[1]
         assert math.isclose(pot, expected, rel_tol=1e-14)
 
 
@@ -379,7 +372,7 @@ class TestForceAssembly:
         pose = random_valid_pose(rng)
         forces = ForceModel()
         nu = Twist(np.zeros(3), np.zeros(3))
-        w = np.array(body_wrench_fn(forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat))
+        w = np.array(body_wrench_fn(forces, si)(pose.rotation.flat, pose.flat, nu.flat))
         g_body = pose.rotation.m.T @ forces.gravity
         assert np.allclose(w[3:], 2.0 * g_body)
         assert np.allclose(w[:3], 2.0 * np.cross(si.c, g_body))

@@ -278,7 +278,7 @@ class TestHeavyTopTrajectories:
         m6 = assemble_inertia(sc.inertia)
         wrench, offset = body_wrench_fn(sc.forces, sc.inertia), fixed_point_offset_fn(sc.constraint)
         for s in samples:
-            w6 = wrench(s.t, s.pose.rotation.flat, s.pose.flat, s.nu.flat)
+            w6 = wrench(s.pose.rotation.flat, s.pose.flat, s.nu.flat)
             w = Wrench(w6[:3], w6[3:])
             con = AccelConstraint(fixed_point_rows(sc.constraint), offset(s.nu.flat))
             nu_dot, lam = constrained_accel(sc.inertia, s.nu, w, con)

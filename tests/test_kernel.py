@@ -14,11 +14,13 @@ the suite is deterministic:
 * one step() of every integrator/chart pair equals an independent numpy
   step built from that generic solve and a numpy Rodrigues formula;
 * simulate() is bit for bit the same as repeated public step() calls;
-* geom3.matvec, its 6x6 written out and every other shape one loop, sums
-  each row left to right from its first product, bit for bit;
+* geom3.matvec, one loop for every shape, sums each row left to right from
+  its first product, bit for bit;
 * stage_state reads the floats the boxes kept, bit for bit the tuples the
   numpy arrays give, and keeps the gimbal rule;
-* the float conserved6 equals a numpy evaluation of T, V and L;
+* the float conserved_fn equals a numpy evaluation of T, V and L, and the
+  layered form of tests/helpers.py (matvec's loop, mat3_vec, cross) bit for
+  bit, signed zeros included;
 * each route's flat right-hand side (kirchhoff_accel_fn,
   newton_euler_accel_fn, and chart_rhs_fn's Euler transport) equals the
   layered reference composition of tests/helpers.py bit for bit on bodies
@@ -47,6 +49,7 @@ from hypothesis import strategies as st
 from helpers import (
     body_wrench_fn,
     fixed_point_offset_fn,
+    layered_conserved,
     layered_chart_rhs_fn,
     layered_fixed_point_rhs,
     layered_kirchhoff_accel,
@@ -71,7 +74,7 @@ from unirigid.dynamics import (
     Wrench,
     assemble_inertia,
     chart_rhs_fn,
-    conserved6,
+    conserved_fn,
     kirchhoff_accel_fn,
     newton_euler_accel_fn,
     spd_factor,
@@ -84,7 +87,7 @@ from unirigid.gauss import (
     fixed_point_rows,
 )
 from unirigid.errors import GimbalLockError, NonFiniteStateError, UniRigidError
-from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, as_rows, euler_matrix, euler_to_rotation, matvec
+from unirigid.geom3 import GIMBAL_EPS, Pose, Rotation, euler_matrix, euler_to_rotation, matvec
 from unirigid.integrate import Formulation, IntegratorId, _rk_step, make_rhs, simulate, step
 from unirigid.scenario import builtin_scenario_dir, load_scenario
 
@@ -137,7 +140,7 @@ def reference_u_dot(chart, si, state, forces):
     ev = chart_eval(chart, state.pose, state.u)
     m6 = assemble_inertia(si)
     nu6 = ev.phi @ state.u
-    f6 = np.array(body_wrench_fn(forces, si)(0.0, state.pose.rotation.flat, state.pose.flat, nu6.tolist()))
+    f6 = np.array(body_wrench_fn(forces, si)(state.pose.rotation.flat, state.pose.flat, nu6.tolist()))
     rhs = ev.phi.T @ (f6 - m6 @ (ev.phi_dot @ state.u) - momentum_bias(nu6, m6 @ nu6))
     return np.linalg.solve(ev.phi.T @ m6 @ ev.phi, rhs)
 
@@ -150,7 +153,7 @@ def test_closed_form_chart_map_matches_generic_solve(chart, with_offset):
     def check(si, state, g, torque, force):
         forces = ForceModel(gravity=10.0 * g, constant_wrench=Wrench(torque, force))
         expected = reference_u_dot(chart, si, state, forces)
-        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces))(0.0, *stage_state(chart, state)))
+        got = np.array(chart_rhs_fn(chart, kirchhoff_accel_fn(si, forces))(*stage_state(chart, state)))
         assert np.linalg.norm(got - expected) <= 1e-12 * max(1.0, np.linalg.norm(expected))
 
     check()
@@ -275,10 +278,10 @@ def test_gauss_route_uses_the_same_solve(si, r_b, omega, vel, angles, x):
     pose = Pose(euler_to_rotation(angles + 0.1), 0.1 * x)
     u = np.concatenate([2.0 * omega, vel])
     nu = Twist(u[:3], u[3:])
-    w6 = body_wrench_fn(sc.forces, si)(0.0, pose.rotation.flat, pose.flat, nu.flat)
+    w6 = body_wrench_fn(sc.forces, si)(pose.rotation.flat, pose.flat, nu.flat)
     con = AccelConstraint(fixed_point_rows(pin), fixed_point_offset_fn(pin)(nu.flat))
     nu_dot_ref, _ = kkt_reference(si, nu, Wrench(w6[:3], w6[3:]), con)
-    got = rhs(0.0, *stage_state(chart, ChartState(pose, u)))
+    got = rhs(*stage_state(chart, ChartState(pose, u)))
     assert np.linalg.norm(got - nu_dot_ref) <= 1e-12 * max(1.0, np.linalg.norm(nu_dot_ref))
 
 
@@ -357,7 +360,7 @@ def test_stage_state_reads_the_numpy_state_bit_for_bit(chart):
 
 @SETTINGS
 @given(si=bodies(True), state=euler_states(), g=vec3)
-def test_conserved6_matches_numpy(si, state, g):
+def test_conserved_fn_matches_numpy(si, state, g):
     m6, r, x, nu = assemble_inertia(si), state.pose.rotation.m, state.pose.position, state.u
     mom = m6 @ nu
     xg, rp = x + r @ si.c, r @ mom[3:]
@@ -366,8 +369,7 @@ def test_conserved6_matches_numpy(si, state, g):
     norm = np.linalg.norm
     scales = (0.5 * np.abs(nu) @ np.abs(m6) @ np.abs(nu), si.mass * norm(10.0 * g) * (norm(x) + norm(si.c)),
               norm(mom[:3]) + norm(x) * norm(rp))
-    got = conserved6(as_rows(m6), si.mass, si.c.tolist(), (10.0 * g).tolist(), state.pose.rotation.flat,
-                     state.pose.flat, state.flat)
+    got = conserved_fn(si, 10.0 * g)(state.pose.rotation.flat, state.pose.flat, state.flat)
     for a, b, scale in zip(got, want, scales):
         assert np.max(np.abs(np.subtract(a, b))) <= 1e-13 * max(scale, 1e-300)
 
@@ -393,12 +395,28 @@ def raw_stage_states(draw, chart):
     return g, tuple(draw(vec3).tolist()), u
 
 
-def outcome(rhs, t, s):
+def outcome(rhs, s):
     """The hex of each u_dot entry, or the type and text of the error rhs raises."""
     try:
-        return hexes(rhs(t, *s))
+        return hexes(rhs(*s))
     except UniRigidError as err:
         return type(err).__name__, str(err)
+
+
+signed_zero = st.sampled_from([0.0, -0.0])
+signed = st.one_of(st.floats(-2.0, 2.0), signed_zero)
+
+
+@SETTINGS
+@given(si=st.one_of(bodies(True), bodies(False)), forces=force_models(), angles=vec3,
+       x=st.tuples(*[signed] * 3), nu=st.one_of(st.tuples(*[signed] * 6), st.tuples(*[signed_zero] * 6)))
+def test_conserved_fn_matches_layered_reference_bit_for_bit(si, forces, angles, x, nu):
+    # Signed zeros in x, nu, c and g reach the sign of every zero product, and a twist of zeros the sign of a zero
+    # sum; float.hex tells -0.0 from 0.0.
+    r = euler_matrix(*angles)
+    kinetic, potential, l_spatial = conserved_fn(si, forces.gravity)(r, x, nu)
+    want_kinetic, want_potential, want_l = layered_conserved(si, forces.gravity.tolist(), r, x, nu)
+    assert hexes((kinetic, potential, *l_spatial)) == hexes((want_kinetic, want_potential, *want_l))
 
 
 FLAT_ROUTES = {
@@ -413,10 +431,10 @@ def test_flat_rhs_matches_layered_reference_bit_for_bit(chart, route):
     flat_accel, layered_accel = FLAT_ROUTES[route]
 
     @SETTINGS
-    @given(si=bodies(True), forces=force_models(), s=raw_stage_states(chart), t=st.floats(0.0, 10.0))
-    def check(si, forces, s, t):
-        want = outcome(layered_chart_rhs_fn(chart, layered_accel(si, forces)), t, s)
-        assert outcome(chart_rhs_fn(chart, flat_accel(si, forces)), t, s) == want
+    @given(si=bodies(True), forces=force_models(), s=raw_stage_states(chart))
+    def check(si, forces, s):
+        want = outcome(layered_chart_rhs_fn(chart, layered_accel(si, forces)), s)
+        assert outcome(chart_rhs_fn(chart, flat_accel(si, forces)), s) == want
 
     check()
 
@@ -432,7 +450,7 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
     u = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
     # A non-finite position or velocity is no error of a stage function: it reaches u_dot, where the kernel tests it.
     for s in ((g, (0.0, math.inf, 0.0), u), (g, (0.1, 0.2, 0.3), (0.1, math.nan, 0.3, 0.4, 0.5, 0.6))):
-        assert outcome(flat, 0.5, s) == outcome(layered, 0.5, s)
+        assert outcome(flat, s) == outcome(layered, s)
     cases = [
         (((0.3, math.nan, -0.4), (0.1, 0.2, 0.3), u), NonFiniteStateError, "Euler angles"),
         (((math.inf, 1.0, -0.4), (0.1, 0.2, 0.3), u), NonFiniteStateError, "Euler angles"),
@@ -441,15 +459,15 @@ def test_flat_rhs_fails_as_the_layered_reference(chart, route):
     ] if chart is ChartId.EULER_COM else []
     for s, error, text in cases:
         with pytest.raises(error, match=text) as flat_err:
-            flat(0.5, *s)
+            flat(*s)
         with pytest.raises(error) as layered_err:
-            layered(0.5, *s)
+            layered(*s)
         assert str(flat_err.value) == str(layered_err.value)
 
 
 @SETTINGS
-@given(si=bodies(True), forces=force_models(), r_b=vec3, s=raw_stage_states(ChartId.BODY_TWIST), t=st.floats(0.0, 10.0))
-def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, s, t):
+@given(si=bodies(True), forces=force_models(), r_b=vec3, s=raw_stage_states(ChartId.BODY_TWIST))
+def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, s):
     # Off-axis pins; the stage function reads the drawn stage state and the pin, not the initial pose.
     pin = FixedPointConstraint(0.5 * r_b + np.array([0.05, -0.05, 0.0]))
     sc = make_scenario("pin", si.mass, si.j, np.zeros(3), com=si.c, constraint=pin, formulation=Formulation.GAUSS)
@@ -458,7 +476,7 @@ def test_pinned_rhs_matches_layered_reference_bit_for_bit(si, forces, r_b, s, t)
     assert chart is ChartId.BODY_TWIST
     m6_inv = spd_factor(assemble_inertia(si), "generalized inertia")
     layered = layered_fixed_point_rhs(layered_newton_euler_accel(si, forces), m6_inv, pin)
-    assert outcome(rhs, t, s) == outcome(layered, t, s)
+    assert outcome(rhs, s) == outcome(layered, s)
 
 
 @st.composite
@@ -504,10 +522,10 @@ def test_pinned_rhs_keeps_the_sign_of_zero():
     r, x = euler_matrix(0.0, 0.0, 0.0), tuple((-pin.r_b).tolist())
     zeros = list(itertools.product((0.0, -0.0), repeat=6))
     for f in zeros:
-        flat = fixed_point_rhs_fn(lambda t, r, x, nu: f, m6_inv, pin)
-        layered = layered_fixed_point_rhs(lambda t, r, x, nu: f, m6_inv, pin)
+        flat = fixed_point_rhs_fn(lambda r, x, nu: f, m6_inv, pin)
+        layered = layered_fixed_point_rhs(lambda r, x, nu: f, m6_inv, pin)
         for nu in zeros:
-            assert hexes(flat(0.0, r, x, nu)) == hexes(layered(0.0, r, x, nu)), (f, nu)
+            assert hexes(flat(r, x, nu)) == hexes(layered(r, x, nu)), (f, nu)
 
 
 def test_pinned_rhs_does_not_read_the_initial_pose():
@@ -524,7 +542,7 @@ def test_pinned_rhs_does_not_read_the_initial_pose():
                           ((0.3, -0.5, 1.1), (0.2, 0.7, -0.4), (0.5, -1.0, 3.0, 0.2, 0.1, -0.6)),
                           ((1.2, 0.9, -2.0), (-3.0, 1.0, 2.0), (-2.0, 0.4, 0.1, 1.5, -0.3, 0.8))]:
         r = euler_matrix(*angles)
-        assert hexes(rhs_a(0.5, r, x, nu)) == hexes(rhs_b(0.5, r, x, nu))
+        assert hexes(rhs_a(r, x, nu)) == hexes(rhs_b(r, x, nu))
 
 
 def test_euler_transport_keeps_the_sign_of_zero():
@@ -532,10 +550,10 @@ def test_euler_transport_keeps_the_sign_of_zero():
     # only the sign of an exactly zero output, which no drawn state reaches.  A body acceleration of -0.0
     # in every entry leaves that sign to the transport: this u makes psi_dot and the second linear
     # rate -0.0, and dropping either product flips them.
-    def accel(t, r, x, nu):
+    def accel(r, x, nu):
         return (-0.0,) * 6
 
     s = ((0.0, 1.0, 0.0), (0.0, 0.0, 0.0), (-1.0, -0.0, 1.0, -0.0, -0.0, -0.0))
-    got = chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, *s)
-    assert hexes(got) == hexes(layered_chart_rhs_fn(ChartId.EULER_COM, accel)(0.0, *s))
+    got = chart_rhs_fn(ChartId.EULER_COM, accel)(*s)
+    assert hexes(got) == hexes(layered_chart_rhs_fn(ChartId.EULER_COM, accel)(*s))
     assert hexes((got[2], got[4])) == hexes((-0.0, -0.0))

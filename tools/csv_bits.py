@@ -29,7 +29,8 @@ working directory:
   lines and exit code cover ``checks.py``;
 * failing runs, whose stderr lines and exit codes are compared: ``simulate``
   with ``--dt -1``, with a refused route (kirchhoff on the pinned
-  heavy-top-generic) and with ``--output ""`` (exit 1); ``simulate`` of
+  heavy-top-generic), with ``--output ""`` and with ``--t-end 0.01 --output
+  /dev/full``, whose CSV write fails with no space left (exit 1); ``simulate`` of
   ``GIMBAL_BODY``, criterion 8's body that crosses gimbal lock, written to a
   temporary file like ``OFFSET_BODY`` (exit 2); ``compare`` with one
   formulation and with ``--tol -1`` (exit 1); ``compare`` of kirchhoff and
@@ -133,6 +134,8 @@ def failing_runs(gimbal_body: Path, damped_body: Path, fast_body: Path) -> "list
             ("simulate heavy-top-generic --formulation kirchhoff",
              ["simulate", "--scenario", "heavy-top-generic", "--formulation", "kirchhoff", "--output", "out.csv"]),
             ('simulate euler-top --output ""', ["simulate", "--scenario", "euler-top", "--output", ""]),
+            ("simulate euler-top --t-end 0.01 --output /dev/full",
+             ["simulate", "--scenario", "euler-top", "--t-end", "0.01", "--output", "/dev/full"]),
             ("simulate gimbal-body", ["simulate", "--scenario", str(gimbal_body), "--output", "out.csv"]),
             ("compare euler-top --formulation kirchhoff",
              ["compare", "--scenario", "euler-top", "--formulation", "kirchhoff"]),
