@@ -49,8 +49,8 @@ from hypothesis import strategies as st
 from helpers import (
     body_wrench_fn,
     fixed_point_offset_fn,
-    layered_conserved,
     layered_chart_rhs_fn,
+    layered_conserved,
     layered_fixed_point_rhs,
     layered_kirchhoff_accel,
     layered_newton_euler_accel,
